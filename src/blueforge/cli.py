@@ -294,8 +294,6 @@ def _add_common(p, budget=True, js=True, dot=False):
     if budget:
         p.add_argument("--budget", type=str, default=None,
                        help="derivation budget 'deg,terms,steps'")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (operations are deterministic)")
 
 
 def build_parser():
@@ -395,6 +393,7 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    saved = os.environ.get("BLUEFORGE_BUDGET")
     if getattr(args, "budget", None):
         deg, terms, steps = (int(x) for x in args.budget.split(","))
         args.budget = Budget(deg, terms, steps)
@@ -406,6 +405,12 @@ def main(argv=None):
     except (BlueprintError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # The budget holds for this call only, not for later Blueprints.
+        if saved is None:
+            os.environ.pop("BLUEFORGE_BUDGET", None)
+        else:
+            os.environ["BLUEFORGE_BUDGET"] = saved
 
 
 if __name__ == "__main__":

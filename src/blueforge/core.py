@@ -204,7 +204,18 @@ class MonomialBackend:
             raise MalformedBackend(f"invertibility flags on unknown generators {unknown}")
         self.inverted = frozenset(inv)
         self.lattice = self._reduce_lattice(lattice)
+        self._pivots = tuple(sorted(
+            ((next(i for i, x in enumerate(vec) if x), vec, char)
+             for vec, char in self.lattice), key=lambda r: r[0]))
         self._nzero = (ZERO, (0,) * len(self.gens))
+        # Lattice-free divisibility data for _monomial_divides: the pairs
+        # (a, c*a) over nonzero coefficients c, and the indices whose
+        # exponents may not go negative.
+        syms = coeff_bp.backend.symbols
+        self._coeff_multiples = frozenset(
+            (a, coeff_bp.mul(c, a)) for a in syms for c in syms if c != ZERO)
+        self._fixed = tuple(i for i, name in enumerate(self.gens)
+                            if name not in self.inverted)
 
     def _reduce_lattice(self, lattice):
         coeff = self.coeff
@@ -239,9 +250,7 @@ class MonomialBackend:
     def _reduce_vector(self, vec, char=ONE):
         vec = list(vec)
         coeff = self.coeff
-        for bvec, bchar in sorted(self.lattice,
-                                  key=lambda r: next(i for i, x in enumerate(r[0]) if x)):
-            p = next(i for i, x in enumerate(bvec) if x)
+        for p, bvec, bchar in self._pivots:
             q = vec[p] // bvec[p]
             if q:
                 vec = [a - q * b for a, b in zip(vec, bvec)]
@@ -687,6 +696,13 @@ class IdealDescriptor:
 def _monomial_divides(backend, g, m):
     if backend.is_zero(g):
         return backend.is_zero(m)
+    if not backend.lattice and not backend.is_zero(m):
+        # Without a lattice, normalize((c, m - g)) is (c, m - g) when no
+        # fixed exponent goes negative and raises otherwise, and then
+        # (c, m - g) * g == m iff c * g0 == m0: the loop below reduces to this.
+        ge, me = g[1], m[1]
+        return ((g[0], m[0]) in backend._coeff_multiples
+                and all(me[i] >= ge[i] for i in backend._fixed))
     diff = tuple(x - y for x, y in zip(m[1], g[1]))
     for c in backend.coeff.backend.symbols:
         if c == ZERO or backend.coeff.mul(c, g[0]) != m[0]:
@@ -829,6 +845,11 @@ def is_prime_ideal(bp, ideal):
         nz = [e for e in exps if e]
         if len(nz) != 1 or nz[0] != 1:
             return False
+    if not backend.lattice:
+        # A proper ideal's generators are non-inverted variables in S; a
+        # product of two variables outside S has exponent 0 on all of S, so
+        # with no lattice no generator divides it.
+        return True
     varset = {backend.gens[i] for g in ideal.minimal
               for i, e in enumerate(g[1]) if e}
     outside = [backend.gen_element(n) for n in backend.gens if n not in varset]

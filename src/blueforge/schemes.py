@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from .core import (ONE, ZERO, Blueprint, BlueprintError, BlueprintMorphism,
                    MonomialBackend, additive_closure, is_prime_ideal,
                    localize)
-from .spectra import SpecPoint, SpecSpace, residue_field, spec
+from .spectra import (SpecPoint, SpecSpace, _bits, _hasse, residue_field,
+                      spec)
 from . import counting
 
 
@@ -217,20 +218,20 @@ class BlueScheme:
 class GluedSpace:
     """The colimit of the chart spectra, with the glued specialization order."""
 
-    def __init__(self, scheme, reps, order):
+    def __init__(self, scheme, reps, up):
         self.scheme = scheme
         self.reps = tuple(reps)        # representative (chart, point index)
-        self._order = order            # dict (a, b) -> bool on rep indices
+        self._up = up                  # up-set bitmask per rep index
         self.chart_spaces = scheme._chart_spaces
 
     def __len__(self):
         return len(self.reps)
 
     def leq(self, a, b):
-        return self._order[(a, b)]
+        return bool(self._up[a] >> b & 1)
 
     def lt(self, a, b):
-        return a != b and self._order[(a, b)]
+        return a != b and bool(self._up[a] >> b & 1)
 
     def labels(self):
         out = []
@@ -239,18 +240,10 @@ class GluedSpace:
         return out
 
     def closed_points(self):
-        return [a for a in range(len(self.reps))
-                if not any(self.lt(a, b) for b in range(len(self.reps)))]
+        return [a for a, m in enumerate(self._up) if not m & ~(1 << a)]
 
     def covers(self):
-        out = []
-        n = len(self.reps)
-        for a in range(n):
-            for b in range(n):
-                if self.lt(a, b) and not any(self.lt(a, c) and self.lt(c, b)
-                                             for c in range(n)):
-                    out.append((a, b))
-        return out
+        return _hasse(self._up)
 
 
 def _gluing_morphism(scheme, g):
@@ -309,18 +302,17 @@ def _glue_points(scheme, budget=None):
     for node in nodes:
         classes.setdefault(find(index[node]), []).append(node)
     reps = sorted(min(v) for v in classes.values())
-    order = {}
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            le = False
-            ca = classes[find(index[ra])]
-            cb = classes[find(index[rb])]
-            for (ci, pi) in ca:
-                for (cj, pj) in cb:
-                    if ci == cj and spaces[ci].leq(pi, pj):
-                        le = True
-            order[(a, b)] = le
-    return GluedSpace(scheme, reps, order)
+    rep_of = {find(index[r]): a for a, r in enumerate(reps)}
+    # a <= b iff some point of class a lies below some point of class b in
+    # a common chart.
+    up = []
+    for r in reps:
+        mask = 0
+        for ci, pi in classes[find(index[r])]:
+            for pj in _bits(spaces[ci]._up[pi]):
+                mask |= 1 << rep_of[find(index[(ci, pj)])]
+        up.append(mask)
+    return GluedSpace(scheme, reps, up)
 
 
 def _point_with_vars(space, varnames):

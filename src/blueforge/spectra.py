@@ -30,11 +30,49 @@ class SpecPoint:
         return self.ideal.generator_names()
 
 
+def _bits(mask):
+    """Indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _up_masks(keysets):
+    """Up-set masks of the inclusion order on `keysets`: bit j of the i-th
+    mask is set iff keysets[i] <= keysets[j]."""
+    holders = {}
+    for j, keys in enumerate(keysets):
+        for k in keys:
+            holders[k] = holders.get(k, 0) | (1 << j)
+    out = []
+    for keys in keysets:
+        mask = (1 << len(keysets)) - 1
+        for k in keys:
+            mask &= holders[k]
+        out.append(mask)
+    return out
+
+
+def _hasse(up):
+    """Hasse edges (i, j) of the order given by up-set masks, in (i, j)
+    order: j strictly above i with nothing strictly between."""
+    strict = [m & ~(1 << i) for i, m in enumerate(up)]
+    out = []
+    for i, above in enumerate(strict):
+        through = 0
+        for k in _bits(above):
+            through |= strict[k]
+        out.extend((i, j) for j in _bits(above & ~through))
+    return out
+
+
 class SpecSpace:
     """The prime ideals of a blueprint with the specialization order.
 
     p <= q iff ideal(p) is contained in ideal(q); closed sets are the up-sets,
-    so closed points sit at the top of the order.
+    so closed points sit at the top of the order. The order is stored as one
+    up-set bitmask per point.
     """
 
     projective = False
@@ -43,17 +81,13 @@ class SpecSpace:
         self.blueprint = blueprint
         self.points = tuple(points)
         self.complete = complete
-        self._leq = {}
         keysets = self._containment_sets()
         if keysets is not None:
-            for i in range(len(self.points)):
-                for j in range(len(self.points)):
-                    self._leq[(i, j)] = keysets[i] <= keysets[j]
+            self._up = _up_masks(keysets)
         else:
-            for i, p in enumerate(self.points):
-                for j, q in enumerate(self.points):
-                    self._leq[(i, j)] = all(q.ideal.contains(g)
-                                            for g in p.ideal.minimal)
+            self._up = [sum(1 << j for j, q in enumerate(self.points)
+                            if all(q.ideal.contains(g) for g in p.ideal.minimal))
+                        for p in self.points]
 
     def _containment_sets(self):
         """Per-point sets whose inclusions decide ideal containment: symbol
@@ -79,39 +113,33 @@ class SpecSpace:
         return len(self.points)
 
     def leq(self, i, j):
-        return self._leq[(i, j)]
+        return bool(self._up[i] >> j & 1)
 
     def lt(self, i, j):
-        return i != j and self._leq[(i, j)]
+        return i != j and bool(self._up[i] >> j & 1)
 
     def labels(self):
         return [p.label() for p in self.points]
 
     def closed_points(self):
-        return [i for i in range(len(self.points))
-                if not any(self.lt(i, j) for j in range(len(self.points)))]
+        return [i for i, m in enumerate(self._up) if not m & ~(1 << i)]
 
     def generic_points(self):
-        return [i for i in range(len(self.points))
-                if not any(self.lt(j, i) for j in range(len(self.points)))]
+        below = 0
+        for i, m in enumerate(self._up):
+            below |= m & ~(1 << i)
+        return [i for i in range(len(self.points)) if not below >> i & 1]
 
     def covers(self):
         """Hasse edges (i, j): j specializes i, nothing strictly between."""
-        out = []
-        n = len(self.points)
-        for i in range(n):
-            for j in range(n):
-                if self.lt(i, j) and not any(
-                        self.lt(i, k) and self.lt(k, j) for k in range(n)):
-                    out.append((i, j))
-        return out
+        return _hasse(self._up)
 
     def up_set(self, indices):
-        out = set(indices)
-        for i in range(len(self.points)):
-            if any(self.leq(j, i) for j in out):
-                out.add(i)
-        return frozenset(out)
+        indices = frozenset(indices)
+        mask = 0
+        for j in indices:
+            mask |= self._up[j]
+        return indices | frozenset(_bits(mask))
 
     def closed_sets(self):
         n = len(self.points)
@@ -125,39 +153,26 @@ class SpecSpace:
         return out
 
     def is_connected(self):
-        if not self.points:
-            return True
-        n = len(self.points)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in range(n):
-                if j not in seen and (self.lt(i, j) or self.lt(j, i)):
-                    seen.add(j)
-                    frontier.append(j)
-        return len(seen) == n
+        return len(self.connected_components()) <= 1
 
     def connected_components(self):
-        n = len(self.points)
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(n):
-            for j in range(n):
-                if self.lt(i, j):
-                    a, b = find(i), find(j)
-                    if a != b:
-                        parent[b] = a
-        groups = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        return sorted(groups.values())
+        adjacent = list(self._up)
+        for i, m in enumerate(self._up):
+            for j in _bits(m):
+                adjacent[j] |= 1 << i
+        out = []
+        left = (1 << len(self.points)) - 1
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                reach = 0
+                for k in _bits(frontier):
+                    reach |= adjacent[k]
+                frontier = reach & ~comp
+                comp |= reach
+            left &= ~comp
+            out.append(list(_bits(comp)))
+        return out
 
     # closure / rank machinery ---------------------------------------------
     def ambient_blueprint(self):

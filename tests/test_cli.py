@@ -1,10 +1,12 @@
 """The command-line interface: outputs, determinism, exit codes."""
 
 import json
+import os
 
 import pytest
 
 from blueforge import jsonio
+from blueforge.budget import Budget, default_budget
 from blueforge.cli import main
 
 
@@ -166,3 +168,23 @@ class TestContracts:
         code, out, _ = run(capsys, "complex", "catalog:P1", "--dot")
         assert code == 0
         assert out.startswith("graph")
+
+    def test_budget_flag_does_not_leak(self, capsys, monkeypatch):
+        monkeypatch.delenv("BLUEFORGE_BUDGET", raising=False)
+        env, default = dict(os.environ), default_budget()
+        code, _, _ = run(capsys, "spec", "catalog:A2", "--budget", "1,2,3")
+        assert code == 0
+        assert dict(os.environ) == env
+        assert default_budget() == default
+
+    def test_budget_flag_restores_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("BLUEFORGE_BUDGET", "5,6,7")
+        code, _, _ = run(capsys, "spec", "catalog:A2", "--budget", "1,2,3")
+        assert code == 0
+        assert os.environ["BLUEFORGE_BUDGET"] == "5,6,7"
+        assert default_budget() == Budget(5, 6, 7)
+
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spec", "catalog:A1", "--threads", "2"])
+        assert exc.value.code == 2

@@ -1,14 +1,18 @@
 """Property-based checks with hypothesis."""
 
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
 from blueforge import arithcurve as ac
 from blueforge import catalog
-from blueforge.core import (PROVED, additive_closure, derive,
-                            enumerate_morphisms, field_blueprint, _rewrites)
+from blueforge.core import (ONE, PROVED, ZERO, ForeignElement,
+                            MonomialBackend, additive_closure, derive,
+                            enumerate_morphisms, field_blueprint,
+                            is_prime_ideal, _monomial_divides, _rewrites)
 from blueforge.counting import fit_polynomial
 
 rationals = st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000),
@@ -104,3 +108,92 @@ class TestCountingStability:
         shuffled = [base[i] for i in perm]
         poly = fit_polynomial(shuffled)
         assert poly is not None and poly.coeffs == (0, -1, 0, 1)
+
+
+def reference_divides(backend, g, m):
+    """Does g divide m: try every nonzero coefficient c and check that the
+    normalized (c, m - g) times g gives m back."""
+    if backend.is_zero(g):
+        return backend.is_zero(m)
+    diff = tuple(x - y for x, y in zip(m[1], g[1]))
+    for c in backend.coeff.backend.symbols:
+        if c == ZERO or backend.coeff.mul(c, g[0]) != m[0]:
+            continue
+        try:
+            h = backend.normalize((c, diff))
+        except ForeignElement:
+            continue
+        if backend.mul(h, g) == m:
+            return True
+    return False
+
+
+def reference_is_prime(bp, ideal):
+    """Variable generators with unit coefficients, and no product of two
+    variables outside the ideal lies in it."""
+    backend = bp.backend
+    for coeff, exps in ideal.minimal:
+        nz = [e for e in exps if e]
+        if not backend.coeff.is_unit(coeff) or nz != [1]:
+            return False
+    inside = {i for _, exps in ideal.minimal for i, e in enumerate(exps) if e}
+    outside = [backend.gen_element(n) for i, n in enumerate(backend.gens)
+               if i not in inside]
+    return not any(ideal.contains(backend.mul(a, b))
+                   for a in outside for b in outside)
+
+
+@lru_cache(maxsize=None)
+def divides_backends():
+    gens = ("X", "Y", "Z")
+    out = []
+    for coeff in (catalog.f1(), catalog.f1_squared(), catalog.f1n(3)):
+        out.append(MonomialBackend(coeff, gens))
+        out.append(MonomialBackend(coeff, gens, inverted=("Y",)))
+    out.append(MonomialBackend(catalog.f1(), gens,
+                               lattice=[((1, 1, 0), ONE)]))
+    out.append(MonomialBackend(catalog.f1_squared(), gens,
+                               lattice=[((0, 2, 0), "-1")]))
+    return tuple(out)
+
+
+class TestFastPaths:
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_monomial_divides_matches_coefficient_loop(self, data):
+        backend = data.draw(st.sampled_from(divides_backends()))
+
+        def draw_elem():
+            c = data.draw(st.sampled_from(backend.coeff.backend.symbols))
+            exps = tuple(data.draw(st.integers(-2 if n in backend.inverted
+                                               else 0, 3))
+                         for n in backend.gens)
+            return backend.normalize((c, exps))
+
+        g = draw_elem()
+        m = draw_elem()
+        if data.draw(st.booleans()):
+            m = backend.mul(g, m)
+        assert _monomial_divides(backend, g, m) == \
+            reference_divides(backend, g, m)
+
+    def test_is_prime_matches_product_check(self):
+        objects = [catalog.affine_space(n) for n in (1, 2, 3)]
+        objects += [catalog.torus(2), catalog.sl2_f1(), catalog.sl2_minors(),
+                    catalog.grassmannian_f1(2, 4).blueprint,
+                    catalog.proj_cone(2).blueprint]
+        for bp in objects:
+            backend = bp.backend
+            assert backend.kind == "monomial" and not backend.lattice
+            free = [n for n in backend.gens if n not in backend.inverted]
+            checked = 0
+            for r in range(len(free) + 1):
+                for sub in itertools.combinations(free, r):
+                    ideal = additive_closure(
+                        bp, [backend.gen_element(n) for n in sub])
+                    if ideal.saturated != "exact" or not ideal.is_proper():
+                        continue
+                    assert is_prime_ideal(bp, ideal) == \
+                        reference_is_prime(bp, ideal), (bp, sub)
+                    checked += 1
+            assert checked

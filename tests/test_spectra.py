@@ -1,9 +1,12 @@
 """Spectra, stalks, residue fields, globalization, ranks, Weyl extensions."""
 
+import random
+
 from blueforge import catalog
 from blueforge.core import (PROVED, UNKNOWN, derive, is_blue_field,
                             BlueprintMorphism, is_morphism,
                             field_blueprint, quotient_by_ideal)
+from blueforge.schemes import proj
 from blueforge.spectra import (globalize, rank_of_point, residue_field, spec,
                                spec_map, stalk, weyl_extension)
 
@@ -225,3 +228,104 @@ class TestFunctoriality:
             q = quotient_by_ideal(sl2, sl2_space.points[i].ideal)
             closed = i in sl2_space.closed_points()
             assert closed == is_blue_field(q)
+
+
+def brute_order(n, leq):
+    """Hasse edges, closed and generic points of `leq` on range(n), by
+    checking every triple."""
+    def lt(i, j):
+        return i != j and leq(i, j)
+
+    covers = [(i, j) for i in range(n) for j in range(n)
+              if lt(i, j) and not any(lt(i, k) and lt(k, j)
+                                      for k in range(n))]
+    closed = [i for i in range(n) if not any(lt(i, j) for j in range(n))]
+    generic = [i for i in range(n) if not any(lt(j, i) for j in range(n))]
+    return covers, closed, generic
+
+
+def brute_up_set(n, leq, indices):
+    out = set(indices)
+    for i in range(n):
+        if any(leq(j, i) for j in out):
+            out.add(i)
+    return frozenset(out)
+
+
+def ideal_leq(space):
+    pts = space.points
+    return lambda i, j: all(pts[j].ideal.contains(g)
+                            for g in pts[i].ideal.minimal)
+
+
+def brute_components(n, leq):
+    comp = list(range(n))
+    for i in range(n):
+        for j in range(n):
+            if leq(i, j) and comp[i] != comp[j]:
+                old, new = max(comp[i], comp[j]), min(comp[i], comp[j])
+                comp = [new if c == old else c for c in comp]
+    return sorted([i for i in range(n) if comp[i] == c] for c in set(comp))
+
+
+def check_order(space, leq):
+    n = len(space)
+    for i in range(n):
+        for j in range(n):
+            assert space.leq(i, j) is leq(i, j)
+            assert space.lt(i, j) is (i != j and leq(i, j))
+    covers, closed, generic = brute_order(n, leq)
+    assert space.covers() == covers
+    assert space.closed_points() == closed
+    if hasattr(space, "generic_points"):
+        assert space.generic_points() == generic
+        rng = random.Random(n)
+        subsets = [[i] for i in range(n)]
+        subsets += [rng.sample(range(n), min(n, 3)) for _ in range(10)]
+        for sub in subsets + [[]]:
+            assert space.up_set(sub) == brute_up_set(n, leq, sub)
+        components = brute_components(n, leq)
+        assert space.connected_components() == components
+        assert space.is_connected() == (len(components) <= 1)
+
+
+class TestOrderAgainstBruteForce:
+    def test_affine_spaces(self):
+        for n in range(1, 7):
+            X = spec(catalog.affine_space(n))
+            check_order(X, ideal_leq(X))
+
+    def test_projective_spaces(self):
+        for n in range(1, 5):
+            P = proj(catalog.proj_cone(n))
+            check_order(P, ideal_leq(P))
+
+    def test_sl2_models_and_grassmannian(self, sl2_space, gr24):
+        for X in (sl2_space, spec(catalog.sl2_minors()), proj(gr24)):
+            check_order(X, ideal_leq(X))
+
+    def test_finite_catalog_entries(self):
+        for bp in (catalog.f1(), catalog.f1_squared(), catalog.b1(),
+                   catalog.idempotent_example(), catalog.f1n(3),
+                   catalog.two_fields(2, 3), catalog.product_ring(2, 3)):
+            X = spec(bp)
+            check_order(X, ideal_leq(X))
+
+    def test_glued_projective_plane(self):
+        ps = catalog.proj_space(2)
+        glued = ps.point_space()
+
+        def vanishing(a):
+            # the coordinates k with x{k}_{chart} in the point's prime
+            ci, pi = glued.reps[a]
+            return {name.split("_")[0]
+                    for name in glued.chart_spaces[ci].points[pi]
+                    .generator_names()}
+
+        assert len(glued) == 7
+        check_order(glued, lambda a, b: vanishing(a) <= vanishing(b))
+
+    def test_affine_hasse_edge_count(self):
+        for n in range(1, 11):
+            X = spec(catalog.affine_space(n))
+            assert len(X.covers()) == n * 2 ** (n - 1)
