@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import arithcurve, catalog, complexes, congruence, counting, jsonio, kzero
 from .budget import Budget
 from .core import Blueprint, BlueprintError
-from .schemes import BlueScheme, GradedBlueprint, fq_points_of_scheme, proj
+from .schemes import BlueScheme, GradedBlueprint, proj
 from .spectra import spec
 
 
@@ -112,24 +112,16 @@ def _cmd_hasse(args):
     return 0
 
 
-def _counting_target(args):
-    obj = _load_ref(args.ref)
-    if isinstance(obj, BlueScheme):
-        return obj
-    return obj
-
-
 def _cmd_count(args):
-    obj = _counting_target(args)
+    obj = _load_ref(args.ref)
     qs = [int(x) for x in args.q.split(",")] if args.q else [2, 3, 5]
-    counts = {q: fq_points_of_scheme(obj, q) if isinstance(obj, (BlueScheme,))
-              else counting.fq_points(obj, q) for q in qs}
+    counts = {q: counting.fq_points(obj, q) for q in qs}
     text = "\n".join(f"q={q}: {counts[q]}" for q in qs)
     return _emit(args, {"counts": {str(q): counts[q] for q in qs}}, text)
 
 
 def _fit(args):
-    obj = _counting_target(args)
+    obj = _load_ref(args.ref)
     poly = counting.counting_polynomial(obj, args.deg)
     if poly is None:
         raise BlueprintError("point counts are not polynomial in q")

@@ -1598,9 +1598,137 @@ def boolean_semiring_blueprint():
                      check_proper=False)
 
 
+def _sum_checks(bp, cimages):
+    """The conditions on a map out of `bp` as pairs of sums that must agree.
+
+    The frees are the generators of a monomial backend, or the carrier
+    symbols other than 0 and 1 of a finite one. A term is (constant,
+    ((free index, exponent), ...)) with increasing indices: the image of a
+    coefficient under `cimages` times powers of the free values. Zero terms
+    are left out. A finite source contributes f(a)*f(b) = f(ab) for every
+    pair of symbols and its relations; a monomial source its lattice rows and
+    its relations.
+    """
+    backend = bp.backend
+    checks = []
+    if backend.kind == "finite":
+        index = {s: i for i, s in enumerate(
+            s for s in backend.symbols if s not in (ZERO, ONE))}
+
+        def product_term(*syms):
+            if ZERO in syms:
+                return ()
+            powers = {}
+            for s in syms:
+                if s != ONE:
+                    powers[index[s]] = powers.get(index[s], 0) + 1
+            return ((ONE, tuple(sorted(powers.items()))),)
+
+        for a in backend.symbols:
+            for b in backend.symbols:
+                checks.append((product_term(backend.mul(a, b)),
+                               product_term(a, b)))
+        for l, r in bp.relations:
+            checks.append((sum(map(product_term, l), ()),
+                           sum(map(product_term, r), ())))
+    else:
+        def monomial_term(coeff, exps):
+            c = ONE if coeff == ONE else cimages[coeff]
+            if c == ZERO:
+                return ()
+            return ((c, tuple((i, e) for i, e in enumerate(exps) if e)),)
+
+        for vec, char in backend.lattice:
+            checks.append((monomial_term(ONE, vec),
+                           monomial_term(char, (0,) * len(vec))))
+        for l, r in bp.relations:
+            checks.append((sum((monomial_term(*t) for t in l), ()),
+                           sum((monomial_term(*t) for t in r), ())))
+    return tuple(dict.fromkeys(checks))
+
+
+def _solutions(bp, tb, domains, cimages=None):
+    """The value tuples of `itertools.product(*domains)`, one domain per free
+    of `bp` (see `_sum_checks`), under which every check of `bp` holds in the
+    finite semiring table `tb`, in product order. `cimages` gives the
+    coefficient images of a monomial source.
+
+    Sides are evaluated as `apply_sum` and `eval_sum` do: zero terms are
+    dropped and the rest sorted by `tb.sort_key`, so the result does not rest
+    on the addition being associative. Each check runs in the loop over the
+    last free it involves. When that loop starts, each term's product over
+    the earlier frees is formed once. Which values pass depends only on those
+    products, so the passing values are memoized on them.
+    """
+    mul = tb.mul_table
+    powers = {}
+
+    def pw(x, e):
+        v = powers.get((x, e))
+        if v is None:
+            v = powers[(x, e)] = tb.power(x, e)
+        return v
+
+    def total(vals):
+        vals = [v for v in vals if v != ZERO]
+        if len(vals) > 1:
+            vals.sort(key=tb.sort_key)
+        return tb.eval_sum(vals)
+
+    # Per loop: its terms as (constant, earlier powers, own exponent), and
+    # each check as the bounds (start, middle, end) of its two sides.
+    terms = [[] for _ in domains]
+    bounds = [[] for _ in domains]
+    for lhs, rhs in _sum_checks(bp, cimages):
+        d = max((i for _, p in lhs + rhs for i, _ in p), default=-1)
+        if d < 0:
+            if total(c for c, _ in lhs) != total(c for c, _ in rhs):
+                return
+            continue
+        start = len(terms[d])
+        for c, p in lhs + rhs:
+            own = p and p[-1][0] == d
+            terms[d].append((c, p[:-1] if own else p, p[-1][1] if own else 0))
+        bounds[d].append((start, start + len(lhs), len(terms[d])))
+    last = max((d for d in range(len(domains)) if bounds[d]), default=-1)
+    tail = domains[last + 1:]
+    memo = [{} for _ in range(last + 1)]
+
+    def passing(d, values):
+        if not bounds[d]:
+            return domains[d]
+        prefix = []
+        for c, earlier, _ in terms[d]:
+            for i, e in earlier:
+                c = mul[(c, pw(values[i], e))]
+            prefix.append(c)
+        key = tuple(prefix)
+        found = memo[d].get(key)
+        if found is None:
+            exps = [e for _, _, e in terms[d]]
+            found = []
+            for x in domains[d]:
+                vals = [p if not e else mul[(p, pw(x, e))]
+                        for p, e in zip(prefix, exps)]
+                if all(total(vals[a:b]) == total(vals[b:c])
+                       for a, b, c in bounds[d]):
+                    found.append(x)
+            memo[d][key] = found
+        return found
+
+    def walk(d, values):
+        if d > last:
+            for rest in itertools.product(*tail):
+                yield values + rest
+            return
+        for x in passing(d, values):
+            yield from walk(d + 1, values + (x,))
+
+    yield from walk(0, ())
+
+
 def enumerate_morphisms(bp, target, budget=None):
     """All blueprint morphisms into a finite semiring-table target."""
-    budget = budget or bp.budget
     if not target.is_semiring:
         raise BlueprintError("morphism enumeration needs a semiring target")
     tb = target.backend
@@ -1608,18 +1736,11 @@ def enumerate_morphisms(bp, target, budget=None):
     out = []
     if backend.kind == "finite":
         frees = [s for s in backend.symbols if s not in (ZERO, ONE)]
-        for values in itertools.product(tb.symbols, repeat=len(frees)):
+        for values in _solutions(bp, tb, [tb.symbols] * len(frees)):
             images = dict(zip(frees, values))
             images[ZERO] = ZERO
             images[ONE] = ONE
-            f = BlueprintMorphism(bp, target, images)
-            ok = all(f.apply(backend.mul(a, b)) == tb.mul(f.apply(a), f.apply(b))
-                     for a in backend.symbols for b in backend.symbols)
-            if not ok:
-                continue
-            if all(tb.eval_sum(f.apply_sum(l)) == tb.eval_sum(f.apply_sum(r))
-                   for l, r in bp.relations):
-                out.append(f)
+            out.append(BlueprintMorphism(bp, target, images))
         return out
     cb = backend.coeff.backend
     cfrees = [s for s in cb.symbols if s not in (ZERO, ONE)]
@@ -1639,27 +1760,10 @@ def enumerate_morphisms(bp, target, budget=None):
     gen_domains = [units if name in backend.inverted else list(tb.symbols)
                    for name in backend.gens]
     for cimages in coeff_assignments:
-        for values in itertools.product(*gen_domains):
+        for values in _solutions(bp, tb, gen_domains, cimages):
             images = dict(cimages)
             images.update(zip(backend.gens, values))
-            ok = True
-            for vec, char in backend.lattice:
-                acc = ONE
-                for name, e in zip(backend.gens, vec):
-                    if e:
-                        acc = tb.mul(acc, tb.power(images[name], e))
-                if acc != images.get(char, char):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            f = BlueprintMorphism(bp, target, images)
-            for l, r in bp.relations:
-                if tb.eval_sum(f.apply_sum(l)) != tb.eval_sum(f.apply_sum(r)):
-                    ok = False
-                    break
-            if ok:
-                out.append(f)
+            out.append(BlueprintMorphism(bp, target, images))
     return out
 
 

@@ -3,13 +3,12 @@ and factored zeta functions."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (ONE, ZERO, Blueprint, BlueprintError, enumerate_morphisms,
-                   field_blueprint)
-from .fields import SUPPORTED_Q, gf
+from .core import (ONE, ZERO, Blueprint, BlueprintError, _solutions,
+                   enumerate_morphisms, field_blueprint)
+from .fields import SUPPORTED_Q
 
 SAMPLE_Q = SUPPORTED_Q
 
@@ -39,7 +38,8 @@ def fq_morphisms(obj, q):
 
 def projective_fq_points(blueprint, q, vanishing=()):
     """Points of the projective model: canonical representatives (first
-    nonzero coordinate 1) of nonzero solution vectors of the relations.
+    nonzero coordinate 1) of nonzero solution vectors of the relations and
+    lattice rows.
 
     `vanishing` names generators forced to zero (counting a closed subset).
     """
@@ -53,32 +53,15 @@ def projective_fq_points(blueprint, q, vanishing=()):
     n = len(backend.gens)
     dead = {backend.gens.index(name) for name in vanishing}
     live = [i for i in range(n) if i not in dead]
-    field = gf(q)
-    rels = [([t[1] for t in l], [t[1] for t in r])
-            for l, r in blueprint.relations]
-
-    def side_value(exps_list, v):
-        acc = 0
-        for exps in exps_list:
-            term = 1
-            for x, e in zip(v, exps):
-                if e:
-                    if x == 0:
-                        term = 0
-                        break
-                    term = field.mul(term, field.pow(x, e))
-            acc = field.add(acc, term)
-        return acc
-
+    tb = field_blueprint(q).backend
     count = 0
     for pidx, pivot in enumerate(live):
-        for rest in itertools.product(range(q), repeat=len(live) - pidx - 1):
-            v = [0] * n
-            v[pivot] = 1
-            for coord, val in zip(live[pidx + 1:], rest):
-                v[coord] = val
-            if all(side_value(l, v) == side_value(r, v) for l, r in rels):
-                count += 1
+        domains = [(ZERO,)] * n
+        domains[pivot] = (ONE,)
+        for coord in live[pidx + 1:]:
+            domains[coord] = tb.symbols
+        count += sum(1 for _ in _solutions(blueprint, tb, domains,
+                                           {ZERO: ZERO, ONE: ONE}))
     return count
 
 

@@ -43,6 +43,12 @@ class TestBasicVerbs:
         assert code == 0
         assert "q=2: 7" in out and "q=3: 13" in out
 
+    def test_count_scheme_json(self, capsys):
+        code, out, _ = run(capsys, "count", "P3", "--json")
+        assert code == 0
+        assert out == ('{\n "counts": {\n  "2": 15,\n  "3": 40,\n'
+                       '  "5": 156\n }\n}\n')
+
     def test_polyfit_sl2(self, capsys):
         code, out, _ = run(capsys, "polyfit", "sl2", "--deg", "3")
         assert code == 0

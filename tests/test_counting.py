@@ -1,17 +1,23 @@
 """F_q points, counting polynomials, Euler characteristics, zeta functions,
 and nonnegative-semifield points."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blueforge import catalog
+from blueforge.core import (ONE, ZERO, Blueprint, BlueprintMorphism,
+                            MonomialBackend, enumerate_morphisms,
+                            field_blueprint, refutation_targets)
 from blueforge.counting import (CountingPolynomial, counting_polynomial,
                                 euler_characteristic, fit_polynomial,
-                                fq_points, soule_zeta,
+                                fq_points, projective_fq_points, soule_zeta,
                                 verify_point_over_ordered_semifield)
 from blueforge.fields import SUPPORTED_Q, gf
+from test_properties import divides_backends
 
 
 class TestFields:
@@ -149,3 +155,200 @@ class TestOrderedSemifieldPoints:
             tnn = (all(v >= 0 for v in vals.values())
                    and vals["a"] * vals["d"] - vals["b"] * vals["c"] == 1)
             assert accepted == tnn
+
+
+# ---------------------------------------------------------------------------
+# The solver against the brute-force loops it replaced
+
+
+def reference_enumerate(bp, target):
+    """Images of every morphism into `target`, found by building each
+    candidate of the full product and checking it with apply/apply_sum."""
+    tb = target.backend
+    backend = bp.backend
+    out = []
+    if backend.kind == "finite":
+        frees = [s for s in backend.symbols if s not in (ZERO, ONE)]
+        for values in itertools.product(tb.symbols, repeat=len(frees)):
+            images = dict(zip(frees, values))
+            images[ZERO] = ZERO
+            images[ONE] = ONE
+            f = BlueprintMorphism(bp, target, images)
+            ok = all(f.apply(backend.mul(a, b)) == tb.mul(f.apply(a), f.apply(b))
+                     for a in backend.symbols for b in backend.symbols)
+            if not ok:
+                continue
+            if all(tb.eval_sum(f.apply_sum(l)) == tb.eval_sum(f.apply_sum(r))
+                   for l, r in bp.relations):
+                out.append(f.images)
+        return out
+    cb = backend.coeff.backend
+    cfrees = [s for s in cb.symbols if s not in (ZERO, ONE)]
+    coeff_assignments = []
+    for values in itertools.product(tb.symbols, repeat=len(cfrees)):
+        images = dict(zip(cfrees, values))
+        images[ZERO] = ZERO
+        images[ONE] = ONE
+        if any(tb.mul(images[a], images[b]) != images[cb.mul(a, b)]
+               for a in cb.symbols for b in cb.symbols):
+            continue
+        if any(tb.eval_sum([images[t] for t in l])
+               != tb.eval_sum([images[t] for t in r])
+               for l, r in backend.coeff.relations):
+            continue
+        coeff_assignments.append(images)
+    units = sorted(set(tb.symbols) - {ZERO})
+    gen_domains = [units if name in backend.inverted else list(tb.symbols)
+                   for name in backend.gens]
+    for cimages in coeff_assignments:
+        for values in itertools.product(*gen_domains):
+            images = dict(cimages)
+            images.update(zip(backend.gens, values))
+            ok = True
+            for vec, char in backend.lattice:
+                acc = ONE
+                for name, e in zip(backend.gens, vec):
+                    if e:
+                        acc = tb.mul(acc, tb.power(images[name], e))
+                if acc != images.get(char, char):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            f = BlueprintMorphism(bp, target, images)
+            if all(tb.eval_sum(f.apply_sum(l)) == tb.eval_sum(f.apply_sum(r))
+                   for l, r in bp.relations):
+                out.append(f.images)
+    return out
+
+
+def reference_projective(blueprint, q, vanishing=()):
+    """Canonical projective representatives counted by evaluating every
+    relation on every vector with the field tables."""
+    backend = blueprint.backend
+    n = len(backend.gens)
+    dead = {backend.gens.index(name) for name in vanishing}
+    live = [i for i in range(n) if i not in dead]
+    field = gf(q)
+    rels = [([t[1] for t in l], [t[1] for t in r])
+            for l, r in blueprint.relations]
+
+    def side_value(exps_list, v):
+        acc = 0
+        for exps in exps_list:
+            term = 1
+            for x, e in zip(v, exps):
+                if e:
+                    if x == 0:
+                        term = 0
+                        break
+                    term = field.mul(term, field.pow(x, e))
+            acc = field.add(acc, term)
+        return acc
+
+    count = 0
+    for pidx, pivot in enumerate(live):
+        for rest in itertools.product(range(q), repeat=len(live) - pidx - 1):
+            v = [0] * n
+            v[pivot] = 1
+            for coord, val in zip(live[pidx + 1:], rest):
+                v[coord] = val
+            if all(side_value(l, v) == side_value(r, v) for l, r in rels):
+                count += 1
+    return count
+
+
+def one_relation(backend):
+    """X*Z = Y^k + c over `backend`, with k = -1 on an inverted Y and c its
+    last nonzero coefficient."""
+    g = {n: backend.gen_element(n) for n in backend.gens}
+    k = -1 if "Y" in backend.inverted else 2
+    c = [s for s in backend.coeff.backend.symbols if s != ZERO][-1]
+    rel = ([backend.mul(g["X"], g["Z"])],
+           [backend.power(g["Y"], k), backend.coeff_element(c)])
+    return Blueprint(backend, [rel], check_proper=False)
+
+
+ENUMERATION_SOURCES = {
+    "sl2": catalog.sl2_f1,
+    "sl2_minors": catalog.sl2_minors,
+    "gr24_cone": lambda: catalog.grassmannian_f1(2, 4).blueprint,
+    "A3": lambda: catalog.affine_space(3),
+    "torus2": lambda: catalog.torus(2),
+    "f1n4": lambda: catalog.f1n(4),
+    "b1": catalog.b1,
+    "idempotent": catalog.idempotent_example,
+    "two_fields23": lambda: catalog.two_fields(2, 3),
+    "roots_sums4": lambda: catalog.roots_of_unity_sums(4),
+}
+ENUMERATION_SOURCES.update(
+    (f"one_relation{i}", lambda b=b: one_relation(b))
+    for i, b in enumerate(divides_backends()))
+
+
+def search_space(bp, target):
+    q = len(target.backend.symbols)
+    backend = bp.backend
+    if backend.kind == "finite":
+        return q ** (len(backend.symbols) - 2)
+    out = q ** (len(backend.coeff.backend.symbols) - 2)
+    for name in backend.gens:
+        out *= q - 1 if name in backend.inverted else q
+    return out
+
+
+def images(bp, target):
+    return [f.images for f in enumerate_morphisms(bp, target)]
+
+
+class TestSolverAgainstReference:
+    @pytest.mark.parametrize("name", sorted(ENUMERATION_SOURCES))
+    def test_enumeration_matches_reference_in_order(self, name):
+        bp = ENUMERATION_SOURCES[name]()
+        targets = refutation_targets() + [field_blueprint(q) for q in (7, 8, 9)]
+        checked = 0
+        for target in targets:
+            if search_space(bp, target) > 10 ** 5:
+                continue
+            assert images(bp, target) == reference_enumerate(bp, target), \
+                target.name
+            checked += 1
+        assert checked >= 5
+
+    @pytest.mark.parametrize("name", ["gr24", "P2", "P3", "P4_cone"])
+    def test_projective_matches_reference(self, name):
+        bp = {"gr24": lambda: catalog.grassmannian_f1(2, 4).blueprint,
+              "P2": lambda: catalog.proj_space(2).graded_model.blueprint,
+              "P3": lambda: catalog.proj_space(3).graded_model.blueprint,
+              "P4_cone": lambda: catalog.proj_cone(4).blueprint}[name]()
+        gens = bp.backend.gens
+        for q in (2, 3, 4, 5):
+            for vanishing in ((), (gens[1],), (gens[0], gens[-1])):
+                assert projective_fq_points(bp, q, vanishing) == \
+                    reference_projective(bp, q, vanishing), (q, vanishing)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_monomial_blueprints(self, data):
+        gens = ("X", "Y", "Z")[:data.draw(st.integers(2, 3))]
+        coeff = data.draw(st.sampled_from([catalog.f1(), catalog.f1_squared()]))
+        inverted = data.draw(st.sampled_from([()] + [(g,) for g in gens]))
+        backend = MonomialBackend(coeff, gens, inverted)
+        nonzero = [c for c in coeff.backend.symbols if c != ZERO]
+
+        def term():
+            c = data.draw(st.sampled_from(nonzero))
+            exps = tuple(data.draw(st.integers(-2 if g in inverted else 0, 2))
+                         for g in gens)
+            return backend.normalize((c, exps))
+
+        rels = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            k = data.draw(st.integers(2, 3))
+            split = data.draw(st.integers(1, k - 1))
+            terms = [term() for _ in range(k)]
+            rels.append((terms[:split], terms[split:]))
+        bp = Blueprint(backend, rels, check_proper=False)
+        for q in (2, 3, 4):
+            target = field_blueprint(q)
+            assert images(bp, target) == reference_enumerate(bp, target)
