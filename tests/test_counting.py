@@ -297,7 +297,7 @@ def search_space(bp, target):
     return out
 
 
-def images(bp, target):
+def solver_images(bp, target):
     return [f.images for f in enumerate_morphisms(bp, target)]
 
 
@@ -310,8 +310,8 @@ class TestSolverAgainstReference:
         for target in targets:
             if search_space(bp, target) > 10 ** 5:
                 continue
-            assert images(bp, target) == reference_enumerate(bp, target), \
-                target.name
+            expected = reference_enumerate(bp, target)
+            assert solver_images(bp, target) == expected, target.name
             checked += 1
         assert checked >= 5
 
@@ -351,4 +351,5 @@ class TestSolverAgainstReference:
         bp = Blueprint(backend, rels, check_proper=False)
         for q in (2, 3, 4):
             target = field_blueprint(q)
-            assert images(bp, target) == reference_enumerate(bp, target)
+            expected = reference_enumerate(bp, target)
+            assert solver_images(bp, target) == expected
