@@ -3,13 +3,12 @@ spectrum with its basis topology, absorbing ideals, and residue fields."""
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
 from .core import (ONE, PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
                    BlueprintError, FiniteTable, IdealDescriptor, _scale,
-                   localize)
+                   _UnionFind, localize)
 
 MULTIPLICITY_CAP = 6
 
@@ -28,21 +27,12 @@ def canonical_partition(blocks):
 
 def partition_blocks_of(carrier, pairs):
     """Blocks of the equivalence generated by `pairs` on `carrier`."""
-    parent = {x: x for x in carrier}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(carrier)
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+        uf.union(a, b)
     blocks = {}
     for x in carrier:
-        blocks.setdefault(find(x), []).append(x)
+        blocks.setdefault(uf.find(x), []).append(x)
     return canonical_partition(blocks.values())
 
 
@@ -94,6 +84,139 @@ def _all_sums(carrier, max_terms):
     return out
 
 
+def _find(parent, i):
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _union(parent, i, j):
+    ri, rj = _find(parent, i), _find(parent, j)
+    if ri != rj:
+        parent[max(ri, rj)] = min(ri, rj)
+
+
+class _ChainClosure:
+    """The partition-free part of the chain axiom (2)* on a finite blueprint.
+
+    Bounded formal sums are joined into components by one-step rewrites
+    through the oriented relations scaled by carrier multipliers (on a
+    semiring table also by [a, b] = [a + b] for nonzero a <= b). Termwise
+    replacements t -> t2 are kept as edges between components, per unordered
+    pair {t, t2}, so that a partition adds only the edges inside its blocks.
+    The sums are saturated once, for the first partition that passes
+    multiplicativity.
+    """
+
+    def __init__(self, blueprint, budget):
+        if blueprint.backend.kind != "finite":
+            raise TooLarge("congruences are implemented for finite tables")
+        if len(blueprint.backend.symbols) > 7:
+            raise TooLarge("carrier larger than 7")
+        self.blueprint = blueprint
+        self.budget = budget
+        self.moves = None
+
+    def _saturate(self):
+        blueprint, budget = self.blueprint, self.budget
+        backend = blueprint.backend
+        carrier = backend.symbols
+        nonzero = [s for s in carrier if s != ZERO]
+        sums = _all_sums(nonzero, min(budget.max_terms, 8))
+        index = {u: i for i, u in enumerate(sums)}
+        mults = backend.multipliers(0)
+
+        def scaled(m, terms):
+            return tuple(sorted(x for x in _scale(blueprint, m, terms)
+                                if x != ZERO))
+
+        pairs = [(scaled(m, L), scaled(m, R))
+                 for L, R in blueprint.oriented_relations() for m in mults]
+        if backend.add_table is not None:
+            # a + b of the semiring, each distinct nontrivial scaled copy once
+            seen = set()
+            for i, a in enumerate(nonzero):
+                for b in nonzero[i:]:
+                    right = [backend.add_table[(a, b)]]
+                    for L, R in (([a, b], right), (right, [a, b])):
+                        for m in mults:
+                            pair = (scaled(m, L), scaled(m, R))
+                            if pair[0] != pair[1] and pair not in seen:
+                                seen.add(pair)
+                                pairs.append(pair)
+        pairs = [(Counter(mL), mR) for mL, mR in pairs]
+        # one budget step per (sum, scaled relation), sums in order; the cut
+        # sum keeps only the steps taken before the budget ran out
+        reached, last = len(sums), len(pairs)
+        if pairs and len(sums) * len(pairs) > budget.max_steps:
+            cut, last = divmod(budget.max_steps, len(pairs))
+            reached = cut + 1
+        self.truncated = reached < len(sums) or last < len(pairs)
+        parent = list(range(len(sums)))
+        for i in range(reached):
+            cu = Counter(sums[i])
+            for mL, mR in pairs[:last] if i == reached - 1 else pairs:
+                if any(cu[t] < k for t, k in mL.items()):
+                    continue
+                rest = cu - mL
+                rest.update(mR)
+                j = index.get(tuple(sorted(rest.elements())))
+                if j is not None:
+                    _union(parent, i, j)
+        roots = [_find(parent, i) for i in range(len(sums))]
+        moves = {}
+        for i in range(reached):
+            u = sums[i]
+            for k, t in enumerate(u):
+                if k and u[k - 1] == t:
+                    continue
+                for t2 in carrier:
+                    if t2 == t:
+                        continue
+                    v = u[:k] + u[k + 1:] + ((t2,) if t2 != ZERO else ())
+                    j = index.get(tuple(sorted(v)))
+                    if j is not None and roots[i] != roots[j]:
+                        key = (t, t2) if t < t2 else (t2, t)
+                        moves.setdefault(key, set()).add((roots[i], roots[j]))
+        self.moves, self.size = moves, len(sums)
+        self.singleton = {a: (roots[index[(a,)]] if (a,) in index else None)
+                          for a in nonzero}
+        self.singleton[ZERO] = roots[index[()]]
+
+    def verdict(self, cong):
+        """Proved / Refuted / Unknown for `cong` (a Congruence)."""
+        carrier = self.blueprint.backend.symbols
+        block_id = {x: i for i, block in enumerate(cong.partition)
+                    for x in block}
+        if block_id.keys() != set(carrier):
+            raise NotACongruence("partition does not cover the carrier")
+        # multiplicativity: a ~ b forces ac ~ bc (the table is commutative,
+        # and ~ is transitive, so this gives ac ~ bd whenever c ~ d)
+        mul = self.blueprint.backend.mul_table
+        for a in carrier:
+            for b in carrier:
+                if a < b and block_id[a] == block_id[b]:
+                    for c in carrier:
+                        if block_id[mul[(a, c)]] != block_id[mul[(b, c)]]:
+                            return REFUTED
+        if self.moves is None:
+            self._saturate()
+        parent = list(range(self.size))
+        for (t, t2), edges in self.moves.items():
+            if block_id[t] == block_id[t2]:
+                for i, j in edges:
+                    _union(parent, i, j)
+        for a in carrier:
+            for b in carrier:
+                if a < b and block_id[a] != block_id[b]:
+                    ia, ib = self.singleton[a], self.singleton[b]
+                    if ia is not None and ib is not None \
+                            and _find(parent, ia) == _find(parent, ib):
+                        return REFUTED
+        return UNKNOWN if self.truncated else PROVED
+
+
 def is_congruence(blueprint, partition, budget=None):
     """Proved / Refuted / Unknown for the two congruence axioms.
 
@@ -102,89 +225,8 @@ def is_congruence(blueprint, partition, budget=None):
     the pre-addition and (ii) termwise replacements inside a block, then
     verifying that the restriction to the carrier refines no block.
     """
-    if blueprint.backend.kind != "finite":
-        raise TooLarge("congruences are implemented for finite tables")
-    carrier = blueprint.backend.symbols
-    if len(carrier) > 7:
-        raise TooLarge("carrier larger than 7")
-    budget = budget or blueprint.budget
-    cong = Congruence(blueprint, partition)
-    covered = set(itertools.chain.from_iterable(cong.partition))
-    if covered != set(carrier):
-        raise NotACongruence("partition does not cover the carrier")
-    backend = blueprint.backend
-    for a in carrier:
-        for b in carrier:
-            if not cong.related(a, b):
-                continue
-            for c in carrier:
-                for d in carrier:
-                    if cong.related(c, d) and not cong.related(
-                            backend.mul(a, c), backend.mul(b, d)):
-                        return REFUTED
-    # chain axiom (2)*: saturate sums under rewrites and termwise moves
-    max_terms = min(budget.max_terms, 8)
-    sums = _all_sums([s for s in carrier if s != ZERO], max_terms)
-    index = {u: i for i, u in enumerate(sums)}
-    parent = list(range(len(sums)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-            return True
-        return False
-
-    def norm(terms):
-        return tuple(sorted(t for t in terms if t != ZERO))
-
-    truncated = False
-    steps = 0
-    for u in sums:
-        cu = Counter(u)
-        # termwise replacement within a block
-        for k, t in enumerate(u):
-            for t2 in cong.block(t):
-                if t2 == t:
-                    continue
-                v = norm(u[:k] + (t2,) + u[k + 1:])
-                if v in index:
-                    union(index[u], index[v])
-        # rewrite through relation generators with carrier multipliers
-        for L, R in blueprint.oriented_relations():
-            for m in backend.multipliers(0):
-                steps += 1
-                if steps > budget.max_steps:
-                    truncated = True
-                    break
-                mL = Counter(x for x in _scale(blueprint, m, L) if x != ZERO)
-                if not all(cu[t] >= k for t, k in mL.items()):
-                    continue
-                rest = cu - mL
-                for x in _scale(blueprint, m, R):
-                    if x != ZERO:
-                        rest[x] += 1
-                v = norm(tuple(rest.elements()))
-                if v in index:
-                    union(index[u], index[v])
-            if truncated:
-                break
-        if truncated:
-            break
-    for a in carrier:
-        for b in carrier:
-            if a < b and not cong.related(a, b):
-                ia = index.get(norm((a,)) if a != ZERO else ())
-                ib = index.get(norm((b,)) if b != ZERO else ())
-                if ia is not None and ib is not None and find(ia) == find(ib):
-                    return REFUTED
-    return UNKNOWN if truncated else PROVED
+    closure = _ChainClosure(blueprint, budget or blueprint.budget)
+    return closure.verdict(Congruence(blueprint, partition))
 
 
 def is_prime_congruence(blueprint, cong: Congruence):
@@ -246,23 +288,15 @@ class CSpecSpace:
 
 def cspec(blueprint, budget=None):
     """All prime congruences, ordered by canonical partition form."""
-    if blueprint.backend.kind != "finite":
-        raise TooLarge("congruence spectra are implemented for finite tables")
-    carrier = blueprint.backend.symbols
-    if len(carrier) > 7:
-        raise TooLarge("carrier larger than 7")
-    budget = budget or blueprint.budget
+    closure = _ChainClosure(blueprint, budget or blueprint.budget)
     points = []
     complete = True
-    for blocks in _set_partitions(sorted(carrier)):
-        verdict = is_congruence(blueprint, blocks, budget)
+    for blocks in _set_partitions(sorted(blueprint.backend.symbols)):
+        cong = Congruence(blueprint, blocks)
+        verdict = closure.verdict(cong)
         if verdict == UNKNOWN:
             complete = False
-            continue
-        if verdict != PROVED:
-            continue
-        cong = Congruence(blueprint, blocks)
-        if is_prime_congruence(blueprint, cong):
+        elif verdict == PROVED and is_prime_congruence(blueprint, cong):
             points.append(cong)
     points.sort(key=lambda c: c.partition)
     return CSpecSpace(blueprint, tuple(points), complete)

@@ -90,6 +90,15 @@ class TestBasicVerbs:
         assert code == 0
         assert "-11/0" in out
 
+    def test_cspec_truncation_notice(self, capsys):
+        argv = ("cspec", "catalog:f1n:4", "--json")
+        code, out, err = run(capsys, *argv, "--budget", "6,3,300")
+        assert code == 0
+        assert json.loads(out)["points"] == []
+        assert len(err.strip().splitlines()) == 1 and "budget" in err
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+
     def test_k0(self, capsys):
         code, out, _ = run(capsys, "k0", "f1", "--bound", "4")
         assert code == 0

@@ -1,9 +1,16 @@
 """Congruences, prime congruences, congruence spectra, absorbing ideals."""
 
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from blueforge import catalog, congruence as cg
-from blueforge.core import (PROVED, REFUTED, BlueprintMorphism, field_blueprint,
+from blueforge.budget import Budget
+from blueforge.core import (PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
+                            BlueprintMorphism, field_blueprint,
                             enumerate_morphisms, is_blue_field, is_prime_ideal,
-                            derive)
+                            derive, _scale)
 
 
 class TestIsCongruence:
@@ -25,6 +32,9 @@ class TestIsCongruence:
         # but a partition violating closure under the pre-addition fails:
         # identify nothing on F2-as-blueprint except 1~0 and closure forces all
         r = catalog.product_ring(2, 3)
+        # 1 = (1,0) + (0,1) ~ 0 + 0 = 0, yet 1 and 0 lie in different blocks
+        assert cg.is_congruence(
+            r, [["0", "(0,1)", "(0,2)", "(1,0)"], ["(1,2)"], ["1"]]) == REFUTED
 
 
 class TestPrimeCongruence:
@@ -69,6 +79,151 @@ class TestCSpec:
             assert C.basis_open(f, f) == frozenset()
             for g in syms:
                 assert C.basis_open(f, g) == C.basis_open(g, f)
+
+
+class TestProductRing:
+    """F2 x F3 as a semiring table: its prime congruences are the kernels of
+    the two projections, onto F2 and onto F3."""
+
+    def test_two_points_are_the_projection_kernels(self):
+        C = cg.cspec(catalog.product_ring(2, 3))
+        assert C.complete
+        onto_f2 = [["0", "(0,1)", "(0,2)"], ["1", "(1,0)", "(1,2)"]]
+        onto_f3 = [["0", "(1,0)"], ["1", "(0,1)"], ["(0,2)", "(1,2)"]]
+        assert [c.partition for c in C.points] == sorted(
+            cg.canonical_partition(k) for k in (onto_f2, onto_f3))
+
+    def test_cspec_to_spec_hits_both_primes(self):
+        C, X, mapping = cg.cspec_to_spec(catalog.product_ring(2, 3))
+        assert len(C) == len(X) == 2
+        assert set(mapping.values()) == {0, 1}
+
+
+def reference_is_congruence(blueprint, partition, budget=None):
+    """The per-partition chain-axiom saturation that `_ChainClosure` replaced,
+    kept as a differential oracle. It never reads a semiring addition table,
+    so product_ring is left out of the comparisons."""
+    carrier = blueprint.backend.symbols
+    budget = budget or blueprint.budget
+    cong = cg.Congruence(blueprint, partition)
+    backend = blueprint.backend
+    for a in carrier:
+        for b in carrier:
+            if not cong.related(a, b):
+                continue
+            for c in carrier:
+                for d in carrier:
+                    if cong.related(c, d) and not cong.related(
+                            backend.mul(a, c), backend.mul(b, d)):
+                        return REFUTED
+    max_terms = min(budget.max_terms, 8)
+    sums = cg._all_sums([s for s in carrier if s != ZERO], max_terms)
+    index = {u: i for i, u in enumerate(sums)}
+    parent = list(range(len(sums)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    def norm(terms):
+        return tuple(sorted(t for t in terms if t != ZERO))
+
+    truncated = False
+    steps = 0
+    for u in sums:
+        cu = Counter(u)
+        for k, t in enumerate(u):
+            for t2 in cong.block(t):
+                if t2 == t:
+                    continue
+                v = norm(u[:k] + (t2,) + u[k + 1:])
+                if v in index:
+                    union(index[u], index[v])
+        for L, R in blueprint.oriented_relations():
+            for m in backend.multipliers(0):
+                steps += 1
+                if steps > budget.max_steps:
+                    truncated = True
+                    break
+                mL = Counter(x for x in _scale(blueprint, m, L) if x != ZERO)
+                if not all(cu[t] >= k for t, k in mL.items()):
+                    continue
+                rest = cu - mL
+                for x in _scale(blueprint, m, R):
+                    if x != ZERO:
+                        rest[x] += 1
+                v = norm(tuple(rest.elements()))
+                if v in index:
+                    union(index[u], index[v])
+            if truncated:
+                break
+        if truncated:
+            break
+    for a in carrier:
+        for b in carrier:
+            if a < b and not cong.related(a, b):
+                ia = index.get(norm((a,)) if a != ZERO else ())
+                ib = index.get(norm((b,)) if b != ZERO else ())
+                if ia is not None and ib is not None and find(ia) == find(ib):
+                    return REFUTED
+    return UNKNOWN if truncated else PROVED
+
+
+def assert_matches_reference(bp, budget):
+    """Every partition's verdict, and cspec's points and completeness, agree
+    with the reference."""
+    closure = cg._ChainClosure(bp, budget)
+    points, complete = [], True
+    for blocks in cg._set_partitions(sorted(bp.backend.symbols)):
+        verdict = reference_is_congruence(bp, blocks, budget)
+        cong = cg.Congruence(bp, blocks)
+        assert closure.verdict(cong) == verdict, blocks
+        complete = complete and verdict != UNKNOWN
+        if verdict == PROVED and cg.is_prime_congruence(bp, cong):
+            points.append(cong.partition)
+    C = cg.cspec(bp, budget)
+    assert [c.partition for c in C.points] == sorted(points)
+    assert C.complete == complete
+
+
+DIFFERENTIAL_BLUEPRINTS = (
+    [catalog.f1()] + [catalog.f1n(k) for k in range(2, 7)]
+    + [catalog.b1(), catalog.idempotent_example(),
+       catalog.roots_of_unity_sums(4), catalog.roots_of_unity_sums(6),
+       catalog.two_fields(2, 3)])
+
+
+BUDGETS = [Budget(6, 3, 100000), Budget(6, 4, 100000), Budget(6, 3, 300),
+           Budget(6, 8, 2000)]
+
+
+class TestChainClosureDifferential:
+    # the 8-term budget only on carriers of at most 5 symbols: the reference
+    # takes seconds per partition set beyond that
+    @pytest.mark.parametrize("bp,budget", [
+        (bp, budget) for bp in DIFFERENTIAL_BLUEPRINTS for budget in BUDGETS
+        if budget.max_terms < 8 or len(bp.backend.symbols) <= 5],
+        ids=lambda x: x.name if isinstance(x, Blueprint) else str(x))
+    def test_catalog(self, bp, budget):
+        assert_matches_reference(bp, budget)
+
+    @given(k=st.integers(1, 4), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_relations(self, k, data):
+        table = catalog.f1n(k).backend
+        side = st.lists(st.sampled_from(table.symbols), max_size=3)
+        relations = data.draw(st.lists(st.tuples(side, side),
+                                       min_size=1, max_size=3))
+        bp = Blueprint(table, relations, check_proper=False)
+        for budget in (Budget(6, 3, 100000), Budget(6, 3, 40)):
+            assert_matches_reference(bp, budget)
 
 
 class TestAbsorbingIdeals:
