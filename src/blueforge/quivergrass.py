@@ -1,6 +1,7 @@
 """Quiver representations with integral bases, F1-representations, naive
-F1-rational points, brute-force F_q subrepresentation counts, and the
-Euler-characteristic comparison theorems."""
+F1-rational points, F_q subrepresentation counts (per-arrow containment
+tables and backtracking over the vertices), and the Euler-characteristic
+comparison theorems."""
 
 from __future__ import annotations
 
@@ -128,16 +129,23 @@ def f1_rep_to_integral(rep: F1Rep) -> IntegralRep:
 # Naive F1-rational points
 
 
+def _dimension_vector(rep, e):
+    """`e` as a tuple, with one nonnegative entry per vertex of `rep`."""
+    e = tuple(e)
+    if len(e) != rep.quiver.n_vertices:
+        raise ValueError("one entry per vertex required")
+    if any(k < 0 for k in e):
+        raise ValueError("dimension vector entries must be nonnegative")
+    return e
+
+
 def naive_f1_points(rep: IntegralRep, e):
     """Basis-subset families (S_i) of sizes e_i closed under the arrows: each
     chosen basis vector maps to zero or to exactly a basis vector that is
     again chosen."""
-    e = tuple(e)
-    if len(e) != rep.quiver.n_vertices:
-        raise ValueError("one entry per vertex required")
-    for ei, di in zip(e, rep.dims):
-        if not 0 <= ei <= di:
-            raise ValueError("dimension vector out of bounds")
+    e = _dimension_vector(rep, e)
+    if any(ei > di for ei, di in zip(e, rep.dims)):
+        raise ValueError("dimension vector out of bounds")
     choices = [list(itertools.combinations(range(d), k))
                for d, k in zip(rep.dims, e)]
     out = []
@@ -183,59 +191,137 @@ def _rref_bases(dim, r, q):
 
 
 def _reduce_vec(field, rows, vec):
+    add, mul = field.add_table, field.mul_table
     vec = list(vec)
     for row in rows:
         p = next((i for i, x in enumerate(row) if x), None)
         if p is None or not vec[p]:
             continue
-        c = field.mul(vec[p], field.inv(row[p]))
-        vec = [field.sub(v, field.mul(c, r)) for v, r in zip(vec, row)]
+        c = field.neg(mul[vec[p]][field.inv(row[p])])
+        vec = [add[v][mul[c][r]] for v, r in zip(vec, row)]
     return vec
 
 
-def _int_to_field(field, c):
-    out = 0
-    for _ in range(c % field.p):
-        out = field.add(out, 1)
-    return out
+def _rref(field, vectors):
+    """The canonical reduced-row-echelon basis of the span of `vectors`, in
+    the form `_rref_bases` lists: pivots 1, in increasing columns, and zero
+    elsewhere in pivot columns."""
+    rows = []
+    for vec in vectors:
+        vec = _reduce_vec(field, rows, vec)
+        p = next((i for i, x in enumerate(vec) if x), None)
+        if p is None:
+            continue
+        c = field.mul_table[field.inv(vec[p])]
+        vec = [c[x] for x in vec]
+        rows = [_reduce_vec(field, [vec], row) for row in rows]
+        rows.append(vec)
+    # A row with an earlier pivot is the larger tuple.
+    return tuple(sorted((tuple(row) for row in rows), reverse=True))
 
 
-def _matrix_mod(field, m):
-    return [[_int_to_field(field, int(x)) for x in row] for row in m]
+def _arrow_table(field, m, sources, targets, rank):
+    """For each source basis U, the indices j with m(U) inside targets[j],
+    memoized on the reduced-row-echelon form W of m(U). Every j contains
+    W = 0, none a W of rank above `rank`, and only W itself one of rank
+    `rank`; smaller W are tested against each target. A target of full
+    dimension is the whole space and contains every image."""
+    everything = frozenset(range(len(targets)))
+    if rank == len(m):
+        return [everything] * len(sources)
+    add, mul = field.add_table, field.mul_table
+
+    def image(vec):
+        out = []
+        for row in m:
+            acc = 0
+            for a, x in zip(row, vec):
+                if a and x:
+                    acc = add[acc][mul[a][x]]
+            out.append(acc)
+        return out
+
+    index = {basis: j for j, basis in enumerate(targets)}
+    found = {}
+    table = []
+    for basis in sources:
+        w = _rref(field, [image(vec) for vec in basis])
+        js = found.get(w)
+        if js is None:
+            if not w:
+                js = everything
+            elif len(w) > rank:
+                js = frozenset()
+            elif len(w) == rank:
+                js = frozenset((index[w],))
+            else:
+                js = frozenset(j for j, target in enumerate(targets)
+                               if not any(any(_reduce_vec(field, target, v))
+                                          for v in w))
+            found[w] = js
+        table.append(js)
+    return table
 
 
 def subrep_count_fq(rep: IntegralRep, e, q):
-    """Brute-force count of e-dimensional subrepresentations over F_q via
-    canonical reduced-row-echelon representatives."""
+    """Count of e-dimensional subrepresentations over F_q.
+
+    A subspace of F_q^d is its canonical reduced-row-echelon basis from
+    `_rref_bases`. Each arrow s -> t gets a table `_arrow_table`: per basis
+    of vertex s, the set of bases of vertex t that contain its image. The
+    families are then counted by backtracking over the vertices in order,
+    each arrow checked in the loop over its later endpoint: a loop filters
+    the bases of its vertex once, and an arrow between two vertices gives,
+    for the choice at the earlier one, the set of bases allowed at the later
+    one (through the inverted table when the arrow points backwards). A
+    vertex on no arrow multiplies the count by its number of bases. An
+    entry e_i > d_i gives 0.
+    """
     if q not in SAMPLE_Q:
         raise TooLarge(f"no field table for q={q}")
     if any(d > 4 for d in rep.dims):
         raise TooLarge("vertex dimension above 4")
-    e = tuple(e)
+    e = _dimension_vector(rep, e)
     field = gf(q)
-    mats = [_matrix_mod(field, m) for m in rep.matrices]
     grids = [_rref_bases(d, k, q) for d, k in zip(rep.dims, e)]
-    count = 0
-    for family in itertools.product(*grids):
-        ok = True
-        for (s, t), m in zip(rep.quiver.arrows, mats):
-            target_rows = family[t]
-            for v in family[s]:
-                img = [0] * rep.dims[t]
-                for row in range(rep.dims[t]):
-                    acc = 0
-                    for col in range(rep.dims[s]):
-                        if m[row][col] and v[col]:
-                            acc = field.add(acc, field.mul(m[row][col], v[col]))
-                    img[row] = acc
-                if any(_reduce_vec(field, target_rows, img)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+    # allowed[v]: the bases of v its loops keep. links[v]: per arrow to an
+    # earlier vertex u, the bases of v allowed by each choice at u.
+    allowed = [frozenset(range(len(grid))) for grid in grids]
+    links = [[] for _ in grids]
+    for (s, t), m in zip(rep.quiver.arrows, rep.matrices):
+        # Integers land in the prime subfield, whose elements are 0..p-1.
+        m = [[int(x) % field.p for x in row] for row in m]
+        table = _arrow_table(field, m, grids[s], grids[t], e[t])
+        if s == t:
+            allowed[s] = frozenset(j for j in allowed[s] if j in table[j])
+        elif s < t:
+            links[t].append((s, table))
+        else:
+            sources = [set() for _ in grids[t]]
+            for i, js in enumerate(table):
+                for j in js:
+                    sources[j].add(i)
+            links[s].append((t, [frozenset(x) for x in sources]))
+    on_arrows = {v for arrow in rep.quiver.arrows for v in arrow}
+    count = 1
+    for v, grid in enumerate(grids):
+        if v not in on_arrows:
+            count *= len(grid)
+    order = sorted(on_arrows)
+    choice = [None] * len(grids)
+
+    def walk(i):
+        if i == len(order):
+            return 1
+        v = order[i]
+        total = 0
+        for j in allowed[v].intersection(
+                *(table[choice[u]] for u, table in links[v])):
+            choice[v] = j
+            total += walk(i + 1)
+        return total
+
+    return count * walk(0)
 
 
 def good_sample_q(rep):
@@ -263,7 +349,7 @@ def good_sample_q(rep):
 def chi_via_interpolation(rep: IntegralRep, e):
     """Euler characteristic N(1) of the counting polynomial fitted from
     subrepresentation counts at good primes, with held-out verification."""
-    e = tuple(e)
+    e = _dimension_vector(rep, e)
     bound = sum(ei * (di - ei) for ei, di in zip(e, rep.dims))
     qs = good_sample_q(rep)
     if bound + 2 > len(qs):
@@ -284,6 +370,7 @@ def weyl_count_diagonal_tree(rep: IntegralRep, e):
     """Torus-fixed-point count for tree quivers with invertible diagonal
     matrices: coordinate-subset families closed under the index-support maps
     of the arrows."""
+    e = _dimension_vector(rep, e)
     if not rep.quiver.underlying_is_tree():
         raise HypothesisViolated("underlying graph is not a tree")
     for (s, t), m in zip(rep.quiver.arrows, rep.matrices):
@@ -294,7 +381,6 @@ def weyl_count_diagonal_tree(rep: IntegralRep, e):
             raise HypothesisViolated("matrices must be diagonal")
         if any(x == 0 for x in np.diagonal(a)):
             raise HypothesisViolated("diagonal entries must be invertible")
-    e = tuple(e)
     choices = [list(itertools.combinations(range(d), k))
                for d, k in zip(rep.dims, e)]
     count = 0

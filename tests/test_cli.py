@@ -141,6 +141,45 @@ class TestQGrass:
         assert code == 0 and "q=3: 4" in out
 
 
+QGRASS_REPS = {
+    # a three-vertex line, one arrow pointing backwards
+    "line": ({"vertices": 3, "arrows": [[0, 1], [2, 1]], "dims": [2, 2, 2],
+              "matrices": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]],
+              "e": [1, 1, 1]},
+             [3, 4, 5, 6, 8, 9, 10], 2),
+    # a star around vertex 0: identity and shear in, a rank-one map out
+    "star": ({"vertices": 4, "arrows": [[1, 0], [2, 0], [0, 3]],
+              "dims": [2, 2, 2, 2],
+              "matrices": [[[1, 0], [0, 1]], [[1, 1], [0, 1]],
+                           [[1, 0], [0, 0]]],
+              "e": [1, 1, 1, 1]},
+             [5, 7, 9, 11, 15, 17, 19], 3),
+    # the scaled identity: degenerate over F_2, F_4 and F_8, chi still 2
+    "diag22": ({"vertices": 2, "arrows": [[0, 1]], "dims": [2, 2],
+                "matrices": [[[2, 0], [0, 2]]], "e": [1, 1]},
+               [9, 4, 25, 6, 8, 81, 10], 2),
+}
+
+
+class TestQGrassPinned:
+    """`qgrass count` and `qgrass chi` output, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(QGRASS_REPS))
+    def test_count_and_chi_json(self, capsys, tmp_path, name):
+        payload, counts, chi = QGRASS_REPS[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "qgrass", "count", str(path),
+                           "--q", "2,3,4,5,7,8,9", "--json")
+        assert code == 0
+        assert out == "{\n \"counts\": {\n" + ",\n".join(
+            f'  "{q}": {n}' for q, n in zip((2, 3, 4, 5, 7, 8, 9), counts)) \
+            + "\n }\n}\n"
+        code, out, _ = run(capsys, "qgrass", "chi", str(path), "--json")
+        assert code == 0
+        assert out == f'{{\n "chi": {chi}\n}}\n'
+
+
 class TestContracts:
     def test_determinism(self, capsys):
         outs = set()

@@ -1,12 +1,15 @@
 """Quiver representations, naive F1-points, subrepresentation counts, and the
 Euler-characteristic comparison theorems."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blueforge import quivergrass as qg
+from blueforge.counting import SAMPLE_Q
 from blueforge.fields import gf
 
 
@@ -103,6 +106,139 @@ class TestSubrepCounts:
             single2 = qg.subrep_count_fq(
                 qg.IntegralRep(qg.Quiver(1, ()), (2,), []), (1,), qq)
             assert f == single3 * single2
+
+
+    def test_entry_above_dimension_counts_zero(self):
+        rep = rep_1to2([[1, 0], [0, 1]])
+        for q in (2, 3):
+            assert qg.subrep_count_fq(rep, (3, 1), q) == 0
+            assert qg.subrep_count_fq(rep, (1, 3), q) == 0
+        free = qg.IntegralRep(qg.Quiver(2, ()), (2, 1), [])
+        assert qg.subrep_count_fq(free, (1, 2), 3) == 0
+
+
+class TestDimensionVector:
+    """A dimension vector needs one nonnegative entry per vertex; a short
+    one used to be zipped against the dimensions and silently truncated."""
+
+    free = qg.IntegralRep(qg.Quiver(2, ()), (2, 2), [])
+    tree = rep_1to2([[1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("e", [(1,), (1, 1, 1), ()])
+    def test_wrong_length(self, e):
+        calls = [lambda: qg.subrep_count_fq(self.free, e, 3),
+                 lambda: qg.chi_via_interpolation(self.free, e),
+                 lambda: qg.weyl_count_diagonal_tree(self.tree, e),
+                 lambda: qg.naive_f1_points(self.tree, e)]
+        for call in calls:
+            with pytest.raises(ValueError, match="one entry per vertex"):
+                call()
+
+    def test_negative_entry(self):
+        calls = [lambda: qg.subrep_count_fq(self.free, (1, -1), 3),
+                 lambda: qg.chi_via_interpolation(self.free, (-1, 1)),
+                 lambda: qg.weyl_count_diagonal_tree(self.tree, (1, -1)),
+                 lambda: qg.naive_f1_points(self.tree, (-1, 0))]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
+
+def _int_to_field(field, c):
+    out = 0
+    for _ in range(c % field.p):
+        out = field.add(out, 1)
+    return out
+
+
+def reference_subrep_count_fq(rep, e, q):
+    """The family loop `subrep_count_fq` used before the per-arrow tables:
+    every element of the product of the vertices' RREF grids, each arrow
+    checked by a matrix-vector product and a reduction."""
+    e = tuple(e)
+    field = gf(q)
+    mats = [[[_int_to_field(field, int(x)) for x in row] for row in m]
+            for m in rep.matrices]
+    grids = [qg._rref_bases(d, k, q) for d, k in zip(rep.dims, e)]
+    count = 0
+    for family in itertools.product(*grids):
+        ok = True
+        for (s, t), m in zip(rep.quiver.arrows, mats):
+            target_rows = family[t]
+            for v in family[s]:
+                img = [0] * rep.dims[t]
+                for row in range(rep.dims[t]):
+                    acc = 0
+                    for col in range(rep.dims[s]):
+                        if m[row][col] and v[col]:
+                            acc = field.add(acc, field.mul(m[row][col], v[col]))
+                    img[row] = acc
+                if any(qg._reduce_vec(field, target_rows, img)):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            count += 1
+    return count
+
+
+@st.composite
+def random_reps(draw):
+    """Up to three vertices of dimension 1..3 and up to four arrows, loops,
+    cycles and parallel arrows allowed, with entries that are often
+    multiples of a small prime."""
+    nv = draw(st.integers(1, 3))
+    vertex = st.integers(0, nv - 1)
+    arrows = tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=4)))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=nv, max_size=nv)))
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from([2, 3, 4, 6, 9, -6]))
+    mats = [np.array(draw(st.lists(st.lists(entry, min_size=dims[s],
+                                            max_size=dims[s]),
+                                   min_size=dims[t], max_size=dims[t])),
+                     dtype=int).reshape(dims[t], dims[s])
+            for s, t in arrows]
+    e = tuple(draw(st.integers(0, d)) for d in dims)
+    return qg.IntegralRep(qg.Quiver(nv, arrows), dims, mats), e
+
+
+class TestSubrepCountAgainstReference:
+    @given(case=random_reps())
+    @settings(max_examples=150, deadline=None)
+    def test_random_quivers(self, case):
+        rep, e = case
+        for q in SAMPLE_Q:
+            families = 1
+            for d, k in zip(rep.dims, e):
+                families *= _gauss(d, k, q)
+            if families > 3000:
+                continue
+            assert qg.subrep_count_fq(rep, e, q) == \
+                reference_subrep_count_fq(rep, e, q)
+
+    @pytest.mark.parametrize("arrows, mats", [
+        # a loop, a two-cycle and a parallel pair, each with a
+        # non-square or rank-deficient matrix
+        (((0, 0), (0, 1)), [[[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+                            [[1, 1, 0], [0, 2, 1]]]),
+        (((0, 1), (1, 0)), [[[1, 0, 3], [0, 1, 1]], [[1, 0], [0, 0], [1, 1]]]),
+        (((1, 0), (1, 0)), [[[1, 0], [0, 1], [0, 0]], [[0, 0], [1, 0], [0, 1]]]),
+    ])
+    def test_fixed_quivers(self, arrows, mats):
+        dims = (3, 2)
+        rep = qg.IntegralRep(qg.Quiver(2, arrows), dims,
+                             [np.array(m) for m in mats])
+        for e in itertools.product(range(4), range(3)):
+            for q in (2, 3, 4, 5):
+                assert qg.subrep_count_fq(rep, e, q) == \
+                    reference_subrep_count_fq(rep, e, q)
+
+    def test_gaussian_binomials(self):
+        for d in range(1, 5):
+            rep = qg.IntegralRep(qg.Quiver(1, ()), (d,), [])
+            for k in range(d + 1):
+                for q in SAMPLE_Q:
+                    assert qg.subrep_count_fq(rep, (k,), q) == _gauss(d, k, q)
 
 
 class TestChi:
