@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .budget import Budget, default_budget
+from .budget import Budget, cached_per_budget, default_budget
 from .fields import gf, prime_powers_upto
 from .snf import (hnf_with_transform, in_lattice, lattice_rank,
                   quotient_group_invariants)
@@ -1577,7 +1577,7 @@ def presentation_normalizes_to_integers(pres):
 # Semiring targets and morphism enumeration
 
 
-@lru_cache(maxsize=None)
+@cached_per_budget
 def field_blueprint(q):
     """F_q as a finite-table semiring blueprint (symbols '0'..'q-1')."""
     f = gf(q)
@@ -1588,7 +1588,7 @@ def field_blueprint(q):
                      check_proper=False)
 
 
-@lru_cache(maxsize=None)
+@cached_per_budget
 def boolean_semiring_blueprint():
     """B1 with its idempotent addition table attached."""
     mul = {(a, b): (ONE if a == b == ONE else ZERO)

@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .budget import Budget
-from .core import ONE, ZERO, BlueprintError
+from .core import ONE, ZERO, BlueprintError, _UnionFind
 from .snf import smith_normal_form
 
 BASE = "*"
@@ -30,10 +30,11 @@ class TooLarge(BlueprintError):
 class BlueModule:
     """A finite pointed set with a blueprint action and a generated
     pre-addition; the relations induced by the blueprint's own pre-addition
-    are always included."""
+    are always included. Modules are not mutated after construction."""
 
     def __init__(self, blueprint, carrier, action, relations=(), name=None):
         self.blueprint = blueprint
+        self._invariant = None
         if BASE not in carrier:
             carrier = (BASE,) + tuple(carrier)
         self.carrier = (BASE,) + tuple(sorted(x for x in carrier if x != BASE))
@@ -111,14 +112,18 @@ class BlueModule:
         return gens
 
     def invariant(self):
-        color = joint_colors([self])[0]
-        rel_profile = Counter()
-        for l, r in self.relations:
-            rel_profile[(tuple(sorted(color[t] for t in l)),
-                         tuple(sorted(color[t] for t in r)))] += 1
-        return (len(self.carrier),
-                tuple(sorted(Counter(color.values()).items())),
-                tuple(sorted(rel_profile.items())))
+        """Isomorphism invariant: size, color counts and relation profile;
+        computed on the first call and kept."""
+        if self._invariant is None:
+            color = joint_colors([self])[0]
+            rel_profile = Counter()
+            for l, r in self.relations:
+                rel_profile[(tuple(sorted(color[t] for t in l)),
+                             tuple(sorted(color[t] for t in r)))] += 1
+            self._invariant = (len(self.carrier),
+                               tuple(sorted(Counter(color.values()).items())),
+                               tuple(sorted(rel_profile.items())))
+        return self._invariant
 
 
 def joint_colors(modules):
@@ -131,12 +136,15 @@ def joint_colors(modules):
     for _ in range(rounds):
         sigs = []
         for mod, col in zip(modules, colors):
+            # preimage colors under each symbol, in one pass over the carrier
+            pre = {(b, m): Counter() for b in syms for m in mod.carrier}
+            for b in syms:
+                for x in mod.carrier:
+                    pre[(b, mod.act(b, x))][col[x]] += 1
             sigs.append({m: (col[m],
                              tuple(col[mod.act(b, m)] for b in syms),
-                             tuple(tuple(sorted(Counter(
-                                 col[x] for x in mod.carrier
-                                 if mod.act(b, x) == m).items()))
-                                 for b in syms))
+                             tuple(tuple(sorted(pre[(b, m)].items()))
+                                   for b in syms))
                          for m in mod.carrier})
         palette = {sig: i for i, sig in enumerate(
             sorted({s for d in sigs for s in d.values()}, key=repr))}
@@ -559,27 +567,18 @@ def wedge_components(module: BlueModule):
     """Split into action-connected components (each one a submodule); only
     valid as a wedge decomposition when no relation couples components."""
     nb = list(module.nonbase())
-    parent = {m: m for m in nb}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(nb)
     for b in module.blueprint.backend.symbols:
         for m in nb:
             v = module.act(b, m)
             if v != BASE:
-                ra, rb = find(m), find(v)
-                if ra != rb:
-                    parent[rb] = ra
+                uf.union(m, v)
     groups = {}
     for m in nb:
-        groups.setdefault(find(m), []).append(m)
+        groups.setdefault(uf.find(m), []).append(m)
     comps = [sorted(v) for v in sorted(groups.values())]
     for l, r in module.relations:
-        roots = {find(t) for t in l + r}
+        roots = {uf.find(t) for t in l + r}
         if len(roots) > 1:
             return None
     return [_submodule(module, comp)[0] for comp in comps]
@@ -676,37 +675,105 @@ def _monoid_generators(blueprint):
 
 def enumerate_modules(blueprint, size_bound):
     """All blue modules with carrier size <= size_bound and the minimal
-    induced pre-addition, up to isomorphism, deterministically ordered."""
+    induced pre-addition, up to isomorphism, deterministically ordered.
+
+    For each size the generator images (g, m) are chosen by backtracking,
+    generator first, then carrier element, each trying the carrier in
+    order, so complete choices arrive in `itertools.product` order. Each
+    symbol acts through a fixed word in the generators (breadth-first from
+    ONE). A partial choice is cut as soon as, for a generator g, a nonzero
+    symbol a and an element m, the images of m under g·a and under g after
+    a are both chosen and differ; g·a = 0 sends m to the base point. Every
+    cut choice is one that `_complete_action` rejects, so the modules kept,
+    their names and their order are those of the loop over the whole
+    product."""
     if size_bound > 8:
         raise TooLarge("size bound above 8")
     gens = _monoid_generators(blueprint)
-    syms = blueprint.backend.symbols
+    checks = _action_checks(blueprint, gens)
     classifier = ModuleClassifier()
     out = []
     for size in range(1, size_bound + 1):
         carrier = [BASE] + [f"m{i}" for i in range(size - 1)]
-        candidates = itertools.product(
-            *[list(carrier) for _ in range(len(gens) * (size - 1))])
-        for flat in candidates:
-            gen_maps = {}
-            idx = 0
-            for g in gens:
-                gen_maps[g] = {BASE: BASE}
+        slots = [(g, m) for g in gens for m in carrier[1:]]
+        gen_maps = {g: {BASE: BASE} for g in gens}
+
+        def consistent():
+            for left, right in checks:
                 for m in carrier[1:]:
-                    gen_maps[g][m] = flat[idx]
-                    idx += 1
-            action = _complete_action(blueprint, gens, gen_maps, carrier)
-            if action is None:
-                continue
-            try:
-                module = BlueModule(blueprint, tuple(carrier),
-                                    action, (), name=f"M{len(out)}")
-            except BlueprintError:
-                continue
-            if classifier.find(module) is None:
-                classifier.classify(module)
-                out.append(module)
+                    lv = _run_word(gen_maps, left, m)
+                    if lv is None:
+                        continue
+                    rv = _run_word(gen_maps, right, m)
+                    if rv is not None and rv != lv:
+                        return False
+            return True
+
+        def backtrack(i):
+            if i == len(slots):
+                action = _complete_action(blueprint, gens, gen_maps, carrier)
+                if action is None:
+                    return
+                try:
+                    module = BlueModule(blueprint, tuple(carrier),
+                                        action, (), name=f"M{len(out)}")
+                except BlueprintError:
+                    return
+                if classifier.find(module) is None:
+                    classifier.classify(module)
+                    out.append(module)
+                return
+            g, m = slots[i]
+            for v in carrier:
+                gen_maps[g][m] = v
+                if consistent():
+                    backtrack(i + 1)
+            del gen_maps[g][m]
+
+        backtrack(0)
     return out
+
+
+def _action_checks(blueprint, gens):
+    """Pairs of generator words (applied right to left) that any action must
+    send every element to the same place: word(g·a) and g·word(a), for each
+    generator g and nonzero symbol a reached from ONE. A left word None
+    stands for g·a = 0, which sends everything to the base point."""
+    mul = blueprint.backend.mul
+    words = {ONE: ()}
+    frontier = [ONE]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mul(g, x)
+                if y not in words:
+                    words[y] = (g,) + words[x]
+                    nxt.append(y)
+        frontier = nxt
+    checks = []
+    for g in gens:
+        for a, word in words.items():
+            if a == ZERO:
+                continue
+            c = mul(g, a)
+            left = None if c == ZERO else words[c]
+            right = (g,) + word
+            if left != right:
+                checks.append((left, right))
+    return checks
+
+
+def _run_word(gen_maps, word, m):
+    """The image of m under a word of generators, or None while some image
+    along the way is unchosen; the word None maps to the base point."""
+    if word is None:
+        return BASE
+    for g in reversed(word):
+        m = gen_maps[g].get(m)
+        if m is None:
+            return None
+    return m
 
 
 def _complete_action(blueprint, gens, gen_maps, carrier):
@@ -778,7 +845,12 @@ def k0(blueprint, size_bound=6):
     """The Grothendieck group of projectives under normal short exact
     sequences, presented by generators (iso classes, carrier <= size_bound)
     and relations [M] = [K] + [M/K]; invariant factors via Smith normal
-    form."""
+    form.
+
+    Each action-closed subset K of a projective M takes one cokernel
+    M -> M/K: the inclusion is a normal mono exactly when the kernel of that
+    projection is K again (what `is_normal_mono` checks), and the projection
+    must also be a normal epi."""
     universe = enumerate_modules(blueprint, size_bound)
     projectives = [m for m in universe if is_projective(m)]
     classifier = ModuleClassifier()
@@ -790,9 +862,12 @@ def k0(blueprint, size_bound=6):
         for sub_elems in _action_closed_subsets(m):
             sub, inc = _submodule(m, sub_elems)
             ksub = classifier.find(sub)
-            if ksub is None or not is_normal_mono(inc):
+            if ksub is None:
                 continue
             q, proj = cokernel(inc)
+            if {x for x in m.carrier if proj.apply(x) == BASE} \
+                    != set(sub.carrier):
+                continue
             kq = classifier.find(q)
             if kq is None or not is_normal_epi(proj):
                 continue

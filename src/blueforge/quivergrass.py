@@ -348,8 +348,11 @@ def good_sample_q(rep):
 
 def chi_via_interpolation(rep: IntegralRep, e):
     """Euler characteristic N(1) of the counting polynomial fitted from
-    subrepresentation counts at good primes, with held-out verification."""
+    subrepresentation counts at good primes, with held-out verification.
+    An entry e_i > d_i gives 0: there is no such subrepresentation."""
     e = _dimension_vector(rep, e)
+    if any(ei > di for ei, di in zip(e, rep.dims)):
+        return 0
     bound = sum(ei * (di - ei) for ei, di in zip(e, rep.dims))
     qs = good_sample_q(rep)
     if bound + 2 > len(qs):

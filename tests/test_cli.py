@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from blueforge import jsonio
+from blueforge import catalog, jsonio
 from blueforge.budget import Budget, default_budget
 from blueforge.cli import main
 
@@ -98,6 +98,40 @@ class TestBasicVerbs:
         assert len(err.strip().splitlines()) == 1 and "budget" in err
         code, _, err = run(capsys, *argv)
         assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("budget_first", [True, False])
+    def test_budget_leaves_catalog_cache_alone(self, capsys, monkeypatch,
+                                               budget_first):
+        # The catalog builders are memoized and their Blueprints capture the
+        # default budget: a --budget call must neither fill the cache for
+        # later default calls nor replace what is already there.
+        monkeypatch.delenv("BLUEFORGE_BUDGET", raising=False)
+        for builder in vars(catalog).values():
+            if hasattr(builder, "cache_clear"):
+                builder.cache_clear()
+        argv = ("cspec", "catalog:f1n:4", "--json")
+
+        def budgeted():
+            code, out, err = run(capsys, *argv, "--budget", "6,3,300")
+            assert code == 0 and json.loads(out)["points"] == []
+            assert len(err.strip().splitlines()) == 1 and "budget" in err
+
+        def default():
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            assert json.loads(out)["points"]
+            return out
+
+        if budget_first:
+            budgeted()
+            default()
+        else:
+            before = catalog.f1n(4)
+            first = default()
+            budgeted()
+            assert default() == first
+            assert catalog.f1n(4) is before
+        assert catalog.f1n(4).budget == default_budget()
 
     def test_k0(self, capsys):
         code, out, _ = run(capsys, "k0", "f1", "--bound", "4")

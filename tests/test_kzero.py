@@ -1,10 +1,16 @@
 """Blue modules, normal morphisms, projectivity, and K0."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from blueforge import catalog
 from blueforge import kzero as kz
+from blueforge.cli import main
+from blueforge.core import ONE, ZERO, Blueprint, FiniteTable
 from blueforge.kzero import BASE
+from blueforge.snf import smith_normal_form
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +187,225 @@ class TestK0:
         result = kz.k0(idem, 6)
         assert result.rank == 2
         assert not result.torsion
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the product loop over every generator image, the
+# carrier scan per preimage count and the three-cokernel subset loop, kept
+# as references for the pruned search, the one-pass colors and the single
+# cokernel per subset.
+
+
+def reference_enumerate_modules(blueprint, size_bound):
+    gens = kz._monoid_generators(blueprint)
+    classifier = kz.ModuleClassifier()
+    out = []
+    for size in range(1, size_bound + 1):
+        carrier = [BASE] + [f"m{i}" for i in range(size - 1)]
+        candidates = itertools.product(
+            *[list(carrier) for _ in range(len(gens) * (size - 1))])
+        for flat in candidates:
+            gen_maps = {}
+            idx = 0
+            for g in gens:
+                gen_maps[g] = {BASE: BASE}
+                for m in carrier[1:]:
+                    gen_maps[g][m] = flat[idx]
+                    idx += 1
+            action = kz._complete_action(blueprint, gens, gen_maps, carrier)
+            if action is None:
+                continue
+            try:
+                module = kz.BlueModule(blueprint, tuple(carrier),
+                                       action, (), name=f"M{len(out)}")
+            except kz.BlueprintError:
+                continue
+            if classifier.find(module) is None:
+                classifier.classify(module)
+                out.append(module)
+    return out
+
+
+def reference_joint_colors(modules):
+    syms = modules[0].blueprint.backend.symbols
+    colors = [{m: (-1 if m == BASE else 0) for m in mod.carrier}
+              for mod in modules]
+    rounds = max(len(mod.carrier) for mod in modules) + 1
+    for _ in range(rounds):
+        sigs = []
+        for mod, col in zip(modules, colors):
+            sigs.append({m: (col[m],
+                             tuple(col[mod.act(b, m)] for b in syms),
+                             tuple(tuple(sorted(Counter(
+                                 col[x] for x in mod.carrier
+                                 if mod.act(b, x) == m).items()))
+                                 for b in syms))
+                         for m in mod.carrier})
+        palette = {sig: i for i, sig in enumerate(
+            sorted({s for d in sigs for s in d.values()}, key=repr))}
+        nxt = [{m: palette[d[m]] for m in d} for d in sigs]
+        if all(len(set(n.values())) == len(set(c.values()))
+               for n, c in zip(nxt, colors)):
+            colors = nxt
+            break
+        colors = nxt
+    return colors
+
+
+def reference_k0(blueprint, size_bound):
+    universe = reference_enumerate_modules(blueprint, size_bound)
+    projectives = [m for m in universe if kz.is_projective(m)]
+    classifier = kz.ModuleClassifier()
+    for p in projectives:
+        classifier.classify(p)
+    rows = []
+    for m in projectives:
+        im = classifier.find(m)
+        for sub_elems in kz._action_closed_subsets(m):
+            sub, inc = kz._submodule(m, sub_elems)
+            ksub = classifier.find(sub)
+            if ksub is None or not kz.is_normal_mono(inc):
+                continue
+            q, proj = kz.cokernel(inc)
+            kq = classifier.find(q)
+            if kq is None or not kz.is_normal_epi(proj):
+                continue
+            row = [0] * len(projectives)
+            row[im] += 1
+            row[ksub] -= 1
+            row[kq] -= 1
+            if any(row):
+                rows.append(row)
+    rows = [list(r) for r in {tuple(r) for r in rows}]
+    factors = smith_normal_form(rows) if rows else []
+    rank = len(projectives) - len(factors)
+    torsion = tuple(d for d in factors if d > 1)
+    names = tuple(f"P{i}(size {len(p)})" for i, p in enumerate(projectives))
+    return kz.K0Result(names, tuple(tuple(r) for r in rows), rank, torsion)
+
+
+def module_key(module):
+    return (module.name, module.carrier, sorted(module.action.items()),
+            module.relations)
+
+
+def split_idempotents():
+    """{0, 1, e, f} with orthogonal idempotents e, f and 1 = e + f. The
+    action-closed subset {e@0, f@0} of the free module is not normal: its
+    cokernel also kills 1@0, since 1@0 = e@0 + f@0."""
+    syms = (ZERO, ONE, "e", "f")
+    mul = {(a, b): (b if a == ONE else a if b == ONE or a == b else ZERO)
+           for a in syms for b in syms}
+    for a in syms:
+        mul[(ZERO, a)] = mul[(a, ZERO)] = ZERO
+    return Blueprint(FiniteTable(syms, mul), [([ONE], ["e", "f"])],
+                     name="F1xF1")
+
+
+# (blueprint, size bound); the bounds keep the product loop small.
+DIFFERENTIAL_CASES = [
+    (catalog.f1, 6), (lambda: catalog.f1n(2), 6), (lambda: catalog.f1n(3), 5),
+    (lambda: catalog.f1n(4), 5), (lambda: catalog.f1n(5), 5),
+    (catalog.b1, 5), (catalog.idempotent_example, 5),
+    (lambda: catalog.roots_of_unity_sums(4), 4),
+    (lambda: catalog.two_fields(2, 3), 3), (split_idempotents, 4),
+]
+
+
+@pytest.fixture(scope="module", params=DIFFERENTIAL_CASES,
+                ids=["f1", "f1n2", "f1n3", "f1n4", "f1n5", "b1", "idempotent",
+                     "roots_sums4", "two_fields23", "split_idempotents"])
+def case(request):
+    build, bound = request.param
+    bp = build()
+    return bp, bound, reference_enumerate_modules(bp, bound)
+
+
+class TestAgainstReference:
+    def test_universe(self, case):
+        bp, bound, reference = case
+        got = kz.enumerate_modules(bp, bound)
+        assert [module_key(m) for m in got] == \
+            [module_key(m) for m in reference]
+
+    def test_k0(self, case):
+        bp, bound, _ = case
+        assert kz.k0(bp, bound) == reference_k0(bp, bound)
+
+    def test_colors(self, case):
+        _, _, universe = case
+        for m in universe:
+            assert kz.joint_colors([m]) == reference_joint_colors([m])
+        for m1, m2 in itertools.combinations(universe, 2):
+            assert kz.joint_colors([m1, m2]) == \
+                reference_joint_colors([m1, m2])
+
+    def test_every_leaf_is_an_action(self, case, monkeypatch):
+        # The cuts test every g·a against g after a, the zero products
+        # included, which already makes the choice an action: no complete
+        # choice that reaches _complete_action is rejected there.
+        bp, bound, _ = case
+        original = kz._complete_action
+        rejected = []
+
+        def checked(*args):
+            action = original(*args)
+            if action is None:
+                rejected.append({g: dict(mp) for g, mp in args[2].items()})
+            return action
+
+        monkeypatch.setattr(kz, "_complete_action", checked)
+        kz.enumerate_modules(bp, bound)
+        assert rejected == []
+
+    def test_non_normal_mono_is_skipped(self):
+        bp = split_idempotents()
+        free = kz.free_module(bp, 1)
+        sub, inc = kz._submodule(free, ("e@0", "f@0"))
+        assert not kz.is_normal_mono(inc)
+
+    def test_invariant_is_kept(self, case):
+        _, _, universe = case
+        for m in universe:
+            assert m.invariant() is m.invariant()
+
+    def test_search_reaches_only_valid_leaves(self, monkeypatch):
+        # Over f1n(3) the one generator z1 must act with z1^3 = 1, that is by
+        # a permutation of the nonbase elements of order dividing 3; the
+        # cuts leave exactly those choices to _complete_action.
+        bp = catalog.f1n(3)
+        reference = [module_key(m) for m in reference_enumerate_modules(bp, 5)]
+        calls = []
+        original = kz._complete_action
+
+        def counted(blueprint, gens, gen_maps, carrier):
+            calls.append({g: dict(mp) for g, mp in gen_maps.items()})
+            return original(blueprint, gens, gen_maps, carrier)
+
+        monkeypatch.setattr(kz, "_complete_action", counted)
+        assert [module_key(m) for m in kz.enumerate_modules(bp, 5)] == \
+            reference
+        order_3 = sum(
+            1 for n in range(5) for p in itertools.permutations(range(n))
+            if all(p[p[p[i]]] == i for i in range(n)))
+        assert len(calls) == order_3 == 15
+        for maps in calls:
+            z1 = maps["z1"]
+            assert all(z1[z1[z1[m]]] == m for m in z1)
+
+
+class TestK0Pinned:
+    """`k0 --json` output, byte for byte."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("k0", "catalog:f1n:3", "--bound", "6", "--json"),
+         '{\n "generators": [\n  "P0(size 1)",\n  "P1(size 4)"\n ],\n'
+         ' "rank": 1,\n "torsion": []\n}\n'),
+        (("k0", "idempotent", "--bound", "4", "--json"),
+         '{\n "generators": [\n  "P0(size 1)",\n  "P1(size 2)",\n'
+         '  "P2(size 3)",\n  "P3(size 3)",\n  "P4(size 4)",\n'
+         '  "P5(size 4)"\n ],\n "rank": 2,\n "torsion": []\n}\n'),
+    ])
+    def test_json(self, capsys, argv, expected):
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == expected

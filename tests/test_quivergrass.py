@@ -116,6 +116,15 @@ class TestSubrepCounts:
         free = qg.IntegralRep(qg.Quiver(2, ()), (2, 1), [])
         assert qg.subrep_count_fq(free, (1, 2), 3) == 0
 
+    def test_chi_of_entry_above_dimension_is_zero(self):
+        # The degree bound sum e_i (d_i - e_i) is negative here; the fit
+        # used to get an empty sample and raise NotPolynomial.
+        rep = rep_1to2([[1, 0], [0, 1]])
+        for e in ((3, 1), (1, 3), (3, 3), (0, 3)):
+            assert qg.chi_via_interpolation(rep, e) == 0
+        free = qg.IntegralRep(qg.Quiver(2, ()), (2, 1), [])
+        assert qg.chi_via_interpolation(free, (1, 2)) == 0
+
 
 class TestDimensionVector:
     """A dimension vector needs one nonnegative entry per vertex; a short
