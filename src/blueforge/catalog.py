@@ -10,14 +10,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from .budget import cached_per_budget
-from .core import (ONE, ZERO, Blueprint, BlueprintError, FiniteTable,
-                   MonomialBackend)
+from .core import (ONE, ZERO, Blueprint, FiniteTable, MonomialBackend,
+                   TooLarge)
 from .fields import gf
 from .schemes import BlueScheme, GradedBlueprint, projective_space
-
-
-class TooLarge(BlueprintError):
-    pass
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import BlueprintError
-from .fields import gf
+from .core import BlueprintError, TooLarge
+from .fields import _rref_bases as _rref_subspaces, _subspace_contains, gf
+from .order import _bits, _closure, _heights, _minimal, _up_masks
 
 
 class DimensionTooLarge(BlueprintError):
@@ -23,90 +24,81 @@ class SeedNotSimplex(BlueprintError):
     pass
 
 
-class TooLarge(BlueprintError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Posets
 
 
 class FinitePoset:
-    """A finite strict-orderable poset on hashable labels."""
+    """A finite poset on hashable labels, stored as one up-set bitmask per
+    element (in the order of `elements`)."""
 
     def __init__(self, elements, leq_pairs):
         self.elements = tuple(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
-        n = len(self.elements)
-        self._leq = [[False] * n for _ in range(n)]
-        for i in range(n):
-            self._leq[i][i] = True
-        for a, b in leq_pairs:
-            self._leq[self.index[a]][self.index[b]] = True
-        # transitive closure
-        for k in range(n):
-            for i in range(n):
-                if self._leq[i][k]:
-                    row_k = self._leq[k]
-                    row_i = self._leq[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        for i in range(n):
-            for j in range(n):
-                if i != j and self._leq[i][j] and self._leq[j][i]:
-                    raise ValueError("not antisymmetric")
+        self._up = _closure(len(self.elements),
+                            [(self.index[a], self.index[b])
+                             for a, b in leq_pairs])
+        for i, m in enumerate(self._up):
+            if any(self._up[j] >> i & 1 for j in _bits(m & ~(1 << i))):
+                raise ValueError("not antisymmetric")
+        self._height = _heights(self._up)
 
     def __len__(self):
         return len(self.elements)
 
     def leq(self, a, b):
-        return self._leq[self.index[a]][self.index[b]]
+        return bool(self._up[self.index[a]] >> self.index[b] & 1)
 
     def lt(self, a, b):
         return a != b and self.leq(a, b)
 
     def chains(self):
-        """All nonempty strictly increasing chains, as tuples."""
-        order = sorted(self.elements,
-                       key=lambda x: sum(self._leq[self.index[y]][self.index[x]]
-                                         for y in self.elements))
+        """All nonempty strictly increasing chains, as tuples: depth first,
+        elements taken by the size of their down-set."""
+        below = [0] * len(self.elements)
+        for m in self._up:
+            for j in _bits(m):
+                below[j] += 1
+        order = sorted(range(len(self.elements)), key=below.__getitem__)
+        above = [[j for j in order if j != i and m >> j & 1]
+                 for i, m in enumerate(self._up)]
         out = []
 
-        def extend(chain):
-            out.append(tuple(chain))
-            last = chain[-1]
-            for x in order:
-                if self.lt(last, x):
-                    chain.append(x)
-                    extend(chain)
-                    chain.pop()
+        def extend(chain, last):
+            out.append(chain)
+            for j in above[last]:
+                extend(chain + (self.elements[j],), j)
 
-        for x in order:
-            extend([x])
+        for i in order:
+            extend((self.elements[i],), i)
         return out
 
     def height(self, x):
-        return max(len(c) for c in self.chains() if c[-1] == x) - 1
+        return self._height[self.index[x]]
 
     def sup(self, xs):
         """Least upper bound, or None."""
-        ubs = [u for u in self.elements if all(self.leq(x, u) for x in xs)]
-        mins = [u for u in ubs if not any(self.lt(v, u) for v in ubs)]
-        return mins[0] if len(mins) == 1 else None
+        ubs = (1 << len(self.elements)) - 1
+        for x in xs:
+            ubs &= self._up[self.index[x]]
+        mins = list(_bits(_minimal(self._up, ubs)))
+        return self.elements[mins[0]] if len(mins) == 1 else None
 
     def restricted(self, keep):
         keep = set(keep)
-        pairs = [(a, b) for a in keep for b in keep if self.leq(a, b)]
-        return FinitePoset([x for x in self.elements if x in keep], pairs)
+        kept = [x for x in self.elements if x in keep]
+        mask = sum(1 << self.index[x] for x in kept)
+        pairs = [(x, self.elements[j]) for x in kept
+                 for j in _bits(self._up[self.index[x]] & mask)]
+        return FinitePoset(kept, pairs)
 
     def maximal(self):
-        return [x for x in self.elements
-                if not any(self.lt(x, y) for y in self.elements)]
+        return [x for i, (x, m) in enumerate(zip(self.elements, self._up))
+                if not m & ~(1 << i)]
 
     def minimal(self):
-        return [x for x in self.elements
-                if not any(self.lt(y, x) for y in self.elements)]
+        everything = (1 << len(self.elements)) - 1
+        return [self.elements[i] for i in _bits(_minimal(self._up, everything))]
 
 
 def specialization_poset(space):
@@ -180,10 +172,12 @@ class TypedComplex:
         self.vertices = tuple(vertices)
         self.types = dict(types)
         self.index = {v: i for i, v in enumerate(self.vertices)}
-        facs = {frozenset(f) for f in facets}
-        # drop faces that are contained in larger facets
+        facs = list({frozenset(f) for f in facets})
+        # keep the faces that no larger face contains: the maximal elements
+        # of the inclusion order
+        up = _up_masks(facs)
         self.facets = tuple(sorted(
-            (f for f in facs if not any(f < g for g in facs)),
+            (f for k, f in enumerate(facs) if up[k] == 1 << k),
             key=lambda f: sorted(self.index[v] for v in f)))
         for f in self.facets:
             tps = [self.types[v] for v in f]
@@ -434,7 +428,6 @@ def coxeter_complex(family, n):
     if n > 5:
         raise RankTooLarge("n > 5")
     elems, gens, comp = coxeter_group(family, n)
-    ident = elems[0] if elems[0] == tuple(sorted(elems[0], key=abs)) else None
     if family == "A":
         ident = tuple(range(n + 1))
     else:
@@ -590,42 +583,6 @@ def weyl_orbit_complex(family, n, seed=None):
 
 # ---------------------------------------------------------------------------
 # Type-A buildings over F_q
-
-
-def _rref_subspaces(dim, r, q):
-    """Canonical bases (tuples of rows) of all r-dim subspaces of F_q^dim."""
-    field = gf(q)
-    out = []
-    for pivots in itertools.combinations(range(dim), r):
-        free_positions = []
-        for row, p in enumerate(pivots):
-            for col in range(p + 1, dim):
-                if col not in pivots:
-                    free_positions.append((row, col))
-        for values in itertools.product(range(q), repeat=len(free_positions)):
-            rows = [[0] * dim for _ in range(r)]
-            for row, p in enumerate(pivots):
-                rows[row][p] = 1
-            for (row, col), v in zip(free_positions, values):
-                rows[row][col] = v
-            out.append(tuple(tuple(r_) for r_ in rows))
-    return out
-
-
-def _in_rowspace(field, rows, vec):
-    vec = list(vec)
-    for row in rows:
-        p = next((i for i, x in enumerate(row) if x), None)
-        if p is None:
-            continue
-        if vec[p]:
-            c = field.mul(vec[p], field.inv(row[p]))
-            vec = [field.sub(v, field.mul(c, r)) for v, r in zip(vec, row)]
-    return not any(vec)
-
-
-def _subspace_contains(field, big, small):
-    return all(_in_rowspace(field, big, v) for v in small)
 
 
 def building_type_a(n, q):

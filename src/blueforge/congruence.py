@@ -7,17 +7,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import (ONE, PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
-                   BlueprintError, FiniteTable, IdealDescriptor, _scale,
-                   _UnionFind, localize)
+                   BlueprintError, FiniteTable, IdealDescriptor, TooLarge,
+                   _scale, _UnionFind, localize)
 
 MULTIPLICITY_CAP = 6
 
 
 class NotACongruence(BlueprintError):
-    pass
-
-
-class TooLarge(BlueprintError):
     pass
 
 

@@ -59,6 +59,10 @@ class UnsupportedIdeal(BlueprintError):
     pass
 
 
+class TooLarge(BlueprintError):
+    """The input exceeds the sizes a computation supports."""
+
+
 # ---------------------------------------------------------------------------
 # Backends
 

@@ -6,15 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (ONE, ZERO, Blueprint, BlueprintError, _solutions,
-                   enumerate_morphisms, field_blueprint)
+from .core import (ONE, ZERO, Blueprint, BlueprintError, TooLarge,
+                   _solutions, enumerate_morphisms, field_blueprint)
 from .fields import SUPPORTED_Q
 
 SAMPLE_Q = SUPPORTED_Q
-
-
-class TooLarge(BlueprintError):
-    pass
 
 
 def fq_points(obj, q):

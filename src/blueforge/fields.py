@@ -1,4 +1,5 @@
-"""Explicit finite fields F_q for q in {2, 3, 4, 5, 7, 8, 9}.
+"""Explicit finite fields F_q for q in {2, 3, 4, 5, 7, 8, 9}, and subspaces
+of F_q^dim as canonical reduced-row-echelon bases.
 
 Elements are integers 0..q-1; for prime powers they encode polynomial
 coefficients over F_p in base p, with arithmetic reduced by a fixed
@@ -7,6 +8,7 @@ irreducible polynomial. Tables are built once and cached.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -115,3 +117,61 @@ def gf(q: int) -> GF:
 
 def prime_powers_upto(n: int):
     return [q for q in SUPPORTED_Q if q <= n]
+
+
+# ---------------------------------------------------------------------------
+# Subspaces of F_q^dim
+
+
+def _rref_bases(dim, r, q):
+    """Canonical bases (tuples of rows in reduced row echelon form) of all
+    r-dimensional subspaces of F_q^dim."""
+    out = []
+    for pivots in itertools.combinations(range(dim), r):
+        frees = [(row, col) for row, p in enumerate(pivots)
+                 for col in range(p + 1, dim) if col not in pivots]
+        for values in itertools.product(range(q), repeat=len(frees)):
+            rows = [[0] * dim for _ in range(r)]
+            for row, p in enumerate(pivots):
+                rows[row][p] = 1
+            for (row, col), v in zip(frees, values):
+                rows[row][col] = v
+            out.append(tuple(tuple(x) for x in rows))
+    return out
+
+
+def _reduce_vec(field, rows, vec):
+    """`vec` minus its components along echelon `rows`: all zero iff `vec`
+    lies in their span."""
+    add, mul = field.add_table, field.mul_table
+    vec = list(vec)
+    for row in rows:
+        p = next((i for i, x in enumerate(row) if x), None)
+        if p is None or not vec[p]:
+            continue
+        c = field.neg(mul[vec[p]][field.inv(row[p])])
+        vec = [add[v][mul[c][r]] for v, r in zip(vec, row)]
+    return vec
+
+
+def _subspace_contains(field, big, small):
+    """Whether the span of echelon rows `big` holds every row of `small`."""
+    return not any(any(_reduce_vec(field, big, v)) for v in small)
+
+
+def _rref(field, vectors):
+    """The canonical reduced-row-echelon basis of the span of `vectors`, in
+    the form `_rref_bases` lists: pivots 1, in increasing columns, and zero
+    elsewhere in pivot columns."""
+    rows = []
+    for vec in vectors:
+        vec = _reduce_vec(field, rows, vec)
+        p = next((i for i, x in enumerate(vec) if x), None)
+        if p is None:
+            continue
+        c = field.mul_table[field.inv(vec[p])]
+        vec = [c[x] for x in vec]
+        rows = [_reduce_vec(field, [vec], row) for row in rows]
+        rows.append(vec)
+    # A row with an earlier pivot is the larger tuple.
+    return tuple(sorted((tuple(row) for row in rows), reverse=True))

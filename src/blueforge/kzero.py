@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .budget import Budget
-from .core import ONE, ZERO, BlueprintError, _UnionFind
+from .core import ONE, ZERO, BlueprintError, TooLarge, _UnionFind
 from .snf import smith_normal_form
 
 BASE = "*"
@@ -20,10 +20,6 @@ class NotMono(BlueprintError):
 
 
 class NotEpi(BlueprintError):
-    pass
-
-
-class TooLarge(BlueprintError):
     pass
 
 
@@ -849,8 +845,7 @@ def k0(blueprint, size_bound=6):
 
     Each action-closed subset K of a projective M takes one cokernel
     M -> M/K: the inclusion is a normal mono exactly when the kernel of that
-    projection is K again (what `is_normal_mono` checks), and the projection
-    must also be a normal epi."""
+    projection is K again (what `is_normal_mono` checks)."""
     universe = enumerate_modules(blueprint, size_bound)
     projectives = [m for m in universe if is_projective(m)]
     classifier = ModuleClassifier()
@@ -868,8 +863,10 @@ def k0(blueprint, size_bound=6):
             if {x for x in m.carrier if proj.apply(x) == BASE} \
                     != set(sub.carrier):
                 continue
+            # No `is_normal_epi(proj)` here: it would rebuild the cokernel of
+            # the kernel of proj, which is K again, and so get proj back.
             kq = classifier.find(q)
-            if kq is None or not is_normal_epi(proj):
+            if kq is None:
                 continue
             row = [0] * len(projectives)
             row[im] += 1

@@ -10,13 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlueprintError
+from .core import BlueprintError, TooLarge
 from .counting import SAMPLE_Q, fit_polynomial
-from .fields import gf
-
-
-class TooLarge(BlueprintError):
-    pass
+# The tests and bench/trace.py read `_rref_bases` and `_reduce_vec` here.
+from .fields import (_rref, _rref_bases, _reduce_vec, _subspace_contains,
+                     gf)
 
 
 class HypothesisViolated(BlueprintError):
@@ -174,52 +172,6 @@ def naive_f1_points(rep: IntegralRep, e):
 # F_q subrepresentation counting
 
 
-def _rref_bases(dim, r, q):
-    field = gf(q)
-    out = []
-    for pivots in itertools.combinations(range(dim), r):
-        frees = [(row, col) for row, p in enumerate(pivots)
-                 for col in range(p + 1, dim) if col not in pivots]
-        for values in itertools.product(range(q), repeat=len(frees)):
-            rows = [[0] * dim for _ in range(r)]
-            for row, p in enumerate(pivots):
-                rows[row][p] = 1
-            for (row, col), v in zip(frees, values):
-                rows[row][col] = v
-            out.append(tuple(tuple(x) for x in rows))
-    return out
-
-
-def _reduce_vec(field, rows, vec):
-    add, mul = field.add_table, field.mul_table
-    vec = list(vec)
-    for row in rows:
-        p = next((i for i, x in enumerate(row) if x), None)
-        if p is None or not vec[p]:
-            continue
-        c = field.neg(mul[vec[p]][field.inv(row[p])])
-        vec = [add[v][mul[c][r]] for v, r in zip(vec, row)]
-    return vec
-
-
-def _rref(field, vectors):
-    """The canonical reduced-row-echelon basis of the span of `vectors`, in
-    the form `_rref_bases` lists: pivots 1, in increasing columns, and zero
-    elsewhere in pivot columns."""
-    rows = []
-    for vec in vectors:
-        vec = _reduce_vec(field, rows, vec)
-        p = next((i for i, x in enumerate(vec) if x), None)
-        if p is None:
-            continue
-        c = field.mul_table[field.inv(vec[p])]
-        vec = [c[x] for x in vec]
-        rows = [_reduce_vec(field, [vec], row) for row in rows]
-        rows.append(vec)
-    # A row with an earlier pivot is the larger tuple.
-    return tuple(sorted((tuple(row) for row in rows), reverse=True))
-
-
 def _arrow_table(field, m, sources, targets, rank):
     """For each source basis U, the indices j with m(U) inside targets[j],
     memoized on the reduced-row-echelon form W of m(U). Every j contains
@@ -256,8 +208,7 @@ def _arrow_table(field, m, sources, targets, rank):
                 js = frozenset((index[w],))
             else:
                 js = frozenset(j for j, target in enumerate(targets)
-                               if not any(any(_reduce_vec(field, target, v))
-                                          for v in w))
+                               if _subspace_contains(field, target, w))
             found[w] = js
         table.append(js)
     return table

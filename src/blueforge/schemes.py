@@ -8,10 +8,10 @@ import warnings
 from dataclasses import dataclass
 
 from .core import (ONE, ZERO, Blueprint, BlueprintError, BlueprintMorphism,
-                   MonomialBackend, additive_closure, is_prime_ideal,
-                   localize)
-from .spectra import (SpecPoint, SpecSpace, _bits, _hasse, residue_field,
-                      spec)
+                   MonomialBackend, _UnionFind, additive_closure,
+                   is_prime_ideal, localize)
+from .order import UpSetOrder, _bits
+from .spectra import SpecPoint, SpecSpace, residue_field, spec
 from . import counting
 
 
@@ -215,7 +215,7 @@ class BlueScheme:
         return f"BlueScheme({self.name or len(self.charts)})"
 
 
-class GluedSpace:
+class GluedSpace(UpSetOrder):
     """The colimit of the chart spectra, with the glued specialization order."""
 
     def __init__(self, scheme, reps, up):
@@ -227,23 +227,11 @@ class GluedSpace:
     def __len__(self):
         return len(self.reps)
 
-    def leq(self, a, b):
-        return bool(self._up[a] >> b & 1)
-
-    def lt(self, a, b):
-        return a != b and bool(self._up[a] >> b & 1)
-
     def labels(self):
         out = []
         for ci, pi in self.reps:
             out.append(f"U{ci}:{self.chart_spaces[ci].points[pi].label()}")
         return out
-
-    def closed_points(self):
-        return [a for a, m in enumerate(self._up) if not m & ~(1 << a)]
-
-    def covers(self):
-        return _hasse(self._up)
 
 
 def _gluing_morphism(scheme, g):
@@ -263,20 +251,7 @@ def _glue_points(scheme, budget=None):
     scheme._chart_spaces = spaces
     nodes = [(ci, pi) for ci, sp in enumerate(spaces)
              for pi in range(len(sp.points))]
-    index = {node: k for k, node in enumerate(nodes)}
-    parent = list(range(len(nodes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    uf = _UnionFind(nodes)
     for g in scheme.gluings:
         morph, _loc = _gluing_morphism(scheme, g)
         src_backend = scheme.charts[g.j].backend
@@ -297,20 +272,20 @@ def _glue_points(scheme, budget=None):
                     vars_j.append(name)
             pj = _point_with_vars(spaces[g.j], frozenset(vars_j))
             if pj is not None:
-                union(index[(g.i, pi)], index[(g.j, pj)])
+                uf.union((g.i, pi), (g.j, pj))
     classes = {}
     for node in nodes:
-        classes.setdefault(find(index[node]), []).append(node)
+        classes.setdefault(uf.find(node), []).append(node)
     reps = sorted(min(v) for v in classes.values())
-    rep_of = {find(index[r]): a for a, r in enumerate(reps)}
+    rep_of = {uf.find(r): a for a, r in enumerate(reps)}
     # a <= b iff some point of class a lies below some point of class b in
     # a common chart.
     up = []
     for r in reps:
         mask = 0
-        for ci, pi in classes[find(index[r])]:
+        for ci, pi in classes[uf.find(r)]:
             for pj in _bits(spaces[ci]._up[pi]):
-                mask |= 1 << rep_of[find(index[(ci, pj)])]
+                mask |= 1 << rep_of[uf.find((ci, pj))]
         up.append(mask)
     return GluedSpace(scheme, reps, up)
 
@@ -418,7 +393,7 @@ def projective_space(coeff_blueprint, n, budget=None, name=None):
 
 
 @dataclass
-class ProductSpace:
+class ProductSpace(UpSetOrder):
     """Admissible pairs of points with the componentwise order."""
 
     left: object
@@ -426,15 +401,13 @@ class ProductSpace:
     points: tuple        # (i, j) pairs
     excluded: tuple      # pairs whose admissibility is Unknown
 
+    def __post_init__(self):
+        self._up = [sum(1 << b for b, (k, l) in enumerate(self.points)
+                        if self.left.leq(i, k) and self.right.leq(j, l))
+                    for i, j in self.points]
+
     def __len__(self):
         return len(self.points)
-
-    def leq(self, a, b):
-        (i1, j1), (i2, j2) = self.points[a], self.points[b]
-        return self.left.leq(i1, i2) and self.right.leq(j1, j2)
-
-    def lt(self, a, b):
-        return a != b and self.leq(a, b)
 
     def projections_continuous(self):
         """Preimages of up-sets are up-sets (automatic for the componentwise

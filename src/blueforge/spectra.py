@@ -11,6 +11,7 @@ from .core import (ONE, ZERO, Blueprint, BlueprintError, FiniteTable,
                    is_prime_ideal, localize, quotient_by_ideal,
                    torus_certificate)
 from . import counting
+from .order import UpSetOrder, _up_masks
 
 
 class RankUndetermined(BlueprintError):
@@ -30,44 +31,7 @@ class SpecPoint:
         return self.ideal.generator_names()
 
 
-def _bits(mask):
-    """Indices of the set bits of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _up_masks(keysets):
-    """Up-set masks of the inclusion order on `keysets`: bit j of the i-th
-    mask is set iff keysets[i] <= keysets[j]."""
-    holders = {}
-    for j, keys in enumerate(keysets):
-        for k in keys:
-            holders[k] = holders.get(k, 0) | (1 << j)
-    out = []
-    for keys in keysets:
-        mask = (1 << len(keysets)) - 1
-        for k in keys:
-            mask &= holders[k]
-        out.append(mask)
-    return out
-
-
-def _hasse(up):
-    """Hasse edges (i, j) of the order given by up-set masks, in (i, j)
-    order: j strictly above i with nothing strictly between."""
-    strict = [m & ~(1 << i) for i, m in enumerate(up)]
-    out = []
-    for i, above in enumerate(strict):
-        through = 0
-        for k in _bits(above):
-            through |= strict[k]
-        out.extend((i, j) for j in _bits(above & ~through))
-    return out
-
-
-class SpecSpace:
+class SpecSpace(UpSetOrder):
     """The prime ideals of a blueprint with the specialization order.
 
     p <= q iff ideal(p) is contained in ideal(q); closed sets are the up-sets,
@@ -112,34 +76,11 @@ class SpecSpace:
     def __len__(self):
         return len(self.points)
 
-    def leq(self, i, j):
-        return bool(self._up[i] >> j & 1)
-
-    def lt(self, i, j):
-        return i != j and bool(self._up[i] >> j & 1)
-
     def labels(self):
         return [p.label() for p in self.points]
 
-    def closed_points(self):
-        return [i for i, m in enumerate(self._up) if not m & ~(1 << i)]
-
-    def generic_points(self):
-        below = 0
-        for i, m in enumerate(self._up):
-            below |= m & ~(1 << i)
-        return [i for i in range(len(self.points)) if not below >> i & 1]
-
-    def covers(self):
-        """Hasse edges (i, j): j specializes i, nothing strictly between."""
-        return _hasse(self._up)
-
-    def up_set(self, indices):
-        indices = frozenset(indices)
-        mask = 0
-        for j in indices:
-            mask |= self._up[j]
-        return indices | frozenset(_bits(mask))
+    # Bound on the class itself, where bench/trace.py wraps it.
+    covers = UpSetOrder.covers
 
     def closed_sets(self):
         n = len(self.points)
@@ -150,28 +91,6 @@ class SpecSpace:
             s = frozenset(i for i in range(n) if bits[i])
             if s == self.up_set(s):
                 out.add(s)
-        return out
-
-    def is_connected(self):
-        return len(self.connected_components()) <= 1
-
-    def connected_components(self):
-        adjacent = list(self._up)
-        for i, m in enumerate(self._up):
-            for j in _bits(m):
-                adjacent[j] |= 1 << i
-        out = []
-        left = (1 << len(self.points)) - 1
-        while left:
-            comp = frontier = left & -left
-            while frontier:
-                reach = 0
-                for k in _bits(frontier):
-                    reach |= adjacent[k]
-                frontier = reach & ~comp
-                comp |= reach
-            left &= ~comp
-            out.append(list(_bits(comp)))
         return out
 
     # closure / rank machinery ---------------------------------------------

@@ -1,10 +1,13 @@
 """Order complexes, Coxeter complexes, orbit complexes, buildings."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blueforge import catalog, complexes as cx
+from blueforge.fields import _rref_bases, gf
 from blueforge.schemes import proj
 from blueforge.spectra import rank_of_point, spec
 
@@ -210,3 +213,192 @@ class TestIsomorphismTesting:
         c = cx.TypedComplex(["p", "q"], {"p": 0, "q": 1},
                             [frozenset({"p", "q"})])
         assert c.facet_lines() == ["0:p 1:q"]
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the matrix-based poset and row space test
+
+
+class ReferencePoset:
+    """The n x n boolean matrix poset with an O(n^3) closure, kept as an
+    oracle for `FinitePoset`."""
+
+    def __init__(self, elements, leq_pairs):
+        self.elements = tuple(elements)
+        self.index = {x: i for i, x in enumerate(self.elements)}
+        n = len(self.elements)
+        self._leq = [[False] * n for _ in range(n)]
+        for i in range(n):
+            self._leq[i][i] = True
+        for a, b in leq_pairs:
+            self._leq[self.index[a]][self.index[b]] = True
+        for k in range(n):
+            for i in range(n):
+                if self._leq[i][k]:
+                    row_k = self._leq[k]
+                    row_i = self._leq[i]
+                    for j in range(n):
+                        if row_k[j]:
+                            row_i[j] = True
+        for i in range(n):
+            for j in range(n):
+                if i != j and self._leq[i][j] and self._leq[j][i]:
+                    raise ValueError("not antisymmetric")
+
+    def leq(self, a, b):
+        return self._leq[self.index[a]][self.index[b]]
+
+    def lt(self, a, b):
+        return a != b and self.leq(a, b)
+
+    def chains(self):
+        order = sorted(self.elements,
+                       key=lambda x: sum(self._leq[self.index[y]][self.index[x]]
+                                         for y in self.elements))
+        out = []
+
+        def extend(chain):
+            out.append(tuple(chain))
+            last = chain[-1]
+            for x in order:
+                if self.lt(last, x):
+                    chain.append(x)
+                    extend(chain)
+                    chain.pop()
+
+        for x in order:
+            extend([x])
+        return out
+
+    def height(self, x):
+        return max(len(c) for c in self.chains() if c[-1] == x) - 1
+
+    def sup(self, xs):
+        ubs = [u for u in self.elements if all(self.leq(x, u) for x in xs)]
+        mins = [u for u in ubs if not any(self.lt(v, u) for v in ubs)]
+        return mins[0] if len(mins) == 1 else None
+
+    def restricted(self, keep):
+        keep = set(keep)
+        pairs = [(a, b) for a in keep for b in keep if self.leq(a, b)]
+        return ReferencePoset([x for x in self.elements if x in keep], pairs)
+
+    def maximal(self):
+        return [x for x in self.elements
+                if not any(self.lt(x, y) for y in self.elements)]
+
+    def minimal(self):
+        return [x for x in self.elements
+                if not any(self.lt(y, x) for y in self.elements)]
+
+
+def reference_tilde(ref):
+    """The chains of `ref` as facets, typed by `ReferencePoset.height`, read
+    off one chain list instead of one per element."""
+    chains = ref.chains()
+    heights = {}
+    for c in chains:
+        heights[c[-1]] = max(heights.get(c[-1], 0), len(c) - 1)
+    return cx.TypedComplex(ref.elements, heights,
+                           [frozenset(c) for c in chains])
+
+
+def assert_same_poset(po, ref):
+    assert po.elements == ref.elements
+    for a in ref.elements:
+        for b in ref.elements:
+            assert po.leq(a, b) == ref.leq(a, b)
+            assert po.lt(a, b) == ref.lt(a, b)
+    assert po.chains() == ref.chains()
+    assert [po.height(x) for x in po.elements] == \
+        [ref.height(x) for x in ref.elements]
+    assert po.maximal() == ref.maximal()
+    assert po.minimal() == ref.minimal()
+
+
+@st.composite
+def label_pairs(draw):
+    """Up to 8 labels in a random order and a random pair list, not closed
+    under transitivity. Half the lists only point forwards along a hidden
+    order, so they are acyclic; the others may close cycles."""
+    n = draw(st.integers(1, 8))
+    labels = draw(st.permutations("abcdefgh"[:n]))
+    index_pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                          st.integers(0, n - 1)),
+                                max_size=2 * n))
+    if draw(st.booleans()):
+        index_pairs = [(i, j) for i, j in index_pairs if i <= j]
+    pairs = [(labels[i], labels[j]) for i, j in index_pairs]
+    keep = draw(st.lists(st.sampled_from(labels), unique=True))
+    return labels, pairs, keep
+
+
+class TestFinitePosetAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(label_pairs())
+    def test_random_pairs(self, case):
+        labels, pairs, keep = case
+        try:
+            ref = ReferencePoset(labels, pairs)
+        except ValueError:
+            with pytest.raises(ValueError, match="not antisymmetric"):
+                cx.FinitePoset(labels, pairs)
+            return
+        po = cx.FinitePoset(labels, pairs)
+        assert_same_poset(po, ref)
+        for r in range(4):
+            for xs in itertools.combinations(labels, r):
+                assert po.sup(xs) == ref.sup(xs)
+        assert_same_poset(po.restricted(keep), ref.restricted(keep))
+
+    def test_cycle_raises(self):
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            cx.FinitePoset("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tilde_complex_of_pn(self, n):
+        space = proj(catalog.proj_cone(n))
+        got = cx.tilde_complex(cx.poset_of_space(space))
+        labels = space.labels()
+        ref = ReferencePoset(labels, [
+            (labels[i], labels[j]) for i in range(len(labels))
+            for j in range(len(labels)) if space.leq(i, j)])
+        want = reference_tilde(ref)
+        assert got.facets == want.facets
+        assert got.types == want.types
+
+    def test_tilde_complex_of_sl2(self, sl2_space):
+        got = cx.tilde_complex(cx.specialization_poset(sl2_space))
+        labels = sl2_space.labels()
+        ref = ReferencePoset(labels, [
+            (labels[j], labels[i]) for i in range(len(labels))
+            for j in range(len(labels)) if sl2_space.leq(i, j)])
+        want = reference_tilde(ref)
+        assert got.facets == want.facets
+        assert got.types == want.types
+
+
+def reference_in_rowspace(field, rows, vec):
+    """Row space membership by field operations, kept as an oracle for the
+    table-based `_subspace_contains`."""
+    vec = list(vec)
+    for row in rows:
+        p = next((i for i, x in enumerate(row) if x), None)
+        if p is None:
+            continue
+        if vec[p]:
+            c = field.mul(vec[p], field.inv(row[p]))
+            vec = [field.sub(v, field.mul(c, r)) for v, r in zip(vec, row)]
+    return not any(vec)
+
+
+class TestSubspaceContainment:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_against_reference(self, dim, q):
+        field = gf(q)
+        spaces = [s for r in range(dim + 1) for s in _rref_bases(dim, r, q)]
+        for big in spaces:
+            for small in spaces:
+                assert cx._subspace_contains(field, big, small) == all(
+                    reference_in_rowspace(field, big, v) for v in small)

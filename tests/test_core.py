@@ -373,3 +373,11 @@ class TestFiniteIdealCharacterizations:
                 no_zero_div = all(q.backend.mul(a, b) != "0"
                                   for a in syms for b in syms)
                 assert (is_prime_ideal(bp, ideal) is True) == no_zero_div
+
+
+class TestTooLarge:
+    def test_one_class_under_every_module_name(self):
+        from blueforge import (catalog as cat, complexes, congruence, core,
+                               counting, kzero, quivergrass)
+        for mod in (cat, complexes, congruence, counting, kzero, quivergrass):
+            assert mod.TooLarge is core.TooLarge, mod.__name__

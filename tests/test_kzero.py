@@ -267,8 +267,12 @@ def reference_k0(blueprint, size_bound):
             if ksub is None or not kz.is_normal_mono(inc):
                 continue
             q, proj = kz.cokernel(inc)
+            # `kz.k0` leaves this check out: it cannot fail once the kernel
+            # check passed.
+            epi = kz.is_normal_epi(proj)
+            assert epi
             kq = classifier.find(q)
-            if kq is None or not kz.is_normal_epi(proj):
+            if kq is None or not epi:
                 continue
             row = [0] * len(projectives)
             row[im] += 1
