@@ -1651,15 +1651,38 @@ def _sum_checks(bp, cimages):
     return tuple(dict.fromkeys(checks))
 
 
+def _sum_total(tb, vals):
+    """A side's value as `apply_sum` and `eval_sum` give it: zero terms
+    dropped, the rest sorted by `tb.sort_key`, so the result does not rest on
+    the addition being associative."""
+    vals = [v for v in vals if v != ZERO]
+    if len(vals) > 1:
+        vals.sort(key=tb.sort_key)
+    return tb.eval_sum(vals)
+
+
+def _place_checks(checks, tb, rank):
+    """`checks` (see `_sum_checks`) in one list per step, each check at the
+    step of the last free it involves; `rank` maps each free to its step.
+    None when a check that involves no free fails."""
+    placed = [[] for _ in rank]
+    for lhs, rhs in checks:
+        d = max((rank[i] for _, p in lhs + rhs for i, _ in p), default=-1)
+        if d >= 0:
+            placed[d].append((lhs, rhs))
+        elif _sum_total(tb, [c for c, _ in lhs]) != \
+                _sum_total(tb, [c for c, _ in rhs]):
+            return None
+    return placed
+
+
 def _solutions(bp, tb, domains, cimages=None):
     """The value tuples of `itertools.product(*domains)`, one domain per free
     of `bp` (see `_sum_checks`), under which every check of `bp` holds in the
     finite semiring table `tb`, in product order. `cimages` gives the
     coefficient images of a monomial source.
 
-    Sides are evaluated as `apply_sum` and `eval_sum` do: zero terms are
-    dropped and the rest sorted by `tb.sort_key`, so the result does not rest
-    on the addition being associative. Each check runs in the loop over the
+    Sides are evaluated by `_sum_total`. Each check runs in the loop over the
     last free it involves. When that loop starts, each term's product over
     the earlier frees is formed once. Which values pass depends only on those
     products, so the passing values are memoized on them.
@@ -1673,27 +1696,21 @@ def _solutions(bp, tb, domains, cimages=None):
             v = powers[(x, e)] = tb.power(x, e)
         return v
 
-    def total(vals):
-        vals = [v for v in vals if v != ZERO]
-        if len(vals) > 1:
-            vals.sort(key=tb.sort_key)
-        return tb.eval_sum(vals)
-
+    placed = _place_checks(_sum_checks(bp, cimages), tb, range(len(domains)))
+    if placed is None:
+        return
     # Per loop: its terms as (constant, earlier powers, own exponent), and
     # each check as the bounds (start, middle, end) of its two sides.
     terms = [[] for _ in domains]
     bounds = [[] for _ in domains]
-    for lhs, rhs in _sum_checks(bp, cimages):
-        d = max((i for _, p in lhs + rhs for i, _ in p), default=-1)
-        if d < 0:
-            if total(c for c, _ in lhs) != total(c for c, _ in rhs):
-                return
-            continue
-        start = len(terms[d])
-        for c, p in lhs + rhs:
-            own = p and p[-1][0] == d
-            terms[d].append((c, p[:-1] if own else p, p[-1][1] if own else 0))
-        bounds[d].append((start, start + len(lhs), len(terms[d])))
+    for d, checks in enumerate(placed):
+        for lhs, rhs in checks:
+            start = len(terms[d])
+            for c, p in lhs + rhs:
+                own = p and p[-1][0] == d
+                terms[d].append((c, p[:-1] if own else p,
+                                 p[-1][1] if own else 0))
+            bounds[d].append((start, start + len(lhs), len(terms[d])))
     last = max((d for d in range(len(domains)) if bounds[d]), default=-1)
     tail = domains[last + 1:]
     memo = [{} for _ in range(last + 1)]
@@ -1714,7 +1731,7 @@ def _solutions(bp, tb, domains, cimages=None):
             for x in domains[d]:
                 vals = [p if not e else mul[(p, pw(x, e))]
                         for p, e in zip(prefix, exps)]
-                if all(total(vals[a:b]) == total(vals[b:c])
+                if all(_sum_total(tb, vals[a:b]) == _sum_total(tb, vals[b:c])
                        for a, b, c in bounds[d]):
                     found.append(x)
             memo[d][key] = found
@@ -1731,24 +1748,137 @@ def _solutions(bp, tb, domains, cimages=None):
     yield from walk(0, ())
 
 
-def enumerate_morphisms(bp, target, budget=None):
-    """All blueprint morphisms into a finite semiring-table target."""
-    if not target.is_semiring:
-        raise BlueprintError("morphism enumeration needs a semiring target")
-    tb = target.backend
-    backend = bp.backend
-    out = []
-    if backend.kind == "finite":
-        frees = [s for s in backend.symbols if s not in (ZERO, ONE)]
-        for values in _solutions(bp, tb, [tb.symbols] * len(frees)):
-            images = dict(zip(frees, values))
-            images[ZERO] = ZERO
-            images[ONE] = ONE
-            out.append(BlueprintMorphism(bp, target, images))
-        return out
-    cb = backend.coeff.backend
+def _elimination_order(checks, domains, size):
+    """The frees that some check involves, greedily ordered so that few
+    states of `_count_solutions` are expected. Once a set S of frees is set,
+    each term of a check still open takes at most min(size, product of the
+    domain sizes of its frees in S) values, and the estimate is the product
+    of these bounds. The next free is the one that makes it smallest, the
+    lowest index on a tie.
+    """
+    spans = []                # per term: its bound so far
+    terms = []                # per check: its terms as (span index, frees)
+    left = []                 # per check: its frees not yet set
+    through = {}              # free -> the checks that involve it
+    for c, (lhs, rhs) in enumerate(checks):
+        terms.append([])
+        for _, p in lhs + rhs:
+            terms[c].append((len(spans), {i for i, _ in p}))
+            spans.append(1)
+        left.append({i for _, p in lhs + rhs for i, _ in p})
+        for i in left[c]:
+            through.setdefault(i, []).append(c)
+
+    def change(f):
+        # The estimate after setting f is the current one times num / den:
+        # a check that f closes drops its terms, and in the others the
+        # terms that involve f grow.
+        num = den = 1
+        for c in through[f]:
+            for j, frees in terms[c]:
+                if len(left[c]) == 1:
+                    den *= spans[j]
+                elif f in frees:
+                    den *= spans[j]
+                    num *= min(size, spans[j] * len(domains[f]))
+        return num, den
+
+    order = []
+    while through:
+        best = None
+        for f in sorted(through):
+            num, den = change(f)
+            if best is None or num * best[2] < best[1] * den:
+                best = f, num, den
+        f = best[0]
+        for c in through.pop(f):
+            left[c].discard(f)
+            for j, frees in terms[c]:
+                if f in frees:
+                    spans[j] = min(size, spans[j] * len(domains[f]))
+        order.append(f)
+    return order
+
+
+def _count_solutions(bp, tb, domains, cimages=None):
+    """The number of value tuples `_solutions` yields for the same
+    arguments, found without listing them.
+
+    This is counting by variable elimination (Dechter, "Bucket elimination",
+    Artif. Intell. 113, 1999) as a forward pass: the frees that some check
+    involves are set one at a time, in the order of `_elimination_order`.
+    After some frees are set, a state is the tuple of the partial products of
+    the terms of the checks still open; equal states are merged and carry
+    their multiplicity. Each check is evaluated by `_sum_total`, as in
+    `_solutions`, at the step of the last free it involves, and its terms then
+    leave the state. The frees that no check involves multiply the count by
+    their domain sizes.
+    """
+    mul = tb.mul_table
+    checks = _sum_checks(bp, cimages)
+    order = _elimination_order(checks, domains, len(tb.symbols))
+    rank = {f: k for k, f in enumerate(order)}
+    placed = _place_checks(checks, tb, rank)
+    if placed is None:
+        return 0
+    # The state's slots are the terms of the checks in the order the checks
+    # close, so the open ones are always a suffix.
+    slots = [t for level in placed for lhs, rhs in level for t in lhs + rhs]
+    states = {tuple(c for c, _ in slots): 1}
+    exponents = {f: [] for f in order}     # free -> (slot, exponent)
+    for k, (_, p) in enumerate(slots):
+        for i, e in p:
+            exponents[i].append((k, e))
+    offset = 0
+    for d, f in enumerate(order):
+        # A check that involves f closes at step d or later, so its slots
+        # are still in the state.
+        touched = [(k - offset, e) for k, e in exponents[f]]
+        width = 0
+        bounds = []
+        for lhs, rhs in placed[d]:
+            start, mid = width, width + len(lhs)
+            width = mid + len(rhs)
+            bounds.append((start, mid, width))
+        offset += width
+        steps = [[(k, tb.power(x, e)) for k, e in touched]
+                 for x in domains[f]]
+        passes = {}
+        nxt = {}
+        for state, m in states.items():
+            for step in steps:
+                new = list(state)
+                for k, p in step:
+                    new[k] = mul[(new[k], p)]
+                if width:
+                    head = tuple(new[:width])
+                    ok = passes.get(head)
+                    if ok is None:
+                        ok = passes[head] = all(
+                            _sum_total(tb, head[a:b])
+                            == _sum_total(tb, head[b:c]) for a, b, c in bounds)
+                    if not ok:
+                        continue
+                    new = new[width:]
+                key = tuple(new)
+                nxt[key] = nxt.get(key, 0) + m
+        if not nxt:
+            return 0
+        states = nxt
+    count = sum(states.values())
+    for i, dom in enumerate(domains):
+        if i not in rank:
+            count *= len(dom)
+    return count
+
+
+def _coefficient_images(bp, tb):
+    """The maps of the coefficient carrier of a monomial source `bp` into the
+    table `tb` that fix 0 and 1 and keep its products and relations."""
+    coeff = bp.backend.coeff
+    cb = coeff.backend
     cfrees = [s for s in cb.symbols if s not in (ZERO, ONE)]
-    coeff_assignments = []
+    out = []
     for values in itertools.product(tb.symbols, repeat=len(cfrees)):
         images = dict(zip(cfrees, values))
         images[ZERO] = ZERO
@@ -1757,14 +1887,42 @@ def enumerate_morphisms(bp, target, budget=None):
                for a in cb.symbols for b in cb.symbols):
             continue
         if any(tb.eval_sum([images[t] for t in l]) != tb.eval_sum([images[t] for t in r])
-               for l, r in backend.coeff.relations):
+               for l, r in coeff.relations):
             continue
-        coeff_assignments.append(images)
+        out.append(images)
+    return out
+
+
+def _free_domains(bp, tb):
+    """One list of candidate values in `tb` per free of `bp` (see
+    `_sum_checks`): every symbol, or the units for an inverted generator."""
+    backend = bp.backend
+    if backend.kind == "finite":
+        frees = [s for s in backend.symbols if s not in (ZERO, ONE)]
+        return [tb.symbols] * len(frees)
     units = sorted(set(tb.symbols) - {ZERO})
-    gen_domains = [units if name in backend.inverted else list(tb.symbols)
-                   for name in backend.gens]
-    for cimages in coeff_assignments:
-        for values in _solutions(bp, tb, gen_domains, cimages):
+    return [units if name in backend.inverted else list(tb.symbols)
+            for name in backend.gens]
+
+
+def enumerate_morphisms(bp, target, budget=None):
+    """All blueprint morphisms into a finite semiring-table target."""
+    if not target.is_semiring:
+        raise BlueprintError("morphism enumeration needs a semiring target")
+    tb = target.backend
+    backend = bp.backend
+    domains = _free_domains(bp, tb)
+    out = []
+    if backend.kind == "finite":
+        frees = [s for s in backend.symbols if s not in (ZERO, ONE)]
+        for values in _solutions(bp, tb, domains):
+            images = dict(zip(frees, values))
+            images[ZERO] = ZERO
+            images[ONE] = ONE
+            out.append(BlueprintMorphism(bp, target, images))
+        return out
+    for cimages in _coefficient_images(bp, tb):
+        for values in _solutions(bp, tb, domains, cimages):
             images = dict(cimages)
             images.update(zip(backend.gens, values))
             out.append(BlueprintMorphism(bp, target, images))

@@ -7,14 +7,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (ONE, ZERO, Blueprint, BlueprintError, TooLarge,
-                   _solutions, enumerate_morphisms, field_blueprint)
+                   _coefficient_images, _count_solutions, _free_domains,
+                   enumerate_morphisms, field_blueprint)
 from .fields import SUPPORTED_Q
 
 SAMPLE_Q = SUPPORTED_Q
 
 
 def fq_points(obj, q):
-    """Number of F_q-rational points of a blueprint or scheme-like object."""
+    """Number of F_q-rational points of a blueprint or scheme-like object.
+
+    A blueprint's points are its morphisms to F_q. They are counted by
+    `core._count_solutions`, once per coefficient image of a monomial
+    source, and never listed.
+    """
     if hasattr(obj, "fq_points"):
         return obj.fq_points(q)
     if not isinstance(obj, Blueprint):
@@ -24,7 +30,21 @@ def fq_points(obj, q):
     backend = obj.backend
     if backend.kind == "monomial" and len(backend.gens) > 8:
         raise TooLarge("more than 8 generators")
-    return len(enumerate_morphisms(obj, field_blueprint(q)))
+    return _count_points(obj, q)
+
+
+def _count_points(bp, q, zero=()):
+    """The morphisms from `bp` to F_q that send the generators named in
+    `zero` to 0 (none of them, if one is inverted), counted."""
+    tb = field_blueprint(q).backend
+    domains = _free_domains(bp, tb)
+    if bp.backend.kind == "finite":
+        return _count_solutions(bp, tb, domains)
+    for name in zero:
+        i = bp.backend.gens.index(name)
+        domains[i] = [ZERO] if ZERO in domains[i] else []
+    return sum(_count_solutions(bp, tb, domains, cimages)
+               for cimages in _coefficient_images(bp, tb))
 
 
 def fq_morphisms(obj, q):
@@ -38,6 +58,8 @@ def projective_fq_points(blueprint, q, vanishing=()):
     lattice rows.
 
     `vanishing` names generators forced to zero (counting a closed subset).
+    Per choice of the first nonzero coordinate, the vectors are counted by
+    `core._count_solutions` and never listed.
     """
     if q not in SUPPORTED_Q:
         raise TooLarge(f"no field table for q={q}")
@@ -56,8 +78,8 @@ def projective_fq_points(blueprint, q, vanishing=()):
         domains[pivot] = (ONE,)
         for coord in live[pidx + 1:]:
             domains[coord] = tb.symbols
-        count += sum(1 for _ in _solutions(blueprint, tb, domains,
-                                           {ZERO: ZERO, ONE: ONE}))
+        count += _count_solutions(blueprint, tb, domains,
+                                  {ZERO: ZERO, ONE: ONE})
     return count
 
 

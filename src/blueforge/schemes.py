@@ -3,15 +3,13 @@ closed subschemes from integral relations, and topological fibre products."""
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
 from .core import (ONE, ZERO, Blueprint, BlueprintError, BlueprintMorphism,
-                   MonomialBackend, _UnionFind, additive_closure,
-                   is_prime_ideal, localize)
+                   MonomialBackend, _UnionFind, localize)
 from .order import UpSetOrder, _bits
-from .spectra import SpecPoint, SpecSpace, residue_field, spec
+from .spectra import SpecSpace, _monomial_primes, residue_field, spec
 from . import counting
 
 
@@ -127,29 +125,11 @@ def proj(graded, budget=None):
     positive = graded.positive_generators()
     if not positive:
         raise EmptyIrrelevantComplement("no positive-degree generators")
-    blueprint = graded.blueprint
-    backend = blueprint.backend
-    candidates = [n for n in backend.gens if n not in backend.inverted]
-    points = []
-    complete = True
-    seen = set()
-    for r in range(len(candidates) + 1):
-        for sub in itertools.combinations(candidates, r):
-            elems = [backend.gen_element(n) for n in sub]
-            ideal = additive_closure(blueprint, elems, budget)
-            if ideal.saturated != "exact":
-                complete = False
-                continue
-            if ideal.minimal in seen:
-                continue
-            seen.add(ideal.minimal)
-            if not ideal.is_proper():
-                continue
-            if all(ideal.contains(backend.gen_element(n)) for n in positive):
-                continue
-            if is_prime_ideal(blueprint, ideal) is True:
-                points.append(SpecPoint(ideal))
-    points.sort(key=lambda p: (len(p.ideal.minimal), p.generator_names()))
+    backend = graded.blueprint.backend
+    irrelevant = [backend.gen_element(n) for n in positive]
+    points, complete = _monomial_primes(
+        graded.blueprint, budget,
+        lambda ideal: not all(map(ideal.contains, irrelevant)))
     return ProjSpace(graded, points, complete)
 
 
@@ -196,15 +176,13 @@ class BlueScheme:
     def fq_points(self, q):
         if self.graded_model is not None:
             return self.graded_model.fq_points(q)
-        total = 0
-        for i, chart in enumerate(self.charts):
-            lower = [g for g in self.gluings if g.i == i and g.j < i]
-            for f in counting.fq_morphisms(chart, q):
-                vals = [f.apply(chart.backend.gen_element(g.invert_i))
-                        for g in lower]
-                if all(v == "0" for v in vals):
-                    total += 1
-        return total
+        # Each point is counted on the first chart that contains it: chart i
+        # counts the points where every generator it inverts on a gluing to
+        # an earlier chart vanishes.
+        return sum(
+            counting._count_points(chart, q, {g.invert_i for g in self.gluings
+                                              if g.i == i and g.j < i})
+            for i, chart in enumerate(self.charts))
 
     def point_space(self, budget=None):
         if self._points is None:

@@ -128,41 +128,60 @@ def spec(blueprint, budget=None):
     """
     budget = budget or blueprint.budget
     backend = blueprint.backend
+    if backend.kind == "monomial":
+        return SpecSpace(blueprint, *_monomial_primes(blueprint, budget))
     points = []
     complete = True
-    if backend.kind == "finite":
-        syms = [s for s in backend.symbols if s != ZERO]
-        for r in range(len(syms) + 1):
-            for sub in itertools.combinations(syms, r):
-                ideal = additive_closure(blueprint, sub, budget)
-                if ideal.saturated != "exact":
-                    complete = False
-                    continue
-                if set(ideal.minimal) != {ZERO} | set(sub):
-                    continue
-                if not ideal.is_proper():
-                    continue
-                if is_prime_ideal(blueprint, ideal) is True:
-                    points.append(SpecPoint(ideal))
-    else:
-        candidates = [n for n in backend.gens if n not in backend.inverted]
-        seen = set()
-        for r in range(len(candidates) + 1):
-            for sub in itertools.combinations(candidates, r):
-                elems = [backend.gen_element(n) for n in sub]
-                ideal = additive_closure(blueprint, elems, budget)
-                if ideal.saturated != "exact":
-                    complete = False
-                    continue
-                if ideal.minimal in seen:
-                    continue
-                seen.add(ideal.minimal)
-                if not ideal.is_proper():
-                    continue
-                if is_prime_ideal(blueprint, ideal) is True:
-                    points.append(SpecPoint(ideal))
-    points.sort(key=lambda p: (len(p.ideal.minimal), p.generator_names()))
+    syms = [s for s in backend.symbols if s != ZERO]
+    for r in range(len(syms) + 1):
+        for sub in itertools.combinations(syms, r):
+            ideal = additive_closure(blueprint, sub, budget)
+            if ideal.saturated != "exact":
+                complete = False
+                continue
+            if set(ideal.minimal) != {ZERO} | set(sub):
+                continue
+            if not ideal.is_proper():
+                continue
+            if is_prime_ideal(blueprint, ideal) is True:
+                points.append(SpecPoint(ideal))
+    points.sort(key=_point_order)
     return SpecSpace(blueprint, points, complete)
+
+
+def _point_order(p):
+    return (len(p.ideal.minimal), p.generator_names())
+
+
+def _monomial_primes(blueprint, budget, keep=None):
+    """The prime ideals of a monomial blueprint that are generated by sets of
+    non-inverted variables and pass `keep`, sorted, and whether every
+    closure was exact. Each set's ideal is its `additive_closure`; ideals
+    already seen are skipped.
+    """
+    backend = blueprint.backend
+    candidates = [n for n in backend.gens if n not in backend.inverted]
+    points = []
+    complete = True
+    seen = set()
+    for r in range(len(candidates) + 1):
+        for sub in itertools.combinations(candidates, r):
+            elems = [backend.gen_element(n) for n in sub]
+            ideal = additive_closure(blueprint, elems, budget)
+            if ideal.saturated != "exact":
+                complete = False
+                continue
+            if ideal.minimal in seen:
+                continue
+            seen.add(ideal.minimal)
+            if not ideal.is_proper():
+                continue
+            if keep is not None and not keep(ideal):
+                continue
+            if is_prime_ideal(blueprint, ideal) is True:
+                points.append(SpecPoint(ideal))
+    points.sort(key=_point_order)
+    return points, complete
 
 
 def stalk(blueprint, point, budget=None):

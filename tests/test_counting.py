@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from blueforge import catalog
 from blueforge.core import (ONE, ZERO, Blueprint, BlueprintMorphism,
-                            MonomialBackend, enumerate_morphisms,
-                            field_blueprint, refutation_targets)
+                            MonomialBackend, _coefficient_images,
+                            _count_solutions, _free_domains,
+                            _solutions, enumerate_morphisms, field_blueprint,
+                            refutation_targets)
 from blueforge.counting import (CountingPolynomial, counting_polynomial,
                                 euler_characteristic, fit_polynomial,
                                 fq_points, projective_fq_points, soule_zeta,
@@ -322,7 +324,7 @@ class TestSolverAgainstReference:
               "P3": lambda: catalog.proj_space(3).graded_model.blueprint,
               "P4_cone": lambda: catalog.proj_cone(4).blueprint}[name]()
         gens = bp.backend.gens
-        for q in (2, 3, 4, 5):
+        for q in (2, 3, 4, 5, 7):
             for vanishing in ((), (gens[1],), (gens[0], gens[-1])):
                 assert projective_fq_points(bp, q, vanishing) == \
                     reference_projective(bp, q, vanishing), (q, vanishing)
@@ -353,3 +355,54 @@ class TestSolverAgainstReference:
             target = field_blueprint(q)
             expected = reference_enumerate(bp, target)
             assert solver_images(bp, target) == expected
+            assert fq_points(bp, q) == len(expected)
+
+    @pytest.mark.parametrize("name", sorted(ENUMERATION_SOURCES))
+    def test_counts_match_reference(self, name):
+        bp = ENUMERATION_SOURCES[name]()
+        checked = 0
+        for q in SUPPORTED_Q:
+            target = field_blueprint(q)
+            if search_space(bp, target) > 10 ** 5:
+                continue
+            assert fq_points(bp, q) == len(reference_enumerate(bp, target)), q
+            checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("name", sorted(ENUMERATION_SOURCES))
+    def test_counter_matches_solver_on_restricted_domains(self, name):
+        """Domains of every size from empty to full, so the elimination
+        order and the tail meet frees of size 0, 1 and more."""
+        bp = ENUMERATION_SOURCES[name]()
+        rng = random.Random(name)
+        for q in (2, 3, 4):
+            tb = field_blueprint(q).backend
+            full = _free_domains(bp, tb)
+            images = ([None] if bp.backend.kind == "finite"
+                      else _coefficient_images(bp, tb))
+            for _ in range(6):
+                domains = [sorted(rng.sample(list(d), rng.randint(0, len(d))))
+                           if rng.random() < 0.6 else d for d in full]
+                for cimages in images:
+                    assert _count_solutions(bp, tb, domains, cimages) == \
+                        sum(1 for _ in _solutions(bp, tb, domains, cimages))
+
+
+class TestCheapCounts:
+    """Answers that counting without listing makes cheap."""
+
+    def test_affine_six_is_not_degree_four(self):
+        assert counting_polynomial(catalog.affine_space(6), 4) is None
+
+    def test_affine_six_at_nine(self):
+        assert fq_points(catalog.affine_space(6), 9) == 9 ** 6
+
+    def test_gr24_cone_polynomial(self, gr24):
+        poly = counting_polynomial(gr24.blueprint, 5)
+        assert poly.coeffs == (0, 0, -1, 1, 0, 1)
+        assert poly.render() == "q^5 + q^3 - q^2"
+        for q in SUPPORTED_Q:
+            # The cone is the origin and a line's worth of nonzero
+            # representatives over each point of Gr(2,4), a [4 choose 2]_q.
+            grass = (q ** 4 - 1) * (q ** 3 - 1) // ((q ** 2 - 1) * (q - 1))
+            assert poly(q) == 1 + (q - 1) * grass

@@ -4,12 +4,29 @@ import itertools
 
 import pytest
 
-from blueforge import catalog
+from blueforge import catalog, jsonio
 from blueforge.core import Blueprint, BlueprintError, MonomialBackend
-from blueforge.schemes import (GradedBlueprint, check_triple_overlaps,
+from blueforge.counting import fq_morphisms
+from blueforge.schemes import (BlueScheme, GradedBlueprint,
+                               check_triple_overlaps,
                                closed_subscheme_from_integer_relations,
                                fq_points_of_scheme, product, proj)
 from blueforge.spectra import spec
+
+
+def reference_chart_count(scheme, q):
+    """Points of a chart-glued scheme by listing every chart morphism and
+    keeping those that send each generator the chart inverts on a gluing to
+    an earlier chart to 0."""
+    total = 0
+    for i, chart in enumerate(scheme.charts):
+        lower = [g for g in scheme.gluings if g.i == i and g.j < i]
+        for f in fq_morphisms(chart, q):
+            vals = [f.apply(chart.backend.gen_element(g.invert_i))
+                    for g in lower]
+            if all(v == "0" for v in vals):
+                total += 1
+    return total
 
 
 class TestProj:
@@ -171,6 +188,29 @@ class TestSchemePoints:
                     assert ps.fq_points(q) == graded.fq_points(q)
             finally:
                 ps.graded_model = graded
+
+    def test_chart_counts_match_morphism_loop(self):
+        """The chart counts against the loop they replaced: every chart
+        morphism built, kept when all its lower-gluing generators map to 0."""
+        for n in (1, 2, 3):
+            ps = catalog.proj_space(n)
+            loaded = jsonio.scheme_from_json(jsonio.scheme_to_json(ps))
+            assert loaded.graded_model is None
+            for q in (2, 3, 4, 5):
+                expected = reference_chart_count(loaded, q)
+                assert expected == sum(q ** i for i in range(n + 1))
+                assert loaded.fq_points(q) == expected, (n, q)
+
+    def test_chart_counts_with_inverted_gluing_generator(self):
+        """A generator inverted on its own chart can never map to 0, so the
+        chart that must send it to 0 contributes nothing."""
+        ps = catalog.proj_space(1)
+        u0, u1 = ps.charts
+        inverted = Blueprint(MonomialBackend(catalog.f1(), u1.backend.gens,
+                                             u1.backend.gens), name="U1*")
+        scheme = BlueScheme([u0, inverted], ps.gluings, name="P1*")
+        for q in (2, 3, 5):
+            assert scheme.fq_points(q) == reference_chart_count(scheme, q) == q
 
     def test_sl2_brute_force(self, sl2):
         assert fq_points_of_scheme(spec(sl2), 2) == 6
