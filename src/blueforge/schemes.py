@@ -61,8 +61,8 @@ class ProjSpace(SpecSpace):
 
     projective = True
 
-    def __init__(self, graded, points, complete=True):
-        super().__init__(graded.blueprint, points, complete)
+    def __init__(self, graded, points, varsets):
+        super().__init__(graded.blueprint, points, varsets)
         self.graded = graded
 
     def ambient_blueprint(self):
@@ -120,17 +120,17 @@ class ProjSpace(SpecSpace):
 
 
 def proj(graded, budget=None):
-    """Homogeneous primes not containing all positive-degree elements."""
-    budget = budget or graded.blueprint.budget
+    """Homogeneous primes not containing all positive-degree generators.
+
+    The primes are decided exactly by `_monomial_primes`, so `budget` is
+    not read and the result is always complete."""
     positive = graded.positive_generators()
     if not positive:
         raise EmptyIrrelevantComplement("no positive-degree generators")
-    backend = graded.blueprint.backend
-    irrelevant = [backend.gen_element(n) for n in positive]
-    points, complete = _monomial_primes(
-        graded.blueprint, budget,
-        lambda ideal: not all(map(ideal.contains, irrelevant)))
-    return ProjSpace(graded, points, complete)
+    gens = graded.blueprint.backend.gens
+    points, varsets = _monomial_primes(
+        graded.blueprint, sum(1 << gens.index(n) for n in positive))
+    return ProjSpace(graded, points, varsets)
 
 
 def closed_subscheme_from_integer_relations(ambient, relations, budget=None):

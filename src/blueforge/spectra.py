@@ -41,37 +41,14 @@ class SpecSpace(UpSetOrder):
 
     projective = False
 
-    def __init__(self, blueprint, points, complete=True):
+    def __init__(self, blueprint, points, keysets, complete=True):
+        """`keysets[i]` is a set whose inclusions decide containment of the
+        point ideals: the symbols of a finite-table prime, the variables of
+        a monomial one."""
         self.blueprint = blueprint
         self.points = tuple(points)
         self.complete = complete
-        keysets = self._containment_sets()
-        if keysets is not None:
-            self._up = _up_masks(keysets)
-        else:
-            self._up = [sum(1 << j for j, q in enumerate(self.points)
-                            if all(q.ideal.contains(g) for g in p.ideal.minimal))
-                        for p in self.points]
-
-    def _containment_sets(self):
-        """Per-point sets whose inclusions decide ideal containment: symbol
-        sets for finite tables, variable sets when every minimal generator is
-        a single variable."""
-        backend = self.blueprint.backend
-        if backend.kind == "finite":
-            return [frozenset(p.ideal.minimal) for p in self.points]
-        out = []
-        for p in self.points:
-            names = set()
-            for g in p.ideal.minimal:
-                coeff, exps = g
-                live = [(i, e) for i, e in enumerate(exps) if e]
-                if len(live) != 1 or live[0][1] != 1 \
-                        or not backend.coeff.is_unit(coeff):
-                    return None
-                names.add(backend.gens[live[0][0]])
-            out.append(frozenset(names))
-        return out
+        self._up = _up_masks(keysets)
 
     def __len__(self):
         return len(self.points)
@@ -121,15 +98,17 @@ class SpecSpace(UpSetOrder):
 def spec(blueprint, budget=None):
     """Enumerate the prime spectrum.
 
-    Monomial backends: candidate ideals are generated by subsets of the
-    non-invertible variables (the underlying monoid is free modulo the unit
-    lattice, so a monomial prime is generated by the variables it contains);
-    complement multiplicativity is re-verified per candidate.
+    Monomial backends: the primes are the ideals (S) generated by sets S of
+    non-inverted variables that no relation forces to grow (see
+    `_monomial_primes`); this is decided exactly, without the budget, and
+    the result is always complete. Finite tables: every symbol set is
+    closed within the budget and tested for primality.
     """
-    budget = budget or blueprint.budget
     backend = blueprint.backend
     if backend.kind == "monomial":
-        return SpecSpace(blueprint, *_monomial_primes(blueprint, budget))
+        points, varsets = _monomial_primes(blueprint)
+        return SpecSpace(blueprint, points, varsets)
+    budget = budget or blueprint.budget
     points = []
     complete = True
     syms = [s for s in backend.symbols if s != ZERO]
@@ -145,43 +124,50 @@ def spec(blueprint, budget=None):
                 continue
             if is_prime_ideal(blueprint, ideal) is True:
                 points.append(SpecPoint(ideal))
-    points.sort(key=_point_order)
-    return SpecSpace(blueprint, points, complete)
+    points.sort(key=lambda p: (len(p.ideal.minimal), p.generator_names()))
+    return SpecSpace(blueprint, points,
+                     [frozenset(p.ideal.minimal) for p in points], complete)
 
 
-def _point_order(p):
-    return (len(p.ideal.minimal), p.generator_names())
+def _monomial_primes(blueprint, irrelevant=0):
+    """The primes of a monomial blueprint, sorted by size and then by names,
+    with their variable sets; with a nonzero `irrelevant` mask (bit i for
+    gens[i]) the sets that contain all of it are left out, as Proj does.
 
-
-def _monomial_primes(blueprint, budget, keep=None):
-    """The prime ideals of a monomial blueprint that are generated by sets of
-    non-inverted variables and pass `keep`, sorted, and whether every
-    closure was exact. Each set's ideal is its `additive_closure`; ideals
-    already seen are skipped.
+    The primes are the ideals (S) of sets S of non-inverted variables that
+    are closed. A nonzero term lies in (S) iff one of its non-inverted
+    variables is in S, so each term is read as the bitmask of those. (S) is
+    closed iff no relation has exactly one term outside it, counting the
+    terms of both sides with multiplicity: that term is what
+    `additive_closure` adds with the multiplier 1, and every other
+    multiplier it tries has a unit coefficient, so it either lies in (S)
+    and forces nothing or acts on membership in (S) as 1 does. Lattice
+    vectors touch only inverted variables, so the complement of a closed
+    (S) is multiplicative. No budget is read.
     """
     backend = blueprint.backend
-    candidates = [n for n in backend.gens if n not in backend.inverted]
-    points = []
-    complete = True
-    seen = set()
-    for r in range(len(candidates) + 1):
-        for sub in itertools.combinations(candidates, r):
-            elems = [backend.gen_element(n) for n in sub]
-            ideal = additive_closure(blueprint, elems, budget)
-            if ideal.saturated != "exact":
-                complete = False
+    free = [i for i, n in enumerate(backend.gens) if n not in backend.inverted]
+    relations = [[sum(1 << i for i in free if t[1][i]) for t in l + r]
+                 for l, r in blueprint.relations]
+
+    def forces(s):
+        return any(sum(not m & s for m in masks) == 1 for masks in relations)
+
+    found = []
+    for r in range(len(free) + 1):
+        for sub in itertools.combinations(free, r):
+            s = sum(1 << i for i in sub)
+            if (irrelevant and not irrelevant & ~s) or forces(s):
                 continue
-            if ideal.minimal in seen:
-                continue
-            seen.add(ideal.minimal)
-            if not ideal.is_proper():
-                continue
-            if keep is not None and not keep(ideal):
-                continue
-            if is_prime_ideal(blueprint, ideal) is True:
-                points.append(SpecPoint(ideal))
-    points.sort(key=_point_order)
-    return points, complete
+            found.append((r, sorted(backend.gens[i] for i in sub), sub))
+    found.sort()
+    elems = {i: backend.gen_element(backend.gens[i]) for i in free}
+    points, varsets = [], []
+    for _, names, sub in found:
+        gens = tuple(sorted((elems[i] for i in sub), key=backend.sort_key))
+        points.append(SpecPoint(IdealDescriptor(blueprint, gens, gens, "exact")))
+        varsets.append(frozenset(names))
+    return points, varsets
 
 
 def stalk(blueprint, point, budget=None):

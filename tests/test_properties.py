@@ -5,15 +5,19 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blueforge import arithcurve as ac
 from blueforge import catalog
-from blueforge.core import (ONE, PROVED, ZERO, ForeignElement,
-                            MonomialBackend, additive_closure, derive,
-                            enumerate_morphisms, field_blueprint,
-                            is_prime_ideal, _monomial_divides, _rewrites)
+from blueforge.budget import Budget
+from blueforge.core import (ONE, PROVED, ZERO, Blueprint, ForeignElement,
+                            MonomialBackend,
+                            additive_closure, derive, enumerate_morphisms,
+                            field_blueprint, is_prime_ideal, localize,
+                            _monomial_divides, _rewrites)
 from blueforge.counting import fit_polynomial
+from blueforge.schemes import proj
+from blueforge.spectra import _monomial_primes, spec
 
 rationals = st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000),
                          max_denominator=1000)
@@ -197,3 +201,110 @@ class TestFastPaths:
                         reference_is_prime(bp, ideal), (bp, sub)
                     checked += 1
             assert checked
+
+
+def reference_monomial_primes(bp, budget, keep=None):
+    """The closure loop: the `additive_closure` of every set of non-inverted
+    variables, kept when it is proper, passes `keep` and is prime; with
+    whether every closure was exact. A prime reached from several sets can
+    be listed more than once, under different generator tuples."""
+    backend = bp.backend
+    candidates = [n for n in backend.gens if n not in backend.inverted]
+    points = []
+    complete = True
+    seen = set()
+    for r in range(len(candidates) + 1):
+        for sub in itertools.combinations(candidates, r):
+            ideal = additive_closure(
+                bp, [backend.gen_element(n) for n in sub], budget)
+            if ideal.saturated != "exact":
+                complete = False
+                continue
+            if ideal.minimal in seen:
+                continue
+            seen.add(ideal.minimal)
+            if not ideal.is_proper():
+                continue
+            if keep is not None and not keep(ideal):
+                continue
+            if is_prime_ideal(bp, ideal) is True:
+                points.append(ideal)
+    points.sort(key=lambda i: (len(i.minimal), i.generator_names()))
+    return points, complete
+
+
+def variable_set(ideal):
+    gens = ideal.blueprint.backend.gens
+    return frozenset(n for _, exps in ideal.minimal
+                     for n, e in zip(gens, exps) if e)
+
+
+def irrelevant_keep(bp, names):
+    elems = [bp.backend.gen_element(n) for n in names]
+    return lambda ideal: not all(map(ideal.contains, elems))
+
+
+class TestMonomialPrimes:
+    """The support-mask rule of `_monomial_primes` against the closure loop,
+    wherever every closure of the loop is exact."""
+
+    def monomial_catalog(self):
+        affine = [catalog.affine_space(n) for n in range(6)]
+        tori = [catalog.torus(n) for n in (1, 2, 3)]
+        sl2 = catalog.sl2_f1()
+        b = sl2.backend
+        local = [localize(sl2, [b.gen_element("T1")]),
+                 localize(sl2, [b.gen_element("T2"), b.gen_element("T3")])]
+        charts = list(catalog.proj_space(2).charts)
+        return affine + tori + [sl2, catalog.sl2_minors()] + local + charts
+
+    def graded_catalog(self):
+        return [catalog.proj_cone(n) for n in (1, 2, 3)] + \
+            [catalog.grassmannian_f1(1, 3), catalog.grassmannian_f1(2, 4)]
+
+    def test_catalog_entries(self):
+        compared = 0
+        for budget in (None, Budget(4, 8, 600)):
+            cases = [(bp, spec(bp, budget), None)
+                     for bp in self.monomial_catalog()]
+            for g in self.graded_catalog():
+                cases.append((g.blueprint, spec(g.blueprint, budget), None))
+                cases.append((g.blueprint, proj(g, budget), irrelevant_keep(
+                    g.blueprint, g.positive_generators())))
+            for bp, space, keep in cases:
+                assert space.complete
+                ref, complete = reference_monomial_primes(
+                    bp, budget or bp.budget, keep)
+                if not complete:
+                    continue
+                assert space.labels() == [repr(i) for i in ref], bp
+                compared += 1
+        assert compared >= 40
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_blueprints(self, data):
+        backend = data.draw(st.sampled_from(divides_backends()))
+
+        def term():
+            c = data.draw(st.sampled_from(backend.coeff.backend.symbols))
+            exps = tuple(data.draw(st.integers(-1 if n in backend.inverted
+                                               else 0, 2))
+                         for n in backend.gens)
+            return backend.normalize((c, exps))
+
+        relations = [tuple([term() for _ in range(data.draw(
+                         st.integers(0, 3)))] for _side in range(2))
+                     for _ in range(data.draw(st.integers(1, 3)))]
+        # Both sides only read the closure rule, which does not need a
+        # proper blueprint; the properness guard would cost most of the run.
+        bp = Blueprint(backend, relations, check_proper=False)
+        positive = data.draw(st.sets(st.sampled_from(backend.gens)))
+        mask = sum(1 << backend.gens.index(n) for n in positive)
+        points, varsets = _monomial_primes(bp, mask)
+        assert varsets == [variable_set(p.ideal) for p in points]
+        assert len(set(varsets)) == len(varsets)
+        ref, complete = reference_monomial_primes(
+            bp, bp.budget, irrelevant_keep(bp, positive) if positive else None)
+        assume(complete)
+        assert set(varsets) == {variable_set(i) for i in ref}

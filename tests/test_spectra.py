@@ -1,9 +1,13 @@
 """Spectra, stalks, residue fields, globalization, ranks, Weyl extensions."""
 
+import math
 import random
+import time
 
 from blueforge import catalog
-from blueforge.core import (PROVED, UNKNOWN, derive, is_blue_field,
+from blueforge.budget import Budget
+from blueforge.core import (PROVED, UNKNOWN, Blueprint, MonomialBackend,
+                            derive, is_blue_field,
                             BlueprintMorphism, is_morphism,
                             field_blueprint, quotient_by_ideal)
 from blueforge.schemes import proj
@@ -54,6 +58,46 @@ class TestSpec:
         X = spec(catalog.two_fields(2, 3))
         assert len(X) == 3
         assert len(X.closed_points()) == 1
+
+    def test_each_prime_is_listed_once(self):
+        # -W + Z = X + Z over F1^2: (X, Z) and (W, Z) are not closed, and
+        # closing them gives (W, X, Z) again, with the generator -1*W resp.
+        # -1*X; comparing generator tuples listed that prime three times
+        backend = MonomialBackend(catalog.f1_squared(), ("W", "X", "Z"))
+        w, x, z = (backend.gen_element(n) for n in backend.gens)
+        minus_w = backend.mul(backend.coeff_element("-1"), w)
+        X = spec(Blueprint(backend, [([minus_w, z], [x, z])]))
+        assert X.labels() == ["(0)", "(W)", "(X)", "(Z)", "(W, X)",
+                              "(W, X, Z)"]
+        assert X.complete
+
+
+class TestDecidedSpectra:
+    """Monomial spectra are decided without a budget."""
+
+    def test_grassmannian_2_5(self):
+        start = time.perf_counter()
+        P = proj(catalog.grassmannian_f1(2, 5))
+        elapsed = time.perf_counter() - start
+        assert len(P) == 171 and P.complete
+        closed = P.closed_points()
+        assert len(closed) == math.comb(5, 2)
+        # a closed point kills every Pluecker coordinate but one
+        assert all(len(P.points[i].generator_names()) == 9 for i in closed)
+        assert elapsed < 1.0
+
+    def test_affine_10(self):
+        X = spec(catalog.affine_space(10))
+        assert len(X) == 1024 and X.complete
+
+    def test_tiny_budget_gives_the_same_points(self, sl2_space, gr24):
+        tiny = Budget(1, 1, 1)
+        for small, full in ((spec(catalog.sl2_f1(), tiny), sl2_space),
+                            (spec(gr24.blueprint, tiny), spec(gr24.blueprint)),
+                            (proj(gr24, tiny), proj(gr24))):
+            assert small.complete
+            assert small.labels() == full.labels()
+            assert small.covers() == full.covers()
 
 
 class TestStalkResidue:
