@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import arithcurve, catalog, complexes, congruence, counting, jsonio, kzero
 from .budget import Budget
@@ -291,7 +292,10 @@ def _add_common(p, budget=True, js=True, dot=False):
                        help="derivation budget 'deg,terms,steps'")
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every `main` call can share it."""
     ap = argparse.ArgumentParser(prog="blueforge",
                                  description="computable F1 geometry")
     sub = ap.add_subparsers(dest="verb", required=True)

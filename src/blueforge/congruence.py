@@ -124,8 +124,7 @@ class _ChainClosure:
         mults = backend.multipliers(0)
 
         def scaled(m, terms):
-            return tuple(sorted(x for x in _scale(blueprint, m, terms)
-                                if x != ZERO))
+            return tuple(sorted(_scale(blueprint, m, terms)))
 
         pairs = [(scaled(m, L), scaled(m, R))
                  for L, R in blueprint.oriented_relations() for m in mults]

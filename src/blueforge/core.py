@@ -402,6 +402,8 @@ class Blueprint:
             if pair is not None:
                 rels.append(pair)
         self.relations = tuple(sorted(set(rels)))
+        self._oriented = tuple(side for l, r in self.relations
+                               for side in ((l, r), (r, l)))
         if check_proper:
             pair = improper_pair(self, _guard_budget(self.budget))
             if pair is not None:
@@ -455,11 +457,7 @@ class Blueprint:
                 and self.backend.add_table is not None)
 
     def oriented_relations(self):
-        out = []
-        for l, r in self.relations:
-            out.append((l, r))
-            out.append((r, l))
-        return out
+        return list(self._oriented)
 
     def carrier(self):
         if self.backend.kind != "finite":
@@ -492,54 +490,109 @@ def mk_blueprint(backend, relations=(), budget=None, name=None):
 
 
 def _scale(bp, m, terms):
-    return [bp.mul(m, t) for t in terms]
+    """The nonzero products m*t, t in terms."""
+    mul, is_zero = bp.backend.mul, bp.backend.is_zero
+    return [x for t in terms if not is_zero(x := mul(m, t))]
 
 
-def _contains(u_counter, part):
-    for t, kk in part.items():
-        if u_counter[t] < kk:
-            return False
-    return True
+class _RewriteMemo:
+    """What the rewrite kernel computes for one search, so that each piece is
+    computed once: the multipliers that carry a relation's left side onto a
+    term, and per (multiplier, relation) the scaled sides. Tied to one
+    blueprint and one degree bound; a search drops it when it returns."""
+
+    __slots__ = ("bp", "max_degree", "quotients", "cands", "left", "right",
+                 "adds")
+
+    def __init__(self, bp, max_degree):
+        self.bp = bp
+        self.max_degree = max_degree
+        self.quotients = {}  # (t, l) -> backend.divide(t, l)
+        self.cands = {}   # (t, i) -> multipliers m with m*l == t, l in L_i
+        self.left = {}    # (m, i) -> m*L_i, or () over the degree bound
+        self.right = {}   # (m, i) -> m*R_i
+        self.adds = {}    # i with L_i empty -> the nonempty m*R_i
+
+    def candidates(self, t, i, L):
+        out = self.cands.get((t, i))
+        if out is None:
+            out = self.cands[t, i] = set()
+            for l in L:
+                q = self.quotients.get((t, l))
+                if q is None:
+                    q = self.quotients[t, l] = self.bp.backend.divide(t, l)
+                out.update(q)
+        return out
+
+    def scaled_left(self, m, i, L):
+        out = self.left.get((m, i))
+        if out is None:
+            out = self.left[m, i] = (
+                tuple(_scale(self.bp, m, L))
+                if self.bp.backend.degree(m) <= self.max_degree else ())
+        return out
+
+    def scaled_right(self, m, i, R):
+        out = self.right.get((m, i))
+        if out is None:
+            out = self.right[m, i] = _scale(self.bp, m, R)
+        return out
+
+    def additions(self, i, R):
+        out = self.adds.get(i)
+        if out is None:
+            mults = self.bp.backend.multipliers(self.max_degree)
+            out = self.adds[i] = [add for add in (_scale(self.bp, m, R)
+                                                  for m in mults) if add]
+        return out
 
 
-def _rewrites(bp, u, budget):
-    """One-step rewrites of the formal sum u under the generated congruence."""
-    backend = bp.backend
-    u_counter = Counter(u)
-    for L, R in bp.oriented_relations():
-        if L:
-            cands = set()
-            for t in set(u):
-                for l in L:
-                    cands.update(backend.divide(t, l))
-            for m in sorted(cands, key=backend.sort_key):
-                if backend.degree(m) > budget.max_degree:
-                    continue
-                mL = Counter(x for x in _scale(bp, m, L) if not backend.is_zero(x))
-                if not mL or not _contains(u_counter, mL):
-                    continue
-                v = u_counter - mL
-                for x in _scale(bp, m, R):
-                    if not backend.is_zero(x):
-                        v[x] += 1
-                flat = tuple(sorted(v.elements(), key=backend.sort_key))
-                if len(flat) <= budget.max_terms:
-                    yield flat
-        else:
-            for m in backend.multipliers(budget.max_degree):
-                add = [x for x in _scale(bp, m, R) if not backend.is_zero(x)]
-                if not add:
-                    continue
-                v = list(u) + add
-                if len(v) <= budget.max_terms:
-                    yield tuple(sorted(v, key=backend.sort_key))
+def _rewrites(bp, u, budget, memo=None):
+    """One-step rewrites of the formal sum u under the generated congruence.
+
+    Sums are sorted by their terms: both backends' `sort_key` orders as the
+    elements themselves do.
+    """
+    if memo is None:
+        memo = _RewriteMemo(bp, budget.max_degree)
+    max_terms = budget.max_terms
+    size = len(u)
+    terms = set(u)
+    for i, (L, R) in enumerate(bp._oriented):
+        if not L:
+            for add in memo.additions(i, R):
+                if size + len(add) <= max_terms:
+                    yield tuple(sorted((*u, *add)))
+            continue
+        cands = set()
+        for t in terms:
+            cands.update(memo.candidates(t, i, L))
+        for m in sorted(cands):
+            mL = memo.scaled_left(m, i, L)
+            if not mL:
+                continue
+            v = list(u)
+            try:
+                for x in mL:
+                    v.remove(x)
+            except ValueError:   # m*L is not contained in u
+                continue
+            mR = memo.scaled_right(m, i, R)
+            if size - len(mL) + len(mR) <= max_terms:
+                v += mR
+                v.sort()
+                yield tuple(v)
 
 
-def _explore(bp, start, budget, targets=frozenset(), collect_singles=False):
+def _explore(bp, start, budget, targets=frozenset(), collect_singles=False,
+             memo=None):
     """Bounded BFS through the congruence class of `start`.
 
-    Returns (hit_target, singles_found, truncated).
+    Returns (hit_target, singles_found, truncated). `memo` lets searches on
+    the same blueprint and degree bound share the kernel's work.
     """
+    if memo is None:
+        memo = _RewriteMemo(bp, budget.max_degree)
     seen = {start}
     frontier = [start]
     singles = set()
@@ -548,7 +601,7 @@ def _explore(bp, start, budget, targets=frozenset(), collect_singles=False):
     while frontier:
         nxt = []
         for u in frontier:
-            for v in _rewrites(bp, u, budget):
+            for v in _rewrites(bp, u, budget, memo):
                 steps += 1
                 if steps > budget.max_steps:
                     return False, singles, True
@@ -578,10 +631,11 @@ def _derive3(bp, l, r, budget):
         return REFUTED, None
     half = Budget(budget.max_degree, budget.max_terms,
                   max(1, budget.max_steps // 2))
-    hit, _, _ = _explore(bp, l, half, targets=frozenset([r]))
+    memo = _RewriteMemo(bp, half.max_degree)
+    hit, _, _ = _explore(bp, l, half, targets=frozenset([r]), memo=memo)
     if hit:
         return PROVED, None
-    hit, _, _ = _explore(bp, r, half, targets=frozenset([l]))
+    hit, _, _ = _explore(bp, r, half, targets=frozenset([l]), memo=memo)
     if hit:
         return PROVED, None
     return UNKNOWN, None
@@ -600,8 +654,10 @@ def improper_pair(bp, budget):
     """Search for a derivable identification of two distinct elements."""
     if not bp.relations:
         return None
+    memo = _RewriteMemo(bp, budget.max_degree)
     for p in _probe_elements(bp):
-        _, singles, _ = _explore(bp, (p,), budget, collect_singles=True)
+        _, singles, _ = _explore(bp, (p,), budget, collect_singles=True,
+                                 memo=memo)
         for s in sorted(singles, key=bp.backend.sort_key):
             if s != p:
                 return (p, s)
@@ -767,10 +823,10 @@ def additive_closure(bp, elems, budget=None):
                     return IdealDescriptor(bp, bp.normalize_sum(elems),
                                            tuple(sorted(mins, key=backend.sort_key)),
                                            "truncated")
-                mR = [x for x in _scale(bp, m, R) if not backend.is_zero(x)]
+                mR = _scale(bp, m, R)
                 if not all(contains(x) for x in mR):
                     continue
-                mL = [x for x in _scale(bp, m, L) if not backend.is_zero(x)]
+                mL = _scale(bp, m, L)
                 missing = [x for x in mL if not contains(x)]
                 if len(missing) == 1 and add_gen(missing[0]):
                     changed = True
@@ -814,10 +870,10 @@ def _finite_additive_closure(bp, elems, budget):
                     truncated = True
                     changed = False
                     break
-                mR = [x for x in _scale(bp, m, R) if not backend.is_zero(x)]
+                mR = _scale(bp, m, R)
                 if not all(x in members for x in mR):
                     continue
-                mL = [x for x in _scale(bp, m, L) if not backend.is_zero(x)]
+                mL = _scale(bp, m, L)
                 missing = [x for x in mL if x not in members]
                 if len(missing) == 1:
                     members.add(missing[0])

@@ -7,7 +7,7 @@ import pytest
 
 from blueforge import catalog, jsonio
 from blueforge.budget import Budget, default_budget
-from blueforge.cli import main
+from blueforge.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -276,3 +276,19 @@ class TestContracts:
         with pytest.raises(SystemExit) as exc:
             main(["spec", "catalog:A1", "--threads", "2"])
         assert exc.value.code == 2
+
+    def test_shared_parser_survives_a_parse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["not_a_verb"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        argv = ["spec", "catalog:sl2", "--json"]
+        code, out, err = run(capsys, *argv)
+        assert build_parser() is build_parser()
+        fresh = build_parser.__wrapped__()
+        assert vars(build_parser().parse_args(argv)) == \
+            vars(fresh.parse_args(argv))
+        args = fresh.parse_args(argv)
+        args.budget = None
+        assert args.func(args) == code
+        assert capsys.readouterr() == (out, err)

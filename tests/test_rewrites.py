@@ -1,0 +1,273 @@
+"""The rewrite kernel against a plain reference copy.
+
+`reference_rewrites` is the kernel without its per-search memo: it divides,
+scales and sorts (by `sort_key`) afresh for every sum. The memoized kernel
+must yield the same sequence, order and duplicates included, so every search
+built on it takes the same steps.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from blueforge import catalog
+from blueforge.budget import Budget
+from blueforge.core import (ONE, PROVED, UNKNOWN, Blueprint,
+                            ImproperRelations, MonomialBackend, _RewriteMemo,
+                            _probe_elements, _rewrites, derive, improper_pair)
+
+CATALOG_BUDGET = Budget(4, 8, 600)
+REFUTE_BUDGET = Budget(6, 12, 3000)
+GUARD_BUDGET = Budget(3, 8, 600)
+BUDGETS = (CATALOG_BUDGET, REFUTE_BUDGET, GUARD_BUDGET)
+
+
+def reference_rewrites(bp, u, budget):
+    backend = bp.backend
+    u_counter = Counter(u)
+    for L, R in bp.oriented_relations():
+        if L:
+            cands = set()
+            for t in set(u):
+                for l in L:
+                    cands.update(backend.divide(t, l))
+            for m in sorted(cands, key=backend.sort_key):
+                if backend.degree(m) > budget.max_degree:
+                    continue
+                mL = Counter(x for x in (bp.mul(m, t) for t in L)
+                             if not backend.is_zero(x))
+                if not mL or any(u_counter[t] < k for t, k in mL.items()):
+                    continue
+                v = u_counter - mL
+                for x in (bp.mul(m, t) for t in R):
+                    if not backend.is_zero(x):
+                        v[x] += 1
+                flat = tuple(sorted(v.elements(), key=backend.sort_key))
+                if len(flat) <= budget.max_terms:
+                    yield flat
+        else:
+            for m in backend.multipliers(budget.max_degree):
+                add = [x for x in (bp.mul(m, t) for t in R)
+                       if not backend.is_zero(x)]
+                if not add:
+                    continue
+                v = list(u) + add
+                if len(v) <= budget.max_terms:
+                    yield tuple(sorted(v, key=backend.sort_key))
+
+
+def reference_explore(bp, start, budget, targets=frozenset(),
+                      collect_singles=False):
+    seen = {start}
+    frontier = [start]
+    singles = set()
+    steps = 0
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in reference_rewrites(bp, u, budget):
+                steps += 1
+                if steps > budget.max_steps:
+                    return False, singles, True
+                if v in seen:
+                    continue
+                seen.add(v)
+                if v in targets:
+                    return True, singles, False
+                if collect_singles and len(v) == 1:
+                    singles.add(v[0])
+                nxt.append(v)
+        frontier = nxt
+    return False, singles, False
+
+
+def reference_derive(bp, lhs, rhs, budget):
+    l, r = bp.normalize_sum(lhs), bp.normalize_sum(rhs)
+    if l == r:
+        return PROVED
+    if bp.is_semiring:
+        same = bp.backend.eval_sum(l) == bp.backend.eval_sum(r)
+        return PROVED if same else UNKNOWN
+    if not bp.relations:
+        return UNKNOWN
+    half = Budget(budget.max_degree, budget.max_terms,
+                  max(1, budget.max_steps // 2))
+    if reference_explore(bp, l, half, targets=frozenset([r]))[0]:
+        return PROVED
+    if reference_explore(bp, r, half, targets=frozenset([l]))[0]:
+        return PROVED
+    return UNKNOWN
+
+
+def reference_improper_pair(bp, budget):
+    if not bp.relations:
+        return None
+    for p in _probe_elements(bp):
+        _, singles, _ = reference_explore(bp, (p,), budget,
+                                          collect_singles=True)
+        for s in sorted(singles, key=bp.backend.sort_key):
+            if s != p:
+                return (p, s)
+    return None
+
+
+def reachable_sums(bp, budget, limit):
+    """Up to `limit` sums, in BFS order from the relation sides and the
+    guard's probe elements, that the reference kernel reaches."""
+    out = []
+    seen = set()
+    frontier = [side for l, r in bp.relations for side in (l, r)]
+    frontier += [(p,) for p in _probe_elements(bp)]
+    while frontier and len(out) < limit:
+        nxt = []
+        for u in frontier:
+            if u in seen:
+                continue
+            seen.add(u)
+            out.append(u)
+            if len(out) >= limit:
+                break
+            nxt.extend(reference_rewrites(bp, u, budget))
+        frontier = nxt
+    return out
+
+
+def assert_same_rewrites(bp, budget, sums):
+    memo = _RewriteMemo(bp, budget.max_degree)
+    for u in sums:
+        assert list(_rewrites(bp, u, budget, memo)) == \
+            list(reference_rewrites(bp, u, budget)), (bp, u, budget)
+
+
+CATALOG = {
+    "sl2": catalog.sl2_f1,
+    "sl2_minors": catalog.sl2_minors,
+    "gr24_cone": lambda: catalog.grassmannian_f1(2, 4).blueprint,
+    "f1n4": lambda: catalog.f1n(4),
+    "b1": catalog.b1,
+    "roots_sums4": lambda: catalog.roots_of_unity_sums(4),
+    "roots_sums6": lambda: catalog.roots_of_unity_sums(6),
+    "two_fields23": lambda: catalog.two_fields(2, 3),
+    "idempotent": catalog.idempotent_example,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_rewrites_match_reference(name):
+    bp = CATALOG[name]()
+    for budget in BUDGETS:
+        sums = reachable_sums(bp, budget, 30)
+        assert sums
+        assert_same_rewrites(bp, budget, sums)
+        # a fresh memo per call gives the same sequence as a shared one
+        assert list(_rewrites(bp, sums[-1], budget)) == \
+            list(reference_rewrites(bp, sums[-1], budget))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_derive_matches_reference(name):
+    bp = CATALOG[name]()
+    budget = Budget(GUARD_BUDGET.max_degree, GUARD_BUDGET.max_terms, 200)
+    sums = reachable_sums(bp, budget, 12)
+    pairs = [(sums[0], s) for s in sums[1:]]
+    if bp.relations:
+        pairs += [(bp.relations[0][0], bp.relations[-1][1])]
+    for lhs, rhs in pairs:
+        assert derive(bp, lhs, rhs, budget) == \
+            reference_derive(bp, lhs, rhs, budget)
+    assert improper_pair(bp, budget) == reference_improper_pair(bp, budget)
+
+
+def monomial_backends():
+    gens = ("X", "Y", "Z")
+    out = []
+    for coeff in (catalog.f1(), catalog.f1_squared(), catalog.f1n(3)):
+        out.append(MonomialBackend(coeff, gens))
+        out.append(MonomialBackend(coeff, gens, inverted=("Y",)))
+    out.append(MonomialBackend(catalog.f1(), gens,
+                               lattice=[((1, 1, 0), ONE)]))
+    out.append(MonomialBackend(catalog.f1_squared(), gens,
+                               lattice=[((0, 2, 0), "-1")]))
+    out.append(MonomialBackend(catalog.f1_squared(), gens,
+                               lattice=[((-1, 1, 0), "-1")]))
+    return tuple(out)
+
+
+@st.composite
+def monomial_blueprints(draw):
+    backend = draw(st.sampled_from(monomial_backends()))
+
+    def elem():
+        c = draw(st.sampled_from(backend.coeff.backend.symbols))
+        exps = tuple(draw(st.integers(-1 if n in backend.inverted else 0, 2))
+                     for n in backend.gens)
+        return backend.normalize((c, exps))
+
+    def side():
+        return [elem() for _ in range(draw(st.integers(0, 3)))]
+
+    rels = [(side(), side()) for _ in range(draw(st.integers(1, 2)))]
+    return Blueprint(backend, rels, budget=Budget(2, 5, 150),
+                     check_proper=False)
+
+
+class TestMonomialBlueprints:
+    @given(bp=monomial_blueprints())
+    @settings(max_examples=120, deadline=None)
+    def test_rewrites_match_reference(self, bp):
+        budget = bp.budget
+        sums = reachable_sums(bp, budget, 25)
+        probe = (bp.backend.one(), bp.backend.gen_element("X"))
+        assert_same_rewrites(bp, budget, sums + [bp.normalize_sum(probe)])
+
+    @given(bp=monomial_blueprints())
+    @settings(max_examples=60, deadline=None)
+    def test_derive_and_guard_match_reference(self, bp):
+        budget = Budget(2, 5, 60)
+        assert improper_pair(bp, budget) == reference_improper_pair(bp, budget)
+        sums = reachable_sums(bp, budget, 6)
+        for rhs in sums[1:]:
+            assert derive(bp, sums[0], rhs, budget) == \
+                reference_derive(bp, sums[0], rhs, budget)
+
+
+class TestSortInvariant:
+    """The kernel sorts sums without a key: both backends' `sort_key` orders
+    as the elements do."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_monomial_elements_sort_as_their_keys(self, data):
+        backend = data.draw(st.sampled_from(monomial_backends()))
+
+        def elem():
+            c = data.draw(st.sampled_from(backend.coeff.backend.symbols))
+            exps = tuple(data.draw(st.integers(-3 if n in backend.inverted
+                                               else 0, 3))
+                         for n in backend.gens)
+            return backend.normalize((c, exps))
+
+        xs = [elem() for _ in range(data.draw(st.integers(0, 8)))]
+        assert sorted(xs) == sorted(xs, key=backend.sort_key)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_finite_symbols_sort_as_their_keys(self, data):
+        name = data.draw(st.sampled_from(sorted(CATALOG)))
+        backend = CATALOG[name]().backend
+        if backend.kind != "finite":
+            backend = backend.coeff.backend
+        xs = data.draw(st.lists(st.sampled_from(backend.symbols), max_size=8))
+        assert sorted(xs) == sorted(xs, key=backend.sort_key)
+
+
+def test_guard_names_the_improper_pair():
+    backend = MonomialBackend(catalog.f1_squared(), ("X", "Y", "Z"))
+    xy = backend.normalize((ONE, (1, 1, 0)))
+    rels = [([], [backend.normalize(("-1", (1, 1, 2))),
+                  backend.normalize(("-1", (1, 1, 0))), xy])]
+    with pytest.raises(ImproperRelations) as err:
+        Blueprint(backend, rels)
+    assert str(err.value) == \
+        "relations identify -1*X*Y*Z^2 and X*Y*Z^2"
