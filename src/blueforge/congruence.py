@@ -3,7 +3,6 @@ spectrum with its basis topology, absorbing ideals, and residue fields."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import (ONE, PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
@@ -93,6 +92,28 @@ def _union(parent, i, j):
         parent[max(ri, rj)] = min(ri, rj)
 
 
+def _sub_multisets(u, prefixes):
+    """(s, rest) for each distinct sub-multiset s of the sorted tuple u that
+    lies in `prefixes`, with rest = u - s; both sorted. `prefixes` must hold
+    every prefix of its members."""
+    out = []
+
+    def walk(start, prefix, skipped):
+        out.append((prefix, skipped + u[start:]))
+        prev = None
+        for k in range(start, len(u)):
+            t = u[k]
+            if t != prev:
+                prev = t
+                p = prefix + (t,)
+                if p in prefixes:
+                    walk(k + 1, p, skipped + u[start:k])
+
+    if () in prefixes:
+        walk(0, (), ())
+    return out
+
+
 class _ChainClosure:
     """The partition-free part of the chain axiom (2)* on a finite blueprint.
 
@@ -140,7 +161,12 @@ class _ChainClosure:
                             if pair[0] != pair[1] and pair not in seen:
                                 seen.add(pair)
                                 pairs.append(pair)
-        pairs = [(Counter(mL), mR) for mL, mR in pairs]
+        # the scaled pairs by left side, each with its index; the prefixes
+        # of the left sides prune the walk over a sum's sub-multisets
+        by_left, prefixes = {}, set()
+        for k, (mL, mR) in enumerate(pairs):
+            by_left.setdefault(mL, []).append((k, mR))
+            prefixes.update(mL[:n] for n in range(len(mL) + 1))
         # one budget step per (sum, scaled relation), sums in order; the cut
         # sum keeps only the steps taken before the budget ran out
         reached, last = len(sums), len(pairs)
@@ -150,15 +176,13 @@ class _ChainClosure:
         self.truncated = reached < len(sums) or last < len(pairs)
         parent = list(range(len(sums)))
         for i in range(reached):
-            cu = Counter(sums[i])
-            for mL, mR in pairs[:last] if i == reached - 1 else pairs:
-                if any(cu[t] < k for t, k in mL.items()):
-                    continue
-                rest = cu - mL
-                rest.update(mR)
-                j = index.get(tuple(sorted(rest.elements())))
-                if j is not None:
-                    _union(parent, i, j)
+            bound = last if i == reached - 1 else len(pairs)
+            for mL, rest in _sub_multisets(sums[i], prefixes):
+                for k, mR in by_left.get(mL, ()):
+                    if k < bound:
+                        j = index.get(tuple(sorted(rest + mR)))
+                        if j is not None:
+                            _union(parent, i, j)
         roots = [_find(parent, i) for i in range(len(sums))]
         moves = {}
         for i in range(reached):

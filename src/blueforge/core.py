@@ -1963,26 +1963,29 @@ def _free_domains(bp, tb):
 
 def enumerate_morphisms(bp, target, budget=None):
     """All blueprint morphisms into a finite semiring-table target."""
+    return list(iter_morphisms(bp, target, budget))
+
+
+def iter_morphisms(bp, target, budget=None):
+    """The morphisms of `enumerate_morphisms`, in its order, one at a time."""
     if not target.is_semiring:
         raise BlueprintError("morphism enumeration needs a semiring target")
     tb = target.backend
     backend = bp.backend
     domains = _free_domains(bp, tb)
-    out = []
     if backend.kind == "finite":
         frees = [s for s in backend.symbols if s not in (ZERO, ONE)]
         for values in _solutions(bp, tb, domains):
             images = dict(zip(frees, values))
             images[ZERO] = ZERO
             images[ONE] = ONE
-            out.append(BlueprintMorphism(bp, target, images))
-        return out
+            yield BlueprintMorphism(bp, target, images)
+        return
     for cimages in _coefficient_images(bp, tb):
         for values in _solutions(bp, tb, domains, cimages):
             images = dict(cimages)
             images.update(zip(backend.gens, values))
-            out.append(BlueprintMorphism(bp, target, images))
-    return out
+            yield BlueprintMorphism(bp, target, images)
 
 
 def refutation_targets():
@@ -2008,7 +2011,7 @@ def is_cancellative(bp, budget=None):
         if verdict == PROVED:
             continue
         for target in refutation_targets():
-            for f in enumerate_morphisms(bp, target, budget):
+            for f in iter_morphisms(bp, target, budget):
                 tl = target.backend.eval_sum(f.apply_sum(l2))
                 tr = target.backend.eval_sum(f.apply_sum(r2))
                 if tl != tr:
@@ -2026,7 +2029,7 @@ def _injectivity_certificate(bp, budget):
     if backend.kind == "finite":
         for q in prime_powers_upto(9):
             target = field_blueprint(q)
-            for f in enumerate_morphisms(bp, target, budget):
+            for f in iter_morphisms(bp, target, budget):
                 imgs = [f.apply(s) for s in backend.symbols]
                 if len(set(imgs)) == len(imgs):
                     return {"kind": "separating-hom", "target": target.name}
@@ -2157,7 +2160,7 @@ def is_frobenius(bp, p, budget=None):
         if verdict == PROVED:
             continue
         for target in refutation_targets():
-            for f in enumerate_morphisms(bp, target, budget):
+            for f in iter_morphisms(bp, target, budget):
                 tl = target.backend.eval_sum(f.apply_sum(lp))
                 tr = target.backend.eval_sum(f.apply_sum(rp))
                 if tl != tr:

@@ -31,6 +31,7 @@ class BlueModule:
     def __init__(self, blueprint, carrier, action, relations=(), name=None):
         self.blueprint = blueprint
         self._invariant = None
+        self._colors = None
         if BASE not in carrier:
             carrier = (BASE,) + tuple(carrier)
         self.carrier = (BASE,) + tuple(sorted(x for x in carrier if x != BASE))
@@ -49,31 +50,31 @@ class BlueModule:
                     raise BlueprintError(f"action of {b} on {m} missing")
                 if self.action[(b, m)] not in self.carrier:
                     raise BlueprintError("action leaves the carrier")
+        act = self.action
         for a in syms:
             for b in syms:
+                ab = blueprint.backend.mul(a, b)
                 for m in self.carrier:
-                    if self.action[(blueprint.backend.mul(a, b), m)] != \
-                            self.action[(a, self.action[(b, m)])]:
+                    if act[(ab, m)] != act[(a, act[(b, m)])]:
                         raise BlueprintError("action is not associative")
-        rels = set()
+        rels = self._induced_relations()
         for l, r in relations:
             pair = self._norm_rel(l, r)
             if pair:
                 rels.add(pair)
-        for l, r in blueprint.relations:
-            for m in self.carrier:
-                if m == BASE:
-                    continue
-                il = [self.act_elem(t, m) for t in l]
-                ir = [self.act_elem(t, m) for t in r]
-                pair = self._norm_rel(il, ir)
-                if pair:
-                    rels.add(pair)
         self.relations = tuple(sorted(rels))
 
-    def act_elem(self, blueprint_elem, m):
-        """Action of a blueprint element (symbol, for finite tables)."""
-        return self.action[(blueprint_elem, m)]
+    def _induced_relations(self):
+        """The relations l·m = r·m for each relation l = r of the blueprint
+        and each m other than the base point."""
+        rels = set()
+        for l, r in self.blueprint.relations:
+            for m in self.nonbase():
+                pair = self._norm_rel([self.act(t, m) for t in l],
+                                      [self.act(t, m) for t in r])
+                if pair:
+                    rels.add(pair)
+        return rels
 
     def act(self, b, m):
         return self.action[(b, m)]
@@ -107,50 +108,58 @@ class BlueModule:
                     reachable.add(self.act(b, m))
         return gens
 
+    def colors(self):
+        """The stable refinement colours of the carrier (`module_colors`);
+        computed on the first call and kept."""
+        if self._colors is None:
+            self._colors = module_colors(self)
+        return self._colors
+
     def invariant(self):
         """Isomorphism invariant: size, color counts and relation profile;
         computed on the first call and kept."""
         if self._invariant is None:
-            color = joint_colors([self])[0]
+            color = self.colors()
             rel_profile = Counter()
             for l, r in self.relations:
-                rel_profile[(tuple(sorted(color[t] for t in l)),
-                             tuple(sorted(color[t] for t in r)))] += 1
+                # each side as sorted colours, the two sides in sorted
+                # order: relations are oriented by element names
+                rel_profile[tuple(sorted((
+                    tuple(sorted(color[t] for t in l)),
+                    tuple(sorted(color[t] for t in r)))))] += 1
             self._invariant = (len(self.carrier),
                                tuple(sorted(Counter(color.values()).items())),
                                tuple(sorted(rel_profile.items())))
         return self._invariant
 
 
-def joint_colors(modules):
-    """Refinement colors computed with a palette shared across the modules,
-    so equal colors mean equal local action structure across them."""
-    syms = modules[0].blueprint.backend.symbols
-    colors = [{m: (-1 if m == BASE else 0) for m in mod.carrier}
-              for mod in modules]
-    rounds = max(len(mod.carrier) for mod in modules) + 1
-    for _ in range(rounds):
-        sigs = []
-        for mod, col in zip(modules, colors):
-            # preimage colors under each symbol, in one pass over the carrier
-            pre = {(b, m): Counter() for b in syms for m in mod.carrier}
-            for b in syms:
-                for x in mod.carrier:
-                    pre[(b, mod.act(b, x))][col[x]] += 1
-            sigs.append({m: (col[m],
-                             tuple(col[mod.act(b, m)] for b in syms),
-                             tuple(tuple(sorted(pre[(b, m)].items()))
-                                   for b in syms))
-                         for m in mod.carrier})
-        palette = {sig: i for i, sig in enumerate(
-            sorted({s for d in sigs for s in d.values()}, key=repr))}
-        nxt = [{m: palette[d[m]] for m in d} for d in sigs]
-        if all(len(set(n.values())) == len(set(c.values()))
-               for n, c in zip(nxt, colors)):
-            colors = nxt
+def module_colors(module):
+    """Colour refinement of the carrier to a stable partition: each round
+    colours an element by its colour, the colours of its images and the
+    colour counts of its preimages under each symbol. Colours do not depend
+    on how elements are named, so isomorphic modules get equal colours on
+    corresponding elements."""
+    syms = module.blueprint.backend.symbols
+    carrier = module.carrier
+    col = {m: (-1 if m == BASE else 0) for m in carrier}
+    for _ in range(len(carrier) + 1):
+        # preimage colors under each symbol, in one pass over the carrier
+        pre = {(b, m): Counter() for b in syms for m in carrier}
+        for b in syms:
+            for x in carrier:
+                pre[(b, module.act(b, x))][col[x]] += 1
+        sig = {m: (col[m],
+                   tuple(col[module.act(b, m)] for b in syms),
+                   tuple(tuple(sorted(pre[(b, m)].items())) for b in syms))
+               for m in carrier}
+        palette = {s: i for i, s in enumerate(sorted(set(sig.values()),
+                                                     key=repr))}
+        nxt = {m: palette[sig[m]] for m in carrier}
+        stable = len(palette) == len(set(col.values()))
+        col = nxt
+        if stable:
             break
-        colors = nxt
-    return colors
+    return col
 
 
 def free_module(blueprint, k, name=None):
@@ -345,27 +354,40 @@ def enumerate_morphisms(src: BlueModule, tgt: BlueModule, limit=None):
 
 
 def modules_isomorphic(m1: BlueModule, m2: BlueModule):
-    """A carrier bijection preserving action and relations, or None."""
+    """A carrier bijection preserving action and relations, or None.
+
+    Elements are taken in order of colour and name, each trying the
+    elements of m2 of its colour in carrier order. Mapping x to y also maps
+    b·x to b·y for every symbol b, the one consistent choice for those
+    cells, so the bijections are visited in lexicographic order."""
     if len(m1) != len(m2) or m1.invariant() != m2.invariant():
         return None
-    colors1, colors2 = joint_colors([m1, m2])
-    if sorted(colors1.values()) != sorted(colors2.values()):
-        return None
+    colors1, colors2 = m1.colors(), m2.colors()
     syms = m1.blueprint.backend.symbols
     order = sorted(m1.nonbase(), key=lambda m: (colors1[m], m))
     rels2 = set(m2.relations)
     mapping = {BASE: BASE}
-    used = set()
+    used = {BASE}
 
-    def consistent():
+    def assign(x, y, trail):
+        """Map the orbit of x onto that of y; False on a conflict."""
         for b in syms:
-            for prev, py in mapping.items():
-                img = m1.act(b, prev)
-                if img in mapping and mapping[img] != m2.act(b, py):
+            xb, yb = m1.act(b, x), m2.act(b, y)
+            have = mapping.get(xb)
+            if have is not None:
+                if have != yb:
                     return False
+            elif yb in used or colors1[xb] != colors2[yb]:
+                return False
+            else:
+                mapping[xb] = yb
+                used.add(yb)
+                trail.append(xb)
         return True
 
     def backtrack(i):
+        while i < len(order) and order[i] in mapping:
+            i += 1
         if i == len(order):
             rels1_img = {m1._norm_rel([mapping[t] for t in l],
                                       [mapping[t] for t in r])
@@ -376,19 +398,16 @@ def modules_isomorphic(m1: BlueModule, m2: BlueModule):
         for y in m2.nonbase():
             if y in used or colors1[x] != colors2[y]:
                 continue
-            mapping[x] = y
-            used.add(y)
-            if consistent() and backtrack(i + 1):
+            trail = []
+            if assign(x, y, trail) and backtrack(i + 1):
                 return True
-            del mapping[x]
-            used.discard(y)
+            for t in trail:
+                used.discard(mapping.pop(t))
         return False
 
-    return dict(mapping) if backtrack(0) else None
-
-
-def modules_equal_class(m1, m2):
-    return modules_isomorphic(m1, m2) is not None
+    if not backtrack(0):
+        return None
+    return {BASE: BASE, **{x: mapping[x] for x in order}}
 
 
 class ModuleClassifier:
@@ -549,14 +568,28 @@ def is_normal_epi(f: ModuleMorphism):
 
 
 def is_free(module: BlueModule):
-    nb = len(module.nonbase())
-    unit = len(module.blueprint.backend.symbols) - 1
-    if nb == 0:
-        return True
-    if unit == 0 or nb % unit:
-        return False
-    k = nb // unit
-    return modules_equal_class(module, free_module(module.blueprint, k))
+    """Whether the module is isomorphic to a free module, decided without a
+    search.
+
+    Greedily cover the nonbase elements by the disjoint orbits {a·x : a ≠ 0}
+    of elements x on which a ↦ a·x is injective and never reaches the base
+    point. In a free module such an x is u·g for a unit u and a basis element
+    g (a ↦ a·c is injective on nonzero elements only for a unit c), so every
+    such orbit is a whole copy and the greedy cover cannot fail. A cover
+    gives the action isomorphism a@i ↦ a·x_i from the free module, since
+    the action is associative; that isomorphism carries the free module's
+    relations onto the relations induced at every element, so the module
+    is free iff it has no other relations."""
+    nonzero = [a for a in module.blueprint.backend.symbols if a != ZERO]
+    covered = {BASE}
+    for x in module.nonbase():
+        if x in covered:
+            continue
+        orbit = {module.act(a, x) for a in nonzero}
+        if len(orbit) == len(nonzero) and not orbit & covered:
+            covered |= orbit
+    return len(covered) == len(module.carrier) and \
+        set(module.relations) == module._induced_relations()
 
 
 def wedge_components(module: BlueModule):

@@ -226,6 +226,124 @@ class TestChainClosureDifferential:
             assert_matches_reference(bp, budget)
 
 
+def reference_saturate(blueprint, budget):
+    """`_ChainClosure._saturate` with each sum tested against every scaled
+    pair by a `Counter` containment test; returns (moves, singleton,
+    truncated, size)."""
+    backend = blueprint.backend
+    carrier = backend.symbols
+    nonzero = [s for s in carrier if s != ZERO]
+    sums = cg._all_sums(nonzero, min(budget.max_terms, 8))
+    index = {u: i for i, u in enumerate(sums)}
+    mults = backend.multipliers(0)
+
+    def scaled(m, terms):
+        return tuple(sorted(_scale(blueprint, m, terms)))
+
+    pairs = [(scaled(m, L), scaled(m, R))
+             for L, R in blueprint.oriented_relations() for m in mults]
+    if backend.add_table is not None:
+        seen = set()
+        for i, a in enumerate(nonzero):
+            for b in nonzero[i:]:
+                right = [backend.add_table[(a, b)]]
+                for L, R in (([a, b], right), (right, [a, b])):
+                    for m in mults:
+                        pair = (scaled(m, L), scaled(m, R))
+                        if pair[0] != pair[1] and pair not in seen:
+                            seen.add(pair)
+                            pairs.append(pair)
+    pairs = [(Counter(mL), mR) for mL, mR in pairs]
+    reached, last = len(sums), len(pairs)
+    if pairs and len(sums) * len(pairs) > budget.max_steps:
+        cut, last = divmod(budget.max_steps, len(pairs))
+        reached = cut + 1
+    truncated = reached < len(sums) or last < len(pairs)
+    parent = list(range(len(sums)))
+    for i in range(reached):
+        cu = Counter(sums[i])
+        for mL, mR in pairs[:last] if i == reached - 1 else pairs:
+            if any(cu[t] < k for t, k in mL.items()):
+                continue
+            rest = cu - mL
+            rest.update(mR)
+            j = index.get(tuple(sorted(rest.elements())))
+            if j is not None:
+                cg._union(parent, i, j)
+    roots = [cg._find(parent, i) for i in range(len(sums))]
+    moves = {}
+    for i in range(reached):
+        u = sums[i]
+        for k, t in enumerate(u):
+            if k and u[k - 1] == t:
+                continue
+            for t2 in carrier:
+                if t2 == t:
+                    continue
+                v = u[:k] + u[k + 1:] + ((t2,) if t2 != ZERO else ())
+                j = index.get(tuple(sorted(v)))
+                if j is not None and roots[i] != roots[j]:
+                    key = (t, t2) if t < t2 else (t2, t)
+                    moves.setdefault(key, set()).add((roots[i], roots[j]))
+    singleton = {a: (roots[index[(a,)]] if (a,) in index else None)
+                 for a in nonzero}
+    singleton[ZERO] = roots[index[()]]
+    return moves, singleton, truncated, len(sums)
+
+
+SATURATE_BLUEPRINTS = (
+    [catalog.f1()] + [catalog.f1n(k) for k in range(2, 7)]
+    + [catalog.b1(), catalog.idempotent_example(),
+       catalog.roots_of_unity_sums(4), catalog.roots_of_unity_sums(6),
+       catalog.two_fields(2, 3), catalog.product_ring(2, 3)])
+
+
+class TestSaturateAgainstReference:
+    """The closure indexed by left side against the scan over every pair;
+    the last two budgets run out."""
+
+    @pytest.mark.parametrize("budget", [
+        Budget(6, 3, 100000), Budget(6, 8, 100000), Budget(6, 3, 500),
+        Budget(6, 2, 37)], ids=str)
+    @pytest.mark.parametrize("bp", SATURATE_BLUEPRINTS,
+                             ids=lambda bp: bp.name)
+    def test_catalog(self, bp, budget):
+        closure = cg._ChainClosure(bp, budget)
+        closure._saturate()
+        moves, singleton, truncated, size = reference_saturate(bp, budget)
+        assert closure.moves == moves
+        assert closure.singleton == singleton
+        assert closure.truncated == truncated
+        assert closure.size == size
+
+    @pytest.mark.parametrize("budget", [Budget(6, 3, 500), Budget(6, 2, 37)],
+                             ids=str)
+    def test_cut_sum_is_reached(self, budget):
+        # the budget runs out inside the sums, so one sum takes only part of
+        # the pairs
+        bp = catalog.two_fields(2, 3)
+        closure = cg._ChainClosure(bp, budget)
+        closure._saturate()
+        assert closure.truncated
+        assert (closure.moves, closure.singleton, closure.truncated,
+                closure.size) == reference_saturate(bp, budget)
+
+    @given(k=st.integers(1, 4), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_relations(self, k, data):
+        table = catalog.f1n(k).backend
+        side = st.lists(st.sampled_from(table.symbols), max_size=3)
+        relations = data.draw(st.lists(st.tuples(side, side),
+                                       min_size=1, max_size=3))
+        bp = Blueprint(table, relations, check_proper=False)
+        for budget in (Budget(6, 3, 100000), Budget(6, 4, 100000),
+                       Budget(6, 3, 40)):
+            closure = cg._ChainClosure(bp, budget)
+            closure._saturate()
+            assert (closure.moves, closure.singleton, closure.truncated,
+                    closure.size) == reference_saturate(bp, budget)
+
+
 class TestAbsorbingIdeals:
     def test_identity_gives_zero_ideal(self, f12):
         c = cg.Congruence(f12, [["0"], ["1"], ["-1"]])

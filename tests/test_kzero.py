@@ -1,9 +1,11 @@
 """Blue modules, normal morphisms, projectivity, and K0."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blueforge import catalog
 from blueforge import kzero as kz
@@ -191,9 +193,11 @@ class TestK0:
 
 # ---------------------------------------------------------------------------
 # Differential tests: the product loop over every generator image, the
-# carrier scan per preimage count and the three-cokernel subset loop, kept
-# as references for the pruned search, the one-pass colors and the single
-# cokernel per subset.
+# carrier scan per preimage count, the three-cokernel subset loop, the
+# jointly coloured isomorphism search and freeness by isomorphism to a free
+# module, kept as references for the pruned search, the one-pass colors,
+# the single cokernel per subset, the propagating search on kept colours
+# and the orbit-cover freeness test.
 
 
 def reference_enumerate_modules(blueprint, size_bound):
@@ -250,6 +254,77 @@ def reference_joint_colors(modules):
             break
         colors = nxt
     return colors
+
+
+def reference_modules_isomorphic(m1, m2):
+    """The search over jointly refined colours, re-checking the whole
+    mapping after each choice."""
+    if len(m1) != len(m2) or reference_invariant(m1) != reference_invariant(m2):
+        return None
+    colors1, colors2 = reference_joint_colors([m1, m2])
+    if sorted(colors1.values()) != sorted(colors2.values()):
+        return None
+    syms = m1.blueprint.backend.symbols
+    order = sorted(m1.nonbase(), key=lambda m: (colors1[m], m))
+    rels2 = set(m2.relations)
+    mapping = {BASE: BASE}
+    used = set()
+
+    def consistent():
+        for b in syms:
+            for prev, py in mapping.items():
+                img = m1.act(b, prev)
+                if img in mapping and mapping[img] != m2.act(b, py):
+                    return False
+        return True
+
+    def backtrack(i):
+        if i == len(order):
+            rels1_img = {m1._norm_rel([mapping[t] for t in l],
+                                      [mapping[t] for t in r])
+                         for l, r in m1.relations}
+            rels1_img.discard(None)
+            return rels1_img == rels2
+        x = order[i]
+        for y in m2.nonbase():
+            if y in used or colors1[x] != colors2[y]:
+                continue
+            mapping[x] = y
+            used.add(y)
+            if consistent() and backtrack(i + 1):
+                return True
+            del mapping[x]
+            used.discard(y)
+        return False
+
+    return dict(mapping) if backtrack(0) else None
+
+
+def reference_invariant(module):
+    """`BlueModule.invariant` on reference colours. Each relation's colour
+    profile has its sides in sorted order: relations are oriented by element
+    names, so a profile oriented like the relation told isomorphic modules
+    apart (see `TestIsomorphismAgainstReference.test_named_orientation`)."""
+    color = reference_joint_colors([module])[0]
+    rel_profile = Counter()
+    for l, r in module.relations:
+        rel_profile[tuple(sorted((tuple(sorted(color[t] for t in l)),
+                                  tuple(sorted(color[t] for t in r)))))] += 1
+    return (len(module.carrier),
+            tuple(sorted(Counter(color.values()).items())),
+            tuple(sorted(rel_profile.items())))
+
+
+def reference_is_free(module):
+    """Isomorphism to the free module of the matching rank."""
+    nb = len(module.nonbase())
+    unit = len(module.blueprint.backend.symbols) - 1
+    if nb == 0:
+        return True
+    if unit == 0 or nb % unit:
+        return False
+    free = kz.free_module(module.blueprint, nb // unit)
+    return reference_modules_isomorphic(module, free) is not None
 
 
 def reference_k0(blueprint, size_bound):
@@ -339,10 +414,8 @@ class TestAgainstReference:
     def test_colors(self, case):
         _, _, universe = case
         for m in universe:
-            assert kz.joint_colors([m]) == reference_joint_colors([m])
-        for m1, m2 in itertools.combinations(universe, 2):
-            assert kz.joint_colors([m1, m2]) == \
-                reference_joint_colors([m1, m2])
+            assert kz.module_colors(m) == reference_joint_colors([m])[0]
+            assert m.colors() is m.colors()
 
     def test_every_leaf_is_an_action(self, case, monkeypatch):
         # The cuts test every g·a against g after a, the zero products
@@ -396,6 +469,203 @@ class TestAgainstReference:
         for maps in calls:
             z1 = maps["z1"]
             assert all(z1[z1[z1[m]]] == m for m in z1)
+
+
+def relabelled(module, rng):
+    """A copy with the nonbase elements renamed by a seeded permutation."""
+    names = list(module.nonbase())
+    rng.shuffle(names)
+    new = {BASE: BASE, **{x: f"r{i}" for i, x in enumerate(names)}}
+    action = {(b, new[m]): new[v] for (b, m), v in module.action.items()}
+    relations = [([new[t] for t in l], [new[t] for t in r])
+                 for l, r in module.relations]
+    return kz.BlueModule(module.blueprint, tuple(new.values()), action,
+                         relations, name=f"{module.name}'")
+
+
+def brute_force_isomorphic(m1, m2):
+    """Whether some bijection of the carriers preserves action and
+    relations, by trying every one."""
+    if len(m1) != len(m2):
+        return False
+    syms = m1.blueprint.backend.symbols
+    rels2 = set(m2.relations)
+    for image in itertools.permutations(m2.nonbase()):
+        f = dict(zip(m1.nonbase(), image), **{BASE: BASE})
+        if all(f[m1.act(b, x)] == m2.act(b, f[x])
+               for b in syms for x in m1.nonbase()) and \
+                {m1._norm_rel([f[t] for t in l], [f[t] for t in r])
+                 for l, r in m1.relations} - {None} == rels2:
+            return True
+    return False
+
+
+def assert_isomorphic_as_reference(m1, m2):
+    got = kz.modules_isomorphic(m1, m2)
+    expected = reference_modules_isomorphic(m1, m2)
+    assert got == expected
+    if got is not None:
+        assert list(got) == list(expected)
+
+
+def assert_free_as_reference(module, projective=True):
+    assert kz.is_free(module) == reference_is_free(module)
+    if not projective:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kz, "is_free", reference_is_free)
+        expected = kz.is_projective(module)
+    assert kz.is_projective(module) == expected
+
+
+class TestIsomorphismAgainstReference:
+    """The forced-propagation search on single-module colours and the
+    orbit-cover freeness test, against the jointly coloured search and the
+    isomorphism to a free module."""
+
+    def test_universe_pairs(self, case):
+        _, _, universe = case
+        for m1, m2 in itertools.product(universe, repeat=2):
+            assert_isomorphic_as_reference(m1, m2)
+
+    def test_universe_has_one_module_per_class(self, case):
+        _, _, universe = case
+        for m1, m2 in itertools.combinations(universe, 2):
+            assert not brute_force_isomorphic(m1, m2), (m1, m2)
+
+    def test_relabelled_copies(self, case):
+        _, _, universe = case
+        rng = random.Random(15)
+        for m in universe:
+            copy = relabelled(m, rng)
+            assert kz.modules_isomorphic(m, copy) is not None
+            assert_isomorphic_as_reference(m, copy)
+            assert_isomorphic_as_reference(copy, m)
+            assert_free_as_reference(m)
+            assert_free_as_reference(copy)
+
+    def test_named_orientation(self):
+        # M is the free module of rank one over F1 x F1 under other names:
+        # its relation reads (m0 + m1, m2) where the free module's reads
+        # (1@0, e@0 + f@0). An invariant that kept that orientation called
+        # them non-isomorphic, so M was not free.
+        bp = split_idempotents()
+        m = kz.BlueModule(bp, ("m0", "m1", "m2"), {
+            ("e", "m0"): BASE, ("e", "m1"): "m1", ("e", "m2"): "m1",
+            ("f", "m0"): "m0", ("f", "m1"): BASE, ("f", "m2"): "m0"})
+        free = kz.free_module(bp, 1)
+        assert m.relations == ((("m0", "m1"), ("m2",)),)
+        assert free.relations == ((("1@0",), ("e@0", "f@0")),)
+        assert kz.modules_isomorphic(m, free) == \
+            {BASE: BASE, "m0": "f@0", "m1": "e@0", "m2": "1@0"}
+        assert kz.is_free(m) and reference_is_free(m)
+
+    def test_free_modules(self, case):
+        bp, _, universe = case
+        rng = random.Random(16)
+        for k in (1, 2, 3):
+            free = kz.free_module(bp, k)
+            copy = relabelled(free, rng)
+            assert kz.is_free(free) and kz.is_free(copy)
+            assert_free_as_reference(copy)
+            assert_isomorphic_as_reference(free, copy)
+            assert_isomorphic_as_reference(copy, free)
+            for m in universe:
+                assert_isomorphic_as_reference(m, copy)
+
+
+HYPOTHESIS_BLUEPRINTS = {
+    "f1": catalog.f1, "f1n2": lambda: catalog.f1n(2),
+    "f1n3": lambda: catalog.f1n(3), "b1": catalog.b1,
+    "idempotent": catalog.idempotent_example,
+    "split_idempotents": split_idempotents,
+}
+
+
+def fixed_point_module(bp, k):
+    """k points fixed by every nonzero symbol; an action only when the
+    blueprint has no zero divisors."""
+    nonzero = [a for a in bp.backend.symbols if a != ZERO]
+    carrier = tuple(f"t{i}" for i in range(k))
+    return kz.BlueModule(bp, carrier,
+                         {(a, t): t for a in nonzero for t in carrier})
+
+
+@st.composite
+def wedges(draw):
+    """A relabelled wedge of free modules of rank one, fixed-point modules
+    and small enumerated modules, with up to two extra relations."""
+    bp = HYPOTHESIS_BLUEPRINTS[draw(st.sampled_from(
+        sorted(HYPOTHESIS_BLUEPRINTS)))]()
+    universe = kz.enumerate_modules(bp, 3)
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(["free", "fixed", "small"]),
+                              min_size=1, max_size=3)):
+        if kind == "free":
+            parts.append(kz.free_module(bp, 1))
+        elif kind == "fixed":
+            try:
+                parts.append(fixed_point_module(bp, draw(st.integers(1, 2))))
+            except kz.BlueprintError:
+                continue
+        else:
+            parts.append(draw(st.sampled_from(universe)))
+    module = kz.zero_module(bp)
+    for part in parts:
+        module = kz.wedge(module, part)[0]
+    nonbase = list(module.nonbase())
+    side = st.lists(st.sampled_from(nonbase), max_size=2) if nonbase \
+        else st.just([])
+    extra = draw(st.lists(st.tuples(side, side), max_size=2))
+    if extra:
+        module = kz.BlueModule(bp, module.carrier, module.action,
+                               list(module.relations) + extra)
+    return relabelled(module, random.Random(draw(st.integers(0, 2**16))))
+
+
+class TestIsomorphismHypothesis:
+    @given(wedges())
+    @settings(max_examples=100, deadline=None)
+    def test_random_wedges(self, module):
+        bp = module.blueprint
+        nb = len(module.nonbase())
+        # projectivity searches morphisms into a free module of rank equal
+        # to the number of generators, too slow beyond a few elements
+        assert_free_as_reference(module, projective=nb <= 4)
+        unit = len(bp.backend.symbols) - 1
+        if nb % unit == 0:
+            assert_isomorphic_as_reference(module,
+                                           kz.free_module(bp, nb // unit))
+        copy = relabelled(module, random.Random(nb))
+        assert_isomorphic_as_reference(module, copy)
+        assert_isomorphic_as_reference(copy, module)
+        assert kz.modules_isomorphic(copy, module) is not None
+        if nb % unit == 0 and nb <= 6:
+            free = kz.free_module(bp, nb // unit)
+            assert kz.is_free(module) == brute_force_isomorphic(module, free)
+
+    @pytest.mark.parametrize("name", sorted(HYPOTHESIS_BLUEPRINTS))
+    def test_extra_relation_is_not_free(self, name):
+        bp = HYPOTHESIS_BLUEPRINTS[name]()
+        free = kz.free_module(bp, 2)
+        rels = set(free.relations)
+        for pair in ((["1@0"], ["1@1"]), (["1@0"], [])):
+            module = kz.BlueModule(bp, free.carrier, free.action,
+                                   list(free.relations) + [pair])
+            assert set(module.relations) != rels
+            assert not kz.is_free(module)
+            assert not reference_is_free(module)
+
+    @pytest.mark.parametrize("name", ["f1", "f1n2", "f1n3", "b1"])
+    def test_fixed_points_are_not_free(self, name):
+        bp = HYPOTHESIS_BLUEPRINTS[name]()
+        for k in (1, 2, 3):
+            module = fixed_point_module(bp, k)
+            expected = reference_is_free(module)
+            assert kz.is_free(module) == expected
+            # over F1 and B1 the unit group is trivial: one fixed point is
+            # the free module of rank one
+            assert expected == (len(bp.backend.symbols) == 2)
 
 
 class TestK0Pinned:
