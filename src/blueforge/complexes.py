@@ -1,6 +1,6 @@
-"""Order complexes, Coxeter complexes via parabolic cosets, Weyl-group orbit
-complexes on projective coordinate posets, the oriflamme construction, and
-type-A buildings over F_q."""
+"""Order complexes, Coxeter complexes as Weyl orbits of the standard flag,
+Weyl-group orbit complexes on projective coordinate posets, the oriflamme
+construction, and type-A buildings over F_q."""
 
 from __future__ import annotations
 
@@ -119,45 +119,6 @@ def poset_of_space(space):
     pairs = [(labels[i], labels[j]) for i in range(len(labels))
              for j in range(len(labels)) if space.leq(i, j)]
     return FinitePoset(labels, pairs)
-
-
-def posets_isomorphic(p1, p2):
-    if len(p1) != len(p2):
-        return None
-    # order by (down-degree, up-degree) invariants to prune
-    def profile(p, x):
-        down = sum(p.leq(y, x) for y in p.elements)
-        up = sum(p.leq(x, y) for y in p.elements)
-        return (down, up)
-
-    prof1 = {x: profile(p1, x) for x in p1.elements}
-    prof2 = {x: profile(p2, x) for x in p2.elements}
-    if sorted(prof1.values()) != sorted(prof2.values()):
-        return None
-
-    mapping = {}
-    used = set()
-
-    def backtrack(i):
-        if i == len(p1.elements):
-            return True
-        x = p1.elements[i]
-        for y in p2.elements:
-            if y in used or prof1[x] != prof2[y]:
-                continue
-            if any((p1.leq(x, z) != p2.leq(y, mapping[z]))
-                   or (p1.leq(z, x) != p2.leq(mapping[z], y))
-                   for z in mapping):
-                continue
-            mapping[x] = y
-            used.add(y)
-            if backtrack(i + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
-
-    return dict(mapping) if backtrack(0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -370,43 +331,35 @@ def _group_closure(generators, compose, identity):
 
 def coxeter_group(family, n):
     """Elements and generators of W(A_n) as permutations of {0..n}, W(B_n) =
-    W(C_n) as signed permutations, W(D_n) as even-signed permutations."""
+    W(C_n) as signed permutations, W(D_n) as even-signed permutations.
+
+    The generators are the adjacent transpositions, then for B/C the sign
+    change of the last entry and for D the signed swap of the last two."""
+    if family not in ("A", "B", "C", "D"):
+        raise ValueError("family must be one of A, B, C, D")
+    least = 2 if family == "D" else 1
+    if n < least:
+        raise ValueError(f"no Coxeter group {family}_{n}: the rank must be "
+                         f"at least {least}")
     if family == "A":
         ident = tuple(range(n + 1))
-        gens = []
-        for i in range(n):
-            g = list(ident)
-            g[i], g[i + 1] = g[i + 1], g[i]
-            gens.append(tuple(g))
-        elems = _group_closure(gens, _compose, ident)
-        return elems, gens, _compose
-    if family in ("B", "C"):
+        comp = _compose
+    else:
         ident = tuple(range(1, n + 1))
-        gens = []
-        for i in range(n - 1):
-            g = list(ident)
-            g[i], g[i + 1] = g[i + 1], g[i]
-            gens.append(tuple(g))
-        flip = list(ident)
-        flip[n - 1] = -flip[n - 1]
-        gens.append(tuple(flip))
         comp = lambda p, q: _signed_compose(p, q, n)
-        elems = _group_closure(gens, comp, ident)
-        return elems, gens, comp
-    if family == "D":
-        ident = tuple(range(1, n + 1))
-        gens = []
-        for i in range(n - 1):
-            g = list(ident)
-            g[i], g[i + 1] = g[i + 1], g[i]
-            gens.append(tuple(g))
+    gens = []
+    for i in range(len(ident) - 1):
         g = list(ident)
-        g[n - 2], g[n - 1] = -ident[n - 1], -ident[n - 2]
+        g[i], g[i + 1] = g[i + 1], g[i]
         gens.append(tuple(g))
-        comp = lambda p, q: _signed_compose(p, q, n)
-        elems = _group_closure(gens, comp, ident)
-        return elems, gens, comp
-    raise ValueError("family must be one of A, B, C, D")
+    if family != "A":
+        g = list(ident)
+        if family == "D":
+            g[-2:] = -ident[-1], -ident[-2]
+        else:
+            g[-1] = -ident[-1]
+        gens.append(tuple(g))
+    return _group_closure(gens, comp, ident), gens, comp
 
 
 @dataclass
@@ -423,46 +376,31 @@ class CoxeterGroupAction:
 
 
 def coxeter_complex(family, n):
-    """The Coxeter complex: simplices are cosets of proper standard parabolic
-    subgroups; chambers correspond to group elements."""
+    """The Coxeter complex: the orbit of the standard flag under W.
+
+    Entry t of `standard_orbit_seed(family, n)` is the vertex fixed by the
+    maximal parabolic subgroup W_{S-t}, so the type-t vertices are the cosets
+    w W_{S-t}, told apart by the point w.seed[t]. The vertex is labelled
+    (t, w) with w the first element of its coset in the sorted group;
+    chambers correspond to group elements."""
     if n > 5:
         raise RankTooLarge("n > 5")
     elems, gens, comp = coxeter_group(family, n)
-    if family == "A":
-        ident = tuple(range(n + 1))
-    else:
-        ident = tuple(range(1, n + 1))
-    # maximal parabolic subgroup W_{S - {t}} for each generator index t
-    cosets_by_type = []
-    for t in range(len(gens)):
-        sub = _group_closure([g for i, g in enumerate(gens) if i != t],
-                             comp, ident)
-        seen = {}
-        for w in elems:
-            coset = frozenset(comp(w, h) for h in sub)
-            seen.setdefault(coset, min(coset))
-        cosets_by_type.append(seen)
-    vertices = []
-    types = {}
-    for t, seen in enumerate(cosets_by_type):
-        for coset in seen:
-            v = (t, min(coset))
-            vertices.append(v)
-            types[v] = t
-    coset_of = []
-    for t, seen in enumerate(cosets_by_type):
-        lookup = {}
-        for coset in seen:
-            for w in coset:
-                lookup[w] = (t, min(coset))
-        coset_of.append(lookup)
-    facets = [frozenset(coset_of[t][w] for t in range(len(gens)))
-              for w in elems]
-    cx = TypedComplex(sorted(vertices), types, facets)
+    act = _coordinate_action(family, n, _ambient_size(family, n))
+    seed = standard_orbit_seed(family, n)
+
+    def point(w, t):
+        return frozenset(act(w, i) for i in seed[t])
+
+    label = [{} for _ in seed]     # type t: point -> vertex (t, w)
+    facets = [frozenset(label[t].setdefault(point(w, t), (t, w))
+                        for t in range(len(seed))) for w in elems]
+    vertices = sorted(v for by_point in label for v in by_point.values())
+    cx = TypedComplex(vertices, {v: v[0] for v in vertices}, facets)
 
     def vact(g, v):
         t, w = v
-        return coset_of[t][comp(g, w)]
+        return label[t][point(comp(g, w), t)]
 
     action = CoxeterGroupAction(family, n, tuple(elems), tuple(gens), comp,
                                 vact)
@@ -504,14 +442,17 @@ def standard_orbit_seed(family, n):
     A: the full flag {1} < {1,2} < ... < {1..n} in P^n;
     B/C: the maximal isotropic coordinate flag;
     D: the oriflamme pair sharing dimensions 1..n-2 with both maximal
-    isotropic subspaces {1..n} and {1..n-1, n+1}.
+    isotropic subspaces {1..n-1, n+1} and {1..n}.
+
+    Entry t is the vertex fixed by the maximal parabolic subgroup W_{S-t},
+    S the generators of `coxeter_group(family, n)` in order.
     """
     if family in ("A", "B", "C"):
         return [frozenset(range(1, k + 1)) for k in range(1, n + 1)]
     if family == "D":
         seed = [frozenset(range(1, k + 1)) for k in range(1, n - 1)]
-        seed.append(frozenset(range(1, n + 1)))
         seed.append(frozenset(list(range(1, n)) + [n + 1]))
+        seed.append(frozenset(range(1, n + 1)))
         return seed
     raise ValueError("family must be one of A, B, C, D")
 

@@ -328,19 +328,6 @@ def absorbing_ideal(cong: Congruence) -> IdealDescriptor:
                            tuple(sorted(block)), "exact")
 
 
-def congruence_generated_by_ideal(blueprint, ideal, budget=None):
-    """The kernel of B -> B/I: identify the ideal members with zero and close
-    under the congruence axioms (pairs merged by the quotient's properness
-    normalization are detected by the guard)."""
-    from .core import quotient_by_ideal
-    q = quotient_by_ideal(blueprint, ideal, budget)
-    proj = q.projection
-    blocks = {}
-    for s in blueprint.backend.symbols:
-        blocks.setdefault(proj[s], []).append(s)
-    return Congruence(blueprint, blocks.values())
-
-
 def cspec_to_spec(blueprint, budget=None):
     """The map CSpec -> Spec sending a prime congruence to its absorbing
     ideal; returns (cspec, spec, index map)."""

@@ -56,11 +56,6 @@ def hnf_with_transform(rows: list[list[int]]):
     return basis, transforms, kernel
 
 
-def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
-    basis, _, _ = hnf_with_transform([list(r) for r in rows if any(r)])
-    return basis
-
-
 def smith_normal_form(rows: list[list[int]]) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of the matrix `rows`."""
     m = [list(r) for r in rows if any(r)]

@@ -1,5 +1,6 @@
 """The command-line interface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -292,3 +293,93 @@ class TestContracts:
         args.budget = None
         assert args.func(args) == code
         assert capsys.readouterr() == (out, err)
+
+
+# sha256 of stdout for every family and rank <= 4 (D from rank 2), computed
+# with the parabolic-coset Coxeter complex that the orbit build replaced.
+COMPLEX_JSON_SHA256 = [
+    ('coxeter A 1 --json',
+     'bebe2c831de61e333ee083a8b3db1a7535e30ab8b510b80cc09102fecdb2d642'),
+    ('orbit A 1 --json',
+     '6da2c4bdb57f2de50cc8fb54f40de043180c47422576c88a6ce05765aa3b2ce4'),
+    ('coxeter A 2 --json',
+     '9e6c7700e2f26514ba276d47190332eb7dee78ef87967ae4e5a24a13684682e0'),
+    ('orbit A 2 --json',
+     '75655983f3abc3e86ae452aafd5205224399ad858ba635ab1eb5a712428e5d35'),
+    ('coxeter A 3 --json',
+     '045a65f671633704f62e681c8a7e28e5b63bd1835d6cd86832464301c362e15c'),
+    ('orbit A 3 --json',
+     'f000fab13c94294f5d7d6d93a282b5d189ee30e4196ad396bd6950c37483d924'),
+    ('coxeter A 4 --json',
+     'beb89827eacc46aba429f055785f26485ac392750accaac0212677a49e842a89'),
+    ('orbit A 4 --json',
+     '9481614bcbfc5cb50bcd79d2f5bef1816596edf99c7c40a7530169870efd07aa'),
+    ('coxeter B 1 --json',
+     '74c21258db601bbfe6e0982c058a97e0d4940ab1c0fb1931b22714faedc7f3ed'),
+    ('orbit B 1 --json',
+     'b7aa42442b520d7e3e705030a36201924968ab693af3310483a60a70e7c306a0'),
+    ('coxeter B 2 --json',
+     'e4ffac98c4ab7b8a630ff7155cf6455aa0d80909ab1a7f4c6ceefe531d4bf21c'),
+    ('orbit B 2 --json',
+     '0e3dfef00d840a5ac15f719719bc65031a029d38f0efa2991fb7dcc9bef4942e'),
+    ('coxeter B 3 --json',
+     'c2b74b30411a7174846aa8adbd61581c12b0a698a9a1c0bd99c262fc49b8342d'),
+    ('orbit B 3 --json',
+     'dbd98778bf1c27432c7258700546fdd326d4739174d1a8036a865ee4c8239437'),
+    ('coxeter B 4 --json',
+     '683d171c508259cbe9544f013ccafb9d178732de2b033425a69858571de137bb'),
+    ('orbit B 4 --json',
+     'ba6a8a8773922b130b1ddb960b6f8af7d2a32ac8e5d9511b944fa7ef9da25371'),
+    ('coxeter C 1 --json',
+     '74c21258db601bbfe6e0982c058a97e0d4940ab1c0fb1931b22714faedc7f3ed'),
+    ('orbit C 1 --json',
+     '6da2c4bdb57f2de50cc8fb54f40de043180c47422576c88a6ce05765aa3b2ce4'),
+    ('coxeter C 2 --json',
+     'e4ffac98c4ab7b8a630ff7155cf6455aa0d80909ab1a7f4c6ceefe531d4bf21c'),
+    ('orbit C 2 --json',
+     'a40c24ed4f99b0ac1590e66571f567f1cb00e84b456a0f37fd74cd7259f24278'),
+    ('coxeter C 3 --json',
+     'c2b74b30411a7174846aa8adbd61581c12b0a698a9a1c0bd99c262fc49b8342d'),
+    ('orbit C 3 --json',
+     '2ac56c281cdacbf02e555d33e7289c1f1c3aa04c3b7f2804d22092c029a6e4e7'),
+    ('coxeter C 4 --json',
+     '683d171c508259cbe9544f013ccafb9d178732de2b033425a69858571de137bb'),
+    ('orbit C 4 --json',
+     'ed026891dd917abe1ac26607ba7bb8d1ccbe8fcbba564a19b86f6b3c56a64070'),
+    ('coxeter D 2 --json',
+     '1251db4d5224308772253bc59ec1702073c7a56e4f0a8fb0e38d55a0e577b49f'),
+    ('orbit D 2 --json',
+     '376e86a86791dd8df551d4a473e45b2640500ff02c8e54354af9d3ddcd4cf783'),
+    ('orbit D 2 --plain --json',
+     'd678bbdd171e62325deb7f3c1f2343f9367a101c8aa6a69ed844925cd3f3e6ca'),
+    ('coxeter D 3 --json',
+     '2fe088e50951a4c208770b22c67021368be6159d85adc2be0361a6e64416a9b0'),
+    ('orbit D 3 --json',
+     'd48ccaba7047c896b72be6cbd16a365c13ee044c909d92d1ea5a833cc06f994a'),
+    ('orbit D 3 --plain --json',
+     '5e754f6e5d2e287aefcb4f46da354e81929897fabf347820a91344d8bc624afb'),
+    ('coxeter D 4 --json',
+     '944e6abfb9f45aa8737a59696bd5c6ae47a13854d1fea06334d9f2317e707064'),
+    ('orbit D 4 --json',
+     '7540329d434082a681c5434b6fd0539523a1973ff3aaa45b6c40f6a89f7c08f6'),
+    ('orbit D 4 --plain --json',
+     '8896c0205ec1f358dcf4fbf22a90040de2d691c0d3a6bc63960e15104ff4b5da'),
+]
+
+
+class TestCoxeterAndOrbitPinned:
+    @pytest.mark.parametrize("argv,digest", COMPLEX_JSON_SHA256)
+    def test_json_bytes(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        ("coxeter", "B", "0"), ("coxeter", "D", "1"), ("coxeter", "A", "-1"),
+        ("coxeter", "A", "0"), ("orbit", "D", "1", "--plain"),
+        ("orbit", "C", "0")])
+    def test_rank_naming_no_group_is_an_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no Coxeter group")

@@ -402,3 +402,106 @@ class TestSubspaceContainment:
             for small in spaces:
                 assert cx._subspace_contains(field, big, small) == all(
                     reference_in_rowspace(field, big, v) for v in small)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the parabolic-coset Coxeter complex
+
+
+def reference_coxeter_complex(family, n):
+    """The Coxeter complex built from one group closure per maximal parabolic
+    subgroup W_{S-t} and one coset per chamber and type: kept as an oracle for
+    the orbit construction in `coxeter_complex`."""
+    elems, gens, comp = cx.coxeter_group(family, n)
+    ident = tuple(range(n + 1)) if family == "A" else tuple(range(1, n + 1))
+    cosets_by_type = []
+    for t in range(len(gens)):
+        sub = cx._group_closure([g for i, g in enumerate(gens) if i != t],
+                                comp, ident)
+        seen = {}
+        for w in elems:
+            coset = frozenset(comp(w, h) for h in sub)
+            seen.setdefault(coset, min(coset))
+        cosets_by_type.append(seen)
+    vertices = []
+    types = {}
+    coset_of = []
+    for t, seen in enumerate(cosets_by_type):
+        lookup = {}
+        for coset, first in seen.items():
+            vertices.append((t, first))
+            types[(t, first)] = t
+            for w in coset:
+                lookup[w] = (t, first)
+        coset_of.append(lookup)
+    facets = [frozenset(coset_of[t][w] for t in range(len(gens)))
+              for w in elems]
+    complex_ = cx.TypedComplex(sorted(vertices), types, facets)
+
+    def vact(g, v):
+        t, w = v
+        return coset_of[t][comp(g, w)]
+
+    return complex_, vact
+
+
+FAMILY_RANKS = [(f, n) for f in "ABCD" for n in range(1, 6)
+                if not (f == "D" and n < 2)]
+
+
+def parabolic_indices(family, n):
+    """|W| / |W_{S-t}| for each type t, from the group orders alone."""
+    if family == "A":
+        return {t: math.comb(n + 1, t + 1) for t in range(n)}
+    out = {t: 2 ** (t + 1) * math.comb(n, t + 1) for t in range(n)}
+    if family == "D":
+        out[n - 2] = out[n - 1] = 2 ** (n - 1)
+    return out
+
+
+class TestCoxeterComplexAgainstReference:
+    @pytest.mark.parametrize("family,n",
+                             [fn for fn in FAMILY_RANKS if fn[1] <= 4]
+                             + [("D", 5)])
+    def test_same_complex_and_action(self, family, n):
+        c, action = cx.coxeter_complex(family, n)
+        ref, ref_vact = reference_coxeter_complex(family, n)
+        assert c.vertices == ref.vertices
+        assert c.types == ref.types
+        assert c.facets == ref.facets
+        for g in action.elements:
+            for v in c.vertices:
+                assert action.vertex_action(g, v) == ref_vact(g, v)
+
+    @pytest.mark.parametrize("family,n", FAMILY_RANKS)
+    def test_type_histogram_is_the_parabolic_indices(self, family, n):
+        c, _ = cx.coxeter_complex(family, n)
+        assert c.type_histogram() == parabolic_indices(family, n)
+
+    @pytest.mark.parametrize("family,n", FAMILY_RANKS)
+    def test_seed_entry_t_is_fixed_by_w_s_minus_t(self, family, n):
+        _, gens, _ = cx.coxeter_group(family, n)
+        m = cx._ambient_size(family, n)
+        act = cx._coordinate_action(family, n, m)
+        for t, point in enumerate(cx.standard_orbit_seed(family, n)):
+            for i, g in enumerate(gens):
+                fixed = frozenset(act(g, x) for x in point) == point
+                assert fixed == (i != t)
+
+    def test_generators(self):
+        _, gens, _ = cx.coxeter_group("A", 2)
+        assert gens == [(1, 0, 2), (0, 2, 1)]
+        _, gens, _ = cx.coxeter_group("B", 2)
+        assert gens == [(2, 1), (1, -2)]
+        _, gens, _ = cx.coxeter_group("D", 3)
+        assert gens == [(2, 1, 3), (1, 3, 2), (1, -3, -2)]
+
+    @pytest.mark.parametrize("family,n", [("A", 0), ("A", -1), ("B", 0),
+                                          ("C", 0), ("D", 1), ("D", 0)])
+    def test_ranks_naming_no_group_are_rejected(self, family, n):
+        with pytest.raises(ValueError):
+            cx.coxeter_group(family, n)
+        with pytest.raises(ValueError):
+            cx.coxeter_complex(family, n)
+        with pytest.raises(ValueError):
+            cx.weyl_orbit_complex(family, n)
