@@ -467,10 +467,20 @@ def _is_isotropic(subset, family, m):
     return True
 
 
+_ORBIT_MAX_RANK = {"A": 7, "B": 5, "C": 5, "D": 5}
+
+
 def weyl_orbit_complex(family, n, seed=None):
     """The orbit of a seed simplex (a set of coordinate-subset points of
     P^{m-1}) under the Weyl group acting on coordinate labels, closed under
-    faces. Vertex types are the W-orbit classes."""
+    faces. Vertex types are the W-orbit classes.
+
+    Ranks above A_7, B_5, C_5 and D_5 raise RankTooLarge before the group is
+    closed: A_8 has 9! elements, and from m = 12 coordinates on the
+    concatenated vertex names clash ({12} and {1, 2} are both "12")."""
+    if n > _ORBIT_MAX_RANK.get(family, n):
+        raise RankTooLarge(f"{family}_{n}: orbit complexes stop at "
+                           f"{family}_{_ORBIT_MAX_RANK[family]}")
     m = _ambient_size(family, n)
     elems, gens, comp = coxeter_group(family, n)
     act = _coordinate_action(family, n, m)

@@ -5,14 +5,19 @@ Blueprint files follow
      "generators": [names], "inverted": [names],
      "relations": [[[lhs terms], [rhs terms]], ...]}
 with the monomial grammar coeff "*" var "^" int and the literals "1", "0".
+
+Quiver representation files follow
+    {"vertices": n, "arrows": [[source, target], ...], "dims": [d_0, ...],
+     "matrices": [[row, ...], ...], "e": [e_0, ...]}
+with one integer matrix per arrow, written as its d_target rows of d_source
+integers (a matrix into a vertex of dimension 0 is []); "e" is optional.
+
 Serialization is canonical and round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
-
-import numpy as np
 
 from . import catalog
 from .core import (ONE, Blueprint, BlueprintError, FiniteTable,
@@ -22,17 +27,15 @@ from .quivergrass import IntegralRep, Quiver
 
 def _coeff_tag(bp):
     """Recognize the named coefficient blueprints."""
-    for tag, builder in (("F1", catalog.f1), ("B1", catalog.b1)):
-        ref = builder()
-        if (bp.backend.symbols == ref.backend.symbols
+    def same(ref):
+        return (bp.backend.symbols == ref.backend.symbols
                 and bp.backend.mul_table == ref.backend.mul_table
-                and bp.relations == ref.relations):
+                and bp.relations == ref.relations)
+    for tag, builder in (("F1", catalog.f1), ("B1", catalog.b1)):
+        if same(builder()):
             return tag
     for n in range(2, 13):
-        ref = catalog.f1n(n)
-        if (bp.backend.symbols == ref.backend.symbols
-                and bp.backend.mul_table == ref.backend.mul_table
-                and bp.relations == ref.relations):
+        if same(catalog.f1n(n)):
             return "F1^2" if n == 2 else f"F1^n:{n}"
     return None
 
@@ -66,18 +69,11 @@ def _coeff_from_json(data):
         if data.startswith("F1^n:"):
             return catalog.f1n(int(data.split(":")[1]))
         raise BlueprintError(f"unknown coefficient tag {data!r}")
-    carrier = tuple(data["carrier"])
-    mul = {}
-    for a, b, c in data["mul"]:
-        mul[(a, b)] = c
-        mul[(b, a)] = c
-    add = None
-    if "add" in data:
-        add = {}
-        for a, b, c in data["add"]:
-            add[(a, b)] = c
-            add[(b, a)] = c
-    table = FiniteTable(carrier, mul, add)
+
+    def symmetric(triples):
+        return {k: c for a, b, c in triples for k in ((a, b), (b, a))}
+    add = symmetric(data["add"]) if "add" in data else None
+    table = FiniteTable(tuple(data["carrier"]), symmetric(data["mul"]), add)
     rels = [(l, r) for l, r in data.get("relations", [])]
     return Blueprint(table, rels)
 
@@ -187,8 +183,7 @@ def quiver_rep_to_json(rep: IntegralRep, e=None) -> dict:
         "vertices": rep.quiver.n_vertices,
         "arrows": [[s, t] for s, t in rep.quiver.arrows],
         "dims": list(rep.dims),
-        "matrices": [[[int(x) for x in row] for row in m]
-                     for m in rep.matrices],
+        "matrices": [[list(row) for row in m] for m in rep.matrices],
     }
     if e is not None:
         out["e"] = list(e)
@@ -197,9 +192,6 @@ def quiver_rep_to_json(rep: IntegralRep, e=None) -> dict:
 
 def quiver_rep_from_json(data):
     quiver = Quiver(data["vertices"], tuple((s, t) for s, t in data["arrows"]))
-    rep = IntegralRep(quiver, tuple(data["dims"]),
-                      [np.asarray(m, dtype=int).reshape(
-                          data["dims"][t], data["dims"][s])
-                       for (s, t), m in zip(quiver.arrows, data["matrices"])])
+    rep = IntegralRep(quiver, data["dims"], data["matrices"])
     e = tuple(data["e"]) if "e" in data else None
     return rep, e

@@ -6,9 +6,8 @@ comparison theorems."""
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import BlueprintError, TooLarge
 from .counting import SAMPLE_Q, fit_polynomial
@@ -38,49 +37,51 @@ class Quiver:
                 raise ValueError("arrow endpoint out of range")
 
     def underlying_is_tree(self):
-        """Connected and acyclic as an undirected simple graph."""
-        edges = {frozenset((s, t)) for s, t in self.arrows if s != t}
-        if any(s == t for s, t in self.arrows):
+        """Connected and acyclic as an undirected simple graph: n - 1 arrows,
+        each joining two different components of the ones before it."""
+        if len(self.arrows) != self.n_vertices - 1:
             return False
-        if len(edges) != len(self.arrows):
-            return False
-        if len(edges) != self.n_vertices - 1:
-            return False
-        seen = {0}
-        frontier = [0]
-        adj = {i: set() for i in range(self.n_vertices)}
-        for e in edges:
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == self.n_vertices
+        component = list(range(self.n_vertices))
+        for s, t in self.arrows:
+            a, b = component[s], component[t]
+            if a == b:
+                return False
+            component = [a if c == b else c for c in component]
+        return True
+
+
+def _integer_matrix(m, s, t, rows, cols):
+    """`m` as a tuple of `rows` row tuples of `cols` Python ints."""
+    shape = (f"matrix for arrow {s}->{t} must be {rows}x{cols}:"
+             f" a list of {rows} rows of {cols} integers")
+    try:
+        m = [list(row) for row in m]
+    except TypeError:
+        raise ValueError(shape) from None
+    if len(m) != rows or any(len(row) != cols for row in m):
+        raise ValueError(shape)
+    try:
+        return tuple(tuple(operator.index(x) for x in row) for row in m)
+    except TypeError:
+        raise ValueError(f"matrix for arrow {s}->{t} has an entry that is"
+                         " not an integer") from None
 
 
 class IntegralRep:
-    """Integer matrices M_alpha of shape d_target x d_source per arrow."""
+    """Integer matrices M_alpha per arrow, each a tuple of d_target rows of
+    d_source Python ints (a 0 x d matrix has no rows)."""
 
-    def __init__(self, quiver, dims, matrices, basis_labels=None):
+    def __init__(self, quiver, dims, matrices):
         self.quiver = quiver
         self.dims = tuple(dims)
-        self.matrices = [np.asarray(m, dtype=int) for m in matrices]
         if len(self.dims) != quiver.n_vertices:
             raise ValueError("one dimension per vertex required")
-        if len(self.matrices) != len(quiver.arrows):
+        matrices = list(matrices)
+        if len(matrices) != len(quiver.arrows):
             raise ValueError("one matrix per arrow required")
-        for (s, t), m in zip(quiver.arrows, self.matrices):
-            if m.shape != (self.dims[t], self.dims[s]):
-                raise ValueError(
-                    f"matrix for arrow {s}->{t} must be {self.dims[t]}x{self.dims[s]}")
-        if basis_labels is None:
-            basis_labels = tuple(tuple(f"b{i}.{k}" for k in range(d))
-                                 for i, d in enumerate(self.dims))
-        self.basis_labels = basis_labels
+        self.matrices = tuple(
+            _integer_matrix(m, s, t, self.dims[t], self.dims[s])
+            for (s, t), m in zip(quiver.arrows, matrices))
 
     def __repr__(self):
         return f"IntegralRep(dims={self.dims}, arrows={self.quiver.arrows})"
@@ -115,10 +116,10 @@ def f1_rep_to_integral(rep: F1Rep) -> IntegralRep:
     basis of non-base elements."""
     mats = []
     for (s, t), m in zip(rep.quiver.arrows, rep.maps):
-        a = np.zeros((rep.sizes[t], rep.sizes[s]), dtype=int)
+        a = [[0] * rep.sizes[s] for _ in range(rep.sizes[t])]
         for x, y in m.items():
             if y is not None:
-                a[y, x] = 1
+                a[y][x] = 1
         mats.append(a)
     return IntegralRep(rep.quiver, rep.sizes, mats)
 
@@ -137,6 +138,21 @@ def _dimension_vector(rep, e):
     return e
 
 
+def _closed_families(rep, e, successors):
+    """The families (S_v) of basis subsets with |S_v| = e_v, each S_v a
+    frozenset, in `itertools.product` order over the vertices' combinations,
+    that are closed under the arrows. Per arrow, `successors[b]` is the
+    frozenset of target indices that a chosen source index b forces into the
+    target subset, or None if b may not be chosen."""
+    choices = [[frozenset(c) for c in itertools.combinations(range(d), k)]
+               for d, k in zip(rep.dims, e)]
+    checks = list(zip(rep.quiver.arrows, successors))
+    for family in itertools.product(*choices):
+        if all(succ[b] is not None and succ[b] <= family[t]
+               for (s, t), succ in checks for b in family[s]):
+            yield family
+
+
 def naive_f1_points(rep: IntegralRep, e):
     """Basis-subset families (S_i) of sizes e_i closed under the arrows: each
     chosen basis vector maps to zero or to exactly a basis vector that is
@@ -144,28 +160,13 @@ def naive_f1_points(rep: IntegralRep, e):
     e = _dimension_vector(rep, e)
     if any(ei > di for ei, di in zip(e, rep.dims)):
         raise ValueError("dimension vector out of bounds")
-    choices = [list(itertools.combinations(range(d), k))
-               for d, k in zip(rep.dims, e)]
-    out = []
-    for family in itertools.product(*choices):
-        ok = True
-        for (s, t), m in zip(rep.quiver.arrows, rep.matrices):
-            for b in family[s]:
-                col = m[:, b]
-                nz = np.nonzero(col)[0]
-                if len(nz) == 0:
-                    continue
-                if len(nz) != 1 or col[nz[0]] != 1:
-                    ok = False
-                    break
-                if nz[0] not in family[t]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(frozenset(f) for f in family))
-    return out
+    successors = []
+    for (s, _t), m in zip(rep.quiver.arrows, rep.matrices):
+        columns = [[row[b] for row in m] for b in range(rep.dims[s])]
+        successors.append([frozenset(r for r, x in enumerate(col) if x)
+                           if set(col) <= {0, 1} and sum(col) <= 1 else None
+                           for col in columns])
+    return list(_closed_families(rep, e, successors))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def subrep_count_fq(rep: IntegralRep, e, q):
     links = [[] for _ in grids]
     for (s, t), m in zip(rep.quiver.arrows, rep.matrices):
         # Integers land in the prime subfield, whose elements are 0..p-1.
-        m = [[int(x) % field.p for x in row] for row in m]
+        m = [[x % field.p for x in row] for row in m]
         table = _arrow_table(field, m, grids[s], grids[t], e[t])
         if s == t:
             allowed[s] = frozenset(j for j in allowed[s] if j in table[j])
@@ -282,18 +283,16 @@ def good_sample_q(rep):
     degenerates), and the counting polynomial belongs to the generic model.
     """
     bad = set()
-    for m in rep.matrices:
-        for x in np.asarray(m).flat:
-            x = abs(int(x))
-            d = 2
-            while d * d <= x:
-                if x % d == 0:
-                    bad.add(d)
-                    while x % d == 0:
-                        x //= d
-                d += 1
-            if x > 1:
-                bad.add(x)
+    for x in {abs(x) for m in rep.matrices for row in m for x in row}:
+        d = 2
+        while d * d <= x:
+            if x % d == 0:
+                bad.add(d)
+                while x % d == 0:
+                    x //= d
+            d += 1
+        if x > 1:
+            bad.add(x)
     return [q for q in SAMPLE_Q if gf(q).p not in bad]
 
 
@@ -330,20 +329,11 @@ def weyl_count_diagonal_tree(rep: IntegralRep, e):
     for (s, t), m in zip(rep.quiver.arrows, rep.matrices):
         if rep.dims[s] != rep.dims[t]:
             raise HypothesisViolated("matrices must be square")
-        a = np.asarray(m)
-        if not np.array_equal(a, np.diag(np.diagonal(a))):
+        if any(x and i != j
+               for i, row in enumerate(m) for j, x in enumerate(row)):
             raise HypothesisViolated("matrices must be diagonal")
-        if any(x == 0 for x in np.diagonal(a)):
+        if not all(m[i][i] for i in range(len(m))):
             raise HypothesisViolated("diagonal entries must be invertible")
-    choices = [list(itertools.combinations(range(d), k))
-               for d, k in zip(rep.dims, e)]
-    count = 0
-    for family in itertools.product(*choices):
-        ok = True
-        for (s, t), _m in zip(rep.quiver.arrows, rep.matrices):
-            if not set(family[s]) <= set(family[t]):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    successors = [[frozenset((b,)) for b in range(rep.dims[s])]
+                  for s, _t in rep.quiver.arrows]
+    return sum(1 for _ in _closed_families(rep, e, successors))

@@ -175,6 +175,21 @@ class TestQGrass:
         code, out, _ = run(capsys, "qgrass", "count", str(path), "--q", "3")
         assert code == 0 and "q=3: 4" in out
 
+    @pytest.mark.parametrize("matrix", [[[1.5, 0], [0, 1]], [["1", 0], [0, 1]],
+                                        [1, 0, 0, 1]])
+    def test_matrix_not_integral_rows_is_an_error(self, capsys, tmp_path,
+                                                  matrix):
+        # Non-integer entries were truncated and flat lists reshaped, so
+        # the answer was for a different matrix than the file gave.
+        payload = {"vertices": 2, "arrows": [[0, 1]], "dims": [2, 2],
+                   "matrices": [matrix], "e": [1, 1]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "qgrass", "chi", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: matrix for arrow 0->1")
+
 
 QGRASS_REPS = {
     # a three-vertex line, one arrow pointing backwards
@@ -232,6 +247,12 @@ class TestContracts:
         code, _, err = run(capsys, "spec", "catalog:not_a_thing")
         assert code == 1
         assert "error:" in err
+
+    def test_orbit_rank_above_guard_is_an_error(self, capsys):
+        code, out, err = run(capsys, "orbit", "A", "9")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: A_9")
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +170,20 @@ class TestOrbitComplexes:
     def test_bad_seed_rejected(self):
         with pytest.raises(cx.SeedNotSimplex):
             cx.weyl_orbit_complex("B", 2, [frozenset({1, 5})])  # not isotropic
+
+    @pytest.mark.parametrize("family,n", [("A", 8), ("A", 9), ("B", 6),
+                                          ("C", 6), ("D", 6)])
+    def test_rank_above_guard_raises_at_once(self, family, n):
+        start = time.monotonic()
+        with pytest.raises(cx.RankTooLarge):
+            cx.weyl_orbit_complex(family, n)
+        assert time.monotonic() - start < 0.5
+
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    def test_largest_rank_below_guard_builds(self, family):
+        # m <= 11 coordinates: the concatenated vertex names stay distinct.
+        oc, _ = cx.weyl_orbit_complex(family, 5)
+        assert len(oc.chambers()) == {"B": 3840, "C": 3840, "D": 1920}[family]
 
 
 class TestBuildings:

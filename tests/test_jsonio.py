@@ -1,8 +1,10 @@
 """JSON round-trips for blueprints, schemes, and quiver representations."""
 
 import json
+import os
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
 from blueforge import catalog, jsonio
@@ -77,11 +79,80 @@ class TestSchemeRoundTrip:
 class TestQuiverRoundTrip:
     def test_round_trip(self):
         quiver = qg.Quiver(2, ((0, 1),))
-        rep = qg.IntegralRep(quiver, (2, 2), [np.diag([2, 3])])
+        rep = qg.IntegralRep(quiver, (2, 2), [[[2, 0], [0, 3]]])
         data = jsonio.quiver_rep_to_json(rep, e=(1, 1))
         back, e = jsonio.quiver_rep_from_json(data)
         assert e == (1, 1)
         assert back.dims == (2, 2)
-        assert (back.matrices[0] == rep.matrices[0]).all()
+        assert back.matrices[0] == rep.matrices[0]
         again = jsonio.quiver_rep_to_json(back, e=e)
         assert jsonio.dumps(data) == jsonio.dumps(again)
+
+    def test_flat_matrix_rejected_with_shape(self):
+        data = {"vertices": 2, "arrows": [[0, 1]], "dims": [2, 2],
+                "matrices": [[1, 0, 0, 1]], "e": [1, 1]}
+        with pytest.raises(ValueError, match=r"0->1 must be 2x2: a list of 2"
+                                             r" rows of 2 integers"):
+            jsonio.quiver_rep_from_json(data)
+
+    @pytest.mark.parametrize("matrix", [[[1.7, 0], [0, 1]], [["1", 0], [0, 1]],
+                                        [[1.0, 0], [0, 1]]])
+    def test_non_integer_entry_rejected(self, matrix):
+        data = {"vertices": 2, "arrows": [[0, 1]], "dims": [2, 2],
+                "matrices": [matrix]}
+        with pytest.raises(ValueError, match="arrow 0->1 has an entry"):
+            jsonio.quiver_rep_from_json(data)
+
+    def test_zero_dimensional_vertex(self):
+        # The arrow 0 -> 1 into a vertex of dimension 0 carries a 0 x 2
+        # matrix, which has no rows; its Grassmannian at e = (1, 0) is P^1.
+        quiver = qg.Quiver(2, ((0, 1),))
+        direct = qg.IntegralRep(quiver, (2, 0), [[]])
+        data = {"vertices": 2, "arrows": [[0, 1]], "dims": [2, 0],
+                "matrices": [[]], "e": [1, 0]}
+        loaded, e = jsonio.quiver_rep_from_json(data)
+        assert e == (1, 0)
+        assert jsonio.quiver_rep_to_json(direct, e) == data
+        for rep in (direct, loaded):
+            assert rep.matrices == ((),)
+            assert qg.chi_via_interpolation(rep, e) == 2
+            for q in (2, 3, 4, 5):
+                assert qg.subrep_count_fq(rep, e, q) == q + 1
+        with pytest.raises(ValueError, match="must be 0x2"):
+            qg.IntegralRep(quiver, (2, 0), [[[]]])
+
+    def test_numpy_input_matches_lists(self):
+        # Callers may still pass numpy arrays of integers.
+        np = pytest.importorskip("numpy")
+        quiver = qg.Quiver(3, ((0, 1), (2, 1)))
+        lists = [[[1, 0], [0, 1]], [[-1, 0], [0, 3]]]
+        arrays = [np.eye(2, dtype=int), np.diag([-1, 3])]
+        from_lists = qg.IntegralRep(quiver, (2, 2, 2), lists)
+        from_arrays = qg.IntegralRep(quiver, (2, 2, 2), arrays)
+        assert from_arrays.matrices == from_lists.matrices
+        assert all(type(x) is int for m in from_arrays.matrices
+                   for row in m for x in row)
+        e = (1, 1, 1)
+        for q in (3, 7, 9):
+            assert qg.subrep_count_fq(from_arrays, e, q) == \
+                qg.subrep_count_fq(from_lists, e, q)
+        assert qg.chi_via_interpolation(from_arrays, e) == \
+            qg.chi_via_interpolation(from_lists, e)
+        assert qg.weyl_count_diagonal_tree(from_arrays, e) == \
+            qg.weyl_count_diagonal_tree(from_lists, e)
+        assert jsonio.dumps(jsonio.quiver_rep_to_json(from_arrays, e)) == \
+            jsonio.dumps(jsonio.quiver_rep_to_json(from_lists, e))
+
+
+def test_no_module_imports_numpy():
+    import blueforge
+    src = os.path.dirname(os.path.dirname(blueforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import pkgutil, importlib, sys, blueforge\n"
+            "for mod in pkgutil.iter_modules(blueforge.__path__):\n"
+            "    if mod.name != '__main__':\n"
+            "        importlib.import_module('blueforge.' + mod.name)\n"
+            "print('numpy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

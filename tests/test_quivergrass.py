@@ -4,7 +4,6 @@ Euler-characteristic comparison theorems."""
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +14,34 @@ from blueforge.fields import gf
 
 def rep_1to2(matrix):
     q = qg.Quiver(2, ((0, 1),))
-    return qg.IntegralRep(q, (2, 2), [np.asarray(matrix, dtype=int)])
+    return qg.IntegralRep(q, (2, 2), [matrix])
+
+
+class TestIntegralRep:
+    def test_entries_become_int_tuples(self):
+        rep = rep_1to2([[1, 0], [0, -2]])
+        assert rep.matrices == (((1, 0), (0, -2)),)
+
+    @pytest.mark.parametrize("matrix", [[[1.5, 0], [0, 1]], [["1", 0], [0, 1]],
+                                        [[1, 0], [0, None]]])
+    def test_non_integer_entry_rejected(self, matrix):
+        # 1.5 used to be truncated to 1 and "1" read as 1.
+        with pytest.raises(ValueError, match="arrow 0->1 has an entry"):
+            rep_1to2(matrix)
+
+    @pytest.mark.parametrize("matrix", [[1, 0, 0, 1], [[1, 0]],
+                                        [[1, 0], [0, 1, 0]]])
+    def test_wrong_shape_rejected(self, matrix):
+        with pytest.raises(ValueError, match="0->1 must be 2x2"):
+            rep_1to2(matrix)
+
+
+@pytest.mark.parametrize("n,arrows,tree", [
+    (1, (), True), (2, ((0, 1),), True), (3, ((1, 0), (1, 2)), True),
+    (0, (), False), (2, ((0, 0),), False), (2, ((0, 1), (1, 0)), False),
+    (3, ((0, 1),), False), (4, ((0, 1), (1, 2), (2, 0)), False)])
+def test_underlying_is_tree(n, arrows, tree):
+    assert qg.Quiver(n, arrows).underlying_is_tree() is tree
 
 
 class TestF1Reps:
@@ -23,7 +49,7 @@ class TestF1Reps:
         q = qg.Quiver(2, ((0, 1),))
         rep = qg.F1Rep(q, (1, 1), [{0: 0}])
         integral = qg.f1_rep_to_integral(rep)
-        assert integral.matrices[0].tolist() == [[1]]
+        assert integral.matrices[0] == ((1,),)
 
     def test_fiber_of_size_two_rejected(self):
         q = qg.Quiver(2, ((0, 1),))
@@ -35,12 +61,12 @@ class TestF1Reps:
         q = qg.Quiver(2, ((0, 1),))
         rep = qg.F1Rep(q, (3, 1), [{0: None, 1: None, 2: 0}])
         mat = qg.f1_rep_to_integral(rep).matrices[0]
-        assert mat.tolist() == [[0, 0, 1]]
+        assert mat == ((0, 0, 1),)
 
     def test_map_to_base_point_gives_zero_column(self):
         q = qg.Quiver(2, ((0, 1),))
         rep = qg.F1Rep(q, (1, 1), [{0: None}])
-        assert qg.f1_rep_to_integral(rep).matrices[0].tolist() == [[0]]
+        assert qg.f1_rep_to_integral(rep).matrices[0] == ((0,),)
 
 
 class TestNaivePoints:
@@ -53,8 +79,7 @@ class TestNaivePoints:
 
     def test_equioriented_a3(self):
         q = qg.Quiver(3, ((0, 1), (1, 2)))
-        rep = qg.IntegralRep(q, (1, 2, 1), [np.array([[1], [0]]),
-                                            np.array([[1, 0]])])
+        rep = qg.IntegralRep(q, (1, 2, 1), [[[1], [0]], [[1, 0]]])
         assert len(qg.naive_f1_points(rep, (1, 1, 1))) == 1
 
     def test_naive_points_are_subreps_over_f2(self):
@@ -67,18 +92,18 @@ class TestNaivePoints:
             d = rng.randrange(1, 4)
             mats = []
             for _ in arrows:
-                m = np.zeros((d, d), dtype=int)
+                m = [[0] * d for _ in range(d)]
                 cols = list(range(d))
                 rng.shuffle(cols)
                 for r, c in enumerate(cols):
-                    m[r, c] = rng.choice([0, 1])
+                    m[r][c] = rng.choice([0, 1])
                 mats.append(m)
             rep = qg.IntegralRep(q, (d,) * nv, mats)
             e = tuple(rng.randrange(0, d + 1) for _ in range(nv))
             for family in qg.naive_f1_points(rep, e):
                 for (s, t), m in zip(arrows, mats):
                     for b in family[s]:
-                        img = [int(x) % 2 for x in m[:, b]]
+                        img = [row[b] % 2 for row in m]
                         basis_rows = [[1 if k == c else 0 for k in range(d)]
                                       for c in sorted(family[t])]
                         assert not any(qg._reduce_vec(field, basis_rows, img))
@@ -166,7 +191,7 @@ def reference_subrep_count_fq(rep, e, q):
     checked by a matrix-vector product and a reduction."""
     e = tuple(e)
     field = gf(q)
-    mats = [[[_int_to_field(field, int(x)) for x in row] for row in m]
+    mats = [[[_int_to_field(field, x) for x in row] for row in m]
             for m in rep.matrices]
     grids = [qg._rref_bases(d, k, q) for d, k in zip(rep.dims, e)]
     count = 0
@@ -202,10 +227,8 @@ def random_reps(draw):
     arrows = tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=4)))
     dims = tuple(draw(st.lists(st.integers(1, 3), min_size=nv, max_size=nv)))
     entry = st.one_of(st.integers(-3, 3), st.sampled_from([2, 3, 4, 6, 9, -6]))
-    mats = [np.array(draw(st.lists(st.lists(entry, min_size=dims[s],
-                                            max_size=dims[s]),
-                                   min_size=dims[t], max_size=dims[t])),
-                     dtype=int).reshape(dims[t], dims[s])
+    mats = [draw(st.lists(st.lists(entry, min_size=dims[s], max_size=dims[s]),
+                          min_size=dims[t], max_size=dims[t]))
             for s, t in arrows]
     e = tuple(draw(st.integers(0, d)) for d in dims)
     return qg.IntegralRep(qg.Quiver(nv, arrows), dims, mats), e
@@ -235,8 +258,7 @@ class TestSubrepCountAgainstReference:
     ])
     def test_fixed_quivers(self, arrows, mats):
         dims = (3, 2)
-        rep = qg.IntegralRep(qg.Quiver(2, arrows), dims,
-                             [np.array(m) for m in mats])
+        rep = qg.IntegralRep(qg.Quiver(2, arrows), dims, mats)
         for e in itertools.product(range(4), range(3)):
             for q in (2, 3, 4, 5):
                 assert qg.subrep_count_fq(rep, e, q) == \
@@ -278,7 +300,7 @@ class TestWeylCount:
 
     def test_hypothesis_violations(self):
         non_tree = qg.Quiver(2, ((0, 1), (1, 0)))
-        rep = qg.IntegralRep(non_tree, (1, 1), [np.eye(1, dtype=int)] * 2)
+        rep = qg.IntegralRep(non_tree, (1, 1), [[[1]]] * 2)
         with pytest.raises(qg.HypothesisViolated):
             qg.weyl_count_diagonal_tree(rep, (1, 1))
         rep2 = rep_1to2([[0, 1], [1, 0]])
@@ -290,7 +312,7 @@ class TestWeylCount:
 
     def test_star_quiver_cross_check(self):
         star = qg.Quiver(3, ((0, 1), (2, 1)))
-        rep = qg.IntegralRep(star, (2, 2, 2), [np.eye(2, dtype=int)] * 2)
+        rep = qg.IntegralRep(star, (2, 2, 2), [[[1, 0], [0, 1]]] * 2)
         e = (1, 1, 1)
         assert qg.weyl_count_diagonal_tree(rep, e) == \
             qg.chi_via_interpolation(rep, e) == \
@@ -314,7 +336,7 @@ def random_tree_instance(rng, diagonal_pool):
             else:
                 edges.append((child, parent))
         quiver = qg.Quiver(nv, tuple(edges))
-        mats = [np.diag([rng.choice(diagonal_pool) for _ in range(d)])
+        mats = [_diag([rng.choice(diagonal_pool) for _ in range(d)])
                 for _ in edges]
         rep = qg.IntegralRep(quiver, (d,) * nv, mats)
         e = tuple(rng.randrange(0, d + 1) for _ in range(nv))
@@ -328,6 +350,11 @@ def random_tree_instance(rng, diagonal_pool):
         if cost > 20000:
             continue
         return rep, e
+
+
+def _diag(entries):
+    return [[x if i == j else 0 for j in range(len(entries))]
+            for i, x in enumerate(entries)]
 
 
 def _gauss(n, k, q):
