@@ -1,6 +1,6 @@
 """Blue modules over finite blueprints: kernels and cokernels, normal
 morphisms, projectivity, and K0 from the normal-exact-sequence presentation
-via Smith normal form."""
+via Smith normal form. Derivations in a module run on `core._explore`."""
 
 from __future__ import annotations
 
@@ -9,10 +9,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .budget import Budget
-from .core import ONE, ZERO, BlueprintError, TooLarge, _UnionFind
+from .core import (ONE, ZERO, BlueprintError, TooLarge, _explore,
+                   _RewriteMemo, _UnionFind)
 from .snf import smith_normal_form
 
 BASE = "*"
+# The bounds of every search in a module; running out raises TooLarge.
+MODULE_BUDGET = Budget(2, 8, 4000)
 
 
 class NotMono(BlueprintError):
@@ -63,6 +66,9 @@ class BlueModule:
             if pair:
                 rels.add(pair)
         self.relations = tuple(sorted(rels))
+        self._oriented = tuple(side for l, r in self.relations
+                               for side in ((l, r), (r, l)))
+        self.backend = _ActionBackend(self.action, syms)
 
     def _induced_relations(self):
         """The relations l·m = r·m for each relation l = r of the blueprint
@@ -133,6 +139,31 @@ class BlueModule:
         return self._invariant
 
 
+class _ActionBackend:
+    """The action as the rewrite kernel reads a blueprint backend: elements
+    are the terms, the base point is zero and b multiplies m to b·m."""
+
+    def __init__(self, action, symbols):
+        self._action = action
+        self._nonzero = [b for b in symbols if b != ZERO]
+
+    def mul(self, b, m):
+        return self._action[(b, m)]
+
+    def is_zero(self, m):
+        return m == BASE
+
+    def degree(self, b):
+        return 0
+
+    def divide(self, t, m):
+        """The nonzero symbols b with b·m = t."""
+        return [b for b in self._nonzero if self._action[(b, m)] == t]
+
+    def multipliers(self, max_degree):
+        return self._nonzero
+
+
 def module_colors(module):
     """Colour refinement of the carrier to a stable partition: each round
     colours an element by its colour, the colours of its images and the
@@ -172,10 +203,6 @@ def free_module(blueprint, k, name=None):
             if a == ZERO:
                 continue
             carrier.append(f"{a}@{i}")
-    for i in range(k):
-        for a in syms:
-            if a == ZERO:
-                continue
             for b in syms:
                 prod = blueprint.backend.mul(b, a)
                 action[(b, f"{a}@{i}")] = BASE if prod == ZERO else f"{prod}@{i}"
@@ -247,59 +274,21 @@ class ModuleMorphism:
         return f"ModuleMorphism({bits})"
 
 
-def _module_rewrites(module, u, budget):
-    syms = module.blueprint.backend.symbols
-    u_counter = Counter(u)
-    rels = []
-    for l, r in module.relations:
-        rels.append((l, r))
-        rels.append((r, l))
-    for L, R in rels:
-        for b in syms:
-            if b == ZERO:
-                continue
-            bL = Counter(x for x in (module.act(b, t) for t in L)
-                         if x != BASE)
-            if L and not bL:
-                continue
-            if not all(u_counter[t] >= k for t, k in bL.items()):
-                continue
-            if not L and not R:
-                continue
-            v = u_counter - bL
-            for x in (module.act(b, t) for t in R):
-                if x != BASE:
-                    v[x] += 1
-            flat = tuple(sorted(v.elements()))
-            if len(flat) <= budget.max_terms:
-                yield flat
+def _out_of_budget(module):
+    return TooLarge(f"a search in {module!r} ran out of the module budget"
+                    f" MODULE_BUDGET = {MODULE_BUDGET}")
 
 
-def module_derive(module, lhs, rhs, budget=None):
-    """Bounded search in the module pre-addition."""
-    budget = budget or Budget(2, 8, 4000)
-    l = module._norm_sum(lhs)
-    r = module._norm_sum(rhs)
+def module_derive(module, lhs, rhs):
+    """Whether lhs = rhs lies in the module's pre-addition, by one search
+    from lhs; TooLarge when MODULE_BUDGET stops it before it reaches rhs."""
+    l, r = module._norm_sum(lhs), module._norm_sum(rhs)
     if l == r:
         return True
-    seen = {l}
-    frontier = [l]
-    steps = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in _module_rewrites(module, u, budget):
-                steps += 1
-                if steps > budget.max_steps:
-                    return False
-                if v in seen:
-                    continue
-                if v == r:
-                    return True
-                seen.add(v)
-                nxt.append(v)
-        frontier = nxt
-    return False
+    hit, _, truncated = _explore(module, l, MODULE_BUDGET, targets={r})
+    if truncated:
+        raise _out_of_budget(module)
+    return hit
 
 
 def is_module_morphism(f: ModuleMorphism):
@@ -419,13 +408,11 @@ class ModuleClassifier:
 
     def classify(self, module):
         """Index of the class; registers a new class when unseen."""
-        inv = module.invariant()
-        for idx in self._by_invariant.get(inv, ()):
-            if modules_isomorphic(self.reps[idx], module):
-                return idx
-        idx = len(self.reps)
-        self.reps.append(module)
-        self._by_invariant.setdefault(inv, []).append(idx)
+        idx = self.find(module)
+        if idx is None:
+            idx = len(self.reps)
+            self.reps.append(module)
+            self._by_invariant.setdefault(module.invariant(), []).append(idx)
         return idx
 
     def find(self, module):
@@ -443,19 +430,8 @@ class ModuleClassifier:
 
 def kernel(f: ModuleMorphism):
     """Preimage of the base point, with the induced structure."""
-    src = f.source
-    sub = [m for m in src.nonbase() if f.apply(m) == BASE]
-    subset = set(sub) | {BASE}
-    action = {}
-    for b in src.blueprint.backend.symbols:
-        for m in sub:
-            action[(b, m)] = src.act(b, m)
-    rels = [(l, r) for l, r in src.relations
-            if all(t in subset for t in l + r)]
-    k = BlueModule(src.blueprint, tuple([BASE] + sub), action, rels,
-                   name=f"ker({src.name or 'M'})")
-    inc = ModuleMorphism(k, src, {m: m for m in sub})
-    return k, inc
+    sub = [m for m in f.source.nonbase() if f.apply(m) == BASE]
+    return _submodule(f.source, sub, name=f"ker({f.source.name or 'M'})")
 
 
 def submodule_closure(module: BlueModule, subset):
@@ -470,8 +446,7 @@ def submodule_closure(module: BlueModule, subset):
                 if v not in members:
                     members.add(v)
                     changed = True
-        for L, R in [(l, r) for l, r in module.relations] + \
-                    [(r, l) for l, r in module.relations]:
+        for L, R in module._oriented:
             if all(t in members for t in R):
                 missing = [t for t in L if t not in members]
                 if len(missing) == 1:
@@ -525,14 +500,29 @@ def cokernel(f: ModuleMorphism):
 
 
 def _improper_module_pair(module: BlueModule):
-    """A derivable identification of two distinct elements (or of an element
-    with the base point), if any."""
+    """The first derivable identification of an element with the base point,
+    else the first pair a < b of elements in carrier order, if any. One
+    search per element with one shared memo: a derivation is symmetric, and
+    a search that returns without a hit has seen the element's whole class.
+    TooLarge when no pair is found and MODULE_BUDGET cut a search short."""
+    if not module.relations:
+        return None
+    memo = _RewriteMemo(module, MODULE_BUDGET.max_degree)
+    classes, cut = [], False
     for m in module.nonbase():
-        if module_derive(module, (m,), ()):
+        hit, singles, truncated = _explore(module, (m,), MODULE_BUDGET,
+                                           targets={()}, collect_singles=True,
+                                           memo=memo)
+        if hit:
             return (BASE, m)
-    for a, b in itertools.combinations(module.nonbase(), 2):
-        if module_derive(module, (a,), (b,)):
-            return (a, b)
+        classes.append((m, singles))
+        cut = cut or truncated
+    for a, singles in classes:
+        later = [b for b in singles if b > a]
+        if later:
+            return (a, min(later))
+    if cut:
+        raise _out_of_budget(module)
     return None
 
 
@@ -627,18 +617,10 @@ def _retract_of_free(module: BlueModule):
         if not s.is_injective():
             continue
         r0 = {s.apply(m): m for m in module.carrier}
-        ok = True
-        for i in range(k):
-            cands = []
-            for p in module.carrier:
-                if all(module.act(a, p) == r0[f"{a}@{i}"]
-                       for a in syms if f"{a}@{i}" in r0):
-                    cands.append(p)
-                    break
-            if not cands:
-                ok = False
-                break
-        if ok:
+        if all(any(all(module.act(a, p) == r0[f"{a}@{i}"]
+                       for a in syms if f"{a}@{i}" in r0)
+                   for p in module.carrier)
+               for i in range(k)):
             return True
     return False
 
@@ -716,6 +698,9 @@ def enumerate_modules(blueprint, size_bound):
     cut choice is one that `_complete_action` rejects, so the modules kept,
     their names and their order are those of the loop over the whole
     product."""
+    if size_bound < 1:
+        raise ValueError("size bound below 1: every module holds the base"
+                         " point")
     if size_bound > 8:
         raise TooLarge("size bound above 8")
     gens = _monoid_generators(blueprint)
@@ -748,8 +733,7 @@ def enumerate_modules(blueprint, size_bound):
                                         action, (), name=f"M{len(out)}")
                 except BlueprintError:
                     return
-                if classifier.find(module) is None:
-                    classifier.classify(module)
+                if classifier.classify(module) == len(out):
                     out.append(module)
                 return
             g, m = slots[i]
@@ -858,14 +842,17 @@ def _action_closed_subsets(module):
     return out
 
 
-def _submodule(module, subset):
+def _submodule(module, subset, name=None):
+    """The action-closed `subset` with the relations inside it, and its
+    inclusion."""
     subset = set(subset) | {BASE}
     action = {(b, m): module.act(b, m)
               for b in module.blueprint.backend.symbols
               for m in subset if m != BASE}
     rels = [(l, r) for l, r in module.relations
             if all(t in subset for t in l + r)]
-    sub = BlueModule(module.blueprint, tuple(sorted(subset)), action, rels)
+    sub = BlueModule(module.blueprint, tuple(sorted(subset)), action, rels,
+                     name=name)
     inc = ModuleMorphism(sub, module, {m: m for m in subset if m != BASE})
     return sub, inc
 
@@ -885,8 +872,7 @@ def k0(blueprint, size_bound=6):
     for p in projectives:
         classifier.classify(p)
     rows = []
-    for m in projectives:
-        im = classifier.find(m)
+    for im, m in enumerate(projectives):
         for sub_elems in _action_closed_subsets(m):
             sub, inc = _submodule(m, sub_elems)
             ksub = classifier.find(sub)

@@ -50,6 +50,14 @@ class Quiver:
         return True
 
 
+def _integers(values, message):
+    """`values` as a tuple of Python ints, or ValueError(message)."""
+    try:
+        return tuple(operator.index(x) for x in values)
+    except TypeError:
+        raise ValueError(message) from None
+
+
 def _integer_matrix(m, s, t, rows, cols):
     """`m` as a tuple of `rows` row tuples of `cols` Python ints."""
     shape = (f"matrix for arrow {s}->{t} must be {rows}x{cols}:"
@@ -60,11 +68,8 @@ def _integer_matrix(m, s, t, rows, cols):
         raise ValueError(shape) from None
     if len(m) != rows or any(len(row) != cols for row in m):
         raise ValueError(shape)
-    try:
-        return tuple(tuple(operator.index(x) for x in row) for row in m)
-    except TypeError:
-        raise ValueError(f"matrix for arrow {s}->{t} has an entry that is"
-                         " not an integer") from None
+    entry = f"matrix for arrow {s}->{t} has an entry that is not an integer"
+    return tuple(_integers(row, entry) for row in m)
 
 
 class IntegralRep:
@@ -73,7 +78,7 @@ class IntegralRep:
 
     def __init__(self, quiver, dims, matrices):
         self.quiver = quiver
-        self.dims = tuple(dims)
+        self.dims = _integers(dims, "dims must be a list of integers")
         if len(self.dims) != quiver.n_vertices:
             raise ValueError("one dimension per vertex required")
         matrices = list(matrices)
@@ -130,7 +135,7 @@ def f1_rep_to_integral(rep: F1Rep) -> IntegralRep:
 
 def _dimension_vector(rep, e):
     """`e` as a tuple, with one nonnegative entry per vertex of `rep`."""
-    e = tuple(e)
+    e = _integers(e, "dimension vector entries must be integers")
     if len(e) != rep.quiver.n_vertices:
         raise ValueError("one entry per vertex required")
     if any(k < 0 for k in e):

@@ -190,6 +190,24 @@ class TestQGrass:
         assert out == ""
         assert err.startswith("error: matrix for arrow 0->1")
 
+    @pytest.mark.parametrize("action", ["chi", "naive"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("dims", [2.0, 2], "error: dims must be a list of integers"),
+        ("e", [1.0, 1], "error: dimension vector entries must be integers"),
+    ])
+    def test_non_integer_dims_or_e_is_an_error(self, capsys, tmp_path,
+                                               action, field, value,
+                                               message):
+        # Both used to end in a TypeError traceback.
+        payload = {"vertices": 2, "arrows": [[0, 1]], "dims": [2, 2],
+                   "matrices": [[[1, 0], [0, 1]]], "e": [1, 1], field: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "qgrass", action, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(message)
+
 
 QGRASS_REPS = {
     # a three-vertex line, one arrow pointing backwards

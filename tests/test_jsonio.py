@@ -103,6 +103,12 @@ class TestQuiverRoundTrip:
         with pytest.raises(ValueError, match="arrow 0->1 has an entry"):
             jsonio.quiver_rep_from_json(data)
 
+    def test_non_integer_dims_rejected(self):
+        data = {"vertices": 2, "arrows": [[0, 1]], "dims": [2.0, 2],
+                "matrices": [[[1, 0], [0, 1]]], "e": [1, 1]}
+        with pytest.raises(ValueError, match="dims must be a list of integers"):
+            jsonio.quiver_rep_from_json(data)
+
     def test_zero_dimensional_vertex(self):
         # The arrow 0 -> 1 into a vertex of dimension 0 carries a 0 x 2
         # matrix, which has no rows; its Grassmannian at e = (1, 0) is P^1.

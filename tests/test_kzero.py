@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from blueforge import catalog
 from blueforge import kzero as kz
+from blueforge.budget import Budget
 from blueforge.cli import main
-from blueforge.core import ONE, ZERO, Blueprint, FiniteTable
+from blueforge.core import ONE, ZERO, Blueprint, FiniteTable, TooLarge
 from blueforge.kzero import BASE
 from blueforge.snf import smith_normal_form
 
@@ -190,6 +191,69 @@ class TestK0:
         assert result.rank == 2
         assert not result.torsion
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_bound_below_one_is_rejected(self, f1, capsys, bound):
+        # Every module holds the base point, so such a bound names no
+        # module; K0 used to come out as Z^0.
+        with pytest.raises(ValueError, match="size bound below 1"):
+            kz.enumerate_modules(f1, bound)
+        with pytest.raises(ValueError, match="size bound below 1"):
+            kz.k0(f1, bound)
+        assert main(["k0", "f1", "--bound", str(bound)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: size bound below 1")
+
+
+class TestModuleBudget:
+    """A search that runs out of `MODULE_BUDGET` raises TooLarge; it used to
+    read as "not derivable"."""
+
+    def test_k0_raises(self, monkeypatch):
+        monkeypatch.setattr(kz, "MODULE_BUDGET", Budget(0, 8, 1))
+        with pytest.raises(TooLarge, match="module budget"):
+            kz.k0(catalog.f1n(2), 3)
+
+    def test_cli_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(kz, "MODULE_BUDGET", Budget(0, 8, 1))
+        assert main(["k0", "catalog:f1n:2", "--bound", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "module budget" in captured.err
+
+    def test_module_derive(self, monkeypatch):
+        free = kz.free_module(catalog.f1n(2), 1)
+        assert not kz.module_derive(free, ["1@0"], ["-1@0"])
+        assert kz.module_derive(free, ["1@0", "-1@0"], [])
+        monkeypatch.setattr(kz, "MODULE_BUDGET", Budget(0, 8, 1))
+        with pytest.raises(TooLarge, match="module budget"):
+            kz.module_derive(free, ["1@0"], ["-1@0"])
+        # equal sums need no search
+        assert kz.module_derive(free, ["1@0"], ["1@0", kz.BASE])
+
+    def test_cut_search_hides_no_later_pair(self, monkeypatch):
+        # 1@1 = 0 is found although the search from 1@0, which comes first,
+        # is cut; with no pair found at all, the cut search raises.
+        f1 = catalog.f1()
+        free = kz.free_module(f1, 2)
+        killed = kz.BlueModule(f1, free.carrier, free.action, [(["1@1"], [])])
+        original = kz._explore
+
+        def cut_at_1_0(module, start, *args, **kwargs):
+            if start == ("1@0",):
+                return False, set(), True
+            return original(module, start, *args, **kwargs)
+
+        monkeypatch.setattr(kz, "_explore", cut_at_1_0)
+        assert kz._improper_module_pair(killed) == (BASE, "1@1")
+        proper = kz.BlueModule(f1, free.carrier, free.action,
+                               [(["1@0"], ["1@0", "1@1"])])
+        with pytest.raises(TooLarge, match="module budget"):
+            kz._improper_module_pair(proper)
+        monkeypatch.setattr(kz, "_explore", original)
+        assert kz._improper_module_pair(proper) is None
+
 
 # ---------------------------------------------------------------------------
 # Differential tests: the product loop over every generator image, the
@@ -361,6 +425,102 @@ def reference_k0(blueprint, size_bound):
     torsion = tuple(d for d in factors if d > 1)
     names = tuple(f"P{i}(size {len(p)})" for i, p in enumerate(projectives))
     return kz.K0Result(names, tuple(tuple(r) for r in rows), rank, torsion)
+
+
+# The module derivation search before it ran on `core._explore`: its own BFS
+# rescaling every relation by every nonzero symbol per sum expanded, and
+# the improper-pair loop with one search per element and one per pair.
+
+
+def reference_module_rewrites(module, u, budget):
+    syms = module.blueprint.backend.symbols
+    u_counter = Counter(u)
+    rels = []
+    for l, r in module.relations:
+        rels.append((l, r))
+        rels.append((r, l))
+    for L, R in rels:
+        for b in syms:
+            if b == ZERO:
+                continue
+            bL = Counter(x for x in (module.act(b, t) for t in L)
+                         if x != BASE)
+            if L and not bL:
+                continue
+            if not all(u_counter[t] >= k for t, k in bL.items()):
+                continue
+            if not L and not R:
+                continue
+            v = u_counter - bL
+            for x in (module.act(b, t) for t in R):
+                if x != BASE:
+                    v[x] += 1
+            flat = tuple(sorted(v.elements()))
+            if len(flat) <= budget.max_terms:
+                yield flat
+
+
+def reference_module_derive(module, lhs, rhs):
+    """True or False as the old search answered; None where it ran out of
+    steps and answered False."""
+    budget = Budget(2, 8, 4000)
+    l = module._norm_sum(lhs)
+    r = module._norm_sum(rhs)
+    if l == r:
+        return True
+    seen = {l}
+    frontier = [l]
+    steps = 0
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in reference_module_rewrites(module, u, budget):
+                steps += 1
+                if steps > budget.max_steps:
+                    return None
+                if v in seen:
+                    continue
+                if v == r:
+                    return True
+                seen.add(v)
+                nxt.append(v)
+        frontier = nxt
+    return False
+
+
+def reference_improper_module_pair(module):
+    for m in module.nonbase():
+        if reference_module_derive(module, (m,), ()):
+            return (BASE, m)
+    for a, b in itertools.combinations(module.nonbase(), 2):
+        if reference_module_derive(module, (a,), (b,)):
+            return (a, b)
+    return None
+
+
+def assert_searches_as_reference(module, exhaustive=True):
+    """Every element against the empty sum, every pair of elements and the
+    improper pair, on the core kernel and on the old search. Where a search
+    runs out of steps there is no answer to compare: the old one reads as
+    None, the new one raises TooLarge. With `exhaustive` none may run out."""
+    singles = [(m,) for m in module.nonbase()]
+    cut = False
+    for lhs, rhs in [(s, ()) for s in singles] + \
+            list(itertools.combinations(singles, 2)):
+        expected = reference_module_derive(module, lhs, rhs)
+        try:
+            got = kz.module_derive(module, lhs, rhs)
+        except TooLarge:
+            got = None
+        if expected is None or got is None:
+            assert not exhaustive, (module, lhs, rhs)
+            cut = True
+        else:
+            assert got == expected, (module, lhs, rhs)
+    if not cut:
+        # the old pair loop read a search that ran out as "no"
+        assert kz._improper_module_pair(module) == \
+            reference_improper_module_pair(module)
 
 
 def module_key(module):
@@ -668,10 +828,62 @@ class TestIsomorphismHypothesis:
             assert expected == (len(bp.backend.symbols) == 2)
 
 
+class TestModuleSearchAgainstReference:
+    """`module_derive` and `_improper_module_pair` on the core kernel,
+    against the module search they replaced."""
+
+    def test_universe(self, case):
+        _, _, universe = case
+        for m in universe:
+            assert_searches_as_reference(m)
+
+    def test_relabelled_copies(self, case):
+        _, _, universe = case
+        rng = random.Random(18)
+        for m in universe:
+            assert_searches_as_reference(relabelled(m, rng))
+
+    def test_cokernels_in_k0(self, case, monkeypatch):
+        bp, bound, _ = case
+        original = kz._improper_module_pair
+        quotients = []
+
+        def checked(q):
+            pair = original(q)
+            assert pair == reference_improper_module_pair(q), q
+            quotients.append(q)
+            return pair
+
+        monkeypatch.setattr(kz, "_improper_module_pair", checked)
+        kz.k0(bp, bound)
+        assert quotients
+
+    @given(wedges())
+    @settings(max_examples=50, deadline=None)
+    def test_random_wedges(self, module):
+        # extra relations can make a class too large for the step bound
+        assert_searches_as_reference(module, exhaustive=False)
+
+
 class TestK0Pinned:
     """`k0 --json` output, byte for byte."""
 
     @pytest.mark.parametrize("argv, expected", [
+        (("k0", "catalog:f1", "--bound", "6", "--json"),
+         '{\n "generators": [\n  "P0(size 1)",\n  "P1(size 2)",\n'
+         '  "P2(size 3)",\n  "P3(size 4)",\n  "P4(size 5)",\n'
+         '  "P5(size 6)"\n ],\n "rank": 1,\n "torsion": []\n}\n'),
+        (("k0", "catalog:f1n:2", "--bound", "6", "--json"),
+         '{\n "generators": [\n  "P0(size 1)",\n  "P1(size 3)",\n'
+         '  "P2(size 5)"\n ],\n "rank": 1,\n "torsion": []\n}\n'),
+        (("k0", "catalog:b1", "--bound", "5", "--json"),
+         '{\n "generators": [\n  "P0(size 1)",\n  "P1(size 2)",\n'
+         '  "P2(size 3)",\n  "P3(size 4)",\n  "P4(size 5)"\n ],\n'
+         ' "rank": 1,\n "torsion": []\n}\n'),
+        (("k0", "catalog:two_fields:2,3", "--bound", "3", "--json"),
+         '{\n "generators": [\n  "P0(size 1)",\n  "P1(size 2)",\n'
+         '  "P2(size 3)",\n  "P3(size 3)"\n ],\n "rank": 2,\n'
+         ' "torsion": []\n}\n'),
         (("k0", "catalog:f1n:3", "--bound", "6", "--json"),
          '{\n "generators": [\n  "P0(size 1)",\n  "P1(size 4)"\n ],\n'
          ' "rank": 1,\n "torsion": []\n}\n'),

@@ -35,6 +35,19 @@ class TestIntegralRep:
         with pytest.raises(ValueError, match="0->1 must be 2x2"):
             rep_1to2(matrix)
 
+    @pytest.mark.parametrize("dims", [(2.0, 2), ("2", 2), 2])
+    def test_non_integer_dims_rejected(self, dims):
+        # A float dimension used to reach `range` and raise TypeError.
+        with pytest.raises(ValueError, match="dims must be a list of integers"):
+            qg.IntegralRep(qg.Quiver(2, ((0, 1),)), dims, [[[1, 0], [0, 1]]])
+
+    def test_integer_like_dims_become_ints(self):
+        np = pytest.importorskip("numpy")
+        rep = qg.IntegralRep(qg.Quiver(2, ((0, 1),)), np.array([2, 2]),
+                             [np.eye(2, dtype=int)])
+        assert rep.dims == (2, 2)
+        assert all(type(d) is int for d in rep.dims)
+
 
 @pytest.mark.parametrize("n,arrows,tree", [
     (1, (), True), (2, ((0, 1),), True), (3, ((1, 0), (1, 2)), True),
@@ -175,6 +188,17 @@ class TestDimensionVector:
                  lambda: qg.naive_f1_points(self.tree, (-1, 0))]
         for call in calls:
             with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("e", [(1.0, 1), (1, "1"), 1])
+    def test_non_integer_entry(self, e):
+        # A float entry used to reach `combinations` and raise TypeError.
+        calls = [lambda: qg.subrep_count_fq(self.free, e, 3),
+                 lambda: qg.chi_via_interpolation(self.free, e),
+                 lambda: qg.weyl_count_diagonal_tree(self.tree, e),
+                 lambda: qg.naive_f1_points(self.tree, e)]
+        for call in calls:
+            with pytest.raises(ValueError, match="entries must be integers"):
                 call()
 
 
