@@ -20,9 +20,9 @@ print("identity:  naive F1-points:", len(qg.naive_f1_points(identity, e)),
       " chi =", qg.chi_via_interpolation(identity, e),
       " torus count =", qg.weyl_count_diagonal_tree(identity, e))
 
-# diag(2,3) still has torus count 2 although no naive points survive; its
-# chi needs samples at good primes, and entries {2,3} leave too few field
-# tables, so we use diag(5,5) for the interpolated cross-check instead.
+# diag(2,3) still has torus count 2 although no naive points survive. A
+# grading separates its basis, so its chi is that count too; fitting F_q
+# counts would need four good prime powers, and entries {2,3} leave 5 and 7.
 mixed = qg.IntegralRep(quiver, (2, 2), [[[2, 0], [0, 3]]])
 print("diag(2,3): naive =", len(qg.naive_f1_points(mixed, e)),
       " torus count =", qg.weyl_count_diagonal_tree(mixed, e))

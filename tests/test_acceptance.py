@@ -234,6 +234,7 @@ def test_criterion_08_quiver_grassmannians():
         counterexample = qg.IntegralRep(q2, (2, 2), [[[2, 0], [0, 2]]])
         assert qg.naive_f1_points(counterexample, (1, 1)) == []
         assert qg.chi_via_interpolation(counterexample, (1, 1)) == 2
+        assert qg._interpolated_chi(counterexample, (1, 1)) == 2
 
         from test_quivergrass import random_tree_instance
         rng = random.Random(20240810)
@@ -241,12 +242,14 @@ def test_criterion_08_quiver_grassmannians():
             rep, e = random_tree_instance(rng, [1])
             naive = len(qg.naive_f1_points(rep, e))
             weyl = qg.weyl_count_diagonal_tree(rep, e)
-            chi = qg.chi_via_interpolation(rep, e)
+            chi = qg._interpolated_chi(rep, e)
             assert naive == weyl == chi
+            assert qg.chi_via_interpolation(rep, e) == chi
         for _ in range(50):
             rep, e = random_tree_instance(rng, [1, -1, 5, -5])
-            assert qg.weyl_count_diagonal_tree(rep, e) == \
-                qg.chi_via_interpolation(rep, e)
+            chi = qg._interpolated_chi(rep, e)
+            assert qg.weyl_count_diagonal_tree(rep, e) == chi
+            assert qg.chi_via_interpolation(rep, e) == chi
         assert time.monotonic() - start < 120.0
 
 

@@ -208,6 +208,29 @@ class TestQGrass:
         assert out == ""
         assert err.startswith(message)
 
+    @pytest.mark.parametrize("argv", [["chi"], ["naive"], ["weyl"],
+                                      ["count", "--q", "2"]])
+    def test_negative_dims_is_an_error(self, capsys, tmp_path, argv):
+        # chi printed 0, weyl 1 and count 1 for a dimension of -2.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"vertices": 1, "arrows": [], "dims": [-2],
+                                    "matrices": [], "e": [0]}))
+        code, out, err = run(capsys, "qgrass", argv[0], str(path), *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: dims must be nonnegative")
+
+    def test_chi_without_good_primes(self, capsys, tmp_path):
+        # diag(2,3) leaves two good sample q; interpolation needed four.
+        path = tmp_path / "diag23.json"
+        path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1]],
+                                    "dims": [2, 2],
+                                    "matrices": [[[2, 0], [0, 3]]],
+                                    "e": [1, 1]}))
+        code, out, _ = run(capsys, "qgrass", "chi", str(path), "--json")
+        assert code == 0
+        assert out == '{\n "chi": 2\n}\n'
+
 
 QGRASS_REPS = {
     # a three-vertex line, one arrow pointing backwards

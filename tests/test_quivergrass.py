@@ -41,6 +41,15 @@ class TestIntegralRep:
         with pytest.raises(ValueError, match="dims must be a list of integers"):
             qg.IntegralRep(qg.Quiver(2, ((0, 1),)), dims, [[[1, 0], [0, 1]]])
 
+    @pytest.mark.parametrize("dims", [(-2,), (2, -1)])
+    def test_negative_dims_rejected(self, dims):
+        # A dimension of -2 used to give chi 0, a torus count of 1 and a
+        # count of 1 over F_2, while naive points raised.
+        arrows = ((0, 1),) if len(dims) == 2 else ()
+        with pytest.raises(ValueError, match="dims must be nonnegative"):
+            qg.IntegralRep(qg.Quiver(len(dims), arrows), dims,
+                           [[]] * len(arrows))
+
     def test_integer_like_dims_become_ints(self):
         np = pytest.importorskip("numpy")
         rep = qg.IntegralRep(qg.Quiver(2, ((0, 1),)), np.array([2, 2]),
@@ -242,15 +251,15 @@ def reference_subrep_count_fq(rep, e, q):
 
 
 @st.composite
-def random_reps(draw):
+def random_reps(draw, entry=st.one_of(st.integers(-3, 3),
+                                      st.sampled_from([2, 3, 4, 6, 9, -6]))):
     """Up to three vertices of dimension 1..3 and up to four arrows, loops,
-    cycles and parallel arrows allowed, with entries that are often
-    multiples of a small prime."""
+    cycles and parallel arrows allowed, with entries drawn from `entry`: by
+    default often multiples of a small prime."""
     nv = draw(st.integers(1, 3))
     vertex = st.integers(0, nv - 1)
     arrows = tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=4)))
     dims = tuple(draw(st.lists(st.integers(1, 3), min_size=nv, max_size=nv)))
-    entry = st.one_of(st.integers(-3, 3), st.sampled_from([2, 3, 4, 6, 9, -6]))
     mats = [draw(st.lists(st.lists(entry, min_size=dims[s], max_size=dims[s]),
                           min_size=dims[t], max_size=dims[t]))
             for s, t in arrows]
@@ -340,7 +349,113 @@ class TestWeylCount:
         e = (1, 1, 1)
         assert qg.weyl_count_diagonal_tree(rep, e) == \
             qg.chi_via_interpolation(rep, e) == \
+            qg._interpolated_chi(rep, e) == \
             len(qg.naive_f1_points(rep, e))
+
+
+def two_vertex_rep(dims, arrows, mats):
+    return qg.IntegralRep(qg.Quiver(2, arrows), dims, mats)
+
+
+class TestSeparatingGrading:
+    @pytest.mark.parametrize("rep", [
+        # identity: one component per basis index
+        rep_1to2([[1, 0], [0, 1]]),
+        # a nilpotent Jordan block on a loop: weights 1 and 0, shift 1
+        qg.IntegralRep(qg.Quiver(1, ((0, 0),)), (2,), [[[0, 1], [0, 0]]]),
+        # an identity loop: the cycle forces shift 0, but every basis
+        # vector is its own component
+        qg.IntegralRep(qg.Quiver(1, ((0, 0),)), (2,), [[[1, 0], [0, 1]]]),
+        # two loops b1 -> b0 and b0 -> b1: the cycle forces d(a) = -d(b),
+        # which still leaves w(0) - w(1) = d(a) free
+        qg.IntegralRep(qg.Quiver(1, ((0, 0), (0, 0))), (2,),
+                       [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]),
+        # the Kronecker quiver with one entry per arrow
+        two_vertex_rep((2, 1), ((0, 1), (0, 1)), [[[1, 0]], [[0, 1]]]),
+        # no arrows, or dimension 1 everywhere
+        qg.IntegralRep(qg.Quiver(1, ()), (4,), []),
+        two_vertex_rep((1, 1), ((0, 1), (1, 0)), [[[2]], [[3]]]),
+    ])
+    def test_separated(self, rep):
+        assert qg.has_separating_grading(rep)
+
+    @pytest.mark.parametrize("rep", [
+        # a shear: b0 and b1 at the source both map to b0 at the target
+        rep_1to2([[1, 1], [0, 1]]),
+        # both target vectors receive the same source vector
+        two_vertex_rep((3, 2), ((0, 1),), [[[0, 0, 1], [0, 0, 3]]]),
+        # a third Kronecker arrow [1, 1] closes two cycles whose span holds
+        # the potential difference of the two source vectors
+        two_vertex_rep((2, 1), ((0, 1),) * 3, [[[1, 0]], [[0, 1]], [[1, 1]]]),
+        # a full loop matrix
+        qg.IntegralRep(qg.Quiver(1, ((0, 0),)), (2,), [[[1, 1], [1, 1]]]),
+    ])
+    def test_not_separated(self, rep):
+        assert not qg.has_separating_grading(rep)
+
+    def test_weyl_hypotheses_separate(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            rep, _e = random_tree_instance(rng, [1, -1, 5, -5])
+            assert qg.has_separating_grading(rep)
+
+
+class TestLocalisedChi:
+    @given(case=random_reps(entry=st.sampled_from([0, 0, 0, 1, -1, 2, 3])))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_interpolation(self, case):
+        rep, e = case
+        try:
+            want = qg._interpolated_chi(rep, e)
+        except (qg.TooLarge, qg.NotPolynomial):
+            return
+        assert qg.chi_via_interpolation(rep, e) == want
+
+    @pytest.mark.parametrize("arrows, mats", [
+        (((0, 0), (0, 1)), [[[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+                            [[1, 0, 0], [0, 0, -1]]]),
+        (((0, 1), (1, 0)), [[[1, 0, 0], [0, 0, -1]], [[0, 1], [0, 0], [0, 0]]]),
+        (((1, 0), (1, 0)), [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 1]]]),
+    ])
+    def test_fixed_separated_quivers(self, arrows, mats):
+        # a loop, a two-cycle and a parallel pair, each with a non-square
+        # or rank-deficient matrix
+        rep = two_vertex_rep((3, 2), arrows, mats)
+        assert qg.has_separating_grading(rep)
+        for e in itertools.product(range(4), range(3)):
+            assert qg.chi_via_interpolation(rep, e) == \
+                qg._interpolated_chi(rep, e)
+
+    def test_non_separated_case_still_interpolates(self):
+        # P^1 x P^1 over the kernel and A^2 over the image line: chi 5,
+        # but only 4 coordinate subrepresentations.
+        rep = two_vertex_rep((3, 2), ((0, 1),), [[[0, 0, 1], [0, 0, 3]]])
+        assert qg._coordinate_subrep_count(rep, (1, 1)) == 4
+        assert qg._interpolated_chi(rep, (1, 1)) == 5
+        assert qg.chi_via_interpolation(rep, (1, 1)) == 5
+
+    @pytest.mark.parametrize("rep, e, chi", [
+        # too few good prime powers: entries 2 and 3 leave 5 and 7
+        (rep_1to2([[2, 0], [0, 3]]), (1, 1), 2),
+        # degree bound 6 above the seven sample q
+        (qg.IntegralRep(qg.Quiver(2, ()), (4, 3), []), (2, 1), 18),
+        # a vertex of dimension 5
+        (qg.IntegralRep(qg.Quiver(1, ()), (5,), []), (1,), 5),
+        # counts not polynomial: the eigenvalues -1 and 3 meet in
+        # characteristic 2, which divides no entry
+        (qg.IntegralRep(qg.Quiver(1, ((0, 0),)), (2,), [[[-1, 0], [0, 3]]]),
+         (1,), 2),
+    ])
+    def test_answers_where_interpolation_cannot(self, rep, e, chi):
+        with pytest.raises((qg.TooLarge, qg.NotPolynomial)):
+            qg._interpolated_chi(rep, e)
+        assert qg.chi_via_interpolation(rep, e) == chi
+
+    def test_too_many_families_raise_before_listing(self):
+        # C(18, 9) = 48620 per vertex, 2.4e9 families in all
+        rep = qg.IntegralRep(qg.Quiver(2, ()), (18, 18), [])
+        with pytest.raises(qg.TooLarge, match="coordinate families"):
+            qg.chi_via_interpolation(rep, (9, 9))
 
 
 def random_tree_instance(rng, diagonal_pool):
@@ -396,13 +511,15 @@ class TestRandomizedComparisons:
             rep, e = random_tree_instance(rng, [1])
             naive = len(qg.naive_f1_points(rep, e))
             weyl = qg.weyl_count_diagonal_tree(rep, e)
-            chi = qg.chi_via_interpolation(rep, e)
+            chi = qg._interpolated_chi(rep, e)
             assert naive == weyl == chi
+            assert qg.chi_via_interpolation(rep, e) == chi
 
     def test_theorem_diagonal_instances(self):
         rng = random.Random(42)
         for _ in range(12):
             rep, e = random_tree_instance(rng, [1, -1, 5, -5])
             weyl = qg.weyl_count_diagonal_tree(rep, e)
-            chi = qg.chi_via_interpolation(rep, e)
+            chi = qg._interpolated_chi(rep, e)
             assert weyl == chi
+            assert qg.chi_via_interpolation(rep, e) == chi
