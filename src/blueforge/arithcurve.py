@@ -59,20 +59,6 @@ def _is_prime(n):
     return True
 
 
-def factorint(n):
-    n = abs(int(n))
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def padic_norm_leq_one(a: Fraction, p: int) -> bool:
     return a == 0 or a.denominator % p != 0
 
@@ -116,10 +102,12 @@ def sheaf_membership(a, U: CurveOpen) -> bool:
     a = Fraction(a)
     if a == 0:
         return True
-    removed_primes = {pl.p for pl in U.removed if pl.kind == "finite"}
-    for p in factorint(a.denominator):
-        if p not in removed_primes:
-            return False
+    d = a.denominator
+    for p in {pl.p for pl in U.removed if pl.kind == "finite"}:
+        while d % p == 0:
+            d //= p
+    if d != 1:
+        return False
     if ARCH not in U.removed and abs(a) > 1:
         return False
     return True

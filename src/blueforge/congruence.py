@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (ONE, PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
-                   BlueprintError, FiniteTable, IdealDescriptor, TooLarge,
-                   _scale, _UnionFind, localize)
+from .core import (PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
+                   BlueprintError, IdealDescriptor, TooLarge, _collapse,
+                   _scale, _symbol_key, localize)
 
 MULTIPLICITY_CAP = 6
 
@@ -18,17 +18,6 @@ class NotACongruence(BlueprintError):
 
 def canonical_partition(blocks):
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
-
-
-def partition_blocks_of(carrier, pairs):
-    """Blocks of the equivalence generated by `pairs` on `carrier`."""
-    uf = _UnionFind(carrier)
-    for a, b in pairs:
-        uf.union(a, b)
-    blocks = {}
-    for x in carrier:
-        blocks.setdefault(uf.find(x), []).append(x)
-    return canonical_partition(blocks.values())
 
 
 @dataclass
@@ -348,28 +337,10 @@ def cspec_to_spec(blueprint, budget=None):
 
 def quotient_by_congruence(blueprint, cong: Congruence, budget=None):
     """B/~ : blocks as symbols, with the pushed pre-addition."""
-    backend = blueprint.backend
-    budget = budget or blueprint.budget
-    rep = {}
-    for block in cong.partition:
-        label = ZERO if ZERO in block else (ONE if ONE in block else min(block))
-        for x in block:
-            rep[x] = label
-    syms = sorted(set(rep.values()), key=lambda s: (s != ZERO, s != ONE, s))
-    mul = {}
-    for a in backend.symbols:
-        for b in backend.symbols:
-            mul[(rep[a], rep[b])] = rep[backend.mul(a, b)]
-    rels = []
-    for l, r in blueprint.relations:
-        nl = [rep[t] for t in l if rep[t] != ZERO]
-        nr = [rep[t] for t in r if rep[t] != ZERO]
-        if sorted(nl) != sorted(nr):
-            rels.append((nl, nr))
-    out = Blueprint(FiniteTable(syms, mul), rels, budget=budget,
-                    name=f"{blueprint.name or 'B'}/~", check_proper=False)
-    out.projection = dict(rep)
-    return out
+    rep = {x: min(block, key=_symbol_key)
+           for block in cong.partition for x in block}
+    return _collapse(blueprint, rep, f"{blueprint.name or 'B'}/~",
+                     budget or blueprint.budget)
 
 
 def kernel_congruence(morphism):
@@ -377,13 +348,10 @@ def kernel_congruence(morphism):
     src = morphism.source
     if src.backend.kind != "finite":
         raise TooLarge("kernels are computed for finite sources")
-    pairs = []
+    blocks = {}
     for a in src.backend.symbols:
-        for b in src.backend.symbols:
-            if morphism.apply(a) == morphism.apply(b):
-                pairs.append((a, b))
-    blocks = partition_blocks_of(src.backend.symbols, pairs)
-    return Congruence(src, blocks)
+        blocks.setdefault(morphism.apply(a), []).append(a)
+    return Congruence(src, blocks.values())
 
 
 def residue_field_of_congruence(blueprint, cong: Congruence, budget=None):

@@ -1018,7 +1018,14 @@ def build_proper_monomial(coeff_bp, gens, inverted, lattice, relations, budget,
     raise ImproperRelations("identification lattice failed to stabilize")
 
 
+def _symbol_key(s):
+    """The carrier order of finite tables: 0, then 1, then by name."""
+    return (s != ZERO, s != ONE, s)
+
+
 class _UnionFind:
+    """Each class is named by its least member under `_symbol_key`."""
+
     def __init__(self, items):
         self.parent = {x: x for x in items}
 
@@ -1032,57 +1039,61 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        # deterministic: keep ZERO, then ONE, then lexicographic minimum
-        order = {ZERO: 0, ONE: 1}
-        ka = (order.get(ra, 2), ra)
-        kb = (order.get(rb, 2), rb)
-        keep, drop = (ra, rb) if ka <= kb else (rb, ra)
+        keep, drop = sorted((ra, rb), key=_symbol_key)
         self.parent[drop] = keep
         return True
 
 
+def _close_under_action(uf, symbols, carrier, act):
+    """Merge classes of `uf` until x ~ y forces act(b, x) ~ act(b, y) for
+    every b in `symbols`, a monoid acting on `carrier`: act(b, act(c, x)) =
+    act(bc, x). The pairs (x, root of x) generate the classes, and b c again
+    lies in `symbols`, so one pass over those pairs closes them."""
+    for x, r in [(x, uf.find(x)) for x in carrier]:
+        for b in symbols:
+            uf.union(act(b, x), act(b, r))
+
+
+def _collapse(bp, rep, name, budget, add=None):
+    """The quotient table of the finite blueprint `bp` by the multiplicative
+    equivalence whose classes `rep` names (symbol -> class name), with the
+    pushed relations, the pushed addition table `add` when one is given,
+    and `projection` = rep."""
+    symbols = bp.backend.symbols
+    mul = {(rep[a], rep[b]): rep[bp.backend.mul(a, b)]
+           for a in symbols for b in symbols}
+    pushed = None
+    if add is not None:
+        pushed = {}
+        for a in symbols:
+            for b in symbols:
+                c = rep[add[(a, b)]]
+                if pushed.setdefault((rep[a], rep[b]), c) != c:
+                    raise BlueprintError("pushed addition is inconsistent")
+    rels = [([rep[t] for t in l], [rep[t] for t in r]) for l, r in bp.relations]
+    syms = sorted(set(rep.values()), key=_symbol_key)
+    out = Blueprint(FiniteTable(syms, mul, pushed), rels, budget=budget,
+                    name=name, check_proper=False)
+    out.projection = dict(rep)
+    return out
+
+
 def _finite_quotient(bp, ideal, budget):
-    backend = bp.backend
-    uf = _UnionFind(backend.symbols)
+    """Collapse the ideal to 0, close under multiplication, and merge each
+    derivable identification until the quotient is proper; each merge joins
+    two classes, so the loop ends."""
+    symbols = bp.backend.symbols
+    uf = _UnionFind(symbols)
     for s in ideal.minimal:
         uf.union(ZERO, s)
-    for _ in range(40):
-        # close the identification under multiplicativity
-        changed = True
-        while changed:
-            changed = False
-            reps = {}
-            for a in backend.symbols:
-                for b in backend.symbols:
-                    key = (uf.find(a), uf.find(b))
-                    val = uf.find(backend.mul(a, b))
-                    if key in reps:
-                        if reps[key] != val:
-                            uf.union(reps[key], val)
-                            changed = True
-                    else:
-                        reps[key] = val
-        proj = {s: uf.find(s) for s in backend.symbols}
-        syms = sorted(set(proj.values()), key=lambda s: (s != ZERO, s != ONE, s))
-        mul = {}
-        for a in backend.symbols:
-            for b in backend.symbols:
-                mul[(proj[a], proj[b])] = proj[backend.mul(a, b)]
-        rels = []
-        for l, r in bp.relations:
-            nl = [proj[t] for t in l if proj[t] != ZERO]
-            nr = [proj[t] for t in r if proj[t] != ZERO]
-            if sorted(nl) != sorted(nr):
-                rels.append((nl, nr))
-        table = FiniteTable(syms, mul)
-        candidate = Blueprint(table, rels, budget=budget,
-                              name=f"{bp.name or 'B'}/I", check_proper=False)
-        pair = improper_pair(candidate, _guard_budget(budget))
+    while True:
+        _close_under_action(uf, symbols, symbols, bp.backend.mul)
+        out = _collapse(bp, {s: uf.find(s) for s in symbols},
+                        f"{bp.name or 'B'}/I", budget)
+        pair = improper_pair(out, _guard_budget(budget))
         if pair is None:
-            candidate.projection = proj
-            return candidate
+            return out
         uf.union(*pair)
-    raise ImproperRelations("quotient symbol merging failed to stabilize")
 
 
 def quotient_universal_factoring(bp, ideal, quotient, morphism, budget=None):
@@ -1137,74 +1148,27 @@ def localize(bp, elems, budget=None):
 
 
 def _finite_localize(bp, elems, budget):
+    """B[S^-1] for S generated by `elems`, as the image eB. Here e is the
+    idempotent power of the product of `elems`: e lies in S and every s in S
+    divides it, e = st. So a/1 = b/1 iff ea = eb, and a/s = at/e = at/1:
+    every class holds some a/1, and the class names and the pushed addition
+    of a semiring table come from B."""
     backend = bp.backend
-    sset = {ONE}
-    frontier = list(elems)
-    while frontier:
-        s = frontier.pop()
-        if s not in sset:
-            new = [backend.mul(s, t) for t in sset] + [s]
-            sset.add(s)
-            frontier.extend(new)
-    sset = sorted(sset)
-    pairs = [(a, s) for a in backend.symbols for s in sset]
-
-    def eq(p, q):
-        a, s = p
-        b, t = q
-        return any(backend.mul(u, backend.mul(a, t)) == backend.mul(u, backend.mul(b, s))
-                   for u in sset)
-
-    classes: list[list] = []
-    for p in pairs:
-        for cls in classes:
-            if eq(p, cls[0]):
-                cls.append(p)
-                break
-        else:
-            classes.append([p])
-
-    def label(cls):
-        if any(a == ZERO for a, _s in cls):
-            return ZERO
-        if (ONE, ONE) in cls:
-            return ONE
-        plain = [a for (a, s) in cls if s == ONE]
-        if plain:
-            return min(plain)
-        a, s = min(cls)
-        return f"{a}/{s}"
-
-    rep = {}
-    for cls in classes:
-        nm = label(cls)
-        for p in cls:
-            rep[p] = nm
-    symbols = sorted(set(rep.values()), key=lambda s: (s != ZERO, s != ONE, s))
-    mul = {}
-    for p in pairs:
-        for q in pairs:
-            prod = (backend.mul(p[0], q[0]), backend.mul(p[1], q[1]))
-            mul[(rep[p], rep[q])] = rep[prod]
-    add = None
-    if bp.is_semiring:
-        add = {}
-        for p in pairs:
-            for q in pairs:
-                num = backend.add_table[(backend.mul(p[0], q[1]),
-                                         backend.mul(q[0], p[1]))]
-                s = (num, backend.mul(p[1], q[1]))
-                key = (rep[p], rep[q])
-                if key in add and add[key] != rep[s]:
-                    raise BlueprintError("localized addition is inconsistent")
-                add[key] = rep[s]
-    table = FiniteTable(symbols, mul, add)
-    rels = [([rep[(t, ONE)] for t in l], [rep[(t, ONE)] for t in r])
-            for l, r in bp.relations]
-    out = Blueprint(table, rels, budget=budget,
-                    name=f"{bp.name or 'B'}_loc", check_proper=False)
+    s = ONE
+    for x in elems:
+        s = backend.mul(s, x)
+    e = s
+    while backend.mul(e, e) != e:
+        e = backend.mul(e, s)
+    blocks = {}
+    for a in backend.symbols:
+        blocks.setdefault(backend.mul(e, a), []).append(a)
+    rep = {a: min(block, key=_symbol_key)
+           for block in blocks.values() for a in block}
+    out = _collapse(bp, rep, f"{bp.name or 'B'}_loc", budget,
+                    add=backend.add_table)
     out.zero_inverted = False
-    out.localization_map = {s: rep[(s, ONE)] for s in backend.symbols}
+    out.localization_map = out.projection
     return out
 
 
@@ -1223,7 +1187,7 @@ def unit_field(bp):
     backend = bp.backend
     if backend.kind == "finite":
         units = set(backend.units())
-        syms = sorted(units | {ZERO}, key=lambda s: (s != ZERO, s != ONE, s))
+        syms = sorted(units | {ZERO}, key=_symbol_key)
         mul = {(a, b): backend.mul(a, b) for a in syms for b in syms}
         rels = [(l, r) for l, r in bp.relations
                 if all(t in syms for t in l + r)]

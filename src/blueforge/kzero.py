@@ -9,8 +9,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .budget import Budget
-from .core import (ONE, ZERO, BlueprintError, TooLarge, _explore,
-                   _RewriteMemo, _UnionFind)
+from .core import (ONE, ZERO, BlueprintError, TooLarge,
+                   _close_under_action, _explore, _RewriteMemo, _UnionFind)
 from .snf import smith_normal_form
 
 BASE = "*"
@@ -457,46 +457,31 @@ def submodule_closure(module: BlueModule, subset):
 
 def cokernel(f: ModuleMorphism):
     """Collapse the saturated image to the base point; derivable element
-    identifications are merged until the quotient is proper."""
+    identifications are merged until the quotient is proper (each merge
+    joins two classes, so the loop ends). The base point names its class."""
     tgt = f.target
-    collapse = submodule_closure(tgt, {f.apply(m) for m in f.source.carrier})
-    merged = {m: (BASE if m in collapse else m) for m in tgt.carrier}
-    for _ in range(20):
-        carrier = sorted(set(merged.values()))
-        action = {}
-        for b in tgt.blueprint.backend.symbols:
-            for m in tgt.carrier:
-                key = (b, merged[m])
-                val = merged[tgt.act(b, m)]
-                if key in action and action[key] != val:
-                    # identification forced by the action
-                    a, bb = sorted((action[key], val))
-                    for x in merged:
-                        if merged[x] == bb:
-                            merged[x] = a
-                    break
-                action[key] = val
-            else:
-                continue
-            break
-        else:
-            rels = [([merged[t] for t in l], [merged[t] for t in r])
-                    for l, r in tgt.relations]
-            q = BlueModule(tgt.blueprint, tuple(carrier),
-                           {k: v for k, v in action.items()
-                            if k[1] != BASE}, rels,
-                           name=f"coker({f.source.name or 'M'})")
-            pair = _improper_module_pair(q)
-            if pair is None:
-                proj = ModuleMorphism(tgt, q, {m: merged[m]
-                                               for m in tgt.nonbase()})
-                q.projection = {m: merged[m] for m in tgt.carrier}
-                return q, proj
-            a, bb = sorted(pair)
-            for x in merged:
-                if merged[x] == bb:
-                    merged[x] = a
-    raise BlueprintError("cokernel merging failed to stabilize")
+    syms = tgt.blueprint.backend.symbols
+    uf = _UnionFind(tgt.carrier)
+    # the saturated image is closed under the action: only merges need closing
+    for m in submodule_closure(tgt, {f.apply(m) for m in f.source.carrier}):
+        uf.union(BASE, m)
+    while True:
+        base = uf.find(BASE)
+        merged = {m: BASE if (r := uf.find(m)) == base else r
+                  for m in tgt.carrier}
+        action = {(b, merged[m]): merged[tgt.act(b, m)]
+                  for b in syms for m in tgt.carrier if merged[m] != BASE}
+        rels = [([merged[t] for t in l], [merged[t] for t in r])
+                for l, r in tgt.relations]
+        q = BlueModule(tgt.blueprint, tuple(set(merged.values())), action,
+                       rels, name=f"coker({f.source.name or 'M'})")
+        pair = _improper_module_pair(q)
+        if pair is None:
+            q.projection = merged
+            return q, ModuleMorphism(tgt, q, {m: merged[m]
+                                              for m in tgt.nonbase()})
+        uf.union(*pair)
+        _close_under_action(uf, syms, tgt.carrier, tgt.act)
 
 
 def _improper_module_pair(module: BlueModule):

@@ -16,15 +16,15 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .core import BlueprintError, TooLarge
+from .core import BlueprintError, TooLarge, _UnionFind
 from .counting import SAMPLE_Q, fit_polynomial
 # The tests and bench/trace.py read `_rref_bases` and `_reduce_vec` here.
 from .fields import (_rref, _rref_bases, _reduce_vec, _subspace_contains,
                      gf)
 from .snf import lattice_rank
 
-# `_coordinate_subrep_count` raises TooLarge rather than test more coordinate
-# families (S_v), |S_v| = e_v, than this.
+# `_closed_families` raises TooLarge rather than test more coordinate families
+# (S_v), |S_v| = e_v, than this.
 MAX_COORDINATE_FAMILIES = 100_000
 
 
@@ -53,13 +53,8 @@ class Quiver:
         each joining two different components of the ones before it."""
         if len(self.arrows) != self.n_vertices - 1:
             return False
-        component = list(range(self.n_vertices))
-        for s, t in self.arrows:
-            a, b = component[s], component[t]
-            if a == b:
-                return False
-            component = [a if c == b else c for c in component]
-        return True
+        uf = _UnionFind(range(self.n_vertices))
+        return all(uf.union(s, t) for s, t in self.arrows)
 
 
 def _integers(values, message):
@@ -162,7 +157,13 @@ def _closed_families(rep, e, successors):
     frozenset, in `itertools.product` order over the vertices' combinations,
     that are closed under the arrows. Per arrow, `successors[b]` is the
     frozenset of target indices that a chosen source index b forces into the
-    target subset, or None if b may not be chosen."""
+    target subset, or None if b may not be chosen. Raises TooLarge before
+    listing anything when there are more than MAX_COORDINATE_FAMILIES
+    families to test."""
+    families = math.prod(math.comb(d, k) for d, k in zip(rep.dims, e))
+    if families > MAX_COORDINATE_FAMILIES:
+        raise TooLarge(f"{families} coordinate families, more than"
+                       f" {MAX_COORDINATE_FAMILIES}")
     choices = [[frozenset(c) for c in itertools.combinations(range(d), k)]
                for d, k in zip(rep.dims, e)]
     checks = list(zip(rep.quiver.arrows, successors))
@@ -301,18 +302,8 @@ def good_sample_q(rep):
     Fibres at bad primes deviate from the generic count (diag(2,2) over F_2
     degenerates), and the counting polynomial belongs to the generic model.
     """
-    bad = set()
-    for x in {abs(x) for m in rep.matrices for row in m for x in row}:
-        d = 2
-        while d * d <= x:
-            if x % d == 0:
-                bad.add(d)
-                while x % d == 0:
-                    x //= d
-            d += 1
-        if x > 1:
-            bad.add(x)
-    return [q for q in SAMPLE_Q if gf(q).p not in bad]
+    entries = {x for m in rep.matrices for row in m for x in row if x}
+    return [q for q in SAMPLE_Q if all(x % gf(q).p for x in entries)]
 
 
 def has_separating_grading(rep: IntegralRep):
@@ -372,13 +363,7 @@ def has_separating_grading(rep: IntegralRep):
 def _coordinate_subrep_count(rep: IntegralRep, e):
     """The number of basis-subset families (S_v) with |S_v| = e_v that are
     closed under the column supports: for each arrow and each chosen source
-    index b, every r with M_alpha[r][b] != 0 is chosen at the target.
-    Raises TooLarge before listing anything when there are more than
-    MAX_COORDINATE_FAMILIES families to test."""
-    families = math.prod(math.comb(d, k) for d, k in zip(rep.dims, e))
-    if families > MAX_COORDINATE_FAMILIES:
-        raise TooLarge(f"{families} coordinate families, more than"
-                       f" {MAX_COORDINATE_FAMILIES}")
+    index b, every r with M_alpha[r][b] != 0 is chosen at the target."""
     successors = [[frozenset(r for r, row in enumerate(m) if row[b])
                    for b in range(rep.dims[s])]
                   for (s, _t), m in zip(rep.quiver.arrows, rep.matrices)]

@@ -24,6 +24,16 @@ class TestSheafMembership:
         assert ac.sheaf_membership(Fraction(-17), U)
         assert not ac.sheaf_membership(Fraction(2), ac.CurveOpen.whole())
 
+    def test_twenty_digit_prime_denominator(self):
+        # 2^64 - 59 is prime: the removed primes are divided out, so the
+        # denominator is never factored
+        p = 2 ** 64 - 59
+        U = ac.CurveOpen.without(ac.finite_place(2), ac.finite_place(3))
+        assert not ac.sheaf_membership(Fraction(1, p), ac.CurveOpen.whole())
+        assert not ac.sheaf_membership(Fraction(1, 6 * p), U)
+        assert ac.sheaf_membership(Fraction(1, 2 ** 70 * 3 ** 40), U)
+        assert not ac.sheaf_membership(Fraction(p, 2 ** 10), U)
+
     def test_zero_everywhere(self):
         assert ac.sheaf_membership(0, ac.CurveOpen.whole())
 

@@ -147,6 +147,15 @@ class TestArith:
         code, out, _ = run(capsys, "arith", "member", "1/2")
         assert code == 0 and out.strip() == "false"
 
+    def test_member_with_a_large_prime_denominator(self, capsys):
+        # 2^64 - 59 is prime; trial division of the denominator took hours
+        p = 2 ** 64 - 59
+        code, out, _ = run(capsys, "arith", "member", f"1/{p}")
+        assert code == 0 and out.strip() == "false"
+        code, out, _ = run(capsys, "arith", "member", f"1/{8 * p}",
+                           "--remove", "2")
+        assert code == 0 and out.strip() == "false"
+
     def test_member_remove_infinity(self, capsys):
         code, out, _ = run(capsys, "arith", "member", "7", "--remove", "inf")
         assert code == 0 and out.strip() == "true"
@@ -219,6 +228,17 @@ class TestQGrass:
         assert code == 1
         assert out == ""
         assert err.startswith("error: dims must be nonnegative")
+
+    def test_naive_above_the_family_cap_is_an_error(self, capsys, tmp_path):
+        # C(12,6)^2 = 853,776 families, listed in full before the cap
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps({"vertices": 2, "arrows": [],
+                                    "dims": [12, 12], "matrices": [],
+                                    "e": [6, 6]}))
+        code, out, err = run(capsys, "qgrass", "naive", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: 853776 coordinate families")
 
     def test_chi_without_good_primes(self, capsys, tmp_path):
         # diag(2,3) leaves two good sample q; interpolation needed four.

@@ -4,17 +4,21 @@ presentations, cancellativity and Frobenius."""
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blueforge import catalog
 from blueforge.budget import Budget
-from blueforge.core import (PROVED, UNKNOWN, Blueprint, BlueprintMorphism,
-                            FiniteTable, ImproperRelations, MonomialBackend,
-                            NotAnIdeal, additive_closure, count_presentation_points,
-                            derive, enumerate_morphisms, field_blueprint,
-                            finite_blueprints_isomorphic, is_blue_field,
-                            is_cancellative, is_frobenius, is_morphism,
-                            is_prime_ideal, localize, localization_morphism,
-                            parse_element, presentation_normalizes_to_integers,
+from blueforge.core import (ONE, PROVED, UNKNOWN, ZERO, Blueprint,
+                            BlueprintError, BlueprintMorphism, FiniteTable,
+                            ImproperRelations, MonomialBackend, NotAnIdeal,
+                            _guard_budget, _UnionFind, additive_closure,
+                            count_presentation_points, derive,
+                            enumerate_morphisms, field_blueprint,
+                            finite_blueprints_isomorphic, improper_pair,
+                            is_blue_field, is_cancellative, is_frobenius,
+                            is_morphism, is_prime_ideal, localize,
+                            localization_morphism, parse_element,
+                            presentation_normalizes_to_integers,
                             quotient_by_ideal, quotient_universal_factoring,
                             ring_presentation, semiring_presentation,
                             unit_field)
@@ -232,6 +236,242 @@ class TestLocalize:
                            for n in invert))
             got = sorted(p.generator_names() for p in spec(loc).points)
             assert got == expected
+
+
+def power_chain():
+    """{0, 1, t, t2, t3} with t^i t^j = t^min(i+j, 3): the power t3 is the
+    first idempotent power of t, so inverting t identifies 1, t and t2."""
+    syms = (ZERO, ONE, "t", "t2", "t3")
+    mul = {(a, b): syms[min(syms.index(a) + syms.index(b) - 1, 4)]
+           for a in syms[1:] for b in syms[1:]}
+    mul.update({(a, ZERO): ZERO for a in syms})
+    return Blueprint(FiniteTable(syms, mul), (), name="t^4=t^3")
+
+
+# The finite tables that localizations are checked on.
+FINITE_TABLES = {
+    "power_chain": power_chain,
+    "f1": catalog.f1, "b1": catalog.b1, "f1_squared": catalog.f1_squared,
+    "idempotent": catalog.idempotent_example,
+    "two_fields23": lambda: catalog.two_fields(2, 3),
+    "product_ring22": lambda: catalog.product_ring(2, 2),
+    "product_ring23": lambda: catalog.product_ring(2, 3),
+    **{f"f1n{n}": (lambda n=n: catalog.f1n(n)) for n in (2, 3, 4, 5)},
+    **{f"roots_sums{n}": (lambda n=n: catalog.roots_of_unity_sums(n))
+       for n in (2, 3, 4)},
+}
+
+
+def reference_localize(bp, elems):
+    """The pair-table localization that `core._finite_localize` replaced,
+    with its closure of S taken under all products (it left out s*s)."""
+    backend = bp.backend
+    sset = {ONE}
+    frontier = list(elems)
+    while frontier:
+        s = frontier.pop()
+        if s not in sset:
+            sset.add(s)
+            frontier.extend(backend.mul(s, t) for t in sset)
+    sset = sorted(sset)
+    pairs = [(a, s) for a in backend.symbols for s in sset]
+
+    def eq(p, q):
+        a, s = p
+        b, t = q
+        return any(backend.mul(u, backend.mul(a, t))
+                   == backend.mul(u, backend.mul(b, s)) for u in sset)
+
+    classes = []
+    for p in pairs:
+        for cls in classes:
+            if eq(p, cls[0]):
+                cls.append(p)
+                break
+        else:
+            classes.append([p])
+
+    def label(cls):
+        if any(a == ZERO for a, _s in cls):
+            return ZERO
+        if (ONE, ONE) in cls:
+            return ONE
+        plain = [a for (a, s) in cls if s == ONE]
+        if plain:
+            return min(plain)
+        a, s = min(cls)
+        return f"{a}/{s}"
+
+    rep = {p: label(cls) for cls in classes for p in cls}
+    symbols = sorted(set(rep.values()), key=lambda s: (s != ZERO, s != ONE, s))
+    mul = {}
+    for p in pairs:
+        for q in pairs:
+            prod = (backend.mul(p[0], q[0]), backend.mul(p[1], q[1]))
+            mul[(rep[p], rep[q])] = rep[prod]
+    add = None
+    if bp.is_semiring:
+        add = {}
+        for p in pairs:
+            for q in pairs:
+                num = backend.add_table[(backend.mul(p[0], q[1]),
+                                         backend.mul(q[0], p[1]))]
+                s = (num, backend.mul(p[1], q[1]))
+                key = (rep[p], rep[q])
+                if key in add and add[key] != rep[s]:
+                    raise BlueprintError("localized addition is inconsistent")
+                add[key] = rep[s]
+    rels = [([rep[(t, ONE)] for t in l], [rep[(t, ONE)] for t in r])
+            for l, r in bp.relations]
+    out = Blueprint(FiniteTable(symbols, mul, add), rels, budget=bp.budget,
+                    name=f"{bp.name or 'B'}_loc", check_proper=False)
+    out.zero_inverted = False
+    out.localization_map = {s: rep[(s, ONE)] for s in backend.symbols}
+    return out
+
+
+def table_facts(bp):
+    b = bp.backend
+    syms = b.symbols
+    return (syms, {k: b.mul(*k) for k in itertools.product(syms, syms)},
+            None if b.add_table is None else
+            {k: b.add_table[k] for k in itertools.product(syms, syms)},
+            bp.relations, bp.name)
+
+
+def assert_localizes_as_reference(bp, elems):
+    got = localize(bp, elems)
+    want = reference_localize(bp, elems)
+    assert table_facts(got) == table_facts(want), (bp.name, elems)
+    assert got.localization_map == want.localization_map
+    assert got.zero_inverted is False
+    assert got.projection == got.localization_map
+
+
+def reference_finite_quotient(bp, ideal):
+    """The merge loop that `core._finite_quotient` replaced: close under
+    multiplication by rescanning the whole table, at most 40 rounds."""
+    backend = bp.backend
+    budget = bp.budget
+    uf = _UnionFind(backend.symbols)
+    for s in ideal.minimal:
+        uf.union(ZERO, s)
+    for _ in range(40):
+        changed = True
+        while changed:
+            changed = False
+            reps = {}
+            for a in backend.symbols:
+                for b in backend.symbols:
+                    key = (uf.find(a), uf.find(b))
+                    val = uf.find(backend.mul(a, b))
+                    if key in reps:
+                        if reps[key] != val:
+                            uf.union(reps[key], val)
+                            changed = True
+                    else:
+                        reps[key] = val
+        proj = {s: uf.find(s) for s in backend.symbols}
+        syms = sorted(set(proj.values()), key=lambda s: (s != ZERO, s != ONE, s))
+        mul = {}
+        for a in backend.symbols:
+            for b in backend.symbols:
+                mul[(proj[a], proj[b])] = proj[backend.mul(a, b)]
+        rels = []
+        for l, r in bp.relations:
+            nl = [proj[t] for t in l if proj[t] != ZERO]
+            nr = [proj[t] for t in r if proj[t] != ZERO]
+            if sorted(nl) != sorted(nr):
+                rels.append((nl, nr))
+        candidate = Blueprint(FiniteTable(syms, mul), rels, budget=budget,
+                              name=f"{bp.name or 'B'}/I", check_proper=False)
+        pair = improper_pair(candidate, _guard_budget(budget))
+        if pair is None:
+            candidate.projection = proj
+            return candidate
+        uf.union(*pair)
+    raise ImproperRelations("quotient symbol merging failed to stabilize")
+
+
+def assert_quotients_as_reference(bp, elems):
+    ideal = additive_closure(bp, elems)
+    if not ideal.is_proper():
+        return
+    got = quotient_by_ideal(bp, ideal)
+    want = reference_finite_quotient(bp, ideal)
+    assert table_facts(got) == table_facts(want), (bp.name, elems)
+    assert got.projection == want.projection
+
+
+class TestQuotientAgainstReference:
+    @pytest.mark.parametrize("name", sorted(FINITE_TABLES))
+    def test_catalog_table(self, name):
+        bp = FINITE_TABLES[name]()
+        nonzero = [s for s in bp.backend.symbols if s != ZERO]
+        for r in range(3):
+            for elems in itertools.combinations(nonzero, r):
+                assert_quotients_as_reference(bp, list(elems))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_ideals_and_relations(self, data):
+        # added relations make pushed identifications to merge
+        bp = FINITE_TABLES[data.draw(st.sampled_from(sorted(FINITE_TABLES)))]()
+        nonzero = [s for s in bp.backend.symbols if s != ZERO]
+        elems = data.draw(st.lists(st.sampled_from(nonzero), max_size=2))
+        side = st.lists(st.sampled_from(nonzero), max_size=2)
+        extra = data.draw(st.lists(st.tuples(side, side), max_size=2))
+        bp = Blueprint(bp.backend, list(bp.relations) + extra, name=bp.name,
+                       check_proper=False)
+        assert_quotients_as_reference(bp, elems)
+
+
+class TestLocalizeAgainstReference:
+    @pytest.mark.parametrize("name", sorted(FINITE_TABLES))
+    def test_catalog_table(self, name):
+        bp = FINITE_TABLES[name]()
+        nonzero = [s for s in bp.backend.symbols if s != ZERO]
+        for r in range(4):
+            for elems in itertools.combinations(nonzero, r):
+                assert_localizes_as_reference(bp, list(elems))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_sets_and_relations(self, data):
+        bp = FINITE_TABLES[data.draw(st.sampled_from(sorted(FINITE_TABLES)))]()
+        nonzero = [s for s in bp.backend.symbols if s != ZERO]
+        elems = data.draw(st.lists(st.sampled_from(nonzero), max_size=3))
+        side = st.lists(st.sampled_from(bp.backend.symbols), max_size=2)
+        extra = data.draw(st.lists(st.tuples(side, side), max_size=2))
+        bp = Blueprint(bp.backend, list(bp.relations) + extra, name=bp.name,
+                       check_proper=False)
+        assert_localizes_as_reference(bp, elems)
+
+    def test_unit_of_f1_cubed(self):
+        # the closure of S used to leave out z1*z1: this raised KeyError
+        f13 = catalog.f1n(3)
+        loc = localize(f13, ["z1"])
+        assert table_facts(loc)[:3] == table_facts(f13)[:3]
+        assert loc.relations == f13.relations
+        assert loc.localization_map == {s: s for s in f13.backend.symbols}
+
+    def test_power_chain(self):
+        loc = localize(power_chain(), ["t"])
+        assert loc.backend.symbols == (ZERO, ONE)
+        assert loc.localization_map == {ZERO: ZERO, ONE: ONE, "t": ONE,
+                                        "t2": ONE, "t3": ONE}
+
+    def test_idempotent_of_product_ring(self):
+        # inverting (0,2) in F2 x F3 kills the first factor: F3
+        loc = localize(catalog.product_ring(2, 3), ["(0,2)"])
+        t = "(0,2)"
+        assert loc.backend.symbols == (ZERO, ONE, t)
+        assert loc.mul(t, t) == ONE
+        assert loc.backend.add_table[(ONE, ONE)] == t
+        assert loc.backend.add_table[(ONE, t)] == ZERO
+        assert loc.localization_map == {
+            ZERO: ZERO, "(1,0)": ZERO, ONE: ONE, "(0,1)": ONE, t: t,
+            "(1,2)": t}
 
 
 class TestUnitField:

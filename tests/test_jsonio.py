@@ -151,14 +151,19 @@ class TestQuiverRoundTrip:
 
 
 def test_no_module_imports_numpy():
+    # Importing every module loads only the standard library and blueforge:
+    # no numpy, and no runtime sympy (a test-only oracle).
     import blueforge
     src = os.path.dirname(os.path.dirname(blueforge.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import pkgutil, importlib, sys, blueforge\n"
+    code = ("import pkgutil, importlib, sys\n"
+            "before = set(sys.modules)\n"
+            "import blueforge\n"
             "for mod in pkgutil.iter_modules(blueforge.__path__):\n"
             "    if mod.name != '__main__':\n"
             "        importlib.import_module('blueforge.' + mod.name)\n"
-            "print('numpy' in sys.modules)\n")
+            "tops = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(tops - sys.stdlib_module_names - {'blueforge'}))\n")
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

@@ -305,6 +305,37 @@ class TestSubrepCountAgainstReference:
                     assert qg.subrep_count_fq(rep, (k,), q) == _gauss(d, k, q)
 
 
+def reference_good_sample_q(rep):
+    """The trial-division filter that `qg.good_sample_q` replaced."""
+    bad = set()
+    for x in {abs(x) for m in rep.matrices for row in m for x in row}:
+        d = 2
+        while d * d <= x:
+            if x % d == 0:
+                bad.add(d)
+                while x % d == 0:
+                    x //= d
+            d += 1
+        if x > 1:
+            bad.add(x)
+    return [q for q in SAMPLE_Q if gf(q).p not in bad]
+
+
+class TestGoodSampleQ:
+    @given(case=random_reps(entry=st.integers(-400, 400)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, case):
+        rep, _ = case
+        assert qg.good_sample_q(rep) == reference_good_sample_q(rep)
+
+    def test_huge_entries(self):
+        # no entry is factored: a 20-digit prime entry returns at once
+        p = 2 ** 64 - 59
+        assert qg.good_sample_q(rep_1to2([[p, 0], [0, 1]])) == list(SAMPLE_Q)
+        assert qg.good_sample_q(rep_1to2([[p, 0], [0, 2 ** 80 * 3]])) == \
+            [q for q in SAMPLE_Q if gf(q).p not in (2, 3)]
+
+
 class TestChi:
     def test_counterexample_chi_two(self):
         rep = rep_1to2([[2, 0], [0, 2]])
