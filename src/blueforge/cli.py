@@ -401,7 +401,8 @@ def main(argv=None):
         args.budget = None
     try:
         return args.func(args)
-    except (BlueprintError, ValueError, KeyError, OSError) as exc:
+    except (BlueprintError, ValueError, KeyError, OSError,
+            ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -182,10 +182,6 @@ class TypedComplex:
         return self.is_pure() and \
             all(c == 2 for c in self.panel_chamber_counts().values())
 
-    def is_thick(self):
-        return self.is_pure() and \
-            all(c >= 3 for c in self.panel_chamber_counts().values())
-
     def type_histogram(self):
         hist = {}
         for v in self.vertices:

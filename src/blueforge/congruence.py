@@ -1,5 +1,11 @@
 """Congruences and prime congruences on finite blueprints, the congruence
-spectrum with its basis topology, absorbing ideals, and residue fields."""
+spectrum with its basis topology, absorbing ideals, and residue fields.
+
+A partition ~ of the carrier is a congruence when it is multiplicative and
+meets the chain axiom. The chain axiom holds exactly when the quotient B/~
+is proper, so it is checked by building B/~ (`core._collapse`) and running
+the properness search of `core._improper_search` on it, on the one rewrite
+kernel `core._explore`."""
 
 from __future__ import annotations
 
@@ -7,9 +13,7 @@ from dataclasses import dataclass
 
 from .core import (PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
                    BlueprintError, IdealDescriptor, TooLarge, _collapse,
-                   _scale, _symbol_key, localize)
-
-MULTIPLICITY_CAP = 6
+                   _improper_search, _symbol_key, localize)
 
 
 class NotACongruence(BlueprintError):
@@ -47,194 +51,61 @@ class Congruence:
         return "/".join("".join(b) for b in self.partition)
 
 
-def _all_sums(carrier, max_terms):
-    """All formal sums (sorted tuples) of bounded length and multiplicity."""
-    nonzero = [s for s in carrier]
-    out = [()]
-    frontier = [()]
-    for _ in range(max_terms):
-        new = []
-        for u in frontier:
-            last = u[-1] if u else None
-            for s in nonzero:
-                if last is not None and s < last:
-                    continue
-                if u.count(s) >= MULTIPLICITY_CAP:
-                    continue
-                v = u + (s,)
-                new.append(v)
-        out.extend(new)
-        frontier = new
-    return out
+def _chain_blueprint(blueprint):
+    """The blueprint whose relations the chain axiom reads: on a semiring
+    table its sums a + b = c join the relations, because the rewrite kernel
+    reads only relations. Refuses tables beyond the carrier cap."""
+    backend = blueprint.backend
+    if backend.kind != "finite":
+        raise TooLarge("congruences are implemented for finite tables")
+    if len(backend.symbols) > 7:
+        raise TooLarge("carrier larger than 7")
+    if backend.add_table is None:
+        return blueprint
+    nonzero = [s for s in backend.symbols if s != ZERO]
+    sums = [([a, b], [backend.add_table[(a, b)]])
+            for i, a in enumerate(nonzero) for b in nonzero[i:]]
+    return Blueprint(backend, [*blueprint.relations, *sums],
+                     budget=blueprint.budget, check_proper=False)
 
 
-def _find(parent, i):
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
-def _union(parent, i, j):
-    ri, rj = _find(parent, i), _find(parent, j)
-    if ri != rj:
-        parent[max(ri, rj)] = min(ri, rj)
-
-
-def _sub_multisets(u, prefixes):
-    """(s, rest) for each distinct sub-multiset s of the sorted tuple u that
-    lies in `prefixes`, with rest = u - s; both sorted. `prefixes` must hold
-    every prefix of its members."""
-    out = []
-
-    def walk(start, prefix, skipped):
-        out.append((prefix, skipped + u[start:]))
-        prev = None
-        for k in range(start, len(u)):
-            t = u[k]
-            if t != prev:
-                prev = t
-                p = prefix + (t,)
-                if p in prefixes:
-                    walk(k + 1, p, skipped + u[start:k])
-
-    if () in prefixes:
-        walk(0, (), ())
-    return out
-
-
-class _ChainClosure:
-    """The partition-free part of the chain axiom (2)* on a finite blueprint.
-
-    Bounded formal sums are joined into components by one-step rewrites
-    through the oriented relations scaled by carrier multipliers (on a
-    semiring table also by [a, b] = [a + b] for nonzero a <= b). Termwise
-    replacements t -> t2 are kept as edges between components, per unordered
-    pair {t, t2}, so that a partition adds only the edges inside its blocks.
-    The sums are saturated once, for the first partition that passes
-    multiplicativity.
-    """
-
-    def __init__(self, blueprint, budget):
-        if blueprint.backend.kind != "finite":
-            raise TooLarge("congruences are implemented for finite tables")
-        if len(blueprint.backend.symbols) > 7:
-            raise TooLarge("carrier larger than 7")
-        self.blueprint = blueprint
-        self.budget = budget
-        self.moves = None
-
-    def _saturate(self):
-        blueprint, budget = self.blueprint, self.budget
-        backend = blueprint.backend
-        carrier = backend.symbols
-        nonzero = [s for s in carrier if s != ZERO]
-        sums = _all_sums(nonzero, min(budget.max_terms, 8))
-        index = {u: i for i, u in enumerate(sums)}
-        mults = backend.multipliers(0)
-
-        def scaled(m, terms):
-            return tuple(sorted(_scale(blueprint, m, terms)))
-
-        pairs = [(scaled(m, L), scaled(m, R))
-                 for L, R in blueprint.oriented_relations() for m in mults]
-        if backend.add_table is not None:
-            # a + b of the semiring, each distinct nontrivial scaled copy once
-            seen = set()
-            for i, a in enumerate(nonzero):
-                for b in nonzero[i:]:
-                    right = [backend.add_table[(a, b)]]
-                    for L, R in (([a, b], right), (right, [a, b])):
-                        for m in mults:
-                            pair = (scaled(m, L), scaled(m, R))
-                            if pair[0] != pair[1] and pair not in seen:
-                                seen.add(pair)
-                                pairs.append(pair)
-        # the scaled pairs by left side, each with its index; the prefixes
-        # of the left sides prune the walk over a sum's sub-multisets
-        by_left, prefixes = {}, set()
-        for k, (mL, mR) in enumerate(pairs):
-            by_left.setdefault(mL, []).append((k, mR))
-            prefixes.update(mL[:n] for n in range(len(mL) + 1))
-        # one budget step per (sum, scaled relation), sums in order; the cut
-        # sum keeps only the steps taken before the budget ran out
-        reached, last = len(sums), len(pairs)
-        if pairs and len(sums) * len(pairs) > budget.max_steps:
-            cut, last = divmod(budget.max_steps, len(pairs))
-            reached = cut + 1
-        self.truncated = reached < len(sums) or last < len(pairs)
-        parent = list(range(len(sums)))
-        for i in range(reached):
-            bound = last if i == reached - 1 else len(pairs)
-            for mL, rest in _sub_multisets(sums[i], prefixes):
-                for k, mR in by_left.get(mL, ()):
-                    if k < bound:
-                        j = index.get(tuple(sorted(rest + mR)))
-                        if j is not None:
-                            _union(parent, i, j)
-        roots = [_find(parent, i) for i in range(len(sums))]
-        moves = {}
-        for i in range(reached):
-            u = sums[i]
-            for k, t in enumerate(u):
-                if k and u[k - 1] == t:
-                    continue
-                for t2 in carrier:
-                    if t2 == t:
-                        continue
-                    v = u[:k] + u[k + 1:] + ((t2,) if t2 != ZERO else ())
-                    j = index.get(tuple(sorted(v)))
-                    if j is not None and roots[i] != roots[j]:
-                        key = (t, t2) if t < t2 else (t2, t)
-                        moves.setdefault(key, set()).add((roots[i], roots[j]))
-        self.moves, self.size = moves, len(sums)
-        self.singleton = {a: (roots[index[(a,)]] if (a,) in index else None)
-                          for a in nonzero}
-        self.singleton[ZERO] = roots[index[()]]
-
-    def verdict(self, cong):
-        """Proved / Refuted / Unknown for `cong` (a Congruence)."""
-        carrier = self.blueprint.backend.symbols
-        block_id = {x: i for i, block in enumerate(cong.partition)
-                    for x in block}
-        if block_id.keys() != set(carrier):
-            raise NotACongruence("partition does not cover the carrier")
-        # multiplicativity: a ~ b forces ac ~ bc (the table is commutative,
-        # and ~ is transitive, so this gives ac ~ bd whenever c ~ d)
-        mul = self.blueprint.backend.mul_table
-        for a in carrier:
-            for b in carrier:
-                if a < b and block_id[a] == block_id[b]:
-                    for c in carrier:
-                        if block_id[mul[(a, c)]] != block_id[mul[(b, c)]]:
-                            return REFUTED
-        if self.moves is None:
-            self._saturate()
-        parent = list(range(self.size))
-        for (t, t2), edges in self.moves.items():
-            if block_id[t] == block_id[t2]:
-                for i, j in edges:
-                    _union(parent, i, j)
-        for a in carrier:
-            for b in carrier:
-                if a < b and block_id[a] != block_id[b]:
-                    ia, ib = self.singleton[a], self.singleton[b]
-                    if ia is not None and ib is not None \
-                            and _find(parent, ia) == _find(parent, ib):
+def _verdict(chain, cong, budget):
+    """Proved / Refuted / Unknown for `cong` on the blueprint `chain` of
+    `_chain_blueprint`."""
+    carrier = chain.backend.symbols
+    block_id = {x: i for i, block in enumerate(cong.partition)
+                for x in block}
+    if block_id.keys() != set(carrier):
+        raise NotACongruence("partition does not cover the carrier")
+    # multiplicativity: a ~ b forces ac ~ bc (the table is commutative,
+    # and ~ is transitive, so this gives ac ~ bd whenever c ~ d)
+    mul = chain.backend.mul_table
+    for a in carrier:
+        for b in carrier:
+            if a < b and block_id[a] == block_id[b]:
+                for c in carrier:
+                    if block_id[mul[(a, c)]] != block_id[mul[(b, c)]]:
                         return REFUTED
-        return UNKNOWN if self.truncated else PROVED
+    quotient = quotient_by_congruence(chain, cong, budget)
+    nonzero = [s for s in quotient.backend.symbols if s != ZERO]
+    pair, cut = _improper_search(quotient, nonzero, budget)
+    if pair is not None:
+        return REFUTED
+    return UNKNOWN if cut else PROVED
 
 
 def is_congruence(blueprint, partition, budget=None):
     """Proved / Refuted / Unknown for the two congruence axioms.
 
-    Multiplicativity is exhausted; the chain axiom is checked by saturating a
-    union-find over bounded formal sums under (i) one-step rewrites through
-    the pre-addition and (ii) termwise replacements inside a block, then
-    verifying that the restriction to the carrier refines no block.
+    Multiplicativity is exhausted. The chain axiom holds iff the quotient
+    B/~ is proper: no derivation identifies a nonzero class with another
+    class or with 0. That is the properness search of
+    `core._improper_search` on B/~; a search cut by the budget gives Unknown
+    unless another one finds an identification.
     """
-    closure = _ChainClosure(blueprint, budget or blueprint.budget)
-    return closure.verdict(Congruence(blueprint, partition))
+    budget = budget or blueprint.budget
+    return _verdict(_chain_blueprint(blueprint),
+                    Congruence(blueprint, partition), budget)
 
 
 def is_prime_congruence(blueprint, cong: Congruence):
@@ -296,12 +167,13 @@ class CSpecSpace:
 
 def cspec(blueprint, budget=None):
     """All prime congruences, ordered by canonical partition form."""
-    closure = _ChainClosure(blueprint, budget or blueprint.budget)
+    budget = budget or blueprint.budget
+    chain = _chain_blueprint(blueprint)
     points = []
     complete = True
     for blocks in _set_partitions(sorted(blueprint.backend.symbols)):
         cong = Congruence(blueprint, blocks)
-        verdict = closure.verdict(cong)
+        verdict = _verdict(chain, cong, budget)
         if verdict == UNKNOWN:
             complete = False
         elif verdict == PROVED and is_prime_congruence(blueprint, cong):

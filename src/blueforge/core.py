@@ -135,7 +135,8 @@ class FiniteTable:
         return elem == ZERO
 
     def one(self):
-        return ONE
+        """1, or 0 on the one-symbol zero table, where 1 = 0."""
+        return ONE if len(self.symbols) > 1 else ZERO
 
     def zero(self):
         return ZERO
@@ -650,18 +651,35 @@ def derive(bp, lhs, rhs, budget=None):
     return PROVED if verdict == PROVED else UNKNOWN
 
 
+def _improper_search(bp, elements, budget):
+    """The properness search: one search per element, in order and with one
+    shared memo, up to the first element m that is identified with
+    something. That gives (0, m) when its search reaches the empty sum, else
+    (m, b) with b the least element the search reaches. Returns the pair or
+    None, and whether the budget cut a search short. A derivation is
+    symmetric, so a search that returns uncut has seen m's whole class."""
+    if not bp.relations:
+        return None, False
+    memo = _RewriteMemo(bp, budget.max_degree)
+    cut = False
+    for m in elements:
+        hit, singles, truncated = _explore(bp, (m,), budget, targets={()},
+                                           collect_singles=True, memo=memo)
+        cut = cut or truncated
+        if hit:
+            return (bp.backend.zero(), m), cut
+        if singles:
+            return (m, min(singles)), cut
+    return None, cut
+
+
 def improper_pair(bp, budget):
-    """Search for a derivable identification of two distinct elements."""
+    """The first derivable identification of a probe element with 0, as
+    (0, p), or with another element; a search cut by the budget finds
+    nothing."""
     if not bp.relations:
         return None
-    memo = _RewriteMemo(bp, budget.max_degree)
-    for p in _probe_elements(bp):
-        _, singles, _ = _explore(bp, (p,), budget, collect_singles=True,
-                                 memo=memo)
-        for s in sorted(singles, key=bp.backend.sort_key):
-            if s != p:
-                return (p, s)
-    return None
+    return _improper_search(bp, _probe_elements(bp), budget)[0]
 
 
 def _probe_elements(bp):
@@ -1001,6 +1019,8 @@ def build_proper_monomial(coeff_bp, gens, inverted, lattice, relations, budget,
             improper = improper_pair(candidate, _guard_budget(budget))
             if improper is None:
                 return candidate
+            if backend.is_zero(improper[0]):
+                raise ImproperIdeal("a derivation kills a surviving element")
         (c1, e1), (c2, e2) = improper
         vec = tuple(x - y for x, y in zip(e1, e2))
         if not any(vec):
@@ -1154,7 +1174,7 @@ def _finite_localize(bp, elems, budget):
     every class holds some a/1, and the class names and the pushed addition
     of a semiring table come from B."""
     backend = bp.backend
-    s = ONE
+    s = backend.one()
     for x in elems:
         s = backend.mul(s, x)
     e = s
@@ -1957,6 +1977,17 @@ def refutation_targets():
         [field_blueprint(q) for q in prime_powers_upto(5)]
 
 
+def _refuting_target(bp, lhs, rhs, budget):
+    """The first of `refutation_targets()` with a morphism that sends the
+    sums lhs and rhs to different values, or None."""
+    for target in refutation_targets():
+        for f in iter_morphisms(bp, target, budget):
+            if target.backend.eval_sum(f.apply_sum(lhs)) != \
+                    target.backend.eval_sum(f.apply_sum(rhs)):
+                return target
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Cancellativity and Frobenius predicates
 
@@ -1974,14 +2005,10 @@ def is_cancellative(bp, budget=None):
         verdict, _ = _derive3(bp, l2, r2, budget)
         if verdict == PROVED:
             continue
-        for target in refutation_targets():
-            for f in iter_morphisms(bp, target, budget):
-                tl = target.backend.eval_sum(f.apply_sum(l2))
-                tr = target.backend.eval_sum(f.apply_sum(r2))
-                if tl != tr:
-                    return ("no", {"cancelled": tuple(common.elements()),
-                                   "lhs": l2, "rhs": r2,
-                                   "target": target.name})
+        target = _refuting_target(bp, l2, r2, budget)
+        if target is not None:
+            return ("no", {"cancelled": tuple(common.elements()),
+                           "lhs": l2, "rhs": r2, "target": target.name})
     cert = _injectivity_certificate(bp, budget)
     if cert is not None:
         return ("yes", cert)
@@ -2123,13 +2150,10 @@ def is_frobenius(bp, p, budget=None):
         verdict, _ = _derive3(bp, lp, rp, budget)
         if verdict == PROVED:
             continue
-        for target in refutation_targets():
-            for f in iter_morphisms(bp, target, budget):
-                tl = target.backend.eval_sum(f.apply_sum(lp))
-                tr = target.backend.eval_sum(f.apply_sum(rp))
-                if tl != tr:
-                    return ("Counterexample", {"relation": (l, r),
-                                               "target": target.name})
+        target = _refuting_target(bp, lp, rp, budget)
+        if target is not None:
+            return ("Counterexample", {"relation": (l, r),
+                                       "target": target.name})
         any_unknown = True
     return (UNKNOWN, None) if any_unknown else (PROVED, None)
 

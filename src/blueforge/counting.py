@@ -171,18 +171,17 @@ def fit_polynomial(pairs):
     return None
 
 
-def counting_polynomial(obj, degree_bound, qs=None):
+def counting_polynomial(obj, degree_bound):
     """Fit N(q) on degree_bound+1 samples and verify on held-out samples.
 
     Returns a CountingPolynomial, or None when the counts are not polynomial
     (any held-out mismatch or non-integer coefficients).
     """
-    qs = list(qs) if qs is not None else list(SAMPLE_Q)
-    if degree_bound + 2 > len(qs):
+    if degree_bound + 2 > len(SAMPLE_Q):
         raise TooLarge(
             f"degree bound {degree_bound} needs {degree_bound + 2} sample "
-            f"prime powers, have {len(qs)}")
-    counts = [(q, fq_points(obj, q)) for q in qs]
+            f"prime powers, have {len(SAMPLE_Q)}")
+    counts = [(q, fq_points(obj, q)) for q in SAMPLE_Q]
     fit_pts, held = counts[:degree_bound + 1], counts[degree_bound + 1:]
     poly = _interpolate(fit_pts)
     if any(c.denominator != 1 for c in poly):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .budget import Budget
 from .core import (ONE, ZERO, BlueprintError, TooLarge,
-                   _close_under_action, _explore, _RewriteMemo, _UnionFind)
+                   _close_under_action, _explore, _improper_search, _UnionFind)
 from .snf import smith_normal_form
 
 BASE = "*"
@@ -152,6 +152,9 @@ class _ActionBackend:
 
     def is_zero(self, m):
         return m == BASE
+
+    def zero(self):
+        return BASE
 
     def degree(self, b):
         return 0
@@ -308,7 +311,7 @@ def is_module_morphism(f: ModuleMorphism):
     return True
 
 
-def enumerate_morphisms(src: BlueModule, tgt: BlueModule, limit=None):
+def enumerate_morphisms(src: BlueModule, tgt: BlueModule):
     """All module morphisms src -> tgt by backtracking on the carrier."""
     order = list(src.nonbase())
     syms = src.blueprint.backend.symbols
@@ -323,8 +326,6 @@ def enumerate_morphisms(src: BlueModule, tgt: BlueModule, limit=None):
         return True
 
     def backtrack(i, mapping):
-        if limit is not None and len(out) >= limit:
-            return
         if i == len(order):
             f = ModuleMorphism(src, tgt, dict(mapping))
             if all(module_derive(tgt, f.apply_sum(l), f.apply_sum(r))
@@ -485,30 +486,14 @@ def cokernel(f: ModuleMorphism):
 
 
 def _improper_module_pair(module: BlueModule):
-    """The first derivable identification of an element with the base point,
-    else the first pair a < b of elements in carrier order, if any. One
-    search per element with one shared memo: a derivation is symmetric, and
-    a search that returns without a hit has seen the element's whole class.
-    TooLarge when no pair is found and MODULE_BUDGET cut a search short."""
-    if not module.relations:
-        return None
-    memo = _RewriteMemo(module, MODULE_BUDGET.max_degree)
-    classes, cut = [], False
-    for m in module.nonbase():
-        hit, singles, truncated = _explore(module, (m,), MODULE_BUDGET,
-                                           targets={()}, collect_singles=True,
-                                           memo=memo)
-        if hit:
-            return (BASE, m)
-        classes.append((m, singles))
-        cut = cut or truncated
-    for a, singles in classes:
-        later = [b for b in singles if b > a]
-        if later:
-            return (a, min(later))
-    if cut:
+    """The first element, in carrier order, with a derivable identification:
+    (*, m) when it is one with the base point, else (m, b) for the least b
+    (`core._improper_search` under MODULE_BUDGET). TooLarge when no pair is
+    found and MODULE_BUDGET cut a search short."""
+    pair, cut = _improper_search(module, module.nonbase(), MODULE_BUDGET)
+    if pair is None and cut:
         raise _out_of_budget(module)
-    return None
+    return pair
 
 
 def is_normal_mono(f: ModuleMorphism):
@@ -610,7 +595,7 @@ def _retract_of_free(module: BlueModule):
     return False
 
 
-def is_projective(module: BlueModule, rank_bound=None):
+def is_projective(module: BlueModule):
     """Retract of a free module; a wedge is projective iff every component
     is (collapsing the other components retracts onto each one).
 

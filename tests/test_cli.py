@@ -17,6 +17,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# the points of cspec(F1^4) that a budget of 6,3,5 still decides
+CUT_F1N4_POINTS = ["0/1z1z2z3", "0/1z2/z1z3"]
+
+
 class TestBasicVerbs:
     def test_zeta_affine_line(self, capsys):
         code, out, _ = run(capsys, "zeta", "catalog:A1", "--deg", "1")
@@ -92,13 +96,15 @@ class TestBasicVerbs:
         assert "-11/0" in out
 
     def test_cspec_truncation_notice(self, capsys):
+        # five steps per search leave the identity partition undecided
         argv = ("cspec", "catalog:f1n:4", "--json")
-        code, out, err = run(capsys, *argv, "--budget", "6,3,300")
+        code, out, err = run(capsys, *argv, "--budget", "6,3,5")
         assert code == 0
-        assert json.loads(out)["points"] == []
+        assert json.loads(out)["points"] == CUT_F1N4_POINTS
         assert len(err.strip().splitlines()) == 1 and "budget" in err
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
+        assert json.loads(out)["points"] == ["0/1/z1/z2/z3"] + CUT_F1N4_POINTS
 
     @pytest.mark.parametrize("budget_first", [True, False])
     def test_budget_leaves_catalog_cache_alone(self, capsys, monkeypatch,
@@ -113,14 +119,15 @@ class TestBasicVerbs:
         argv = ("cspec", "catalog:f1n:4", "--json")
 
         def budgeted():
-            code, out, err = run(capsys, *argv, "--budget", "6,3,300")
-            assert code == 0 and json.loads(out)["points"] == []
+            code, out, err = run(capsys, *argv, "--budget", "6,3,5")
+            assert code == 0
+            assert json.loads(out)["points"] == CUT_F1N4_POINTS
             assert len(err.strip().splitlines()) == 1 and "budget" in err
 
         def default():
             code, out, err = run(capsys, *argv)
             assert code == 0 and err == ""
-            assert json.loads(out)["points"]
+            assert len(json.loads(out)["points"]) == 3
             return out
 
         if budget_first:
@@ -155,6 +162,11 @@ class TestArith:
         code, out, _ = run(capsys, "arith", "member", f"1/{8 * p}",
                            "--remove", "2")
         assert code == 0 and out.strip() == "false"
+
+    def test_member_with_a_zero_denominator_is_an_error(self, capsys):
+        code, out, err = run(capsys, "arith", "member", "1/0")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_member_remove_infinity(self, capsys):
         code, out, _ = run(capsys, "arith", "member", "7", "--remove", "inf")

@@ -10,7 +10,7 @@ from blueforge.budget import Budget
 from blueforge.core import (PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
                             BlueprintMorphism, field_blueprint,
                             enumerate_morphisms, is_blue_field, is_prime_ideal,
-                            derive, _scale)
+                            derive, _improper_search, _scale)
 
 
 class TestIsCongruence:
@@ -99,8 +99,25 @@ class TestProductRing:
         assert set(mapping.values()) == {0, 1}
 
 
+def reference_sums(carrier, max_terms, cap=6):
+    """All formal sums (sorted tuples) of at most `max_terms` terms over
+    `carrier`, each term at most `cap` times."""
+    out = [()]
+    frontier = [()]
+    for _ in range(max_terms):
+        new = []
+        for u in frontier:
+            for s in carrier:
+                if u and s < u[-1] or u.count(s) >= cap:
+                    continue
+                new.append(u + (s,))
+        out.extend(new)
+        frontier = new
+    return out
+
+
 def reference_is_congruence(blueprint, partition, budget=None):
-    """The per-partition chain-axiom saturation that `_ChainClosure` replaced,
+    """The per-partition chain-axiom saturation over bounded formal sums,
     kept as a differential oracle. It never reads a semiring addition table,
     so product_ring is left out of the comparisons."""
     carrier = blueprint.backend.symbols
@@ -117,7 +134,7 @@ def reference_is_congruence(blueprint, partition, budget=None):
                             backend.mul(a, c), backend.mul(b, d)):
                         return REFUTED
     max_terms = min(budget.max_terms, 8)
-    sums = cg._all_sums([s for s in carrier if s != ZERO], max_terms)
+    sums = reference_sums([s for s in carrier if s != ZERO], max_terms)
     index = {u: i for i, u in enumerate(sums)}
     parent = list(range(len(sums)))
 
@@ -177,20 +194,31 @@ def reference_is_congruence(blueprint, partition, budget=None):
 
 
 def assert_matches_reference(bp, budget):
-    """Every partition's verdict, and cspec's points and completeness, agree
-    with the reference."""
-    closure = cg._ChainClosure(bp, budget)
-    points, complete = [], True
-    for blocks in cg._set_partitions(sorted(bp.backend.symbols)):
-        verdict = reference_is_congruence(bp, blocks, budget)
-        cong = cg.Congruence(bp, blocks)
-        assert closure.verdict(cong) == verdict, blocks
-        complete = complete and verdict != UNKNOWN
-        if verdict == PROVED and cg.is_prime_congruence(bp, cong):
-            points.append(cong.partition)
+    """cspec's points and completeness follow the verdicts of
+    `is_congruence`. Where the reference decides every partition at
+    `budget`, each verdict equals the reference's. Where its step bound cuts
+    it, no verdict is Proved where the reference says Refuted or the other
+    way round, and each decided verdict equals the reference's at the same
+    degree and term bounds with 10**6 steps."""
+    partitions = list(cg._set_partitions(sorted(bp.backend.symbols)))
+    congs = [cg.Congruence(bp, blocks) for blocks in partitions]
+    got = [cg.is_congruence(bp, blocks, budget) for blocks in partitions]
     C = cg.cspec(bp, budget)
-    assert [c.partition for c in C.points] == sorted(points)
-    assert C.complete == complete
+    assert [c.partition for c in C.points] == sorted(
+        c.partition for c, verdict in zip(congs, got)
+        if verdict == PROVED and cg.is_prime_congruence(bp, c))
+    assert C.complete == (UNKNOWN not in got)
+    expected = [reference_is_congruence(bp, blocks, budget)
+                for blocks in partitions]
+    if UNKNOWN not in expected:
+        assert got == expected
+        return
+    wide = Budget(budget.max_degree, budget.max_terms, 10 ** 6)
+    for blocks, verdict, want in zip(partitions, got, expected):
+        assert {verdict, want} != {PROVED, REFUTED}, blocks
+        if verdict != UNKNOWN:
+            assert verdict == reference_is_congruence(bp, blocks, wide), \
+                blocks
 
 
 DIFFERENTIAL_BLUEPRINTS = (
@@ -205,6 +233,8 @@ BUDGETS = [Budget(6, 3, 100000), Budget(6, 4, 100000), Budget(6, 3, 300),
 
 
 class TestChainClosureDifferential:
+    """The chain-axiom closure of each partition against the reference."""
+
     # the 8-term budget only on carriers of at most 5 symbols: the reference
     # takes seconds per partition set beyond that
     @pytest.mark.parametrize("bp,budget", [
@@ -226,14 +256,32 @@ class TestChainClosureDifferential:
             assert_matches_reference(bp, budget)
 
 
+class TestDefaultBudget:
+    """A relation with six terms fits the default budget's eight-term sums,
+    so these spectra are complete at the default budget."""
+
+    @pytest.mark.parametrize("bp,count", [
+        (catalog.f1n(6), 3), (catalog.roots_of_unity_sums(6), 4)],
+        ids=lambda x: x.name if isinstance(x, Blueprint) else str(x))
+    def test_complete_and_equal_to_three_terms(self, bp, count):
+        C = cg.cspec(bp)
+        assert C.complete and len(C) == count
+        narrow = cg.cspec(bp, Budget(6, 3, 100000))
+        assert narrow.complete
+        assert [c.partition for c in C.points] == \
+            [c.partition for c in narrow.points]
+
+
 def reference_saturate(blueprint, budget):
-    """`_ChainClosure._saturate` with each sum tested against every scaled
-    pair by a `Counter` containment test; returns (moves, singleton,
-    truncated, size)."""
+    """The bounded-sum closure of `blueprint`: its relations and, on a
+    semiring table, its sums a + b = c, each scaled by every multiplier and
+    tested against every sum by a `Counter` containment test. Returns the
+    class of each nonzero singleton and of the empty sum (key ZERO), and
+    whether the step bound cut the closure."""
     backend = blueprint.backend
     carrier = backend.symbols
     nonzero = [s for s in carrier if s != ZERO]
-    sums = cg._all_sums(nonzero, min(budget.max_terms, 8))
+    sums = reference_sums(nonzero, min(budget.max_terms, 8))
     index = {u: i for i, u in enumerate(sums)}
     mults = backend.multipliers(0)
 
@@ -260,6 +308,13 @@ def reference_saturate(blueprint, budget):
         reached = cut + 1
     truncated = reached < len(sums) or last < len(pairs)
     parent = list(range(len(sums)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
     for i in range(reached):
         cu = Counter(sums[i])
         for mL, mR in pairs[:last] if i == reached - 1 else pairs:
@@ -269,26 +324,30 @@ def reference_saturate(blueprint, budget):
             rest.update(mR)
             j = index.get(tuple(sorted(rest.elements())))
             if j is not None:
-                cg._union(parent, i, j)
-    roots = [cg._find(parent, i) for i in range(len(sums))]
-    moves = {}
-    for i in range(reached):
-        u = sums[i]
-        for k, t in enumerate(u):
-            if k and u[k - 1] == t:
-                continue
-            for t2 in carrier:
-                if t2 == t:
-                    continue
-                v = u[:k] + u[k + 1:] + ((t2,) if t2 != ZERO else ())
-                j = index.get(tuple(sorted(v)))
-                if j is not None and roots[i] != roots[j]:
-                    key = (t, t2) if t < t2 else (t2, t)
-                    moves.setdefault(key, set()).add((roots[i], roots[j]))
-    singleton = {a: (roots[index[(a,)]] if (a,) in index else None)
-                 for a in nonzero}
-    singleton[ZERO] = roots[index[()]]
-    return moves, singleton, truncated, len(sums)
+                parent[find(i)] = find(j)
+    singleton = {a: find(index[(a,)]) for a in nonzero}
+    singleton[ZERO] = find(index[()])
+    return singleton, truncated
+
+
+def assert_search_matches_saturation(bp, budget):
+    """The properness search that the chain axiom runs, on B itself (with
+    the sums of a semiring table as relations), against the bounded-sum
+    closure. A pair the search reports is identified by the closure at the
+    same degree and term bounds with 10**6 steps; where neither is cut, the
+    search finds a pair exactly when the closure identifies two singletons
+    or a singleton with the empty sum."""
+    chain = cg._chain_blueprint(bp)
+    nonzero = [s for s in bp.backend.symbols if s != ZERO]
+    pair, cut = _improper_search(chain, nonzero, budget)
+    if pair is not None:
+        wide = Budget(budget.max_degree, budget.max_terms, 10 ** 6)
+        singleton, _ = reference_saturate(bp, wide)
+        assert singleton[pair[0]] == singleton[pair[1]], pair
+    singleton, truncated = reference_saturate(bp, budget)
+    if not (cut or truncated):
+        improper = len(set(singleton.values())) < len(singleton)
+        assert (pair is not None) == improper, pair
 
 
 SATURATE_BLUEPRINTS = (
@@ -299,8 +358,8 @@ SATURATE_BLUEPRINTS = (
 
 
 class TestSaturateAgainstReference:
-    """The closure indexed by left side against the scan over every pair;
-    the last two budgets run out."""
+    """The properness search against the bounded-sum closure; the last two
+    budgets run out."""
 
     @pytest.mark.parametrize("budget", [
         Budget(6, 3, 100000), Budget(6, 8, 100000), Budget(6, 3, 500),
@@ -308,25 +367,17 @@ class TestSaturateAgainstReference:
     @pytest.mark.parametrize("bp", SATURATE_BLUEPRINTS,
                              ids=lambda bp: bp.name)
     def test_catalog(self, bp, budget):
-        closure = cg._ChainClosure(bp, budget)
-        closure._saturate()
-        moves, singleton, truncated, size = reference_saturate(bp, budget)
-        assert closure.moves == moves
-        assert closure.singleton == singleton
-        assert closure.truncated == truncated
-        assert closure.size == size
+        assert_search_matches_saturation(bp, budget)
 
     @pytest.mark.parametrize("budget", [Budget(6, 3, 500), Budget(6, 2, 37)],
                              ids=str)
     def test_cut_sum_is_reached(self, budget):
-        # the budget runs out inside the sums, so one sum takes only part of
-        # the pairs
+        # the budget runs out inside the sums of the closure; the verdicts
+        # still contradict the reference nowhere
         bp = catalog.two_fields(2, 3)
-        closure = cg._ChainClosure(bp, budget)
-        closure._saturate()
-        assert closure.truncated
-        assert (closure.moves, closure.singleton, closure.truncated,
-                closure.size) == reference_saturate(bp, budget)
+        assert reference_saturate(bp, budget)[1]
+        assert_search_matches_saturation(bp, budget)
+        assert_matches_reference(bp, budget)
 
     @given(k=st.integers(1, 4), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -338,10 +389,7 @@ class TestSaturateAgainstReference:
         bp = Blueprint(table, relations, check_proper=False)
         for budget in (Budget(6, 3, 100000), Budget(6, 4, 100000),
                        Budget(6, 3, 40)):
-            closure = cg._ChainClosure(bp, budget)
-            closure._saturate()
-            assert (closure.moves, closure.singleton, closure.truncated,
-                    closure.size) == reference_saturate(bp, budget)
+            assert_search_matches_saturation(bp, budget)
 
 
 class TestAbsorbingIdeals:

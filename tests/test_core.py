@@ -209,6 +209,14 @@ class TestLocalize:
         assert loc.backend.inverted == sl2.backend.inverted
         assert loc.relations == sl2.relations
 
+    def test_zero_table_localizes_to_itself(self):
+        zero = Blueprint(FiniteTable((ZERO,), {(ZERO, ZERO): ZERO}))
+        loc = localize(zero, [])
+        assert loc.backend.symbols == (ZERO,)
+        assert loc.localization_map == {ZERO: ZERO}
+        assert not loc.zero_inverted
+        assert localize(zero, [ZERO]).zero_inverted
+
     def test_zero_inverted_flag(self, f1):
         bp = Blueprint(MonomialBackend(f1, ("T",)))
         loc = localize(bp, [bp.zero()])
@@ -553,9 +561,8 @@ class TestPresentations:
 
 class TestCancellative:
     def test_b1_refuted_with_witness(self, b1):
-        verdict, witness = is_cancellative(b1)
-        assert verdict == "no"
-        assert witness["cancelled"] == ("1",)
+        assert is_cancellative(b1) == ("no", {
+            "cancelled": ("1",), "lhs": (), "rhs": ("1",), "target": "B1+"})
 
     def test_f1_yes(self, f1):
         assert is_cancellative(f1)[0] == "yes"
@@ -579,6 +586,13 @@ class TestFrobenius:
 
     def test_b1_squares(self, b1):
         assert is_frobenius(b1, 2)[0] == PROVED
+
+    def test_counterexamples_name_the_first_separating_target(self, f12):
+        assert is_frobenius(f12, 2) == (
+            "Counterexample", {"relation": ((), ("-1", "1")), "target": "F3"})
+        assert is_frobenius(catalog.f1n(3), 3) == (
+            "Counterexample",
+            {"relation": ((), ("1", "z1", "z2")), "target": "F4"})
 
 
 class TestFiniteIdealCharacterizations:

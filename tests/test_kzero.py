@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blueforge import catalog
+from blueforge import catalog, core
 from blueforge import kzero as kz
 from blueforge.budget import Budget
 from blueforge.cli import main
@@ -238,20 +238,21 @@ class TestModuleBudget:
         f1 = catalog.f1()
         free = kz.free_module(f1, 2)
         killed = kz.BlueModule(f1, free.carrier, free.action, [(["1@1"], [])])
-        original = kz._explore
+        original = core._explore
 
         def cut_at_1_0(module, start, *args, **kwargs):
             if start == ("1@0",):
                 return False, set(), True
             return original(module, start, *args, **kwargs)
 
-        monkeypatch.setattr(kz, "_explore", cut_at_1_0)
+        # the properness search of `core` looks `_explore` up in `core`
+        monkeypatch.setattr(core, "_explore", cut_at_1_0)
         assert kz._improper_module_pair(killed) == (BASE, "1@1")
         proper = kz.BlueModule(f1, free.carrier, free.action,
                                [(["1@0"], ["1@0", "1@1"])])
         with pytest.raises(TooLarge, match="module budget"):
             kz._improper_module_pair(proper)
-        monkeypatch.setattr(kz, "_explore", original)
+        monkeypatch.setattr(core, "_explore", original)
         assert kz._improper_module_pair(proper) is None
 
 
@@ -489,12 +490,14 @@ def reference_module_derive(module, lhs, rhs):
 
 
 def reference_improper_module_pair(module):
-    for m in module.nonbase():
-        if reference_module_derive(module, (m,), ()):
-            return (BASE, m)
-    for a, b in itertools.combinations(module.nonbase(), 2):
-        if reference_module_derive(module, (a,), (b,)):
-            return (a, b)
+    """The first element a identified with the base point, as (*, a), or
+    with another element, the least such b, as (a, b)."""
+    for a in module.nonbase():
+        if reference_module_derive(module, (a,), ()):
+            return (BASE, a)
+        for b in module.nonbase():
+            if b != a and reference_module_derive(module, (a,), (b,)):
+                return (a, b)
     return None
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from blueforge import catalog
 from blueforge.budget import Budget
-from blueforge.core import (ONE, PROVED, UNKNOWN, Blueprint,
+from blueforge.core import (ONE, PROVED, UNKNOWN, ZERO, Blueprint,
                             ImproperRelations, MonomialBackend, _RewriteMemo,
                             _probe_elements, _rewrites, derive, improper_pair)
 
@@ -101,11 +101,16 @@ def reference_derive(bp, lhs, rhs, budget):
 
 
 def reference_improper_pair(bp, budget):
+    """The first probe p whose search reaches the empty sum, as (0, p), or
+    another single, the least such s, as (p, s)."""
     if not bp.relations:
         return None
     for p in _probe_elements(bp):
-        _, singles, _ = reference_explore(bp, (p,), budget,
-                                          collect_singles=True)
+        hit, singles, _ = reference_explore(bp, (p,), budget,
+                                            targets=frozenset([()]),
+                                            collect_singles=True)
+        if hit:
+            return (bp.backend.zero(), p)
         for s in sorted(singles, key=bp.backend.sort_key):
             if s != p:
                 return (p, s)
@@ -260,6 +265,20 @@ class TestSortInvariant:
             backend = backend.coeff.backend
         xs = data.draw(st.lists(st.sampled_from(backend.symbols), max_size=8))
         assert sorted(xs) == sorted(xs, key=backend.sort_key)
+
+
+@pytest.mark.parametrize("bp,killed", [
+    (catalog.f1(), "1"), (catalog.idempotent_example(), "e")],
+    ids=["f1", "idempotent"])
+def test_guard_sees_an_element_identified_with_zero(bp, killed):
+    # a relation x = 0 leaves no two single terms equal, but identifies x
+    # with 0: the blueprint is improper
+    with pytest.raises(ImproperRelations) as err:
+        Blueprint(bp.backend, [([killed], [])])
+    assert str(err.value) == f"relations identify 0 and {killed}"
+    bp = Blueprint(bp.backend, [([killed], [])], check_proper=False)
+    assert derive(bp, [killed], []) == PROVED
+    assert improper_pair(bp, GUARD_BUDGET) == (ZERO, killed)
 
 
 def test_guard_names_the_improper_pair():
