@@ -201,9 +201,9 @@ class MonomialBackend:
             raise MalformedBackend("coefficient blueprint must be a finite table")
         inv = set(inverted)
         for vec, _char in lattice:
-            for i, v in enumerate(vec):
-                if v:
-                    inv.add(self.gens[i])
+            if len(vec) != len(self.gens):
+                raise MalformedBackend("lattice vector has wrong length")
+            inv.update(g for g, v in zip(self.gens, vec) if v)
         unknown = inv - set(self.gens)
         if unknown:
             raise MalformedBackend(f"invertibility flags on unknown generators {unknown}")
@@ -226,8 +226,6 @@ class MonomialBackend:
         coeff = self.coeff
         rows, chars = [], []
         for vec, char in lattice:
-            if len(vec) != len(self.gens):
-                raise MalformedBackend("lattice vector has wrong length")
             if not coeff.is_unit(char):
                 raise MalformedBackend("lattice character must be a unit")
             rows.append(list(vec))
@@ -796,11 +794,16 @@ def _monomial_divides(backend, g, m):
 
 def additive_closure(bp, elems, budget=None):
     """Smallest ideal containing `elems`: closed under multiplication by the
-    monoid and under the rule (sum a_i + c = sum b_j, a_i and b_j in I) => c in I."""
-    budget = budget or bp.budget
+    monoid and under the rule (sum a_i + c = sum b_j, a_i and b_j in I) => c in I.
+    Finite tables read no budget: the least fixpoint of `_ideal_rules`."""
     backend = bp.backend
     if backend.kind == "finite":
-        return _finite_additive_closure(bp, elems, budget)
+        syms = backend.symbols
+        start = {ZERO, *(backend.normalize(e) for e in elems)}
+        members = _close(_ideal_rules(bp), _bits(syms, start))
+        return IdealDescriptor(bp, bp.normalize_sum(elems),
+                               tuple(sorted(_members(syms, members))), "exact")
+    budget = budget or bp.budget
     mins: list = []
 
     def add_gen(m):
@@ -852,56 +855,65 @@ def additive_closure(bp, elems, budget=None):
                            tuple(sorted(mins, key=backend.sort_key)), saturated)
 
 
-def _finite_additive_closure(bp, elems, budget):
-    backend = bp.backend
-    members = {ZERO}
-    members.update(backend.normalize(e) for e in elems)
-    steps = 0
-    truncated = False
+def _closure_rules(carrier, actors, act, relations):
+    """Horn rules over bitmasks of `carrier` (bit i for carrier[i]), a dict
+    premise -> conclusion: x => act(b, x) for b in `actors`, and for each
+    oriented relation (L, R), a term once in L and not in R is forced when
+    all other terms are in. Their fixpoints read no budget (Dowling-Gallier,
+    J. Logic Programming 1, 1984)."""
+    bit = {x: 1 << i for i, x in enumerate(carrier)}
+    rules = {bit[x]: _bits(carrier, {act(b, x) for b in actors})
+             for x in carrier}
+    for L, R in relations:
+        premise = _bits(carrier, {*L, *R})
+        for t in set(L).difference(R):
+            if L.count(t) == 1:
+                key = premise & ~bit[t]
+                rules[key] = rules.get(key, 0) | bit[t]
+    return rules
+
+
+def _close(rules, members):
+    """The least bitmask above `members` that is closed under `rules`."""
     changed = True
     while changed:
         changed = False
-        for a in list(members):
-            for s in backend.symbols:
-                p = backend.mul(a, s)
-                if p not in members:
-                    members.add(p)
-                    changed = True
-        if bp.is_semiring:
-            # sum a_i + c = sum b_j with members a_i, b_j forces c, with sums
-            # evaluated in the semiring (up to two members per side).
-            pool = [()] + [(a,) for a in members] + \
-                   [(a, b) for a in members for b in members]
-            targets = {backend.eval_sum(list(b)) for b in pool}
-            for c in list(backend.symbols):
-                if c in members:
-                    continue
-                for aa in pool:
-                    if backend.eval_sum(list(aa) + [c]) in targets:
-                        members.add(c)
-                        changed = True
-                        break
-        for L, R in bp.oriented_relations():
-            for m in backend.multipliers(0):
-                steps += 1
-                if steps > budget.max_steps:
-                    truncated = True
-                    changed = False
-                    break
-                mR = _scale(bp, m, R)
-                if not all(x in members for x in mR):
-                    continue
-                mL = _scale(bp, m, L)
-                missing = [x for x in mL if x not in members]
-                if len(missing) == 1:
-                    members.add(missing[0])
-                    changed = True
-            if truncated:
-                break
-        if truncated:
-            break
-    return IdealDescriptor(bp, bp.normalize_sum(elems), tuple(sorted(members)),
-                           "truncated" if truncated else "exact")
+        for premise, conclusion in rules.items():
+            if premise & members == premise and conclusion & ~members:
+                members |= conclusion
+                changed = True
+    return members
+
+
+def _closed(rules, members):
+    return not any(premise & members == premise and conclusion & ~members
+                   for premise, conclusion in rules.items())
+
+
+def _bits(carrier, elems):
+    return sum(1 << i for i, x in enumerate(carrier) if x in elems)
+
+
+def _members(carrier, mask):
+    return [x for i, x in enumerate(carrier) if mask >> i & 1]
+
+
+def _ideal_rules(bp):
+    """The closure rules of ideals of a finite table: the relations scaled by
+    every nonzero m, and each sum a + b = c of a semiring table as the
+    relation [c] = [a, b], both ways round. These have the closed sets of
+    the rule "c is forced when c plus at most two members sums to a sum of
+    at most two members": as 0 is neutral and addition commutative, both
+    say that members are closed under sums and that x + c = y, x and y
+    members, forces c."""
+    backend = bp.backend
+    rels = [(_scale(bp, m, L), _scale(bp, m, R))
+            for L, R in bp.oriented_relations()
+            for m in backend.multipliers(0)]
+    if bp.is_semiring:
+        for (a, b), c in backend.add_table.items():
+            rels += [((c,), (a, b)), ((a, b), (c,))]
+    return _closure_rules(backend.symbols, backend.symbols, backend.mul, rels)
 
 
 def is_prime_ideal(bp, ideal):

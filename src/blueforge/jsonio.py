@@ -12,7 +12,9 @@ Quiver representation files follow
 with one integer matrix per arrow, written as its d_target rows of d_source
 integers (a matrix into a vertex of dimension 0 is []); "e" is optional.
 
-Serialization is canonical and round-trips bit-exactly.
+Serialization is canonical and round-trips bit-exactly. The readers check
+the type of every field before they build anything, and name a bad field in
+a BlueprintError.
 """
 
 from __future__ import annotations
@@ -23,6 +25,69 @@ from . import catalog
 from .core import (ONE, Blueprint, BlueprintError, FiniteTable,
                    MonomialBackend, parse_element)
 from .quivergrass import IntegralRep, Quiver
+
+
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer"}
+
+
+def _of(kind):
+    """A check that a value has the JSON type `kind`; it raises
+    BlueprintError naming the field. No field takes a bool."""
+    def check(value, where):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise BlueprintError(f"{where} must be {_TYPE_NAMES[kind]}")
+    return check
+
+
+def _list_of(item):
+    def check(value, where):
+        _of(list)(value, where)
+        for i, x in enumerate(value):
+            item(x, f"{where}[{i}]")
+    return check
+
+
+def _tuple_of(*items):
+    def check(value, where):
+        _of(list)(value, where)
+        if len(value) != len(items):
+            raise BlueprintError(f"{where} must have {len(items)} entries")
+        for i, (x, item) in enumerate(zip(value, items)):
+            item(x, f"{where}[{i}]")
+    return check
+
+
+def _fields(checks, required):
+    """A check of a JSON object: the `required` keys are present, and each
+    key of `checks` that is present passes its check. Other keys are
+    ignored."""
+    def check(value, where):
+        _of(dict)(value, where)
+        for key in required:
+            if key not in value:
+                raise BlueprintError(f"{where} has no {key!r}")
+        for key, item in checks.items():
+            if key in value:
+                item(value[key], f"{where}.{key}")
+    return check
+
+
+_STRINGS = _list_of(_of(str))
+_RELATIONS = _list_of(_tuple_of(_STRINGS, _STRINGS))
+_TABLE = _list_of(_tuple_of(_of(str), _of(str), _of(str)))
+_TABLE_FIELDS = _fields({"carrier": _STRINGS, "mul": _TABLE, "add": _TABLE,
+                         "relations": _RELATIONS}, ("carrier", "mul"))
+_BLUEPRINT_FIELDS = _fields(
+    {"generators": _STRINGS, "inverted": _STRINGS, "relations": _RELATIONS,
+     "identifications": _list_of(_tuple_of(_list_of(_of(int)), _of(str)))},
+    ("coefficients",))
+# The entries of "dims" and "matrices" are checked by IntegralRep, and
+# those of "e" by the Grassmannian computations.
+_QUIVER_FIELDS = _fields(
+    {"vertices": _of(int), "arrows": _list_of(_tuple_of(_of(int), _of(int))),
+     "dims": _of(list), "matrices": _of(list), "e": _of(list)},
+    ("vertices", "arrows", "dims", "matrices"))
 
 
 def _coeff_tag(bp):
@@ -98,6 +163,9 @@ def blueprint_to_json(bp) -> dict:
 
 
 def blueprint_from_json(data) -> Blueprint:
+    _BLUEPRINT_FIELDS(data, "blueprint")
+    if not isinstance(data["coefficients"], str):
+        _TABLE_FIELDS(data["coefficients"], "blueprint.coefficients")
     coeff = _coeff_from_json(data["coefficients"])
     gens = tuple(data.get("generators", ()))
     if not gens:
@@ -191,6 +259,7 @@ def quiver_rep_to_json(rep: IntegralRep, e=None) -> dict:
 
 
 def quiver_rep_from_json(data):
+    _QUIVER_FIELDS(data, "quiver")
     quiver = Quiver(data["vertices"], tuple((s, t) for s, t in data["arrows"]))
     rep = IntegralRep(quiver, data["dims"], data["matrices"])
     e = tuple(data["e"]) if "e" in data else None

@@ -9,8 +9,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .budget import Budget
-from .core import (ONE, ZERO, BlueprintError, TooLarge,
-                   _close_under_action, _explore, _improper_search, _UnionFind)
+from .core import (ONE, ZERO, BlueprintError, TooLarge, _bits, _close,
+                   _close_under_action, _closed, _closure_rules, _explore,
+                   _improper_search, _members, _UnionFind)
 from .snf import smith_normal_form
 
 BASE = "*"
@@ -436,24 +437,11 @@ def kernel(f: ModuleMorphism):
 
 
 def submodule_closure(module: BlueModule, subset):
-    """Closure under the action and the additive rule."""
-    members = {BASE} | set(subset)
-    changed = True
-    while changed:
-        changed = False
-        for b in module.blueprint.backend.symbols:
-            for m in list(members):
-                v = module.act(b, m)
-                if v not in members:
-                    members.add(v)
-                    changed = True
-        for L, R in module._oriented:
-            if all(t in members for t in R):
-                missing = [t for t in L if t not in members]
-                if len(missing) == 1:
-                    members.add(missing[0])
-                    changed = True
-    return members
+    """Closure under the action and the additive rule (`core._close`)."""
+    rules = _closure_rules(module.carrier, module.blueprint.backend.symbols,
+                           module.act, module._oriented)
+    members = _close(rules, _bits(module.carrier, {BASE, *subset}))
+    return set(_members(module.carrier, members))
 
 
 def cokernel(f: ModuleMorphism):
@@ -801,15 +789,12 @@ class K0Result:
 
 
 def _action_closed_subsets(module):
-    nb = module.nonbase()
-    syms = module.blueprint.backend.symbols
-    out = []
-    for r in range(len(nb) + 1):
-        for sub in itertools.combinations(nb, r):
-            s = set(sub) | {BASE}
-            if all(module.act(b, m) in s for b in syms for m in sub):
-                out.append(sub)
-    return out
+    carrier = module.carrier
+    rules = _closure_rules(carrier, module.blueprint.backend.symbols,
+                           module.act, ())
+    return [sub for r in range(len(carrier))
+            for sub in itertools.combinations(module.nonbase(), r)
+            if _closed(rules, _bits(carrier, {BASE, *sub}))]
 
 
 def _submodule(module, subset, name=None):

@@ -81,17 +81,11 @@ class ProjSpace(SpecSpace):
         raise BlueprintError("projective closures are counted on the ambient"
                              " model; no affine closure blueprint")
 
-    def counting_rank(self, i):
+    def _closure_count(self, i):
         if len(self.blueprint.backend.gens) > 8:
             raise BlueprintError("ambient too large for counting")
         dead = self.closure_vanishing(i)
-        qs = counting.SAMPLE_Q
-        counts = [(q, counting.projective_fq_points(self.blueprint, q, dead))
-                  for q in qs]
-        poly = counting.fit_polynomial(counts)
-        if poly is None:
-            raise BlueprintError("closure counts are not polynomial in q")
-        return poly.degree
+        return lambda q: counting.projective_fq_points(self.blueprint, q, dead)
 
     def torus_certificate_at(self, i):
         """The projective closure is a point (rank-0 torus) iff one variable

@@ -7,9 +7,9 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (ONE, ZERO, Blueprint, BlueprintError, FiniteTable,
-                   IdealDescriptor, additive_closure, derive, is_cancellative,
-                   is_prime_ideal, localize, quotient_by_ideal,
-                   torus_certificate)
+                   IdealDescriptor, _bits, _closed, _ideal_rules,
+                   additive_closure, derive, is_cancellative, is_prime_ideal,
+                   localize, quotient_by_ideal, torus_certificate)
 from . import counting
 from .order import UpSetOrder, _up_masks
 
@@ -36,18 +36,18 @@ class SpecSpace(UpSetOrder):
 
     p <= q iff ideal(p) is contained in ideal(q); closed sets are the up-sets,
     so closed points sit at the top of the order. The order is stored as one
-    up-set bitmask per point.
+    up-set bitmask per point. Spectra are decided exactly: always complete.
     """
 
     projective = False
+    complete = True
 
-    def __init__(self, blueprint, points, keysets, complete=True):
+    def __init__(self, blueprint, points, keysets):
         """`keysets[i]` is a set whose inclusions decide containment of the
         point ideals: the symbols of a finite-table prime, the variables of
         a monomial one."""
         self.blueprint = blueprint
         self.points = tuple(points)
-        self.complete = complete
         self._up = _up_masks(keysets)
 
     def __len__(self):
@@ -84,15 +84,20 @@ class SpecSpace(UpSetOrder):
         return torus_certificate(self.closure_blueprint(i))
 
     def counting_rank(self, i):
-        closure = self.closure_blueprint(i)
-        if closure.backend.kind == "monomial" and len(closure.backend.gens) > 6:
-            raise BlueprintError("closure too large for counting")
-        qs = counting.SAMPLE_Q
-        counts = [counting.fq_points(closure, q) for q in qs]
-        poly = counting.fit_polynomial(list(zip(qs, counts)))
+        count = self._closure_count(i)
+        poly = counting.fit_polynomial([(q, count(q))
+                                        for q in counting.SAMPLE_Q])
         if poly is None:
             raise RankUndetermined("closure counts are not polynomial in q")
         return poly.degree
+
+    def _closure_count(self, i):
+        """q -> the number of F_q-points of the closure of point i; raises
+        BlueprintError when the closure is too large to count."""
+        closure = self.closure_blueprint(i)
+        if closure.backend.kind == "monomial" and len(closure.backend.gens) > 6:
+            raise BlueprintError("closure too large for counting")
+        return lambda q: counting.fq_points(closure, q)
 
 
 def spec(blueprint, budget=None):
@@ -101,32 +106,29 @@ def spec(blueprint, budget=None):
     Monomial backends: the primes are the ideals (S) generated by sets S of
     non-inverted variables that no relation forces to grow (see
     `_monomial_primes`); this is decided exactly, without the budget, and
-    the result is always complete. Finite tables: every symbol set is
-    closed within the budget and tested for primality.
+    the result is always complete. Finite tables read no budget either: a
+    symbol set S is a prime when {0} + S is closed under the ideal rules
+    (`core._ideal_rules`), proper and prime.
     """
     backend = blueprint.backend
     if backend.kind == "monomial":
         points, varsets = _monomial_primes(blueprint)
         return SpecSpace(blueprint, points, varsets)
-    budget = budget or blueprint.budget
+    rules = _ideal_rules(blueprint)
     points = []
-    complete = True
     syms = [s for s in backend.symbols if s != ZERO]
     for r in range(len(syms) + 1):
         for sub in itertools.combinations(syms, r):
-            ideal = additive_closure(blueprint, sub, budget)
-            if ideal.saturated != "exact":
-                complete = False
+            members = {ZERO, *sub}
+            if not _closed(rules, _bits(backend.symbols, members)):
                 continue
-            if set(ideal.minimal) != {ZERO} | set(sub):
-                continue
-            if not ideal.is_proper():
-                continue
-            if is_prime_ideal(blueprint, ideal) is True:
+            ideal = IdealDescriptor(blueprint, blueprint.normalize_sum(sub),
+                                    tuple(sorted(members)), "exact")
+            if ideal.is_proper() and is_prime_ideal(blueprint, ideal) is True:
                 points.append(SpecPoint(ideal))
     points.sort(key=lambda p: (len(p.ideal.minimal), p.generator_names()))
     return SpecSpace(blueprint, points,
-                     [frozenset(p.ideal.minimal) for p in points], complete)
+                     [frozenset(p.ideal.minimal) for p in points])
 
 
 def _monomial_primes(blueprint, irrelevant=0):

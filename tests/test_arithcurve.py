@@ -1,13 +1,15 @@
 """The compactified arithmetic curve over Q."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from blueforge import arithcurve as ac
 from blueforge import catalog
-from blueforge.core import finite_blueprints_isomorphic
+from blueforge.core import BlueprintError, finite_blueprints_isomorphic
 
 
 class TestSheafMembership:
@@ -165,3 +167,37 @@ class TestTopology:
 
     def test_restriction_is_spec_z(self):
         assert ac.finite_restriction_matches_spec_z(5)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestPrimality:
+    def test_equals_trial_division_below_1e5(self):
+        assert all(ac._is_prime(n) == trial_division(n)
+                   for n in range(-2, 10**5))
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051,
+                                   318665857834031151167461])
+    def test_strong_pseudoprimes_are_rejected(self, n):
+        # each passes the strong test to a smaller set of prime bases
+        with pytest.raises(ValueError, match="not a prime"):
+            ac.finite_place(n)
+
+    def test_large_prime_at_once(self):
+        # trial division would take hours here
+        start = time.perf_counter()
+        assert ac.finite_place(100000000000000000039).p == \
+            100000000000000000039
+        assert ac.finite_place(100000000000031).p == 100000000000031
+        assert time.perf_counter() - start < 0.5
+
+    def test_beyond_the_exact_range_is_refused(self):
+        with pytest.raises(BlueprintError, match="too large"):
+            ac.finite_place(10**25 + 13)
+
+    def test_curve_places(self):
+        primes = [p.p for p in ac.curve_places(30)[1:-1]]
+        assert primes == [n for n in range(2, 114) if trial_division(n)]
+        assert str(ac.curve_places(2)[-1]) == "infinity"

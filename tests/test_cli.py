@@ -303,6 +303,72 @@ class TestQGrassPinned:
         assert out == f'{{\n "chi": {chi}\n}}\n'
 
 
+LINE = {"coefficients": "F1", "generators": ["T"], "inverted": [],
+        "relations": []}
+QUIVER = {"vertices": 2, "arrows": [[0, 1]], "dims": [1, 1],
+          "matrices": [[[1]]], "e": [1, 0]}
+
+
+class TestInputShapes:
+    """Files of the wrong shape are errors that name the field, checked
+    before anything is built."""
+
+    def write(self, tmp_path, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    @pytest.mark.parametrize("verb", ["spec", "count", "cspec", "k0"])
+    def test_blueprint_file_that_is_a_list(self, capsys, tmp_path, verb):
+        # a TypeError traceback
+        code, out, err = run(capsys, verb, self.write(tmp_path, [LINE]))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: blueprint must be an object")
+
+    def test_quiver_file_that_is_a_list(self, capsys, tmp_path):
+        code, out, err = run(capsys, "qgrass", "chi",
+                             self.write(tmp_path, [QUIVER]))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: quiver must be an object")
+
+    @pytest.mark.parametrize("field, value, message", [
+        # an AttributeError traceback
+        ("relations", [[[1], ["T"]]], "blueprint.relations[0][0][0] must be"
+                                      " a string"),
+        # read as the generators T and 1: 4 points
+        ("generators", "T1", "blueprint.generators must be a list"),
+        ("inverted", "T", "blueprint.inverted must be a list"),
+        ("relations", [["T", ["T"]]], "blueprint.relations[0][0] must be a"
+                                      " list"),
+        ("relations", [[["T"]]], "blueprint.relations[0] must have 2"
+                                 " entries"),
+    ])
+    def test_bad_blueprint_field(self, capsys, tmp_path, field, value,
+                                 message):
+        code, out, err = run(capsys, "spec",
+                             self.write(tmp_path, {**LINE, field: value}))
+        assert (code, out) == (1, "")
+        assert err.strip() == f"error: {message}"
+
+    def test_missing_coefficients(self, capsys, tmp_path):
+        payload = {k: v for k, v in LINE.items() if k != "coefficients"}
+        code, _, err = run(capsys, "spec", self.write(tmp_path, payload))
+        assert code == 1
+        assert err.strip() == "error: blueprint has no 'coefficients'"
+
+    def test_valid_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "spec", self.write(tmp_path, LINE))
+        assert (code, err) == (0, "")
+        assert out == "2 points\n0: (0)\n1: (T)\n"
+
+    def test_spec_of_a_finite_table_reads_no_budget(self, capsys):
+        # (6, 3, 5) cut the closure loop: "0 points", with no notice
+        code, out, err = run(capsys, "spec", "catalog:f1n:6", "--budget",
+                             "6,3,5")
+        assert (code, out, err) == (0, "1 points\n0: (0)\n", "")
+        assert run(capsys, "spec", "catalog:f1n:6")[1] == out
+
+
 class TestContracts:
     def test_determinism(self, capsys):
         outs = set()

@@ -985,3 +985,53 @@ class TestK0Pinned:
     def test_json(self, capsys, argv, expected):
         assert main(list(argv)) == 0
         assert capsys.readouterr().out == expected
+
+
+def reference_submodule_closure(module, subset):
+    """The closure loop that `kz.submodule_closure` replaced."""
+    members = {BASE} | set(subset)
+    changed = True
+    while changed:
+        changed = False
+        for b in module.blueprint.backend.symbols:
+            for m in list(members):
+                v = module.act(b, m)
+                if v not in members:
+                    members.add(v)
+                    changed = True
+        for L, R in module._oriented:
+            if all(t in members for t in R):
+                missing = [t for t in L if t not in members]
+                if len(missing) == 1:
+                    members.add(missing[0])
+                    changed = True
+    return members
+
+
+def reference_action_closed_subsets(module):
+    nb = module.nonbase()
+    syms = module.blueprint.backend.symbols
+    return [sub for r in range(len(nb) + 1)
+            for sub in itertools.combinations(nb, r)
+            if all(module.act(b, m) in {BASE, *sub} for b in syms for m in sub)]
+
+
+def assert_closures_as_reference(module):
+    assert kz._action_closed_subsets(module) == \
+        reference_action_closed_subsets(module)
+    for r in range(4):
+        for sub in itertools.combinations(module.nonbase(), r):
+            assert kz.submodule_closure(module, sub) == \
+                reference_submodule_closure(module, sub), (module, sub)
+
+
+class TestClosureAgainstReference:
+    def test_universe(self, case):
+        _, _, universe = case
+        for m in universe:
+            assert_closures_as_reference(m)
+
+    @given(wedges())
+    @settings(max_examples=60, deadline=None)
+    def test_random_wedges(self, module):
+        assert_closures_as_reference(module)
