@@ -282,13 +282,24 @@ def _cmd_k0(args):
     return _emit(args, data, repr(result))
 
 
+def _budget_arg(text):
+    """The --budget value 'deg,terms,steps'; a usage error otherwise."""
+    try:
+        deg, terms, steps = (int(x) for x in text.split(","))
+        return Budget(deg, terms, steps)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'deg,terms,steps' with nonnegative integers, got "
+            f"{text!r}") from None
+
+
 def _add_common(p, budget=True, js=True, dot=False):
     if js:
         p.add_argument("--json", action="store_true", help="machine output")
     if dot:
         p.add_argument("--dot", action="store_true", help="DOT output")
     if budget:
-        p.add_argument("--budget", type=str, default=None,
+        p.add_argument("--budget", type=_budget_arg, default=None,
                        help="derivation budget 'deg,terms,steps'")
 
 
@@ -393,12 +404,10 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     saved = os.environ.get("BLUEFORGE_BUDGET")
-    if getattr(args, "budget", None):
-        deg, terms, steps = (int(x) for x in args.budget.split(","))
-        args.budget = Budget(deg, terms, steps)
-        os.environ["BLUEFORGE_BUDGET"] = f"{deg},{terms},{steps}"
-    else:
-        args.budget = None
+    budget = args.budget = getattr(args, "budget", None)
+    if budget is not None:
+        os.environ["BLUEFORGE_BUDGET"] = \
+            f"{budget.max_degree},{budget.max_terms},{budget.max_steps}"
     try:
         return args.func(args)
     except (BlueprintError, ValueError, KeyError, OSError,

@@ -535,6 +535,9 @@ def weyl_orbit_complex(family, n, seed=None):
 def building_type_a(n, q):
     """Flags of proper nonzero subspaces of F_q^{n+1}; chambers are complete
     flags. Vertex types are the dimensions."""
+    if n < 1:
+        raise ValueError(f"no building of type A_{n}: the rank must be at "
+                         "least 1")
     if n > 3 or q not in (2, 3):
         raise TooLarge("building_type_a supports n <= 3, q in {2, 3}")
     dim = n + 1

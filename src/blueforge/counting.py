@@ -177,6 +177,8 @@ def counting_polynomial(obj, degree_bound):
     Returns a CountingPolynomial, or None when the counts are not polynomial
     (any held-out mismatch or non-integer coefficients).
     """
+    if degree_bound < 0:
+        raise ValueError(f"degree bound {degree_bound} is negative")
     if degree_bound + 2 > len(SAMPLE_Q):
         raise TooLarge(
             f"degree bound {degree_bound} needs {degree_bound + 2} sample "

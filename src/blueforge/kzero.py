@@ -9,9 +9,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .budget import Budget
-from .core import (ONE, ZERO, BlueprintError, TooLarge, _bits, _close,
-                   _close_under_action, _closed, _closure_rules, _explore,
-                   _improper_search, _members, _UnionFind)
+from .core import (ONE, ZERO, Blueprint, BlueprintError, TooLarge, _bits,
+                   _close, _close_under_action, _closed, _closure_rules,
+                   _explore, _improper_search, _members, _UnionFind)
 from .snf import smith_normal_form
 
 BASE = "*"
@@ -199,24 +199,24 @@ def module_colors(module):
 
 def free_module(blueprint, k, name=None):
     """The wedge of k copies of the blueprint."""
+    return _principal_wedge(blueprint, [ONE] * k, name=name or f"free{k}")
+
+
+def _principal_wedge(blueprint, idempotents, name=None):
+    """The wedge of the principal modules B·e, one copy per entry of
+    `idempotents`: copy i holds each b·e ≠ 0 as `b·e@i`, acted on by
+    a·(x@i) = (a·x)@i, with the induced pre-addition."""
     syms = blueprint.backend.symbols
+    mul = blueprint.backend.mul
     carrier = [BASE]
     action = {}
-    for i in range(k):
-        for a in syms:
-            if a == ZERO:
-                continue
-            carrier.append(f"{a}@{i}")
-            for b in syms:
-                prod = blueprint.backend.mul(b, a)
-                action[(b, f"{a}@{i}")] = BASE if prod == ZERO else f"{prod}@{i}"
-    relations = []
-    for l, r in blueprint.relations:
-        for i in range(k):
-            relations.append(([f"{t}@{i}" for t in l if t != ZERO],
-                              [f"{t}@{i}" for t in r if t != ZERO]))
-    return BlueModule(blueprint, tuple(carrier), action, relations,
-                      name=name or f"free{k}")
+    for i, e in enumerate(idempotents):
+        for x in {mul(b, e) for b in syms if b != ZERO} - {ZERO}:
+            carrier.append(f"{x}@{i}")
+            for a in syms:
+                ax = mul(a, x)
+                action[(a, f"{x}@{i}")] = BASE if ax == ZERO else f"{ax}@{i}"
+    return BlueModule(blueprint, tuple(carrier), action, name=name)
 
 
 def zero_module(blueprint):
@@ -656,11 +656,7 @@ def enumerate_modules(blueprint, size_bound):
     cut choice is one that `_complete_action` rejects, so the modules kept,
     their names and their order are those of the loop over the whole
     product."""
-    if size_bound < 1:
-        raise ValueError("size bound below 1: every module holds the base"
-                         " point")
-    if size_bound > 8:
-        raise TooLarge("size bound above 8")
+    _check_size_bound(size_bound)
     gens = _monoid_generators(blueprint)
     checks = _action_checks(blueprint, gens)
     classifier = ModuleClassifier()
@@ -703,6 +699,14 @@ def enumerate_modules(blueprint, size_bound):
 
         backtrack(0)
     return out
+
+
+def _check_size_bound(size_bound):
+    if size_bound < 1:
+        raise ValueError("size bound below 1: every module holds the base"
+                         " point")
+    if size_bound > 8:
+        raise TooLarge("size bound above 8")
 
 
 def _action_checks(blueprint, gens):
@@ -812,23 +816,80 @@ def _submodule(module, subset, name=None):
     return sub, inc
 
 
+def _principal_modules(blueprint):
+    """The pairs (e, B·e), one for each isomorphism class of B·e with e ≠ 0
+    idempotent, in symbol order."""
+    mul = blueprint.backend.mul
+    classifier = ModuleClassifier()
+    out = []
+    for e in blueprint.backend.symbols:
+        if e != ZERO and mul(e, e) == e:
+            be = _principal_wedge(blueprint, [e])
+            if classifier.classify(be) == len(out):
+                out.append((e, be))
+    return out
+
+
+def _projective_wedges(blueprint, size_bound):
+    """`_principal_modules` and the wedges of their multisets with carrier
+    <= size_bound, sorted by size: pairs (shape, wedge), the shape counting
+    the copies of each principal module. A wedge's components are its
+    action-connected parts, so distinct shapes give distinct classes."""
+    principal = _principal_modules(blueprint)
+    sizes = [len(be) - 1 for _, be in principal]
+
+    def carrier_size(shape):
+        return 1 + sum(c * n for c, n in zip(shape, sizes))
+
+    shapes = [()]
+    for _ in sizes:
+        shapes = [sh + (c,) for sh in shapes for c in range(size_bound)
+                  if carrier_size(sh + (c,)) <= size_bound]
+    shapes.sort(key=carrier_size)
+    wedges = []
+    for sh in shapes:
+        comps = [e for (e, _), c in zip(principal, sh) for _ in range(c)]
+        wedges.append((sh, _principal_wedge(blueprint, comps)))
+    return principal, wedges
+
+
 def k0(blueprint, size_bound=6):
     """The Grothendieck group of projectives under normal short exact
     sequences, presented by generators (iso classes, carrier <= size_bound)
     and relations [M] = [K] + [M/K]; invariant factors via Smith normal
     form.
 
-    Each action-closed subset K of a projective M takes one cokernel
-    M -> M/K: the inclusion is a normal mono exactly when the kernel of that
-    projection is K again (what `is_normal_mono` checks)."""
-    universe = enumerate_modules(blueprint, size_bound)
-    projectives = [m for m in universe if is_projective(m)]
+    Over a monoid the projectives are the wedges of principal modules B·e,
+    e ≠ 0 idempotent (Chu–Lorscheid–Santhanam, Adv. Math. 229, 2012), so
+    the generators are the wedges of multisets of the classes of B·e that
+    fit the bound, sorted by size; no module is enumerated.
+
+    An action-closed K ⊆ M is a union of one action-closed subset per
+    component, and permuting equal components is an automorphism of M, so
+    each multiset of component choices takes one cokernel M -> M/K for all
+    its arrangements. The inclusion is a normal mono exactly when the
+    kernel of that projection is K again (what `is_normal_mono` checks)."""
+    _check_size_bound(size_bound)
+    if not isinstance(blueprint, Blueprint) or \
+            blueprint.backend.kind != "finite":
+        raise BlueprintError("k0 expects a finite-table blueprint")
+    principal, wedges = _projective_wedges(blueprint, size_bound)
+    projectives = [m for _, m in wedges]
     classifier = ModuleClassifier()
-    for p in projectives:
-        classifier.classify(p)
-    rows = []
-    for im, m in enumerate(projectives):
-        for sub_elems in _action_closed_subsets(m):
+    for m in projectives:
+        classifier.classify(m)
+    # the action-closed subsets of each B·e, as sets of b·e
+    closed = [[{x.rpartition("@")[0] for x in sub}
+               for sub in _action_closed_subsets(be)] for _, be in principal]
+    rows = set()
+    for im, (sh, m) in enumerate(wedges):
+        # one choice per copy, nondecreasing over the copies of each B·e
+        for picks in itertools.product(*(
+                itertools.combinations_with_replacement(subsets, c)
+                for subsets, c in zip(closed, sh))):
+            sub_elems = {f"{x}@{i}" for i, part in
+                         enumerate(itertools.chain.from_iterable(picks))
+                         for x in part}
             sub, inc = _submodule(m, sub_elems)
             ksub = classifier.find(sub)
             if ksub is None:
@@ -847,10 +908,10 @@ def k0(blueprint, size_bound=6):
             row[ksub] -= 1
             row[kq] -= 1
             if any(row):
-                rows.append(row)
-    rows = [list(r) for r in {tuple(r) for r in rows}]
-    factors = smith_normal_form(rows) if rows else []
+                rows.add(tuple(row))
+    rows = sorted(rows)
+    factors = smith_normal_form([list(r) for r in rows]) if rows else []
     rank = len(projectives) - len(factors)
     torsion = tuple(d for d in factors if d > 1)
     names = tuple(f"P{i}(size {len(p)})" for i, p in enumerate(projectives))
-    return K0Result(names, tuple(tuple(r) for r in rows), rank, torsion)
+    return K0Result(names, tuple(rows), rank, torsion)

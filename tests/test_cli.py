@@ -433,6 +433,34 @@ class TestContracts:
         assert os.environ["BLUEFORGE_BUDGET"] == "5,6,7"
         assert default_budget() == Budget(5, 6, 7)
 
+    @pytest.mark.parametrize("value", ["1,2", "a,b,c", "1,2,3,4", "",
+                                       "-1,2,3"])
+    @pytest.mark.parametrize("verb", ["spec", "hasse", "count", "polyfit",
+                                      "cspec", "k0"])
+    def test_malformed_budget_is_a_usage_error(self, capsys, monkeypatch,
+                                               verb, value):
+        # the value was split before the error handling: a ValueError
+        # traceback on every verb with the flag
+        monkeypatch.delenv("BLUEFORGE_BUDGET", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "catalog:f1", f"--budget={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --budget: expected 'deg,terms,steps'" in captured.err
+        assert "BLUEFORGE_BUDGET" not in os.environ
+
+    @pytest.mark.parametrize("argv, message", [
+        (("building", "0", "2", "--json"),
+         "no building of type A_0: the rank must be at least 1"),
+        (("building", "-1", "2"),
+         "no building of type A_-1: the rank must be at least 1"),
+        (("polyfit", "sl2", "--deg", "-1"), "degree bound -1 is negative"),
+        (("zeta", "sl2", "--deg", "-1"), "degree bound -1 is negative"),
+    ])
+    def test_rank_and_degree_below_range(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["spec", "catalog:A1", "--threads", "2"])

@@ -206,6 +206,12 @@ class TestBuildings:
         an, _ = cx.coxeter_complex("A", n)
         assert cx.is_isomorphic_typed(ap, an) is not None
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rank_below_one(self, n):
+        # rank 0 used to give one empty facet and rank -1 a KeyError
+        with pytest.raises(ValueError, match="the rank must be at least 1"):
+            cx.building_type_a(n, 2)
+
 
 class TestIsomorphismTesting:
     def test_hexagon_vs_square(self):

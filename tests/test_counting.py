@@ -86,6 +86,12 @@ class TestCountingPolynomial:
         with pytest.raises(TooLarge):
             counting_polynomial(sl2, 7)
 
+    @pytest.mark.parametrize("bound", [-1, -5])
+    def test_negative_degree(self, sl2, bound):
+        # `polyfit sl2 --deg -1` used to say the counts are not polynomial
+        with pytest.raises(ValueError, match="is negative"):
+            counting_polynomial(sl2, bound)
+
 
 class TestEulerAndZeta:
     def test_chi_p2(self):

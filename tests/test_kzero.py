@@ -204,6 +204,17 @@ class TestK0:
         assert captured.out == ""
         assert captured.err.startswith("error: size bound below 1")
 
+    @pytest.mark.parametrize("ref", ["A2", "gm1", "P1", "gr:2,4"])
+    def test_non_finite_blueprint_is_rejected(self, capsys, ref):
+        # `catalog:A2` used to end in an AttributeError traceback.
+        with pytest.raises(core.BlueprintError,
+                           match="k0 expects a finite-table blueprint"):
+            kz.k0(catalog.build(ref))
+        assert main(["k0", f"catalog:{ref}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k0 expects a finite-table blueprint\n"
+
 
 class TestModuleBudget:
     """A search that runs out of `MODULE_BUDGET` raises TooLarge; it used to
@@ -392,9 +403,17 @@ def reference_is_free(module):
     return reference_modules_isomorphic(module, free) is not None
 
 
-def reference_k0(blueprint, size_bound):
-    universe = reference_enumerate_modules(blueprint, size_bound)
-    projectives = [m for m in universe if kz.is_projective(m)]
+def reference_projectives(blueprint, size_bound,
+                          enumerate_modules=reference_enumerate_modules):
+    return [m for m in enumerate_modules(blueprint, size_bound)
+            if kz.is_projective(m)]
+
+
+def reference_k0(blueprint, size_bound, projectives=None):
+    """K0 by enumerating every module, keeping the projective ones and
+    taking each action-closed subset of each through `is_normal_mono`."""
+    if projectives is None:
+        projectives = reference_projectives(blueprint, size_bound)
     classifier = kz.ModuleClassifier()
     for p in projectives:
         classifier.classify(p)
@@ -544,6 +563,33 @@ def split_idempotents():
                      name="F1xF1")
 
 
+def assert_k0_as_reference(bp, bound,
+                           enumerate_modules=reference_enumerate_modules):
+    """The projective classes of `kz.k0` map one to one onto the
+    enumerated ones by `modules_isomorphic`, keeping sizes; under that map
+    the rows are the same set, and generators, rank and torsion are equal.
+    The order of two classes of equal size is not part of the contract."""
+    reference = reference_projectives(bp, bound, enumerate_modules)
+    _, wedges = kz._projective_wedges(bp, bound)
+    to_reference = []
+    for _, m in wedges:
+        matches = [j for j, r in enumerate(reference)
+                   if kz.modules_isomorphic(m, r) is not None]
+        assert len(matches) == 1, (m, matches)
+        to_reference += matches
+    assert sorted(to_reference) == list(range(len(reference)))
+    got, ref = kz.k0(bp, bound), reference_k0(bp, bound, reference)
+    assert (got.generators, got.rank, got.torsion) == \
+        (ref.generators, ref.rank, ref.torsion)
+    mapped = set()
+    for row in got.relations:
+        out = [0] * len(reference)
+        for i, v in zip(to_reference, row):
+            out[i] = v
+        mapped.add(tuple(out))
+    assert mapped == set(ref.relations)
+
+
 # (blueprint, size bound); the bounds keep the product loop small.
 DIFFERENTIAL_CASES = [
     (catalog.f1, 6), (lambda: catalog.f1n(2), 6), (lambda: catalog.f1n(3), 5),
@@ -572,7 +618,7 @@ class TestAgainstReference:
 
     def test_k0(self, case):
         bp, bound, _ = case
-        assert kz.k0(bp, bound) == reference_k0(bp, bound)
+        assert_k0_as_reference(bp, bound)
 
     def test_colors(self, case):
         _, _, universe = case
@@ -953,6 +999,122 @@ class TestModuleSearchAgainstReference:
     def test_random_wedges(self, module):
         # extra relations can make a class too large for the step bound
         assert_searches_as_reference(module, exhaustive=False)
+
+
+def cyclic_monoid(n, m):
+    """The exponents 0..n-1 of t, with t^n = t^m, or t^n = 0 when m is None;
+    None stands for zero. Returns the elements and the product."""
+    def mul(i, j):
+        if i is None or j is None:
+            return None
+        k = i + j
+        if m is None:
+            return k if k < n else None
+        while k >= n:
+            k -= n - m
+        return k
+    return [None] + list(range(n)), mul
+
+
+def product_table(factors, direct):
+    """The direct product of cyclic monoids with zero, whose zero is the
+    all-zero tuple, or their smash product, where any zero entry is zero."""
+    parts = [cyclic_monoid(n, m) for n, m in factors]
+
+    def name(x):
+        if all(c == 0 for c in x):
+            return ONE
+        if all(c is None for c in x) or \
+                (not direct and any(c is None for c in x)):
+            return ZERO
+        return "".join(f"{'tu'[i]}{'_' if c is None else c}"
+                       for i, c in enumerate(x))
+    elems = list(itertools.product(*(p[0] for p in parts)))
+    mul = {(name(a), name(b)): name(tuple(p[1](x, y)
+                                          for p, x, y in zip(parts, a, b)))
+           for a in elems for b in elems}
+    syms = sorted({name(a) for a in elems},
+                  key=lambda x: (x != ZERO, x != ONE, x))
+    return FiniteTable(syms, mul)
+
+
+CYCLIC = [(n, m) for n in (1, 2, 3) for m in (None, *range(n))]
+# one or two cyclic factors, at most six symbols
+PRODUCT_SHAPES = [((f,), True) for f in CYCLIC] + [
+    ((f, g), direct) for i, f in enumerate(CYCLIC) for g in CYCLIC[i:]
+    for direct in (True, False)
+    if ((f[0] + 1) * (g[0] + 1) if direct else f[0] * g[0] + 1) <= 6]
+
+
+@st.composite
+def monoid_tables(draw):
+    """A product of cyclic monoids with zero, with up to two relations of at
+    most three terms and no properness check."""
+    table = product_table(*draw(st.sampled_from(PRODUCT_SHAPES)))
+    rels = []
+    for t in draw(st.lists(st.lists(st.sampled_from(table.symbols),
+                                    min_size=1, max_size=3), max_size=2)):
+        cut = draw(st.integers(0, len(t)))
+        rels.append((t[:cut], t[cut:]))
+    return Blueprint(table, rels, check_proper=False)
+
+
+# Every finite catalog table. Tables of more than five symbols are checked
+# up to size bound 4, the others up to 6.
+CATALOG_TABLES = {
+    "f1": catalog.f1, "b1": catalog.b1, "f1_squared": catalog.f1_squared,
+    "idempotent": catalog.idempotent_example,
+    **{f"f1n{n}": (lambda n=n: catalog.f1n(n)) for n in range(1, 9)},
+    **{f"roots_sums{n}": (lambda n=n: catalog.roots_of_unity_sums(n))
+       for n in range(1, 9)},
+    **{f"two_fields{a}{b}": (lambda a=a, b=b: catalog.two_fields(a, b))
+       for a, b in ((2, 2), (2, 3), (3, 5))},
+    **{f"product_ring{a}{b}": (lambda a=a, b=b: catalog.product_ring(a, b))
+       for a, b in ((2, 2), (2, 3), (3, 3))},
+}
+
+
+class TestK0FromIdempotents:
+    """`k0` builds the projectives as wedges of B·e and takes one cokernel
+    per sub-wedge shape; `reference_k0` enumerates every module and takes
+    one per subset. Both runs below enumerate by the pruned search, which
+    `TestAgainstReference.test_universe` checks against the product loop:
+    the product loop takes minutes on these tables."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_TABLES))
+    def test_catalog(self, name):
+        bp = CATALOG_TABLES[name]()
+        top = 6 if len(bp.backend.symbols) <= 5 else 4
+        for bound in range(1, top + 1):
+            assert_k0_as_reference(bp, bound, kz.enumerate_modules)
+
+    @given(monoid_tables())
+    @settings(max_examples=40, deadline=None)
+    def test_random_tables(self, bp):
+        assert_k0_as_reference(bp, 4, kz.enumerate_modules)
+
+    def test_neither_enumerates_nor_tests_projectivity(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("called on the K0 path")
+
+        monkeypatch.setattr(kz, "enumerate_modules", forbidden)
+        monkeypatch.setattr(kz, "is_projective", forbidden)
+        assert kz.k0(catalog.idempotent_example(), 6).rank == 2
+        assert kz.k0(split_idempotents(), 4).rank == 2
+
+    def test_one_cokernel_per_shape(self, monkeypatch):
+        # f1 at 7: the wedges of n ≤ 6 copies of B, each with n + 1 shapes
+        # of sub-wedge, against 2^n subsets
+        calls = []
+        original = kz.cokernel
+
+        def counted(f):
+            calls.append(f)
+            return original(f)
+
+        monkeypatch.setattr(kz, "cokernel", counted)
+        assert kz.k0(catalog.f1(), 7).is_infinite_cyclic()
+        assert len(calls) == 28
 
 
 class TestK0Pinned:
