@@ -18,6 +18,13 @@ rf = cg.residue_field_of_congruence(f12, sign)
 print("residue field of the sign collapse:", rf.carrier(),
       "with 1+1 = 0:", rf.relations != ())
 
+# On a semiring table the prime congruences come with the pushed addition:
+# the residue fields of F2 x F3 are the semirings F2 and F3.
+r = catalog.product_ring(2, 3)
+fields = [cg.residue_field_of_congruence(r, c) for c in cg.cspec(r).points]
+print("residue fields of F2 x F3:", [f.carrier() for f in fields],
+      "semirings:", all(f.is_semiring for f in fields))
+
 idem = catalog.idempotent_example()
 C2, X2, mapping = cg.cspec_to_spec(idem)
 print("CSpec{0,e,1} ->", [repr(c) for c in C2.points])

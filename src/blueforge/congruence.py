@@ -5,7 +5,8 @@ A partition ~ of the carrier is a congruence when it is multiplicative and
 meets the chain axiom. The chain axiom holds exactly when the quotient B/~
 is proper, so it is checked by building B/~ (`core._collapse`) and running
 the properness search of `core._improper_search` on it, on the one rewrite
-kernel `core._explore`."""
+kernel `core._explore`. On a semiring table ~ must also respect the
+addition, and B/~ is the semiring with the pushed addition."""
 
 from __future__ import annotations
 
@@ -51,42 +52,35 @@ class Congruence:
         return "/".join("".join(b) for b in self.partition)
 
 
-def _chain_blueprint(blueprint):
-    """The blueprint whose relations the chain axiom reads: on a semiring
-    table its sums a + b = c join the relations, because the rewrite kernel
-    reads only relations. Refuses tables beyond the carrier cap."""
+def _check_table(blueprint):
+    """Refuse what the partition loop cannot run on: tables that are not
+    finite, and carriers beyond the cap."""
     backend = blueprint.backend
     if backend.kind != "finite":
         raise TooLarge("congruences are implemented for finite tables")
     if len(backend.symbols) > 7:
         raise TooLarge("carrier larger than 7")
-    if backend.add_table is None:
-        return blueprint
-    nonzero = [s for s in backend.symbols if s != ZERO]
-    sums = [([a, b], [backend.add_table[(a, b)]])
-            for i, a in enumerate(nonzero) for b in nonzero[i:]]
-    return Blueprint(backend, [*blueprint.relations, *sums],
-                     budget=blueprint.budget, check_proper=False)
 
 
-def _verdict(chain, cong, budget):
-    """Proved / Refuted / Unknown for `cong` on the blueprint `chain` of
-    `_chain_blueprint`."""
-    carrier = chain.backend.symbols
+def _verdict(blueprint, cong, budget):
+    """Proved / Refuted / Unknown for the partition `cong` of the carrier."""
+    backend = blueprint.backend
+    carrier = backend.symbols
     block_id = {x: i for i, block in enumerate(cong.partition)
                 for x in block}
-    if block_id.keys() != set(carrier):
-        raise NotACongruence("partition does not cover the carrier")
-    # multiplicativity: a ~ b forces ac ~ bc (the table is commutative,
-    # and ~ is transitive, so this gives ac ~ bd whenever c ~ d)
-    mul = chain.backend.mul_table
+    # a ~ b forces ac ~ bc, and a + c ~ b + c on a semiring table (both
+    # operations are commutative, and ~ is transitive, so this gives
+    # ac ~ bd and a + c ~ b + d whenever c ~ d)
+    tables = [t for t in (backend.mul_table, backend.add_table)
+              if t is not None]
     for a in carrier:
         for b in carrier:
             if a < b and block_id[a] == block_id[b]:
                 for c in carrier:
-                    if block_id[mul[(a, c)]] != block_id[mul[(b, c)]]:
-                        return REFUTED
-    quotient = quotient_by_congruence(chain, cong, budget)
+                    for t in tables:
+                        if block_id[t[(a, c)]] != block_id[t[(b, c)]]:
+                            return REFUTED
+    quotient = quotient_by_congruence(blueprint, cong, budget)
     nonzero = [s for s in quotient.backend.symbols if s != ZERO]
     pair, cut = _improper_search(quotient, nonzero, budget)
     if pair is not None:
@@ -95,17 +89,26 @@ def _verdict(chain, cong, budget):
 
 
 def is_congruence(blueprint, partition, budget=None):
-    """Proved / Refuted / Unknown for the two congruence axioms.
+    """Proved / Refuted / Unknown for the two congruence axioms; raises
+    NotACongruence unless the blocks are nonempty, disjoint and cover the
+    carrier.
 
-    Multiplicativity is exhausted. The chain axiom holds iff the quotient
-    B/~ is proper: no derivation identifies a nonzero class with another
-    class or with 0. That is the properness search of
-    `core._improper_search` on B/~; a search cut by the budget gives Unknown
-    unless another one finds an identification.
+    Multiplicativity, and on a semiring table additivity, are exhausted.
+    The chain axiom holds iff the quotient B/~ is proper: no derivation
+    identifies a nonzero class with another class or with 0. That is the
+    properness search of `core._improper_search` on B/~; a search cut by
+    the budget gives Unknown unless another one finds an identification.
+    A semiring table without relations, such as the catalog's, gives a
+    quotient without relations, where that search ends at once.
     """
     budget = budget or blueprint.budget
-    return _verdict(_chain_blueprint(blueprint),
-                    Congruence(blueprint, partition), budget)
+    _check_table(blueprint)
+    cong = Congruence(blueprint, partition)
+    members = sorted(x for block in cong.partition for x in block)
+    if () in cong.partition or members != sorted(blueprint.backend.symbols):
+        raise NotACongruence("blocks must be nonempty, disjoint and cover"
+                             " the carrier")
+    return _verdict(blueprint, cong, budget)
 
 
 def is_prime_congruence(blueprint, cong: Congruence):
@@ -168,12 +171,12 @@ class CSpecSpace:
 def cspec(blueprint, budget=None):
     """All prime congruences, ordered by canonical partition form."""
     budget = budget or blueprint.budget
-    chain = _chain_blueprint(blueprint)
+    _check_table(blueprint)
     points = []
     complete = True
     for blocks in _set_partitions(sorted(blueprint.backend.symbols)):
         cong = Congruence(blueprint, blocks)
-        verdict = _verdict(chain, cong, budget)
+        verdict = _verdict(blueprint, cong, budget)
         if verdict == UNKNOWN:
             complete = False
         elif verdict == PROVED and is_prime_congruence(blueprint, cong):
@@ -208,11 +211,14 @@ def cspec_to_spec(blueprint, budget=None):
 
 
 def quotient_by_congruence(blueprint, cong: Congruence, budget=None):
-    """B/~ : blocks as symbols, with the pushed pre-addition."""
+    """B/~ : blocks as symbols, with the pushed pre-addition, and on a
+    semiring table the pushed addition (BlueprintError when ~ does not
+    respect it)."""
     rep = {x: min(block, key=_symbol_key)
            for block in cong.partition for x in block}
     return _collapse(blueprint, rep, f"{blueprint.name or 'B'}/~",
-                     budget or blueprint.budget)
+                     budget or blueprint.budget,
+                     add=blueprint.backend.add_table)
 
 
 def kernel_congruence(morphism):

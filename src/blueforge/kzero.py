@@ -1,6 +1,11 @@
 """Blue modules over finite blueprints: kernels and cokernels, normal
 morphisms, projectivity, and K0 from the normal-exact-sequence presentation
-via Smith normal form. Derivations in a module run on `core._explore`."""
+via Smith normal form. Derivations in a module run on `core._explore`.
+
+Over a monoid the projective modules are the wedges of the principal
+modules B·e, e ≠ 0 idempotent (Chu–Lorscheid–Santhanam, Adv. Math. 229,
+2012): `is_projective` looks each wedge component up among them, and `k0`
+builds its generators from them."""
 
 from __future__ import annotations
 
@@ -103,17 +108,6 @@ class BlueModule:
 
     def __repr__(self):
         return f"BlueModule({self.name or ','.join(self.carrier)})"
-
-    def minimal_generators(self):
-        """A greedy generating set under the action."""
-        reachable = {BASE}
-        gens = []
-        for m in self.nonbase():
-            if m not in reachable:
-                gens.append(m)
-                for b in self.blueprint.backend.symbols:
-                    reachable.add(self.act(b, m))
-        return gens
 
     def colors(self):
         """The stable refinement colours of the carrier (`module_colors`);
@@ -512,7 +506,7 @@ def is_normal_epi(f: ModuleMorphism):
 
 
 # ---------------------------------------------------------------------------
-# Projectivity (retract of a free module) and freeness
+# Projectivity (wedges of the principal modules B·e) and freeness
 
 
 def is_free(module: BlueModule):
@@ -561,50 +555,34 @@ def wedge_components(module: BlueModule):
     return [_submodule(module, comp)[0] for comp in comps]
 
 
-def _retract_of_free(module: BlueModule):
-    """Search an injective section into the free module on the minimal
-    generators; a compatible retraction is then built directly on the copy
-    units."""
-    gens = module.minimal_generators()
-    if not gens:
-        return True
-    k = len(gens)
-    free = free_module(module.blueprint, k)
-    syms = [a for a in module.blueprint.backend.symbols if a != ZERO]
-    for s in enumerate_morphisms(module, free):
-        if not s.is_injective():
-            continue
-        r0 = {s.apply(m): m for m in module.carrier}
-        if all(any(all(module.act(a, p) == r0[f"{a}@{i}"]
-                       for a in syms if f"{a}@{i}" in r0)
-                   for p in module.carrier)
-               for i in range(k)):
-            return True
-    return False
-
-
 def is_projective(module: BlueModule):
-    """Retract of a free module; a wedge is projective iff every component
-    is (collapsing the other components retracts onto each one).
+    """Whether the module is a wedge of principal modules B·e, e ≠ 0
+    idempotent, the projectives over a monoid.
 
-    The Hom-right-exactness definition agrees with this on every fact the
-    catalog checks; lifting against normal epis alone is strictly weaker (it
-    cannot refute fixed-point modules over blue fields) and is exercised as a
-    necessary condition in the tests.
+    Free modules are found by `is_free`, without a search. Otherwise a
+    relation that couples two action-connected components leaves no wedge
+    decomposition, and the module is projective iff `ModuleClassifier`
+    finds every component among the classes of B·e
+    (`_principal_modules`). Lifting against normal epis alone is strictly
+    weaker (it cannot refute fixed-point modules over blue fields) and is
+    exercised as a necessary condition in the tests.
     """
     if is_free(module):
         return True
     comps = wedge_components(module)
-    if comps is not None and len(comps) > 1:
-        return all(is_projective(c) for c in comps)
-    return _retract_of_free(module)
+    if comps is None:
+        return False
+    classifier = ModuleClassifier()
+    for _, be in _principal_modules(module.blueprint):
+        classifier.classify(be)
+    return all(classifier.find(c) is not None for c in comps)
 
 
 def lifts_along_normal_epis(p: BlueModule, universe_pairs):
     """Relative lifting condition: for each normal epi g: M -> N and each
     morphism h: P -> N there is a lift P -> M. A sound necessary condition
-    for projectivity (strictly weaker than retract-of-free: no normal epi can
-    witness against a fixed-point module over a blue field)."""
+    for projectivity (strictly weaker than being a wedge of B·e: no normal
+    epi can witness against a fixed-point module over a blue field)."""
     for g in universe_pairs:
         for h in enumerate_morphisms(p, g.target):
             lifted = False
@@ -752,10 +730,14 @@ def _run_word(gen_maps, word, m):
 
 
 def _complete_action(blueprint, gens, gen_maps, carrier):
-    """Extend generator actions to the whole monoid; None on inconsistency."""
+    """Extend generator actions to the whole monoid; None on inconsistency.
+    On the zero table 1 = 0 must act as the identity and also send every
+    element to the base point, which leaves the zero module alone."""
     syms = blueprint.backend.symbols
-    known = {ONE: {m: m for m in carrier},
-             ZERO: {m: BASE for m in carrier}}
+    identity = {m: m for m in carrier}
+    known = {ZERO: {m: BASE for m in carrier}}
+    if known.setdefault(blueprint.backend.one(), identity) != identity:
+        return None
     for g, mp in gen_maps.items():
         known[g] = dict(mp)
     changed = True

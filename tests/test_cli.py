@@ -106,6 +106,16 @@ class TestBasicVerbs:
         assert code == 0 and err == ""
         assert json.loads(out)["points"] == ["0/1/z1/z2/z3"] + CUT_F1N4_POINTS
 
+    def test_cspec_semiring_needs_no_budget(self, capsys):
+        # F2 x F3 is decided by its addition table: five steps per search
+        # used to leave the kernel of the projection onto F3 undecided
+        argv = ("cspec", "catalog:product_ring:2,3", "--json")
+        code, out, err = run(capsys, *argv, "--budget", "6,3,5")
+        assert code == 0 and err == ""
+        assert json.loads(out)["points"] == ["(0,1)(0,2)0/(1,0)(1,2)1",
+                                             "(0,1)1/(0,2)(1,2)/(1,0)0"]
+        assert run(capsys, *argv) == (0, out, "")
+
     @pytest.mark.parametrize("budget_first", [True, False])
     def test_budget_leaves_catalog_cache_alone(self, capsys, monkeypatch,
                                                budget_first):

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from blueforge import catalog, congruence as cg
 from blueforge.budget import Budget
 from blueforge.core import (PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
-                            BlueprintMorphism, field_blueprint,
-                            enumerate_morphisms, is_blue_field, is_prime_ideal,
-                            derive, _improper_search, _scale)
+                            BlueprintMorphism, boolean_semiring_blueprint,
+                            field_blueprint, enumerate_morphisms,
+                            is_blue_field, is_prime_ideal, derive, _collapse,
+                            _improper_search, _scale, _symbol_key)
 
 
 class TestIsCongruence:
@@ -35,6 +36,15 @@ class TestIsCongruence:
         # 1 = (1,0) + (0,1) ~ 0 + 0 = 0, yet 1 and 0 lie in different blocks
         assert cg.is_congruence(
             r, [["0", "(0,1)", "(0,2)", "(1,0)"], ["(1,2)"], ["1"]]) == REFUTED
+
+    @pytest.mark.parametrize("partition", [
+        [["0", "1"], ["1"]], [["0"], ["1"], ["1"]], [["0", "1"], []],
+        [["0"]], [["0"], ["1", "x"]]], ids=str)
+    def test_not_a_partition(self, f1, partition):
+        # a repeated symbol used to be overwritten in the block index, and
+        # an empty block ignored, so these read as Proved
+        with pytest.raises(cg.NotACongruence):
+            cg.is_congruence(f1, partition)
 
 
 class TestPrimeCongruence:
@@ -97,6 +107,92 @@ class TestProductRing:
         C, X, mapping = cg.cspec_to_spec(catalog.product_ring(2, 3))
         assert len(C) == len(X) == 2
         assert set(mapping.values()) == {0, 1}
+
+    def test_complete_at_any_budget(self):
+        r = catalog.product_ring(2, 3)
+        narrow = cg.cspec(r, Budget(6, 3, 5))
+        assert narrow.complete
+        assert [c.partition for c in narrow.points] == \
+            [c.partition for c in cg.cspec(r).points]
+
+    def test_quotients_are_the_two_fields(self):
+        # the quotients used to lose the addition, so that 1 + 1 = 0 was
+        # Unknown in F2
+        r = catalog.product_ring(2, 3)
+        onto_f2, onto_f3 = cg.cspec(r).points
+        q2 = cg.quotient_by_congruence(r, onto_f2)
+        q3 = cg.quotient_by_congruence(r, onto_f3)
+        assert q2.is_semiring and q3.is_semiring
+        assert len(q2.backend.symbols) == 2 and len(q3.backend.symbols) == 3
+        assert derive(q2, ["1", "1"], []) == PROVED
+        assert derive(q3, ["1", "1", "1"], []) == PROVED
+        for c in (onto_f2, onto_f3):
+            assert cg.residue_field_of_congruence(r, c).is_semiring
+
+    def test_quotient_by_a_non_congruence_refuses(self):
+        # the sign collapse on the F3 factor is multiplicative, but
+        # 1 ~ (1,2) while 1 + (0,1) = (1,2) and (1,2) + (0,1) = (1,0)
+        r = catalog.product_ring(2, 3)
+        c = cg.Congruence(r, [["0"], ["1", "(1,2)"], ["(1,0)"],
+                              ["(0,1)", "(0,2)"]])
+        assert cg.is_congruence(r, c.partition) == REFUTED
+        with pytest.raises(cg.BlueprintError, match="pushed addition"):
+            cg.quotient_by_congruence(r, c)
+
+
+def sums_as_relations(bp):
+    """A semiring table with its sums a + b = c of nonzero a, b as
+    relations, which the rewrite kernel reads; other blueprints as they
+    are."""
+    backend = bp.backend
+    if backend.add_table is None:
+        return bp
+    nonzero = [s for s in backend.symbols if s != ZERO]
+    sums = [([a, b], [backend.add_table[(a, b)]])
+            for i, a in enumerate(nonzero) for b in nonzero[i:]]
+    return Blueprint(backend, [*bp.relations, *sums], budget=bp.budget,
+                     check_proper=False)
+
+
+def reference_semiring_verdict(bp, partition, budget):
+    """The chain axiom with the sums as relations: the quotient of
+    `sums_as_relations(bp)` by a multiplicative partition, as a bare monoid
+    table, and the properness search on it."""
+    cong = cg.Congruence(bp, partition)
+    carrier = bp.backend.symbols
+    mul = bp.backend.mul
+    for a in carrier:
+        for b in carrier:
+            if cong.related(a, b) and any(
+                    not cong.related(mul(a, c), mul(b, c)) for c in carrier):
+                return REFUTED
+    rep = {x: min(block, key=_symbol_key)
+           for block in cong.partition for x in block}
+    quotient = _collapse(sums_as_relations(bp), rep, "B/~", budget)
+    nonzero = [s for s in quotient.backend.symbols if s != ZERO]
+    pair, cut = _improper_search(quotient, nonzero, budget)
+    if pair is not None:
+        return REFUTED
+    return UNKNOWN if cut else PROVED
+
+
+SEMIRING_TABLES = [catalog.product_ring(2, 2), catalog.product_ring(2, 3),
+                   field_blueprint(4), field_blueprint(5),
+                   boolean_semiring_blueprint()]
+
+
+class TestSemiringAgainstSumsAsRelations:
+    """On a semiring table the pushed addition decides the chain axiom;
+    the verdicts equal those of the search with the sums as relations."""
+
+    @pytest.mark.parametrize("bp", SEMIRING_TABLES,
+                             ids=lambda bp: bp.name or "B")
+    def test_every_partition(self, bp):
+        budget = Budget(6, 3, 100000)
+        for blocks in cg._set_partitions(sorted(bp.backend.symbols)):
+            want = reference_semiring_verdict(bp, blocks, budget)
+            assert want != UNKNOWN
+            assert cg.is_congruence(bp, blocks, budget) == want, blocks
 
 
 def reference_sums(carrier, max_terms, cap=6):
@@ -331,13 +427,13 @@ def reference_saturate(blueprint, budget):
 
 
 def assert_search_matches_saturation(bp, budget):
-    """The properness search that the chain axiom runs, on B itself (with
-    the sums of a semiring table as relations), against the bounded-sum
-    closure. A pair the search reports is identified by the closure at the
-    same degree and term bounds with 10**6 steps; where neither is cut, the
-    search finds a pair exactly when the closure identifies two singletons
-    or a singleton with the empty sum."""
-    chain = cg._chain_blueprint(bp)
+    """The properness search on B itself (with the sums of a semiring table
+    as relations), against the bounded-sum closure. A pair the search
+    reports is identified by the closure at the same degree and term bounds
+    with 10**6 steps; where neither is cut, the search finds a pair exactly
+    when the closure identifies two singletons or a singleton with the
+    empty sum."""
+    chain = sums_as_relations(bp)
     nonzero = [s for s in bp.backend.symbols if s != ZERO]
     pair, cut = _improper_search(chain, nonzero, budget)
     if pair is not None:
