@@ -1,13 +1,14 @@
 """Order complexes, Coxeter complexes as Weyl orbits of the standard flag,
 Weyl-group orbit complexes on projective coordinate posets, the oriflamme
-construction, and type-A buildings over F_q."""
+construction, and type-A buildings over F_q. Typed isomorphism is the one
+search for finite structures, `core._isomorphism` on `core._structure`."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .core import BlueprintError, TooLarge
+from .core import BlueprintError, TooLarge, _isomorphism, _structure
 from .fields import _rref_bases as _rref_subspaces, _subspace_contains, gf
 from .order import _bits, _closure, _heights, _minimal, _up_masks
 
@@ -585,65 +586,32 @@ def coordinate_apartment(building_cx, n, q):
 
 def is_isomorphic_typed(c1, c2):
     """A type-preserving simplicial bijection (up to a bijection of the type
-    alphabets), or None. Refutes quickly on f-vector / histogram mismatch."""
+    alphabets) as {"vertex_map", "type_map"}, or None: `core._isomorphism`
+    on the `_typed_structure`s."""
     if len(c1.vertices) > 200 or len(c2.vertices) > 200:
         raise TooLarge("too many vertices")
-    if len(c1.vertices) != len(c2.vertices):
+    found = _isomorphism(_typed_structure(c1), _typed_structure(c2))
+    if found is None:
         return None
-    if c1.f_vector() != c2.f_vector():
-        return None
-    h1, h2 = c1.type_histogram(), c2.type_histogram()
-    if sorted(h1.values()) != sorted(h2.values()):
-        return None
-    facets1 = set(c1.facets)
-    facets2 = set(c2.facets)
-    if len(facets1) != len(facets2):
-        return None
+    part = {kind: {x: y for (k, x), (_, y) in found.items() if k == kind}
+            for kind in "vt"}
+    return {"vertex_map": part["v"], "type_map": part["t"]}
 
-    def vertex_profile(cx, v):
-        in_fac = [f for f in cx.facets if v in f]
-        return (len(in_fac), tuple(sorted(len(f) for f in in_fac)))
 
-    prof1 = {v: vertex_profile(c1, v) for v in c1.vertices}
-    prof2 = {v: vertex_profile(c2, v) for v in c2.vertices}
-
-    types1 = sorted(h1)
-    for type_map_images in itertools.permutations(sorted(h2), len(types1)):
-        tmap = dict(zip(types1, type_map_images))
-        if any(h1[t] != h2[tmap[t]] for t in types1):
-            continue
-        order = sorted(c1.vertices, key=lambda v: (prof1[v], str(v)))
-        mapping = {}
-        used = set()
-
-        def backtrack(i):
-            if i == len(order):
-                image = {frozenset(mapping[v] for v in f) for f in facets1}
-                return image == facets2
-            v = order[i]
-            for w in c2.vertices:
-                if w in used:
-                    continue
-                if c2.types[w] != tmap[c1.types[v]]:
-                    continue
-                if prof2[w] != prof1[v]:
-                    continue
-                ok = True
-                for u, wu in mapping.items():
-                    share1 = any(v in f and u in f for f in facets1)
-                    share2 = any(w in f and wu in f for f in facets2)
-                    if share1 != share2:
-                        ok = False
-                        break
-                if ok:
-                    mapping[v] = w
-                    used.add(w)
-                    if backtrack(i + 1):
-                        return True
-                    del mapping[v]
-                    used.discard(w)
-            return False
-
-        if backtrack(0):
-            return {"vertex_map": dict(mapping), "type_map": tmap}
-    return None
+def _typed_structure(cx):
+    """Types, vertices and facets as one `core._structure`, related by
+    typing, incidence and vertex adjacency. The types come first, then the
+    facets one by one, each after its vertices not placed before."""
+    order = [("t", t) for t in sorted(set(cx.types[v] for v in cx.vertices))]
+    placed = set()
+    for f in cx.facets:
+        order += [("v", v) for v in sorted(f - placed, key=cx.index.get)]
+        placed |= f
+        order.append(("f", f))
+    order += [("v", v) for v in cx.vertices if v not in placed]
+    typing = [(("v", v), ("t", cx.types[v])) for v in cx.vertices]
+    incidence = [(("v", v), ("f", f)) for f in cx.facets for v in f]
+    adjacency = [(("v", u), ("v", v))
+                 for f in cx.facets for u in f for v in f if u != v]
+    return _structure(order, ["tvf".index(x[0]) for x in order],
+                      [typing, incidence, adjacency])

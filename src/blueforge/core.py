@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -2254,28 +2254,120 @@ def _order_two_element(bp, order2_coeff):
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism of finite-table blueprints
+# Isomorphism of finite structures (modules, typed complexes, finite tables)
+
+
+_Structure = namedtuple("_Structure", "elements colours relations shape")
+
+
+def _structure(elements, colours, relations):
+    """`elements` with name-free start colours (ints, one per element)
+    refined to a stable partition, and `relations` (lists of element
+    tuples). Each round colours x by its colour and, per relation k and
+    position p, by the colours of the tuples that hold x at p. The palette
+    is sorted, so isomorphic structures get equal colours on corresponding
+    elements."""
+    elements = tuple(elements)
+    label = {x: i for i, x in enumerate(elements)}
+    rels = [{tuple(map(label.__getitem__, t)) for t in rel}
+            for rel in relations]
+    col, count = list(colours), len(set(colours))
+    while True:
+        held = [[] for _ in elements]
+        for k, rel in enumerate(rels):
+            for t in rel:
+                seen = tuple(map(col.__getitem__, t))
+                for p, e in enumerate(t):
+                    held[e].append((k, p, seen))
+        sig = [(c, tuple(sorted(h))) for c, h in zip(col, held)]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        col = [palette[s] for s in sig]
+        if len(palette) == count:
+            return _Structure(elements, col, rels,
+                              (tuple(sorted(col)), tuple(map(len, rels))))
+        count = len(palette)
+
+
+def _isomorphism(a, b, accept=None):
+    """The least colour-keeping bijection of `_structure`s a -> b that maps
+    each relation of a onto the same relation of b and satisfies
+    `accept(mapping)`, as a dict in a's element order, or None. Least: a's
+    elements in order, each given the first element of b that works. A
+    tuple is checked when its last element is placed; the candidates are
+    the fewest that one tuple through an earlier element allows. Each
+    placed element keeps its candidate iterator on a stack, not a frame."""
+    if a.shape != b.shape:
+        return None
+    n = len(a.elements)
+    image, used = [None] * n, [False] * n
+    # per label i, the tuples t it completes (i = t[p] is the largest), each
+    # with a position q of an earlier element, None when t is all i
+    last = [[] for _ in range(n)]
+    for k, rel in enumerate(a.relations):
+        for t in rel:
+            i = max(t)
+            q = next((q for q, e in enumerate(t) if e != i), None)
+            last[i].append((k, t, q, t.index(i)))
+    through = {}      # (k, q, p): b's labels at p by the label at q
+
+    def candidates(i):
+        best = range(n)
+        for k, t, q, p in last[i]:
+            if q is None:
+                continue
+            if (k, q, p) not in through:
+                through[k, q, p] = by = {}
+                for u in b.relations[k]:
+                    by.setdefault(u[q], set()).add(u[p])
+            hits = through[k, q, p].get(image[t[q]], ())
+            if len(hits) < len(best):
+                best = hits
+        return (y for y in sorted(best)
+                if not used[y] and b.colours[y] == a.colours[i])
+
+    stack = [candidates(0)] if n else []
+    while stack:
+        i = len(stack) - 1
+        if image[i] is not None:
+            used[image[i]], image[i] = False, None
+        for y in stack[i]:
+            image[i] = y
+            if all(tuple(map(image.__getitem__, t)) in b.relations[k]
+                   for k, t, _, _ in last[i]):
+                break
+        else:
+            image[i] = None
+            stack.pop()
+            continue
+        used[image[i]] = True
+        if i + 1 < n:
+            stack.append(candidates(i + 1))
+            continue
+        mapping = dict(zip(a.elements, map(b.elements.__getitem__, image)))
+        if accept is None or accept(mapping):
+            return mapping
+    return {} if n == 0 and (accept is None or accept({})) else None
+
+
+def _table_structure(table):
+    """The symbols, 0 and 1 fixed by colour, and the triples (x, y, xy)."""
+    s = table.symbols
+    return _structure(s, [(x == ZERO) + 2 * (x == ONE) for x in s],
+                      [[(x, y, table.mul(x, y)) for x in s for y in s]])
 
 
 def finite_blueprints_isomorphic(b1, b2, budget=None):
+    """The least bijection of the symbols, in symbol order, that fixes 0 and
+    1, keeps the products and is a morphism both ways (`is_morphism`
+    Proved), or None: `_isomorphism` on the `_table_structure`s."""
     budget = budget or b1.budget
     t1, t2 = b1.backend, b2.backend
     if t1.kind != "finite" or t2.kind != "finite":
         raise BlueprintError("finite tables only")
-    if len(t1.symbols) != len(t2.symbols):
-        return None
-    frees1 = [s for s in t1.symbols if s not in (ZERO, ONE)]
-    frees2 = [s for s in t2.symbols if s not in (ZERO, ONE)]
-    for perm in itertools.permutations(frees2):
-        mapping = dict(zip(frees1, perm))
-        mapping[ZERO] = ZERO
-        mapping[ONE] = ONE
-        if any(mapping[t1.mul(a, b)] != t2.mul(mapping[a], mapping[b])
-               for a in t1.symbols for b in t1.symbols):
-            continue
-        fwd = BlueprintMorphism(b1, b2, mapping)
-        back = BlueprintMorphism(b2, b1, {v: k for k, v in mapping.items()})
-        if is_morphism(fwd, budget)[0] == PROVED \
-                and is_morphism(back, budget)[0] == PROVED:
-            return mapping
-    return None
+
+    def accept(f):
+        back = BlueprintMorphism(b2, b1, {v: k for k, v in f.items()})
+        return is_morphism(BlueprintMorphism(b1, b2, f), budget)[0] == \
+            PROVED and is_morphism(back, budget)[0] == PROVED
+
+    return _isomorphism(_table_structure(t1), _table_structure(t2), accept)

@@ -1,6 +1,8 @@
 """Blue modules over finite blueprints: kernels and cokernels, normal
 morphisms, projectivity, and K0 from the normal-exact-sequence presentation
-via Smith normal form. Derivations in a module run on `core._explore`.
+via Smith normal form. Derivations in a module run on `core._explore`, and
+isomorphisms of modules are the one search for finite structures,
+`core._isomorphism` on `core._structure`.
 
 Over a monoid the projective modules are the wedges of the principal
 modules B·e, e ≠ 0 idempotent (Chu–Lorscheid–Santhanam, Adv. Math. 229,
@@ -10,13 +12,13 @@ builds its generators from them."""
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .budget import Budget
 from .core import (ONE, ZERO, Blueprint, BlueprintError, TooLarge, _bits,
                    _close, _close_under_action, _closed, _closure_rules,
-                   _explore, _improper_search, _members, _UnionFind)
+                   _explore, _improper_search, _isomorphism, _members,
+                   _structure, _UnionFind)
 from .snf import smith_normal_form
 
 BASE = "*"
@@ -40,7 +42,7 @@ class BlueModule:
     def __init__(self, blueprint, carrier, action, relations=(), name=None):
         self.blueprint = blueprint
         self._invariant = None
-        self._colors = None
+        self._struct = None
         if BASE not in carrier:
             carrier = (BASE,) + tuple(carrier)
         self.carrier = (BASE,) + tuple(sorted(x for x in carrier if x != BASE))
@@ -59,6 +61,9 @@ class BlueModule:
                     raise BlueprintError(f"action of {b} on {m} missing")
                 if self.action[(b, m)] not in self.carrier:
                     raise BlueprintError("action leaves the carrier")
+        one = blueprint.backend.one()
+        if any(self.action[(one, m)] != m for m in self.carrier):
+            raise BlueprintError("the unit does not act as the identity")
         act = self.action
         for a in syms:
             for b in syms:
@@ -109,28 +114,31 @@ class BlueModule:
     def __repr__(self):
         return f"BlueModule({self.name or ','.join(self.carrier)})"
 
-    def colors(self):
-        """The stable refinement colours of the carrier (`module_colors`);
-        computed on the first call and kept."""
-        if self._colors is None:
-            self._colors = module_colors(self)
-        return self._colors
+    def structure(self):
+        """The carrier as a `core._structure`: the base point coloured apart
+        and one pair relation m -> b·m (m ≠ *) per symbol b; 0 and 1, which
+        act alike on every module, are left out. Computed on the first call
+        and kept."""
+        if self._struct is None:
+            fixed = (ZERO, self.blueprint.backend.one())
+            self._struct = _structure(
+                self.carrier, [m == BASE for m in self.carrier],
+                [[(m, self.act(b, m)) for m in self.nonbase()]
+                 for b in self.blueprint.backend.symbols if b not in fixed])
+        return self._struct
 
     def invariant(self):
-        """Isomorphism invariant: size, color counts and relation profile;
-        computed on the first call and kept."""
+        """Isomorphism invariant: the `structure` shape and the colours of
+        the relations, each side sorted and the sides in sorted order (the
+        orientation is by element names); computed on the first call and
+        kept."""
         if self._invariant is None:
-            color = self.colors()
-            rel_profile = Counter()
-            for l, r in self.relations:
-                # each side as sorted colours, the two sides in sorted
-                # order: relations are oriented by element names
-                rel_profile[tuple(sorted((
-                    tuple(sorted(color[t] for t in l)),
-                    tuple(sorted(color[t] for t in r)))))] += 1
-            self._invariant = (len(self.carrier),
-                               tuple(sorted(Counter(color.values()).items())),
-                               tuple(sorted(rel_profile.items())))
+            s = self.structure()
+            color = dict(zip(s.elements, s.colours)).__getitem__
+            sides = [tuple(sorted((tuple(sorted(map(color, l))),
+                                   tuple(sorted(map(color, r))))))
+                     for l, r in self.relations]
+            self._invariant = (s.shape, tuple(sorted(sides)))
         return self._invariant
 
 
@@ -160,35 +168,6 @@ class _ActionBackend:
 
     def multipliers(self, max_degree):
         return self._nonzero
-
-
-def module_colors(module):
-    """Colour refinement of the carrier to a stable partition: each round
-    colours an element by its colour, the colours of its images and the
-    colour counts of its preimages under each symbol. Colours do not depend
-    on how elements are named, so isomorphic modules get equal colours on
-    corresponding elements."""
-    syms = module.blueprint.backend.symbols
-    carrier = module.carrier
-    col = {m: (-1 if m == BASE else 0) for m in carrier}
-    for _ in range(len(carrier) + 1):
-        # preimage colors under each symbol, in one pass over the carrier
-        pre = {(b, m): Counter() for b in syms for m in carrier}
-        for b in syms:
-            for x in carrier:
-                pre[(b, module.act(b, x))][col[x]] += 1
-        sig = {m: (col[m],
-                   tuple(col[module.act(b, m)] for b in syms),
-                   tuple(tuple(sorted(pre[(b, m)].items())) for b in syms))
-               for m in carrier}
-        palette = {s: i for i, s in enumerate(sorted(set(sig.values()),
-                                                     key=repr))}
-        nxt = {m: palette[sig[m]] for m in carrier}
-        stable = len(palette) == len(set(col.values()))
-        col = nxt
-        if stable:
-            break
-    return col
 
 
 def free_module(blueprint, k, name=None):
@@ -339,60 +318,20 @@ def enumerate_morphisms(src: BlueModule, tgt: BlueModule):
 
 
 def modules_isomorphic(m1: BlueModule, m2: BlueModule):
-    """A carrier bijection preserving action and relations, or None.
-
-    Elements are taken in order of colour and name, each trying the
-    elements of m2 of its colour in carrier order. Mapping x to y also maps
-    b·x to b·y for every symbol b, the one consistent choice for those
-    cells, so the bijections are visited in lexicographic order."""
-    if len(m1) != len(m2) or m1.invariant() != m2.invariant():
+    """The least carrier bijection preserving action and relations, or None:
+    `core._isomorphism` on the `structure`s, which keep the action, with the
+    relations compared at each leaf. Least: the elements of m1 in carrier
+    order, each given the first element of m2 that works; the keys are in
+    m1's carrier order."""
+    if m1.invariant() != m2.invariant():
         return None
-    colors1, colors2 = m1.colors(), m2.colors()
-    syms = m1.blueprint.backend.symbols
-    order = sorted(m1.nonbase(), key=lambda m: (colors1[m], m))
     rels2 = set(m2.relations)
-    mapping = {BASE: BASE}
-    used = {BASE}
 
-    def assign(x, y, trail):
-        """Map the orbit of x onto that of y; False on a conflict."""
-        for b in syms:
-            xb, yb = m1.act(b, x), m2.act(b, y)
-            have = mapping.get(xb)
-            if have is not None:
-                if have != yb:
-                    return False
-            elif yb in used or colors1[xb] != colors2[yb]:
-                return False
-            else:
-                mapping[xb] = yb
-                used.add(yb)
-                trail.append(xb)
-        return True
+    def accept(f):
+        return {m1._norm_rel([f[t] for t in l], [f[t] for t in r])
+                for l, r in m1.relations} - {None} == rels2
 
-    def backtrack(i):
-        while i < len(order) and order[i] in mapping:
-            i += 1
-        if i == len(order):
-            rels1_img = {m1._norm_rel([mapping[t] for t in l],
-                                      [mapping[t] for t in r])
-                         for l, r in m1.relations}
-            rels1_img.discard(None)
-            return rels1_img == rels2
-        x = order[i]
-        for y in m2.nonbase():
-            if y in used or colors1[x] != colors2[y]:
-                continue
-            trail = []
-            if assign(x, y, trail) and backtrack(i + 1):
-                return True
-            for t in trail:
-                used.discard(mapping.pop(t))
-        return False
-
-    if not backtrack(0):
-        return None
-    return {BASE: BASE, **{x: mapping[x] for x in order}}
+    return _isomorphism(m1.structure(), m2.structure(), accept)
 
 
 class ModuleClassifier:
@@ -400,7 +339,6 @@ class ModuleClassifier:
 
     def __init__(self):
         self.reps = []
-        self._by_invariant = {}
 
     def classify(self, module):
         """Index of the class; registers a new class when unseen."""
@@ -408,14 +346,13 @@ class ModuleClassifier:
         if idx is None:
             idx = len(self.reps)
             self.reps.append(module)
-            self._by_invariant.setdefault(module.invariant(), []).append(idx)
         return idx
 
     def find(self, module):
-        """Index of the class, or None when unregistered."""
-        inv = module.invariant()
-        for idx in self._by_invariant.get(inv, ()):
-            if modules_isomorphic(self.reps[idx], module):
+        """Index of the class, or None when unregistered. Representatives
+        of another invariant are refused by `modules_isomorphic` at once."""
+        for idx, rep in enumerate(self.reps):
+            if modules_isomorphic(rep, module) is not None:
                 return idx
         return None
 

@@ -333,16 +333,24 @@ def reference_joint_colors(modules):
     return colors
 
 
+def partition(colors):
+    """The classes of a colouring, as a set of frozensets."""
+    classes = {}
+    for x, c in colors.items():
+        classes.setdefault(c, set()).add(x)
+    return {frozenset(v) for v in classes.values()}
+
+
 def reference_modules_isomorphic(m1, m2):
     """The search over jointly refined colours, re-checking the whole
-    mapping after each choice."""
+    mapping after each choice; m1's elements in carrier order."""
     if len(m1) != len(m2) or reference_invariant(m1) != reference_invariant(m2):
         return None
     colors1, colors2 = reference_joint_colors([m1, m2])
     if sorted(colors1.values()) != sorted(colors2.values()):
         return None
     syms = m1.blueprint.backend.symbols
-    order = sorted(m1.nonbase(), key=lambda m: (colors1[m], m))
+    order = list(m1.nonbase())
     rels2 = set(m2.relations)
     mapping = {BASE: BASE}
     used = set()
@@ -667,10 +675,14 @@ class TestAgainstReference:
         assert_k0_as_reference(bp, bound)
 
     def test_colors(self, case):
+        # the structure's stable colours split the carrier as the reference
+        # refinement does (images and preimage counts under each symbol)
         _, _, universe = case
         for m in universe:
-            assert kz.module_colors(m) == reference_joint_colors([m])[0]
-            assert m.colors() is m.colors()
+            s = m.structure()
+            assert partition(dict(zip(s.elements, s.colours))) == \
+                partition(reference_joint_colors([m])[0])
+            assert m.structure() is m.structure()
 
     def test_zero_table(self):
         # 1 = 0 must act as the identity and send every element to the base
@@ -684,6 +696,15 @@ class TestAgainstReference:
             [module_key(m) for m in reference_enumerate_modules(zero, 4)]
         assert_k0_as_reference(zero, 4, kz.enumerate_modules)
         assert kz.k0(zero, 4).rank == 0
+
+    def test_zero_table_has_only_the_zero_module(self):
+        # 1 = 0 forces every element to the base point: a nonbase element
+        # on which the unit does not act as the identity is refused
+        zero = core.localize(catalog.f1(), ["0"])
+        with pytest.raises(kz.BlueprintError, match="identity"):
+            kz.BlueModule(zero, ("m0",), {(ZERO, "m0"): BASE})
+        assert kz.BlueModule(zero, (), {}).carrier == (BASE,)
+        assert repr(kz.k0(zero, 4)) == "K0(Z^0)"
 
     def test_every_leaf_is_an_action(self, case, monkeypatch):
         # The cuts test every g·a against g after a, the zero products
@@ -751,21 +772,22 @@ def relabelled(module, rng):
                          relations, name=f"{module.name}'")
 
 
-def brute_force_isomorphic(m1, m2):
-    """Whether some bijection of the carriers preserves action and
-    relations, by trying every one."""
+def brute_force_isomorphism(m1, m2):
+    """The first permutation of m2's nonbase elements, as a map from m1's
+    nonbase elements in carrier order, that preserves action and
+    relations, by trying every one; None when there is none."""
     if len(m1) != len(m2):
-        return False
+        return None
     syms = m1.blueprint.backend.symbols
     rels2 = set(m2.relations)
     for image in itertools.permutations(m2.nonbase()):
-        f = dict(zip(m1.nonbase(), image), **{BASE: BASE})
+        f = {BASE: BASE, **dict(zip(m1.nonbase(), image))}
         if all(f[m1.act(b, x)] == m2.act(b, f[x])
                for b in syms for x in m1.nonbase()) and \
                 {m1._norm_rel([f[t] for t in l], [f[t] for t in r])
                  for l, r in m1.relations} - {None} == rels2:
-            return True
-    return False
+            return f
+    return None
 
 
 def assert_isomorphic_as_reference(m1, m2):
@@ -785,19 +807,30 @@ def assert_free_as_reference(module):
 
 
 class TestIsomorphismAgainstReference:
-    """The forced-propagation search on single-module colours and the
-    orbit-cover freeness test, against the jointly coloured search and the
-    isomorphism to a free module."""
+    """The structure search (`core._isomorphism`) on single-module colours
+    and the orbit-cover freeness test, against the jointly coloured search,
+    a brute-force search over permutations and the isomorphism to a free
+    module."""
 
     def test_universe_pairs(self, case):
         _, _, universe = case
         for m1, m2 in itertools.product(universe, repeat=2):
             assert_isomorphic_as_reference(m1, m2)
 
+    def test_universe_pairs_as_brute_force(self, case):
+        # the least isomorphism in carrier order is the first permutation
+        _, _, universe = case
+        small = [m for m in universe if len(m.nonbase()) <= 6]
+        for m1, m2 in itertools.product(small, repeat=2):
+            got = kz.modules_isomorphic(m1, m2)
+            assert got == brute_force_isomorphism(m1, m2), (m1, m2)
+            if got is not None:
+                assert list(got) == list(m1.carrier)
+
     def test_universe_has_one_module_per_class(self, case):
         _, _, universe = case
         for m1, m2 in itertools.combinations(universe, 2):
-            assert not brute_force_isomorphic(m1, m2), (m1, m2)
+            assert brute_force_isomorphism(m1, m2) is None, (m1, m2)
 
     def test_relabelled_copies(self, case):
         _, _, universe = case
@@ -956,7 +989,8 @@ class TestIsomorphismHypothesis:
         assert kz.modules_isomorphic(copy, module) is not None
         if nb % unit == 0 and nb <= 6:
             free = kz.free_module(bp, nb // unit)
-            assert kz.is_free(module) == brute_force_isomorphic(module, free)
+            assert kz.is_free(module) == \
+                (brute_force_isomorphism(module, free) is not None)
 
     @pytest.mark.parametrize("name", sorted(HYPOTHESIS_BLUEPRINTS))
     def test_extra_relation_is_not_free(self, name):
