@@ -264,13 +264,11 @@ def _cmd_cspec(args):
         print("notice: budget exhausted; partitions left undecided are not "
               "listed", file=sys.stderr)
     parts = [repr(c) for c in space.points]
-    basis = sorted(f"U_{{{f},{g}}} = {sorted(space.basis_open(f, g))}"
-                   for f in bp.backend.symbols for g in bp.backend.symbols
-                   if f < g)
+    opens = {(f, g): sorted(space.basis_open(f, g))
+             for f in bp.backend.symbols for g in bp.backend.symbols if f < g}
+    basis = sorted(f"U_{{{f},{g}}} = {u}" for (f, g), u in opens.items())
     data = {"points": parts,
-            "basis": {f"{f},{g}": sorted(space.basis_open(f, g))
-                      for f in bp.backend.symbols
-                      for g in bp.backend.symbols if f < g}}
+            "basis": {f"{f},{g}": u for (f, g), u in opens.items()}}
     return _emit(args, data, "\n".join(parts + basis))
 
 

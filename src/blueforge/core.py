@@ -1179,19 +1179,28 @@ def localize(bp, elems, budget=None):
     return _finite_localize(bp, elems, budget)
 
 
-def _finite_localize(bp, elems, budget):
-    """B[S^-1] for S generated by `elems`, as the image eB. Here e is the
-    idempotent power of the product of `elems`: e lies in S and every s in S
-    divides it, e = st. So a/1 = b/1 iff ea = eb, and a/s = at/e = at/1:
-    every class holds some a/1, and the class names and the pushed addition
-    of a semiring table come from B."""
-    backend = bp.backend
+def _idempotent_power(backend, elems):
+    """The idempotent power e of the product of `elems` in a finite table.
+    e lies in the monoid S that `elems` generate, every s in S divides it,
+    and S·e is a group with identity e: so a·c = b·c for some c in S iff
+    a·e = b·e."""
     s = backend.one()
     for x in elems:
         s = backend.mul(s, x)
     e = s
     while backend.mul(e, e) != e:
         e = backend.mul(e, s)
+    return e
+
+
+def _finite_localize(bp, elems, budget):
+    """B[S^-1] for S generated by `elems`, as the image eB, with e the
+    idempotent power of the product of `elems` (`_idempotent_power`): every
+    s in S divides e, e = st. So a/1 = b/1 iff ea = eb, and a/s = at/e =
+    at/1: every class holds some a/1, and the class names and the pushed
+    addition of a semiring table come from B."""
+    backend = bp.backend
+    e = _idempotent_power(backend, elems)
     blocks = {}
     for a in backend.symbols:
         blocks.setdefault(backend.mul(e, a), []).append(a)

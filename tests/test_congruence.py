@@ -11,7 +11,23 @@ from blueforge.core import (PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
                             BlueprintMorphism, boolean_semiring_blueprint,
                             field_blueprint, enumerate_morphisms,
                             is_blue_field, is_prime_ideal, derive, _collapse,
-                            _improper_search, _scale, _symbol_key)
+                            _idempotent_power, _improper_search, _scale,
+                            _symbol_key)
+from blueforge.spectra import spec
+
+
+def _set_partitions(items):
+    """Every partition of `items`, as lists of blocks: the reference that
+    `cspec`'s candidates are checked against."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for smaller in _set_partitions(rest):
+        for i, block in enumerate(smaller):
+            yield smaller[:i] + [block + [first]] + smaller[i + 1:]
+        yield smaller + [[first]]
 
 
 class TestIsCongruence:
@@ -189,10 +205,11 @@ class TestSemiringAgainstSumsAsRelations:
                              ids=lambda bp: bp.name or "B")
     def test_every_partition(self, bp):
         budget = Budget(6, 3, 100000)
-        for blocks in cg._set_partitions(sorted(bp.backend.symbols)):
+        for blocks in _set_partitions(sorted(bp.backend.symbols)):
             want = reference_semiring_verdict(bp, blocks, budget)
             assert want != UNKNOWN
             assert cg.is_congruence(bp, blocks, budget) == want, blocks
+        assert_cspec_matches_partitions(bp, budget)
 
 
 def reference_sums(carrier, max_terms, cap=6):
@@ -289,14 +306,12 @@ def reference_is_congruence(blueprint, partition, budget=None):
     return UNKNOWN if truncated else PROVED
 
 
-def assert_matches_reference(bp, budget):
+def assert_cspec_matches_partitions(bp, budget):
     """cspec's points and completeness follow the verdicts of
-    `is_congruence`. Where the reference decides every partition at
-    `budget`, each verdict equals the reference's. Where its step bound cuts
-    it, no verdict is Proved where the reference says Refuted or the other
-    way round, and each decided verdict equals the reference's at the same
-    degree and term bounds with 10**6 steps."""
-    partitions = list(cg._set_partitions(sorted(bp.backend.symbols)))
+    `is_congruence` on every partition of the carrier: the points are the
+    Proved prime ones, and cspec is complete iff no verdict is Unknown.
+    Returns the partitions and their verdicts."""
+    partitions = list(_set_partitions(sorted(bp.backend.symbols)))
     congs = [cg.Congruence(bp, blocks) for blocks in partitions]
     got = [cg.is_congruence(bp, blocks, budget) for blocks in partitions]
     C = cg.cspec(bp, budget)
@@ -304,6 +319,17 @@ def assert_matches_reference(bp, budget):
         c.partition for c, verdict in zip(congs, got)
         if verdict == PROVED and cg.is_prime_congruence(bp, c))
     assert C.complete == (UNKNOWN not in got)
+    return partitions, got
+
+
+def assert_matches_reference(bp, budget):
+    """cspec against the partition loop (`assert_cspec_matches_partitions`).
+    Where the reference decides every partition at `budget`, each verdict
+    equals the reference's. Where its step bound cuts it, no verdict is
+    Proved where the reference says Refuted or the other way round, and
+    each decided verdict equals the reference's at the same degree and term
+    bounds with 10**6 steps."""
+    partitions, got = assert_cspec_matches_partitions(bp, budget)
     expected = [reference_is_congruence(bp, blocks, budget)
                 for blocks in partitions]
     if UNKNOWN not in expected:
@@ -486,6 +512,80 @@ class TestSaturateAgainstReference:
         for budget in (Budget(6, 3, 100000), Budget(6, 4, 100000),
                        Budget(6, 3, 40)):
             assert_search_matches_saturation(bp, budget)
+
+
+class TestCandidates:
+    """`cspec` checks one candidate per prime p of `spec(B)` and subgroup H
+    of the group completion M·e of M = B∖p."""
+
+    @pytest.mark.parametrize("bp", SATURATE_BLUEPRINTS,
+                             ids=lambda bp: bp.name)
+    def test_group_completion(self, bp):
+        # a·c = b·c for some c in M iff a·e = b·e, and M·e is a group with
+        # identity e, checked by brute force
+        mul = bp.backend.mul
+        for point in spec(bp).points:
+            rest = [a for a in bp.backend.symbols
+                    if a not in point.ideal.minimal]
+            e = _idempotent_power(bp.backend, rest)
+            group = {mul(a, e) for a in rest}
+            assert e in group
+            for x in group:
+                assert mul(e, x) == x
+                assert {mul(x, y) for y in group} == group
+            for a in rest:
+                for b in rest:
+                    cancels = any(mul(a, c) == mul(b, c) for c in rest)
+                    assert cancels == (mul(a, e) == mul(b, e)), (a, b)
+
+    @pytest.mark.parametrize("bp", SATURATE_BLUEPRINTS,
+                             ids=lambda bp: bp.name)
+    def test_points_are_prime(self, bp):
+        for budget in (None, Budget(6, 3, 100000), Budget(6, 3, 5)):
+            for c in cg.cspec(bp, budget).points:
+                fresh = cg.Congruence(bp, c.partition)
+                assert cg.is_prime_congruence(bp, fresh), c
+
+    @staticmethod
+    def checked(monkeypatch, bp, budget=None):
+        """The partitions whose verdict `cspec(bp, budget)` asks for."""
+        calls = []
+        verdict = cg._verdict
+
+        def counted(blueprint, cong, budget):
+            calls.append(cong.partition)
+            return verdict(blueprint, cong, budget)
+
+        monkeypatch.setattr(cg, "_verdict", counted)
+        return cg.cspec(bp, budget), calls
+
+    def test_two_fields_checks_five_candidates(self, monkeypatch):
+        # of the Bell(6) = 203 partitions of the carrier, 14 are
+        # multiplicative
+        C, calls = self.checked(monkeypatch, catalog.two_fields(2, 3),
+                                Budget(6, 3, 100000))
+        assert C.complete and len(calls) == 5 == len(set(calls))
+        assert len(C) == 4
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_f1n_checks_one_candidate_per_divisor(self, monkeypatch, n):
+        # spec(f1n(n)) is the zero ideal, and mu_n has one subgroup per
+        # divisor of n
+        _, calls = self.checked(monkeypatch, catalog.f1n(n))
+        assert len(calls) == sum(n % d == 0 for d in range(1, n + 1))
+
+
+class TestKnownDefects:
+    @pytest.mark.xfail(strict=True, reason="a properness search stopped by "
+                       "the term bound counts as exhausted (ROADMAP items 1 "
+                       "and 2)")
+    def test_term_bound_is_not_exhaustion(self):
+        # collapsing all units of f1n(6) gives 1 + 1 = 0 and 1 + 1 + 1 = 0,
+        # so 1 = 1 + 1 + 1 = 0 with a three-term sum; two terms do not see
+        # it, yet the search reads as exhausted
+        C = cg.cspec(catalog.f1n(6), Budget(6, 2, 100000))
+        assert not C.complete or \
+            "0/1z1z2z3z4z5" not in [repr(c) for c in C.points]
 
 
 class TestAbsorbingIdeals:
