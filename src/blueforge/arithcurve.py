@@ -300,17 +300,3 @@ def curve_dimension(k=3):
             if a != b and place_leq(a, b):
                 best = max(best, 2)
     return best - 1
-
-
-def finite_restriction_matches_spec_z(k=5):
-    """The restriction to finite places is the poset of Spec Z truncated to
-    the first k primes: one generic point under k closed points."""
-    places = [pl for pl in curve_places(k) if pl.kind != "arch"]
-    generic = [pl for pl in places if pl.kind == "generic"]
-    closed = [pl for pl in places if pl.kind == "finite"]
-    if len(generic) != 1 or len(closed) != k:
-        return False
-    ok = all(place_leq(generic[0], pl) for pl in closed)
-    ok = ok and not any(place_leq(a, b) for a in closed for b in closed
-                        if a != b)
-    return ok

@@ -1,8 +1,9 @@
 """Derivation budgets.
 
-Membership in a generated pre-addition is only semi-decidable; every search in
-this package is bounded by a budget and reports Unknown instead of looping.
-Exhausting a bound never produces a wrong Proved.
+Membership in a generated pre-addition is decided on finite tables and only
+semi-decided over monomials; every search in this package is bounded by a
+budget and reports Unknown instead of looping. Exhausting a bound never
+produces a wrong Proved.
 """
 
 from __future__ import annotations

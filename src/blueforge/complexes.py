@@ -256,22 +256,6 @@ def full_complex_maps(poset, max_dim):
     return out
 
 
-def full_complex_counts_bruteforce(poset, max_dim):
-    """Independent oracle: filter all assignments of poset elements to the
-    subset lattice for monotonicity."""
-    out = {}
-    for k in range(max_dim + 1):
-        cells = _subset_poset_elements(k)
-        count = 0
-        for combo in itertools.product(poset.elements, repeat=len(cells)):
-            val = dict(zip(cells, combo))
-            if all(poset.leq(val[a], val[b])
-                   for a in cells for b in cells if a < b):
-                count += 1
-        out[k] = count
-    return out
-
-
 def sup_map_of_chain(poset, chain):
     """The monotone map I -> x_{max I} attached to a chain."""
     k = len(chain) - 1

@@ -285,38 +285,6 @@ def is_module_morphism(f: ModuleMorphism):
     return True
 
 
-def enumerate_morphisms(src: BlueModule, tgt: BlueModule):
-    """All module morphisms src -> tgt by backtracking on the carrier."""
-    order = list(src.nonbase())
-    syms = src.blueprint.backend.symbols
-    out = []
-
-    def consistent(mapping):
-        for b in syms:
-            for prev, pv in mapping.items():
-                img = src.act(b, prev)
-                if img in mapping and mapping[img] != tgt.act(b, pv):
-                    return False
-        return True
-
-    def backtrack(i, mapping):
-        if i == len(order):
-            f = ModuleMorphism(src, tgt, dict(mapping))
-            if all(module_derive(tgt, f.apply_sum(l), f.apply_sum(r))
-                   for l, r in src.relations):
-                out.append(f)
-            return
-        m = order[i]
-        for v in tgt.carrier:
-            mapping[m] = v
-            if consistent(mapping):
-                backtrack(i + 1, mapping)
-            del mapping[m]
-
-    backtrack(0, {BASE: BASE})
-    return out
-
-
 def modules_isomorphic(m1: BlueModule, m2: BlueModule):
     """The least carrier bijection preserving action and relations, or None:
     `core._isomorphism` on the `structure`s, which keep the action, with the
@@ -513,24 +481,6 @@ def is_projective(module: BlueModule):
     for _, be in _principal_modules(module.blueprint):
         classifier.classify(be)
     return all(classifier.find(c) is not None for c in comps)
-
-
-def lifts_along_normal_epis(p: BlueModule, universe_pairs):
-    """Relative lifting condition: for each normal epi g: M -> N and each
-    morphism h: P -> N there is a lift P -> M. A sound necessary condition
-    for projectivity (strictly weaker than being a wedge of B·e: no normal
-    epi can witness against a fixed-point module over a blue field)."""
-    for g in universe_pairs:
-        for h in enumerate_morphisms(p, g.target):
-            lifted = False
-            for cand in enumerate_morphisms(p, g.source):
-                if all(g.apply(cand.apply(m)) == h.apply(m)
-                       for m in p.carrier):
-                    lifted = True
-                    break
-            if not lifted:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

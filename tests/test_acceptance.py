@@ -10,7 +10,8 @@ multiset of mixed terms (those with both components nonzero). No derivable
 relation therefore forces a unit into the set of non-units, which is a
 third prime and the unique closed point. With that maximum point the global
 sections are the blueprint itself, and the sum (1,1)+(1,1) = (0,2) stays
-underivable at every budget. The test replays this invariant over every
+underivable at every budget: the completion of `core._derive3` refutes it
+with two distinct normal forms. The test replays the invariant over every
 generating pair (m*L, m*R) as an independent certificate. The two-point
 half is checked on F2 x F3 (catalog.product_ring), whose spectrum has two
 incomparable points, whose global sections are isomorphic to it, and in
@@ -28,7 +29,8 @@ from blueforge import arithcurve as ac
 from blueforge import catalog, complexes as cx, congruence as cg
 from blueforge import kzero as kz
 from blueforge import quivergrass as qg
-from blueforge.core import (PROVED, UNKNOWN, additive_closure, derive,
+from blueforge.core import (PROVED, REFUTED, UNKNOWN, _derive3,
+                            additive_closure, derive,
                             enumerate_morphisms, field_blueprint,
                             finite_blueprints_isomorphic, is_prime_ideal,
                             localize, quotient_by_ideal,
@@ -117,6 +119,13 @@ def test_criterion_04_globalization():
             sorted(p.generator_names() for p in Y.points)
         assert derive(B, ["1", "1"], ["(0,2)"],
                       B.budget.scaled(10)) == UNKNOWN
+        # the completion refutes the sum: its two sides keep distinct
+        # normal forms, each derivable from its side
+        verdict, forms = _derive3(B, ("1", "1"), ("(0,2)",), B.budget)
+        assert verdict == REFUTED
+        assert forms[0] != forms[1]
+        assert derive(B, ["1", "1"], forms[0]) == PROVED
+        assert derive(B, ["(0,2)"], forms[1]) == PROVED
         # the three-point order: two incomparable primes below the non-units
         assert X.complete
         assert all(p.ideal.saturated == "exact" for p in X.points)

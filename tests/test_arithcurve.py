@@ -12,6 +12,20 @@ from blueforge import catalog
 from blueforge.core import BlueprintError, finite_blueprints_isomorphic
 
 
+def finite_restriction_matches_spec_z(k=5):
+    """The restriction to finite places is the poset of Spec Z truncated to
+    the first k primes: one generic point under k closed points."""
+    places = [pl for pl in ac.curve_places(k) if pl.kind != "arch"]
+    generic = [pl for pl in places if pl.kind == "generic"]
+    closed = [pl for pl in places if pl.kind == "finite"]
+    if len(generic) != 1 or len(closed) != k:
+        return False
+    ok = all(ac.place_leq(generic[0], pl) for pl in closed)
+    ok = ok and not any(ac.place_leq(a, b) for a in closed for b in closed
+                        if a != b)
+    return ok
+
+
 class TestSheafMembership:
     def test_half_away_from_two(self):
         U = ac.CurveOpen.without(ac.finite_place(2))
@@ -166,7 +180,7 @@ class TestTopology:
         assert ac.curve_dimension(3) == 1
 
     def test_restriction_is_spec_z(self):
-        assert ac.finite_restriction_matches_spec_z(5)
+        assert finite_restriction_matches_spec_z(5)
 
 
 def trial_division(n):

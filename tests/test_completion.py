@@ -1,0 +1,115 @@
+"""The completion that decides `derive` on finite tables
+(`core._Completion`) against `sympy.groebner`: its rules are the reduced
+Gröbner basis of the binomial ideal of the pairs (m*L, m*R) in grevlex
+order, which is unique, and u ~ v iff x^u - x^v lies in that ideal."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from blueforge import catalog
+from blueforge.budget import Budget
+from blueforge.core import (PROVED, REFUTED, ZERO, Blueprint, _completion,
+                            _derive3, _rewrites, _scale, derive)
+
+TABLES = {
+    "b1": catalog.b1, "f1_squared": catalog.f1_squared,
+    **{f"f1n{n}": (lambda n=n: catalog.f1n(n)) for n in range(2, 7)},
+    **{f"roots_sums{n}": (lambda n=n: catalog.roots_of_unity_sums(n))
+       for n in range(2, 7)},
+    "two_fields22": lambda: catalog.two_fields(2, 2),
+    "two_fields23": lambda: catalog.two_fields(2, 3),
+}
+SMALL = ["b1", "f1_squared", "f1n3", "f1n4", "roots_sums3", "roots_sums4",
+         "two_fields22"]
+WALK = Budget(2, 8, 100)
+
+
+def sympy_ideal(bp):
+    """The reduced grevlex basis of sympy, with the generators x0 > x1 > ...
+    in the order of the completion's symbols, and a monomial builder."""
+    sympy = pytest.importorskip("sympy")
+    syms = [s for s in bp.backend.symbols if s != ZERO]
+    xs = sympy.symbols(f"x0:{len(syms)}")
+
+    def mono(terms):
+        return sympy.Mul(*(xs[syms.index(t)] for t in terms))
+
+    gens = [mono(_scale(bp, m, L)) - mono(_scale(bp, m, R))
+            for L, R in bp.relations for m in syms]
+    return sympy.groebner(gens, *xs, order="grevlex"), mono
+
+
+def pairs_of(bp, rng, count):
+    """Random pairs of sums, half of them a short rewrite walk apart."""
+    syms = [s for s in bp.backend.symbols if s != ZERO]
+    out = []
+    for i in range(count):
+        l = bp.normalize_sum(rng.choices(syms, k=rng.randint(0, 4)))
+        r = bp.normalize_sum(rng.choices(syms, k=rng.randint(0, 4)))
+        if i % 2:
+            r = l
+            for _ in range(3):
+                r = rng.choice([r, *_rewrites(bp, r, WALK)])
+        out.append((l, r))
+    return out
+
+
+def assert_as_sympy(bp, rng, count=30):
+    done = _completion(bp)
+    assert done is not None
+    G, mono = sympy_ideal(bp)
+    rules = {mono(done.symbols[k] for k, e in enumerate(lhs)
+                  for _ in range(e))
+             - mono(done.symbols[k] for k, e in enumerate(rhs)
+                    for _ in range(e))
+             for lhs, rhs in done.rules.values()}
+    assert rules == set(G.exprs) - {0}
+    for l, r in pairs_of(bp, rng, count):
+        verdict, forms = _derive3(bp, l, r, WALK)
+        assert verdict == (PROVED if G.contains(mono(l) - mono(r))
+                           else REFUTED), (bp, l, r)
+        if verdict == REFUTED:
+            assert forms == (done.normal_form(l), done.normal_form(r))
+            assert forms[0] != forms[1]
+        for side in (l, r):
+            assert mono(done.normal_form(side)) == G.reduce(mono(side))[1]
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_catalog_tables_as_sympy(name):
+    assert_as_sympy(TABLES[name](), random.Random(name))
+
+
+@st.composite
+def tables_with_relations(draw):
+    """A small catalog table plus 1-2 relations of at most 3 terms, with no
+    properness check."""
+    bp = TABLES[draw(st.sampled_from(SMALL))]()
+    syms = [s for s in bp.backend.symbols if s != ZERO]
+    rels = list(bp.relations)
+    for t in draw(st.lists(st.lists(st.sampled_from(syms), min_size=1,
+                                    max_size=3), min_size=1, max_size=2)):
+        cut = draw(st.integers(0, len(t)))
+        rels.append((t[:cut], t[cut:]))
+    return Blueprint(bp.backend, rels, check_proper=False)
+
+
+@given(tables_with_relations(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_random_tables_as_sympy(bp, rng):
+    if _completion(bp) is not None:
+        assert_as_sympy(bp, rng, count=10)
+
+
+def test_built_on_first_use_only():
+    f14 = catalog.f1n(4)
+    bp = Blueprint(f14.backend, f14.relations)
+    assert "_cached_completion" not in bp.__dict__
+    assert derive(bp, ["z1", "z3"], []) == PROVED
+    assert bp.__dict__["_cached_completion"] is _completion(bp)
+    # a semiring evaluates its sums, and no relation relates nothing
+    for bp in (catalog.product_ring(2, 3), catalog.idempotent_example()):
+        assert _derive3(bp, ("1", "1"), ("1",), WALK)[0] == REFUTED
+        assert "_cached_completion" not in bp.__dict__

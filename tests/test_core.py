@@ -105,6 +105,14 @@ class TestMorphisms:
         verdict, _ = is_morphism(f)
         assert verdict == "RefutedOnGenerator"
 
+    def test_two_fields_refutes_minus_one_as_mixed_unit(self):
+        # (1,2) squares to 1, but 1 + (1,2) = 0 mixes the components, which
+        # no relation of the two-field blueprint does
+        f = BlueprintMorphism(catalog.f1n(2), catalog.two_fields(2, 3),
+                              {"-1": "(1,2)"})
+        assert is_morphism(f) == ("RefutedOnGenerator",
+                                  ((), ("-1", "1")))
+
 
 class TestAdditiveClosure:
     def test_sl2_t1_t2_improper(self, sl2):

@@ -21,6 +21,56 @@ def f13():
     return catalog.f1n(3)
 
 
+def enumerate_morphisms(src, tgt):
+    """All module morphisms src -> tgt by backtracking on the carrier."""
+    order = list(src.nonbase())
+    syms = src.blueprint.backend.symbols
+    out = []
+
+    def consistent(mapping):
+        for b in syms:
+            for prev, pv in mapping.items():
+                img = src.act(b, prev)
+                if img in mapping and mapping[img] != tgt.act(b, pv):
+                    return False
+        return True
+
+    def backtrack(i, mapping):
+        if i == len(order):
+            f = kz.ModuleMorphism(src, tgt, dict(mapping))
+            if all(kz.module_derive(tgt, f.apply_sum(l), f.apply_sum(r))
+                   for l, r in src.relations):
+                out.append(f)
+            return
+        m = order[i]
+        for v in tgt.carrier:
+            mapping[m] = v
+            if consistent(mapping):
+                backtrack(i + 1, mapping)
+            del mapping[m]
+
+    backtrack(0, {BASE: BASE})
+    return out
+
+
+def lifts_along_normal_epis(p, universe_pairs):
+    """Relative lifting condition: for each normal epi g: M -> N and each
+    morphism h: P -> N there is a lift P -> M. A sound necessary condition
+    for projectivity (strictly weaker than being a wedge of B·e: no normal
+    epi can witness against a fixed-point module over a blue field)."""
+    for g in universe_pairs:
+        for h in enumerate_morphisms(p, g.target):
+            lifted = False
+            for cand in enumerate_morphisms(p, g.source):
+                if all(g.apply(cand.apply(m)) == h.apply(m)
+                       for m in p.carrier):
+                    lifted = True
+                    break
+            if not lifted:
+                return False
+    return True
+
+
 def be_module(idem):
     return kz.BlueModule(idem, ("x",), {("e", "x"): "x"}, name="Be")
 
@@ -61,10 +111,10 @@ class TestWedge:
         w, i1, i2 = kz.wedge(a, b)
         targets = [kz.free_module(idem, 1), be_module(idem), b_over_be(idem)]
         for t in targets:
-            for fa in kz.enumerate_morphisms(a, t):
-                for fb in kz.enumerate_morphisms(b, t):
+            for fa in enumerate_morphisms(a, t):
+                for fb in enumerate_morphisms(b, t):
                     matches = []
-                    for h in kz.enumerate_morphisms(w, t):
+                    for h in enumerate_morphisms(w, t):
                         if all(h.apply(i1.apply(m)) == fa.apply(m)
                                for m in a.carrier) and \
                            all(h.apply(i2.apply(m)) == fb.apply(m)
@@ -75,8 +125,8 @@ class TestWedge:
     def test_zero_module_initial_terminal(self, f1):
         z = kz.zero_module(f1)
         m = kz.free_module(f1, 2)
-        assert len(kz.enumerate_morphisms(z, m)) == 1
-        to_zero = kz.enumerate_morphisms(m, z)
+        assert len(enumerate_morphisms(z, m)) == 1
+        to_zero = enumerate_morphisms(m, z)
         assert len(to_zero) == 1
 
 
@@ -168,8 +218,8 @@ class TestProjectivity:
         sub, inc = kz._submodule(b, ("e@0",))
         q, proj = kz.cokernel(inc)
         universe = [proj]
-        assert kz.lifts_along_normal_epis(be_module(idem), universe)
-        assert kz.lifts_along_normal_epis(kz.free_module(idem, 1), universe)
+        assert lifts_along_normal_epis(be_module(idem), universe)
+        assert lifts_along_normal_epis(kz.free_module(idem, 1), universe)
 
 
 class TestK0:
@@ -434,7 +484,7 @@ def reference_retract_of_free(module):
     k = len(gens)
     free = kz.free_module(module.blueprint, k)
     syms = [a for a in module.blueprint.backend.symbols if a != ZERO]
-    for s in kz.enumerate_morphisms(module, free):
+    for s in enumerate_morphisms(module, free):
         if not s.is_injective():
             continue
         r0 = {s.apply(m): m for m in module.carrier}
@@ -961,14 +1011,11 @@ class TestProjectivityAgainstReference:
         assert not kz.is_projective(coupled)
         assert not reference_is_projective(coupled)
 
-    def test_searches_no_morphisms(self, case, monkeypatch):
+    def test_searches_no_morphisms(self, case):
+        # the morphism enumerator is a test oracle: kzero has none to call
         _, _, universe = case
         expected = [reference_is_projective(m) for m in universe]
-
-        def forbidden(*args):
-            raise AssertionError("is_projective searched morphisms")
-
-        monkeypatch.setattr(kz, "enumerate_morphisms", forbidden)
+        assert not hasattr(kz, "enumerate_morphisms")
         assert [kz.is_projective(m) for m in universe] == expected
 
 

@@ -6,6 +6,7 @@ must yield the same sequence, order and duplicates included, so every search
 built on it takes the same steps.
 """
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -13,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from blueforge import catalog
 from blueforge.budget import Budget
-from blueforge.core import (ONE, PROVED, UNKNOWN, ZERO, Blueprint,
+from blueforge.core import (ONE, PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
                             ImproperRelations, MonomialBackend, _RewriteMemo,
-                            _probe_elements, _rewrites, derive, improper_pair)
+                            _completion, _derive3, _probe_elements,
+                            _rewrites, derive, improper_pair)
 
 CATALOG_BUDGET = Budget(4, 8, 600)
 REFUTE_BUDGET = Budget(6, 12, 3000)
@@ -182,6 +184,38 @@ def test_catalog_derive_matches_reference(name):
         assert derive(bp, lhs, rhs, budget) == \
             reference_derive(bp, lhs, rhs, budget)
     assert improper_pair(bp, budget) == reference_improper_pair(bp, budget)
+
+
+FINITE = sorted(name for name, build in CATALOG.items()
+                if build().backend.kind == "finite" and build().relations)
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_finite_derive_proves_what_reference_proves(name):
+    # finite tables are decided by the completion, so they may prove more
+    # than the bounded search, never less, and never refute what it proves
+    bp = CATALOG[name]()
+    budget = Budget(CATALOG_BUDGET.max_degree, CATALOG_BUDGET.max_terms, 300)
+    sums = reachable_sums(bp, budget, 16)
+    proved = 0
+    for lhs, rhs in itertools.combinations(sums, 2):
+        if reference_derive(bp, lhs, rhs, budget) == PROVED:
+            proved += 1
+            assert derive(bp, lhs, rhs, budget) == PROVED
+            assert _derive3(bp, lhs, rhs, budget)[0] == PROVED
+    assert proved
+
+
+@pytest.mark.parametrize("n", [7, 11])
+def test_completion_past_its_cap_keeps_the_search(n):
+    bp = catalog.roots_of_unity_sums(n)
+    assert _completion(bp) is None
+    budget = Budget(GUARD_BUDGET.max_degree, GUARD_BUDGET.max_terms, 200)
+    sums = reachable_sums(bp, budget, 12)
+    for lhs, rhs in itertools.product(sums[:4], sums):
+        assert derive(bp, lhs, rhs, budget) == \
+            reference_derive(bp, lhs, rhs, budget)
+        assert _derive3(bp, lhs, rhs, budget)[0] != REFUTED
 
 
 def monomial_backends():

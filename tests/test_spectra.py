@@ -6,8 +6,8 @@ import time
 
 from blueforge import catalog
 from blueforge.budget import Budget
-from blueforge.core import (PROVED, UNKNOWN, Blueprint, MonomialBackend,
-                            derive, is_blue_field,
+from blueforge.core import (PROVED, REFUTED, UNKNOWN, Blueprint,
+                            MonomialBackend, _derive3, derive, is_blue_field,
                             BlueprintMorphism, is_morphism,
                             field_blueprint, quotient_by_ideal)
 from blueforge.schemes import proj
@@ -160,6 +160,9 @@ class TestGlobalize:
         one = "1"
         f2 = "(0,2)"
         assert derive(B, [one, one], [f2], B.budget.scaled(10)) == UNKNOWN
+        verdict, forms = _derive3(B, (one, one), (f2,), B.budget)
+        assert verdict == REFUTED
+        assert forms[0] != forms[1]
 
     def test_product_ring_derives_the_sum(self):
         R = catalog.product_ring(2, 3)
