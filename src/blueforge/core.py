@@ -395,6 +395,9 @@ class Blueprint:
 
     def __init__(self, backend, relations=(), budget=None, name=None,
                  check_proper=True):
+        """Normalize the relations and, with `check_proper`, run the
+        properness guard: the blueprint is certified or searched proper
+        (`improper_pair` at `_guard_budget`), else ImproperRelations."""
         self.backend = backend
         self.budget = budget or default_budget()
         self.name = name
@@ -822,11 +825,39 @@ def _improper_search(bp, elements, budget):
     return None, cut
 
 
+def _certified_proper(bp):
+    """True when `bp` is certified proper: a monomial blueprint over a
+    coefficient table without relations, whose relations all read
+    0 = a + b with units a and b, all ratios b/a being one u with u*u = 1.
+
+    Proof. Write M' for the nonzero monomials. A rewrite step inserts or
+    removes a chunk c*a + c*b with c in M' (c*a and c*b are in M', as a and
+    b are units), so u ~ v puts u - v in the subgroup I of Z[M'] spanned by
+    the x + x*(b/a), x in M'. Let H be the subgroup of M^x x {+1, -1}
+    generated by the pairs (b/a, -1), acting on Z[M'] by (w, s)x = s*w*x.
+    Then I is spanned by the x - h*x with h in H, and Z[M']/I is the
+    coinvariant module: one Z or Z/2 per H-orbit of M', in which no x is 0
+    and x = y only if y = w*x for some (w, +1) in H. If every b/a is u with
+    u*u = 1, then H = {(1, +1), (u, -1)}, so no single element is
+    identified with 0 or with another element."""
+    backend = bp.backend
+    if backend.kind != "monomial" or backend.coeff.relations:
+        return False
+    ratios = set()
+    for l, r in bp.relations:
+        if l or len(r) != 2 or not all(map(backend.is_unit, r)):
+            return False
+        ratios.add(backend.mul(r[1], backend.power(r[0], -1)))
+    u = ratios.pop()
+    return not ratios and backend.mul(u, u) == backend.one()
+
+
 def improper_pair(bp, budget):
     """The first derivable identification of a probe element with 0, as
-    (0, p), or with another element; a search cut by the budget finds
-    nothing."""
-    if not bp.relations:
+    (0, p), or with another element, or None: certified (see
+    `_certified_proper`) or searched, where a search cut by the budget
+    finds nothing."""
+    if not bp.relations or _certified_proper(bp):
         return None
     return _improper_search(bp, _probe_elements(bp), budget)[0]
 
@@ -1158,7 +1189,8 @@ def quotient_by_ideal(bp, ideal, budget=None):
 def build_proper_monomial(coeff_bp, gens, inverted, lattice, relations, budget,
                           name=None):
     """Build a monomial blueprint, migrating derivable single=single
-    identifications into the lattice until the properness guard is clean."""
+    identifications into the lattice until the properness guard, certified
+    or searched (`improper_pair`), is clean."""
     lattice = list(lattice)
     for _ in range(20):
         backend = MonomialBackend(coeff_bp, gens, inverted, lattice)
@@ -2166,22 +2198,32 @@ def _refuting_target(bp, lhs, rhs, budget):
 
 
 def is_cancellative(bp, budget=None):
-    """('yes', certificate) / ('no', witness) / ('unknown', None)."""
+    """('yes', certificate) / ('no', witness) / ('unknown', None).
+
+    A 'no' witness names a relation whose cancelled form lhs = rhs does not
+    hold, and why: the first target whose morphism separates the two sides,
+    else the two different normal forms of the first cancelled relation
+    that `_derive3` refutes."""
     budget = budget or bp.budget
     backend = bp.backend
+    refuted = None
     for l, r in bp.relations:
         common = Counter(l) & Counter(r)
         if not common:
             continue
         l2 = tuple(sorted((Counter(l) - common).elements(), key=backend.sort_key))
         r2 = tuple(sorted((Counter(r) - common).elements(), key=backend.sort_key))
-        verdict, _ = _derive3(bp, l2, r2, budget)
+        verdict, forms = _derive3(bp, l2, r2, budget)
         if verdict == PROVED:
             continue
+        witness = {"cancelled": tuple(common.elements()), "lhs": l2, "rhs": r2}
         target = _refuting_target(bp, l2, r2, budget)
         if target is not None:
-            return ("no", {"cancelled": tuple(common.elements()),
-                           "lhs": l2, "rhs": r2, "target": target.name})
+            return ("no", {**witness, "target": target.name})
+        if verdict == REFUTED and refuted is None:
+            refuted = {**witness, "normal_forms": forms}
+    if refuted is not None:
+        return ("no", refuted)
     cert = _injectivity_certificate(bp, budget)
     if cert is not None:
         return ("yes", cert)

@@ -6,12 +6,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blueforge import catalog
+from blueforge import catalog, core
 from blueforge.budget import Budget
 from blueforge.core import (ONE, PROVED, UNKNOWN, ZERO, Blueprint,
                             BlueprintError, BlueprintMorphism, FiniteTable,
                             ImproperRelations, MonomialBackend, NotAnIdeal,
-                            _guard_budget, _UnionFind, additive_closure,
+                            UnsupportedIdeal, _certified_proper,
+                            _guard_budget, _refuting_target, _UnionFind,
+                            additive_closure,
                             count_presentation_points, derive,
                             enumerate_morphisms, field_blueprint,
                             finite_blueprints_isomorphic, improper_pair,
@@ -22,7 +24,7 @@ from blueforge.core import (ONE, PROVED, UNKNOWN, ZERO, Blueprint,
                             quotient_by_ideal, quotient_universal_factoring,
                             ring_presentation, semiring_presentation,
                             unit_field)
-from blueforge.spectra import spec
+from blueforge.spectra import rank_of_point, spec
 
 
 def gens_of(bp):
@@ -203,6 +205,130 @@ class TestQuotient:
                         assert factored.apply(q.projection[s]) == h.apply(s)
                 else:
                     assert factored is None
+
+
+# Frozen from the guard that searched every quotient, at the benchmark's
+# catalog budget: per variable prime, named by its generators, the
+# quotient's generators, inverted generators, lattice and rendered
+# relations, then the rank of the point; None where the quotient is
+# unsupported. Cone primes with three or more generators, not listed, give
+# the free monoid on the other generators, of rank their number.
+PIN_BUDGET = Budget(4, 8, 600)
+SL2_PINS = {
+    (): (("T1", "T2", "T3", "T4"), (), (), (("1 + T2*T3", "T1*T4"),), 3),
+    ("T1",): (("T2", "T3", "T4"), ("T2", "T3"), (((2, 2, 0), "1"),),
+              (("0", "1 + T2*T3"),), 2),
+    ("T2",): (("T1", "T3", "T4"), ("T1", "T4"), (((1, 0, 1), "1"),), (), 2),
+    ("T3",): (("T1", "T2", "T4"), ("T1", "T4"), (((1, 0, 1), "1"),), (), 2),
+    ("T4",): (("T1", "T2", "T3"), ("T2", "T3"), (((0, 2, 2), "1"),),
+              (("0", "1 + T2*T3"),), 2),
+    ("T1", "T4"): (("T2", "T3"), ("T2", "T3"), (((2, 2), "1"),),
+                   (("0", "1 + T2*T3"),), 1),
+    ("T2", "T3"): (("T1", "T4"), ("T1", "T4"), (((1, 1), "1"),), (), 1),
+}
+MINORS_PINS = {
+    (): (("a", "b", "c", "d"), (), (), (("1 + b*c", "a*d"),), 3),
+    ("a",): (("b", "c", "d"), ("b", "c"), (((2, 2, 0), "1"),),
+             (("0", "1 + b*c"),), 2),
+    ("b",): (("a", "c", "d"), ("a", "d"), (((1, 0, 1), "1"),), (), 2),
+    ("c",): (("a", "b", "d"), ("a", "d"), (((1, 0, 1), "1"),), (), 2),
+    ("d",): (("a", "b", "c"), ("b", "c"), (((0, 2, 2), "1"),),
+             (("0", "1 + b*c"),), 2),
+    ("a", "d"): (("b", "c"), ("b", "c"), (((2, 2), "1"),),
+                 (("0", "1 + b*c"),), 1),
+    ("b", "c"): (("a", "d"), ("a", "d"), (((1, 1), "1"),), (), 1),
+}
+CONE = ("x12", "x13", "x14", "x23", "x24", "x34")
+CONE_QUOTIENTS = (("x13",), ("x24",), ("x13", "x24"))
+CONE_PINS = {
+    (): (CONE, (), (), (("x14*x23 + x12*x34", "x13*x24"),), 5),
+    **{killed: (tuple(g for g in CONE if g not in killed), (), (),
+                (("0", "x14*x23 + x12*x34"),), 5 - len(killed))
+       for killed in CONE_QUOTIENTS},
+    **{killed: None for killed in (("x12",), ("x14",), ("x23",), ("x34",),
+                                   ("x12", "x34"), ("x14", "x23"))},
+}
+PINNED = {"sl2": (catalog.sl2_f1, SL2_PINS),
+          "sl2_minors": (catalog.sl2_minors, MINORS_PINS),
+          "gr24_cone": (lambda: catalog.grassmannian_f1(2, 4).blueprint,
+                        CONE_PINS)}
+
+
+def variable_prime_quotients(bp):
+    """(generators of the prime, its index in spec, the quotient or None
+    where it is unsupported) for every point of spec(bp)."""
+    X = spec(bp, PIN_BUDGET)
+    for i, p in enumerate(X.points):
+        killed = tuple(sorted(map(bp.render, p.ideal.minimal)))
+        try:
+            Q = quotient_by_ideal(bp, p.ideal, PIN_BUDGET)
+        except UnsupportedIdeal:
+            Q = None
+        yield X, i, killed, Q
+
+
+class TestVariablePrimeQuotients:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_quotients_and_ranks_as_pinned(self, name):
+        build, pins = PINNED[name]
+        bp = build()
+        points = 0
+        for X, i, killed, Q in variable_prime_quotients(bp):
+            points += 1
+            kept = tuple(g for g in bp.backend.gens if g not in killed)
+            want = pins.get(killed, (kept, (), (), (), len(kept)))
+            if Q is None:
+                assert want is None, killed
+                with pytest.raises(UnsupportedIdeal):
+                    rank_of_point(X, i, PIN_BUDGET)
+                continue
+            assert Q.killed_generators == killed
+            got = (Q.backend.gens, tuple(sorted(Q.backend.inverted)),
+                   Q.backend.lattice,
+                   tuple((Q.render_sum(l), Q.render_sum(r))
+                         for l, r in Q.relations),
+                   rank_of_point(X, i, PIN_BUDGET))
+            assert got == want, killed
+        assert points == {"sl2": 7, "sl2_minors": 7, "gr24_cone": 37}[name]
+
+    @pytest.mark.parametrize("name", ["sl2", "sl2_minors"])
+    def test_sl2_quotients_are_certified_without_search(self, name,
+                                                        monkeypatch):
+        # 0 = 1 + T2*T3 with (T2*T3)^2 = 1: one ratio, of order two
+        explored, explore = [], core._explore
+        monkeypatch.setattr(core, "_explore", lambda *a, **k:
+                            explored.append(a) or explore(*a, **k))
+        build, _ = PINNED[name]
+        certified = 0
+        for _, _, killed, Q in variable_prime_quotients(build()):
+            if Q is None or not Q.relations or not killed:
+                continue
+            del explored[:]
+            assert _certified_proper(Q), killed
+            assert improper_pair(Q, _guard_budget(PIN_BUDGET)) is None
+            assert explored == []
+            certified += 1
+        assert certified == 3
+
+    def test_cone_quotients_are_not_certified(self, gr24):
+        # 0 = x14*x23 + x12*x34 has no unit term, so the guard searches
+        for _, _, killed, Q in variable_prime_quotients(gr24.blueprint):
+            if killed in CONE_QUOTIENTS:
+                assert Q.backend.lattice == ()
+                assert not _certified_proper(Q), killed
+
+    @pytest.mark.xfail(strict=True, reason="the Gr(2,4) cone quotients are "
+                       "improper: a^2 = b^2 for their relation 0 = a + b "
+                       "(ROADMAP item 14)")
+    def test_cone_quotients_are_proper(self, gr24):
+        # with a = x12*x34 and b = x14*x23:
+        # a^2 = a^2 + (a*b + b^2) = (a^2 + a*b) + b^2 = b^2
+        for _, _, killed, Q in variable_prime_quotients(gr24.blueprint):
+            if killed not in CONE_QUOTIENTS:
+                continue
+            a2, b2 = Q.element("x12^2*x34^2"), Q.element("x14^2*x23^2")
+            assert a2 == b2 or \
+                derive(Q, [a2], [b2], Budget(4, 8, 100000)) != PROVED, killed
 
 
 class TestLocalize:
@@ -580,6 +706,16 @@ class TestCancellative:
 
     def test_sl2_yes(self, sl2):
         assert is_cancellative(sl2)[0] == "yes"
+
+    @pytest.mark.parametrize("n,root", [(4, "z2"), (6, "z3")])
+    def test_refuted_cancellation_without_a_target(self, n, root):
+        # 1 + root = 1 + 1 cancels to 1 = root: the completion refutes it,
+        # and no target separates the two sides
+        bp = catalog.roots_of_unity_sums(n)
+        assert _refuting_target(bp, (ONE,), (root,), bp.budget) is None
+        assert is_cancellative(bp) == ("no", {
+            "cancelled": (ONE,), "lhs": (ONE,), "rhs": (root,),
+            "normal_forms": ((ONE,), (root,))})
 
 
 class TestFrobenius:

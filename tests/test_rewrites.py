@@ -16,8 +16,8 @@ from blueforge import catalog
 from blueforge.budget import Budget
 from blueforge.core import (ONE, PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
                             ImproperRelations, MonomialBackend, _RewriteMemo,
-                            _completion, _derive3, _probe_elements,
-                            _rewrites, derive, improper_pair)
+                            _certified_proper, _completion, _derive3,
+                            _probe_elements, _rewrites, derive, improper_pair)
 
 CATALOG_BUDGET = Budget(4, 8, 600)
 REFUTE_BUDGET = Budget(6, 12, 3000)
@@ -324,3 +324,93 @@ def test_guard_names_the_improper_pair():
         Blueprint(backend, rels)
     assert str(err.value) == \
         "relations identify -1*X*Y*Z^2 and X*Y*Z^2"
+
+
+def mu(n):
+    """mu_n with zero, without coefficient relations."""
+    return Blueprint(catalog._mu_n_table(n, catalog._mu_names(n)), ())
+
+
+def unit_binomial_backends():
+    """Monomial backends over mu_n with zero and no coefficient relations,
+    with inverted generators and lattice characters."""
+    gens = ("X", "Y")
+    out = []
+    for n in (1, 2, 4):
+        coeff = mu(n)
+        out.append(MonomialBackend(coeff, gens, inverted=("X",)))
+        out.append(MonomialBackend(coeff, gens, inverted=gens))
+        for char in dict.fromkeys((ONE, coeff.backend.symbols[-1])):
+            out.append(MonomialBackend(coeff, gens,
+                                       lattice=[((2, 0), char)]))
+            out.append(MonomialBackend(coeff, gens, inverted=("Y",),
+                                       lattice=[((1, 1), char)]))
+    return tuple(out)
+
+
+def small_units(backend):
+    """The units c*X^i*Y^j with |i|, |j| <= 1."""
+    out = set()
+    for c in backend.coeff.backend.units():
+        for exps in itertools.product((-1, 0, 1), repeat=len(backend.gens)):
+            if all(e == 0 or g in backend.inverted
+                   for g, e in zip(backend.gens, exps)):
+                out.add(backend.normalize((c, exps)))
+    return sorted(out)
+
+
+@st.composite
+def unit_binomial_blueprints(draw):
+    """Relations 0 = a + a*u over units a, mostly with one ratio u whose
+    square is 1, sometimes with other ratios."""
+    backend = draw(st.sampled_from(unit_binomial_backends()))
+    units = small_units(backend)
+    roots = [u for u in units if backend.mul(u, u) == backend.one()]
+    ratio = draw(st.sampled_from(roots) | st.sampled_from(units))
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.sampled_from(units))
+        u = draw(st.sampled_from([ratio] * 4 + units))
+        rels.append(([], [a, backend.mul(a, u)]))
+    return Blueprint(backend, rels, check_proper=False)
+
+
+class TestUnitBinomialCertificate:
+    """`_certified_proper` answers only where no search, however deep, finds
+    an identification; everywhere else the guard searches as before."""
+
+    @given(bp=unit_binomial_blueprints())
+    @settings(max_examples=40, deadline=None)
+    def test_certificate_agrees_with_the_reference(self, bp):
+        assert improper_pair(bp, GUARD_BUDGET) == \
+            reference_improper_pair(bp, GUARD_BUDGET)
+
+    @given(bp=unit_binomial_blueprints().filter(_certified_proper))
+    @settings(max_examples=3, deadline=None)
+    def test_certified_blueprints_survive_a_deep_search(self, bp):
+        assert reference_improper_pair(bp, Budget(4, 10, 30000)) is None
+
+    @pytest.mark.parametrize("coeff,inverted,relations,improper", [
+        # 0 = 1 + X gives 1 = 1 + X + X^2 = X^2: one ratio, X, whose square
+        # is not 1
+        (mu(1), ("X",), [([], ["1", "X"])], True),
+        # 0 = 1 + 1 and 0 = 1 + (-1) give 1 = 1 + 1 + (-1) = -1: two ratios
+        (mu(2), (), [([], ["1", "1"]), ([], ["1", "-1"])], True),
+        # -X^-1 = -1 + 1 gives X^-1 = 1 + (-1) = -X^-1: two sides
+        (mu(2), ("X",), [(["-1*X^-1"], ["-1", "1"])], True),
+        # the coefficient relation 1 + (-1) = 0 is outside the proof
+        (catalog.f1_squared(), (), [([], ["1", "1"])], False),
+    ], ids=["ratio_of_order_above_two", "two_ratios", "two_sides",
+            "coefficient_relations"])
+    def test_declined_blueprints_are_searched(self, coeff, inverted,
+                                              relations, improper):
+        backend = MonomialBackend(coeff, ("X",), inverted)
+        free = Blueprint(backend)
+        bp = Blueprint(backend, [([free.element(t) for t in l],
+                                  [free.element(t) for t in r])
+                                 for l, r in relations], check_proper=False)
+        assert not _certified_proper(bp)
+        assert improper_pair(bp, GUARD_BUDGET) == \
+            reference_improper_pair(bp, GUARD_BUDGET)
+        if improper:
+            assert improper_pair(bp, GUARD_BUDGET) is not None
