@@ -7,7 +7,8 @@ isomorphisms of modules are the one search for finite structures,
 Over a monoid the projective modules are the wedges of the principal
 modules B·e, e ≠ 0 idempotent (Chu–Lorscheid–Santhanam, Adv. Math. 229,
 2012): `is_projective` looks each wedge component up among them, and `k0`
-builds its generators from them."""
+works on shapes, counts of copies of each B·e, adding the shapes recorded
+for one cokernel per action-closed subset of each B·e; it builds no wedge."""
 
 from __future__ import annotations
 
@@ -71,7 +72,13 @@ class BlueModule:
                 for m in self.carrier:
                     if act[(ab, m)] != act[(a, act[(b, m)])]:
                         raise BlueprintError("action is not associative")
-        rels = self._induced_relations()
+        # the relations l·m = r·m for each relation l = r of the blueprint
+        # and each m other than the base point
+        self._induced = {self._norm_rel([act[(t, m)] for t in l],
+                                        [act[(t, m)] for t in r])
+                         for l, r in blueprint.relations
+                         for m in self.nonbase()} - {None}
+        rels = set(self._induced)
         for l, r in relations:
             pair = self._norm_rel(l, r)
             if pair:
@@ -80,18 +87,6 @@ class BlueModule:
         self._oriented = tuple(side for l, r in self.relations
                                for side in ((l, r), (r, l)))
         self.backend = _ActionBackend(self.action, syms)
-
-    def _induced_relations(self):
-        """The relations l·m = r·m for each relation l = r of the blueprint
-        and each m other than the base point."""
-        rels = set()
-        for l, r in self.blueprint.relations:
-            for m in self.nonbase():
-                pair = self._norm_rel([self.act(t, m) for t in l],
-                                      [self.act(t, m) for t in r])
-                if pair:
-                    rels.add(pair)
-        return rels
 
     def act(self, b, m):
         return self.action[(b, m)]
@@ -436,7 +431,7 @@ def is_free(module: BlueModule):
         if len(orbit) == len(nonzero) and not orbit & covered:
             covered |= orbit
     return len(covered) == len(module.carrier) and \
-        set(module.relations) == module._induced_relations()
+        len(module.relations) == len(module._induced)
 
 
 def wedge_components(module: BlueModule):
@@ -474,13 +469,21 @@ def is_projective(module: BlueModule):
     """
     if is_free(module):
         return True
-    comps = wedge_components(module)
-    if comps is None:
-        return False
     classifier = ModuleClassifier()
     for _, be in _principal_modules(module.blueprint):
         classifier.classify(be)
-    return all(classifier.find(c) is not None for c in comps)
+    return _wedge_shape(module, classifier) is not None
+
+
+def _wedge_shape(module, principal):
+    """The number of components in each class of `principal` (a
+    `ModuleClassifier` of the classes of B·e) when the module is a wedge of
+    B·e, else None."""
+    comps = wedge_components(module)
+    found = [principal.find(c) for c in comps or ()]
+    if comps is None or None in found:
+        return None
+    return tuple(found.count(j) for j in range(len(principal.reps)))
 
 
 # ---------------------------------------------------------------------------
@@ -699,11 +702,53 @@ def _principal_modules(blueprint):
     return out
 
 
-def _projective_wedges(blueprint, size_bound):
-    """`_principal_modules` and the wedges of their multisets with carrier
-    <= size_bound, sorted by size: pairs (shape, wedge), the shape counting
-    the copies of each principal module. A wedge's components are its
-    action-connected parts, so distinct shapes give distinct classes."""
+def _principal_records(principal, size_bound):
+    """Per class of B·e in `principal`, the pairs (shape of S, shape of
+    B·e/S) for the action-closed subsets S of B·e with S → B·e a normal mono
+    and S, B·e/S projective; a shape counts the copies of each class. A B·e
+    larger than `size_bound` is not touched: no wedge that holds it fits."""
+    classifier = ModuleClassifier()
+    for _, be in principal:
+        classifier.classify(be)
+    records = []
+    for _, be in principal:
+        pairs = []
+        for s in _action_closed_subsets(be) if len(be) <= size_bound else ():
+            sub, inc = _submodule(be, s)
+            if (sub_shape := _wedge_shape(sub, classifier)) is None:
+                continue
+            q, proj = cokernel(inc)
+            # normal iff the kernel of proj is S again; `is_normal_epi(proj)`
+            # would rebuild the cokernel of that kernel, and so get proj back
+            if {x for x in be.carrier if proj.apply(x) == BASE} == \
+                    set(sub.carrier) and \
+                    (q_shape := _wedge_shape(q, classifier)) is not None:
+                pairs.append((sub_shape, q_shape))
+        records.append(pairs)
+    return records
+
+
+def k0(blueprint, size_bound=6):
+    """The Grothendieck group of projectives under normal short exact
+    sequences, presented by generators (iso classes, carrier <= size_bound)
+    and relations [M] = [K] + [M/K]; invariant factors via Smith normal
+    form.
+
+    Over a monoid the projectives are the wedges of principal modules B·e,
+    e ≠ 0 idempotent (Chu–Lorscheid–Santhanam, Adv. Math. 229, 2012), so
+    the generators are the shapes (copies of each class of B·e) whose
+    wedges fit the bound, sorted by size. No module is enumerated and no
+    wedge is built: an action-closed K ⊆ M is one action-closed subset per
+    component of M, and no relation of M couples two components, so M/K is
+    the wedge of the parts' cokernels, K → M is a normal mono iff each
+    part's inclusion is, and K, M/K are projective iff all parts are, with
+    the parts' shapes summed. A row is such a sum of `_principal_records`
+    for each multiset of choices over equal components (permuting them is
+    an automorphism of M)."""
+    _check_size_bound(size_bound)
+    if not isinstance(blueprint, Blueprint) or \
+            blueprint.backend.kind != "finite":
+        raise BlueprintError("k0 expects a finite-table blueprint")
     principal = _principal_modules(blueprint)
     sizes = [len(be) - 1 for _, be in principal]
 
@@ -715,72 +760,26 @@ def _projective_wedges(blueprint, size_bound):
         shapes = [sh + (c,) for sh in shapes for c in range(size_bound)
                   if carrier_size(sh + (c,)) <= size_bound]
     shapes.sort(key=carrier_size)
-    wedges = []
-    for sh in shapes:
-        comps = [e for (e, _), c in zip(principal, sh) for _ in range(c)]
-        wedges.append((sh, _principal_wedge(blueprint, comps)))
-    return principal, wedges
-
-
-def k0(blueprint, size_bound=6):
-    """The Grothendieck group of projectives under normal short exact
-    sequences, presented by generators (iso classes, carrier <= size_bound)
-    and relations [M] = [K] + [M/K]; invariant factors via Smith normal
-    form.
-
-    Over a monoid the projectives are the wedges of principal modules B·e,
-    e ≠ 0 idempotent (Chu–Lorscheid–Santhanam, Adv. Math. 229, 2012), so
-    the generators are the wedges of multisets of the classes of B·e that
-    fit the bound, sorted by size; no module is enumerated.
-
-    An action-closed K ⊆ M is a union of one action-closed subset per
-    component, and permuting equal components is an automorphism of M, so
-    each multiset of component choices takes one cokernel M -> M/K for all
-    its arrangements. The inclusion is a normal mono exactly when the
-    kernel of that projection is K again (what `is_normal_mono` checks)."""
-    _check_size_bound(size_bound)
-    if not isinstance(blueprint, Blueprint) or \
-            blueprint.backend.kind != "finite":
-        raise BlueprintError("k0 expects a finite-table blueprint")
-    principal, wedges = _projective_wedges(blueprint, size_bound)
-    projectives = [m for _, m in wedges]
-    classifier = ModuleClassifier()
-    for m in projectives:
-        classifier.classify(m)
-    # the action-closed subsets of each B·e, as sets of b·e
-    closed = [[{x.rpartition("@")[0] for x in sub}
-               for sub in _action_closed_subsets(be)] for _, be in principal]
+    index = {sh: i for i, sh in enumerate(shapes)}
+    records = _principal_records(principal, size_bound)
+    zero = (0,) * len(principal)
     rows = set()
-    for im, (sh, m) in enumerate(wedges):
+    for im, sh in enumerate(shapes):
         # one choice per copy, nondecreasing over the copies of each B·e
         for picks in itertools.product(*(
-                itertools.combinations_with_replacement(subsets, c)
-                for subsets, c in zip(closed, sh))):
-            sub_elems = {f"{x}@{i}" for i, part in
-                         enumerate(itertools.chain.from_iterable(picks))
-                         for x in part}
-            sub, inc = _submodule(m, sub_elems)
-            ksub = classifier.find(sub)
-            if ksub is None:
-                continue
-            q, proj = cokernel(inc)
-            if {x for x in m.carrier if proj.apply(x) == BASE} \
-                    != set(sub.carrier):
-                continue
-            # No `is_normal_epi(proj)` here: it would rebuild the cokernel of
-            # the kernel of proj, which is K again, and so get proj back.
-            kq = classifier.find(q)
-            if kq is None:
-                continue
-            row = [0] * len(projectives)
+                itertools.combinations_with_replacement(pairs, c)
+                for pairs, c in zip(records, sh))):
+            chosen = list(itertools.chain.from_iterable(picks))
+            row = [0] * len(shapes)
             row[im] += 1
-            row[ksub] -= 1
-            row[kq] -= 1
+            for part in (k for k, _ in chosen), (q for _, q in chosen):
+                row[index[tuple(map(sum, zip(zero, *part)))]] -= 1
             if any(row):
                 rows.add(tuple(row))
     rows = sorted(rows)
     factors = smith_normal_form([list(r) for r in rows]) if rows else []
-    rank = len(projectives) - len(factors)
+    rank = len(shapes) - len(factors)
     torsion = tuple(d for d in factors if d > 1)
-    names = tuple(f"P{i}(size {len(p)})" for i, p in enumerate(projectives))
+    names = tuple(f"P{i}(size {carrier_size(sh)})"
+                  for i, sh in enumerate(shapes))
     return K0Result(names, tuple(rows), rank, torsion)

@@ -551,6 +551,80 @@ def reference_k0(blueprint, size_bound, projectives=None):
     return kz.K0Result(names, tuple(tuple(r) for r in rows), rank, torsion)
 
 
+def projective_wedges(blueprint, size_bound):
+    """`_principal_modules` and the wedges of their multisets with carrier
+    <= size_bound, sorted by size: pairs (shape, wedge), the shape counting
+    the copies of each principal module. A wedge's components are its
+    action-connected parts, so distinct shapes give distinct classes."""
+    principal = kz._principal_modules(blueprint)
+    sizes = [len(be) - 1 for _, be in principal]
+
+    def carrier_size(shape):
+        return 1 + sum(c * n for c, n in zip(shape, sizes))
+
+    shapes = [()]
+    for _ in sizes:
+        shapes = [sh + (c,) for sh in shapes for c in range(size_bound)
+                  if carrier_size(sh + (c,)) <= size_bound]
+    shapes.sort(key=carrier_size)
+    wedges = []
+    for sh in shapes:
+        comps = [e for (e, _), c in zip(principal, sh) for _ in range(c)]
+        wedges.append((sh, kz._principal_wedge(blueprint, comps)))
+    return principal, wedges
+
+
+def reference_k0_by_wedges(blueprint, size_bound):
+    """K0 as `kz.k0` took it before it added shapes: every wedge of B·e that
+    fits is built and classified, and each multiset of component choices
+    takes one `_submodule`, one `cokernel` and two `classifier.find`."""
+    kz._check_size_bound(size_bound)
+    if not isinstance(blueprint, Blueprint) or \
+            blueprint.backend.kind != "finite":
+        raise kz.BlueprintError("k0 expects a finite-table blueprint")
+    principal, wedges = projective_wedges(blueprint, size_bound)
+    projectives = [m for _, m in wedges]
+    classifier = kz.ModuleClassifier()
+    for m in projectives:
+        classifier.classify(m)
+    # the action-closed subsets of each B·e, as sets of b·e
+    closed = [[{x.rpartition("@")[0] for x in sub}
+               for sub in kz._action_closed_subsets(be)]
+              for _, be in principal]
+    rows = set()
+    for im, (sh, m) in enumerate(wedges):
+        # one choice per copy, nondecreasing over the copies of each B·e
+        for picks in itertools.product(*(
+                itertools.combinations_with_replacement(subsets, c)
+                for subsets, c in zip(closed, sh))):
+            sub_elems = {f"{x}@{i}" for i, part in
+                         enumerate(itertools.chain.from_iterable(picks))
+                         for x in part}
+            sub, inc = kz._submodule(m, sub_elems)
+            ksub = classifier.find(sub)
+            if ksub is None:
+                continue
+            q, proj = kz.cokernel(inc)
+            if {x for x in m.carrier if proj.apply(x) == BASE} \
+                    != set(sub.carrier):
+                continue
+            kq = classifier.find(q)
+            if kq is None:
+                continue
+            row = [0] * len(projectives)
+            row[im] += 1
+            row[ksub] -= 1
+            row[kq] -= 1
+            if any(row):
+                rows.add(tuple(row))
+    rows = sorted(rows)
+    factors = smith_normal_form([list(r) for r in rows]) if rows else []
+    rank = len(projectives) - len(factors)
+    torsion = tuple(d for d in factors if d > 1)
+    names = tuple(f"P{i}(size {len(p)})" for i, p in enumerate(projectives))
+    return kz.K0Result(names, tuple(rows), rank, torsion)
+
+
 # The module derivation search before it ran on `core._explore`: its own BFS
 # rescaling every relation by every nonzero symbol per sum expanded, and
 # the improper-pair loop with one search per element and one per pair.
@@ -674,7 +748,7 @@ def assert_k0_as_reference(bp, bound,
     the rows are the same set, and generators, rank and torsion are equal.
     The order of two classes of equal size is not part of the contract."""
     reference = reference_projectives(bp, bound, enumerate_modules)
-    _, wedges = kz._projective_wedges(bp, bound)
+    _, wedges = projective_wedges(bp, bound)
     to_reference = []
     for _, m in wedges:
         matches = [j for j, r in enumerate(reference)
@@ -1166,7 +1240,12 @@ class TestModuleSearchAgainstReference:
             assert_searches_as_reference(relabelled(m, rng))
 
     def test_cokernels_in_k0(self, case, monkeypatch):
+        # `k0` takes cokernels in the B·e that fit the bound only, so the
+        # bound is raised to the smallest |B·e| where none fits (f1n5 to 6,
+        # roots_sums4 to 5)
         bp, bound, _ = case
+        bound = max(bound,
+                    min(len(be) for _, be in kz._principal_modules(bp)))
         original = kz._improper_module_pair
         quotients = []
 
@@ -1261,9 +1340,10 @@ CATALOG_TABLES = {
 
 
 class TestK0FromIdempotents:
-    """`k0` builds the projectives as wedges of B·e and takes one cokernel
-    per sub-wedge shape; `reference_k0` enumerates every module and takes
-    one per subset. Both runs below enumerate by the pruned search, which
+    """`k0` counts the projectives as shapes of wedges of B·e and takes one
+    cokernel per action-closed subset of each B·e; `reference_k0`
+    enumerates every module and takes one per subset. Both runs below
+    enumerate by the pruned search, which
     `TestAgainstReference.test_universe` checks against the product loop:
     the product loop takes minutes on these tables."""
 
@@ -1289,8 +1369,7 @@ class TestK0FromIdempotents:
         assert kz.k0(split_idempotents(), 4).rank == 2
 
     def test_one_cokernel_per_shape(self, monkeypatch):
-        # f1 at 7: the wedges of n ≤ 6 copies of B, each with n + 1 shapes
-        # of sub-wedge, against 2^n subsets
+        # f1 at 7: one cokernel per action-closed subset of B, {} and {1}
         calls = []
         original = kz.cokernel
 
@@ -1300,7 +1379,114 @@ class TestK0FromIdempotents:
 
         monkeypatch.setattr(kz, "cokernel", counted)
         assert kz.k0(catalog.f1(), 7).is_infinite_cyclic()
-        assert len(calls) == 28
+        assert len(calls) == 2
+
+
+# The finite catalog tables except two_fields(3,5), whose B·e of size 5
+# runs out of the module budget from bound 5 on on both sides.
+K0_GRID = sorted(set(CATALOG_TABLES) - {"two_fields35"})
+
+
+# `MODULE_BUDGET` with 100 times the steps; scaling its term bound as well
+# lets the searches wander off and run out even so
+HUNDREDFOLD_STEPS = Budget(kz.MODULE_BUDGET.max_degree,
+                           kz.MODULE_BUDGET.max_terms,
+                           100 * kz.MODULE_BUDGET.max_steps)
+
+
+def k0_facts(k0, bp, bound):
+    """The `K0Result` (generators, relations, rank and torsion), or the type
+    of what was raised."""
+    try:
+        return k0(bp, bound)
+    except Exception as exc:
+        return type(exc)
+
+
+def cokernel_and_normality(module, subset):
+    """coker(subset -> module), and whether the inclusion is normal."""
+    sub, inc = kz._submodule(module, subset)
+    q, proj = kz.cokernel(inc)
+    kernel = {x for x in module.carrier if proj.apply(x) == BASE}
+    return q, kernel == set(sub.carrier)
+
+
+class TestK0ByShapes:
+    """`k0` adds the shapes recorded per action-closed subset of each B·e;
+    `reference_k0_by_wedges` builds every wedge and takes one cokernel per
+    multiset of component choices."""
+
+    @pytest.mark.parametrize("name", K0_GRID)
+    def test_grid(self, name):
+        bp = CATALOG_TABLES[name]()
+        for bound in range(1, 8):
+            assert k0_facts(kz.k0, bp, bound) == \
+                k0_facts(reference_k0_by_wedges, bp, bound), bound
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_TABLES))
+    def test_cokernel_of_a_wedge_is_the_wedge_of_cokernels(
+            self, name, monkeypatch):
+        # Every wedge of two B·e that fits the size cap of 8, and every pair
+        # of action-closed subsets; the budget is raised so that the wedge
+        # cokernels of two_fields(3,5) answer too.
+        monkeypatch.setattr(kz, "MODULE_BUDGET", HUNDREDFOLD_STEPS)
+        bp = CATALOG_TABLES[name]()
+        pairs = 0
+        for (e, be), (f, bf) in itertools.combinations_with_replacement(
+                kz._principal_modules(bp), 2):
+            if len(be) + len(bf) - 1 > 8:
+                continue
+            w = kz._principal_wedge(bp, [e, f])
+            for s in kz._action_closed_subsets(be):
+                qs, normal_s = cokernel_and_normality(be, s)
+                for t in kz._action_closed_subsets(bf):
+                    qt, normal_t = cokernel_and_normality(bf, t)
+                    sub = set(s) | {x.replace("@0", "@1") for x in t}
+                    qw, normal_w = cokernel_and_normality(w, sub)
+                    assert kz.modules_isomorphic(
+                        kz.wedge(qs, qt)[0], qw) is not None, (s, t)
+                    assert normal_w == (normal_s and normal_t), (s, t)
+                    pairs += 1
+        # no two B·e fit side by side only when each has 4 nonzero elements
+        # or more
+        assert pairs or min(len(be) for _, be in
+                            kz._principal_modules(bp)) > 4
+
+    def test_two_fields_23_at_8_answers(self, monkeypatch):
+        # the wedge cokernels ran out of MODULE_BUDGET here; the cokernels of
+        # single B·e do not
+        bp = catalog.two_fields(2, 3)
+        got = kz.k0(bp, 8)
+        assert repr(got) == "K0(Z^3)"
+        with pytest.raises(TooLarge, match="module budget"):
+            reference_k0_by_wedges(bp, 8)
+        monkeypatch.setattr(kz, "MODULE_BUDGET", HUNDREDFOLD_STEPS)
+        assert reference_k0_by_wedges(bp, 8) == got
+
+    def test_two_fields_35_at_5_still_runs_out(self):
+        # the size-5 B·e of two_fields(3,5) runs out of the budget on its own
+        with pytest.raises(TooLarge, match="module budget"):
+            kz.k0(catalog.two_fields(3, 5), 5)
+
+    def test_no_wedge_is_built(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("wedge built on the K0 path")
+
+        bp = catalog.idempotent_example()
+        principal = kz._principal_modules(bp)
+        monkeypatch.setattr(kz, "_principal_modules", lambda _: principal)
+        monkeypatch.setattr(kz, "_principal_wedge", forbidden)
+        assert kz.k0(bp, 6).rank == 2
+
+    def test_extra_relations_are_not_free(self, f1, f12):
+        for bp, rel in ((f1, (["1@0"], ["1@1"])),
+                        (f12, (["1@0", "-1@0"], ["1@1"]))):
+            free = kz.free_module(bp, 2)
+            assert kz.is_free(free)
+            extra = kz.BlueModule(bp, free.carrier, free.action, [rel])
+            assert len(extra.relations) == len(free.relations) + 1
+            assert not kz.is_free(extra)
+            assert not reference_is_free(extra)
 
 
 class TestK0Pinned:
