@@ -244,7 +244,7 @@ def absorbing_ideal(cong: Congruence) -> IdealDescriptor:
     """I_~ = the block of zero."""
     block = cong.block(ZERO)
     return IdealDescriptor(cong.blueprint, tuple(sorted(block)),
-                           tuple(sorted(block)), "exact")
+                           tuple(sorted(block)))
 
 
 def cspec_to_spec(blueprint, budget=None):

@@ -17,7 +17,7 @@ import random
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .budget import Budget, cached_per_budget, default_budget
 from .fields import gf, prime_powers_upto
@@ -924,7 +924,7 @@ class IdealDescriptor:
     blueprint: Blueprint
     given: tuple
     minimal: tuple          # minimal generators (monomial) or the full set (finite)
-    saturated: str          # "exact" | "truncated"
+    saturated = "exact"     # every closure is decided
 
     def contains(self, elem):
         bp = self.blueprint
@@ -977,64 +977,62 @@ def _monomial_divides(backend, g, m):
 def additive_closure(bp, elems, budget=None):
     """Smallest ideal containing `elems`: closed under multiplication by the
     monoid and under the rule (sum a_i + c = sum b_j, a_i and b_j in I) => c in I.
-    Finite tables read no budget: the least fixpoint of `_ideal_rules`."""
+    No backend reads the budget. Finite tables take the least fixpoint of
+    `_ideal_rules`. A monomial ideal is its minimal generators g. For a
+    relation with terms T, a term t once in T and a coefficient c != 0, the
+    rule adds h*c*t for the minimal h of the intersection, by lcms, of the
+    colon ideals (I : c*s), s != t. Units never change membership, so
+    (I : c*s) is generated by the max(g - s, 0) on non-inverted columns
+    that it holds (Cox-Little-O'Shea, "Ideals, Varieties, and Algorithms",
+    ch. 4 §4). Dickson's lemma ends the loop."""
     backend = bp.backend
     if backend.kind == "finite":
         syms = backend.symbols
         start = {ZERO, *(backend.normalize(e) for e in elems)}
         members = _close(_ideal_rules(bp), _bits(syms, start))
         return IdealDescriptor(bp, bp.normalize_sum(elems),
-                               tuple(sorted(_members(syms, members))), "exact")
-    budget = budget or bp.budget
-    mins: list = []
+                               tuple(sorted(_members(syms, members))))
+    divides, cmul = partial(_monomial_divides, backend), backend.coeff.mul
+    coeffs = [c for c in backend.coeff.backend.symbols if c != ZERO]
+    fixed = [i in backend._fixed for i in range(len(backend.gens))]
 
-    def add_gen(m):
-        m = backend.normalize(m)
-        if backend.is_zero(m):
-            return False
-        for g in mins:
-            if _monomial_divides(backend, g, m):
-                return False
-        mins[:] = [g for g in mins if not _monomial_divides(backend, m, g)]
-        mins.append(m)
-        return True
+    def colon(c, s):
+        cands = ((g, tuple(max(a - b, 0) if f else 0
+                           for a, b, f in zip(g[1], s[1], fixed))) for g in mins)
+        return [v for g, v in cands if divides(g, backend.mul((c, v), s))]
 
-    for e in elems:
-        add_gen(e)
-
-    def contains(m):
-        return backend.is_zero(m) or any(_monomial_divides(backend, g, m)
-                                         for g in mins)
-
-    saturated = "exact"
-    steps = 0
-    changed = True
-    while changed and bp.relations:
+    mins = _minimal([m for m in map(backend.normalize, elems)
+                     if not backend.is_zero(m)], divides)
+    changed = bool(bp.relations)
+    while changed:
         changed = False
-        for L, R in bp.oriented_relations():
-            cands = {backend.one()}
-            for g in list(mins):
-                for t in L + R:
-                    cands.update(backend.divide(g, t))
-            for gname in backend.gens:
-                cands.add(backend.gen_element(gname))
-            for m in sorted(cands, key=backend.sort_key):
-                if backend.degree(m) > budget.max_degree:
+        for l, r in bp.relations:
+            terms = l + r
+            for t, c in itertools.product(terms, coeffs):
+                if terms.count(t) != 1 or cmul(c, t[0]) == ZERO:
                     continue
-                steps += 1
-                if steps > budget.max_steps:
-                    return IdealDescriptor(bp, bp.normalize_sum(elems),
-                                           tuple(sorted(mins, key=backend.sort_key)),
-                                           "truncated")
-                mR = _scale(bp, m, R)
-                if not all(contains(x) for x in mR):
-                    continue
-                mL = _scale(bp, m, L)
-                missing = [x for x in mL if not contains(x)]
-                if len(missing) == 1 and add_gen(missing[0]):
-                    changed = True
+                J = [(0,) * len(fixed)]
+                for s in terms:
+                    if s != t and cmul(c, s[0]) != ZERO:
+                        J = _minimal((tuple(map(max, a, b)) for a in J
+                                      for b in colon(c, s)),
+                                     lambda a, b: all(map(int.__le__, a, b)))
+                grown = _minimal(
+                    mins + [backend.mul((c, h), t) for h in J], divides)
+                changed, mins = changed or grown != mins, grown
     return IdealDescriptor(bp, bp.normalize_sum(elems),
-                           tuple(sorted(mins, key=backend.sort_key)), saturated)
+                           tuple(sorted(mins, key=backend.sort_key)))
+
+
+def _minimal(items, divides):
+    """The items that no other divides, in input order; of two that divide
+    each other the first is kept."""
+    out = []
+    for x in items:
+        if not any(divides(w, x) for w in out):
+            out = [w for w in out if not divides(x, w)]
+            out.append(x)
+    return out
 
 
 def _closure_rules(carrier, actors, act, relations):
@@ -1100,9 +1098,7 @@ def _ideal_rules(bp):
 
 
 def is_prime_ideal(bp, ideal):
-    """True / False / Unknown: is the complement a multiplicative set?"""
-    if ideal.saturated != "exact":
-        return UNKNOWN
+    """True or False, never Unknown: is the complement a multiplicative set?"""
     if not ideal.is_proper():
         raise NotAnIdeal("ideal is not proper")
     backend = bp.backend

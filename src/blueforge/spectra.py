@@ -123,8 +123,8 @@ def spec(blueprint, budget=None):
             if not _closed(rules, _bits(backend.symbols, members)):
                 continue
             ideal = IdealDescriptor(blueprint, blueprint.normalize_sum(sub),
-                                    tuple(sorted(members)), "exact")
-            if ideal.is_proper() and is_prime_ideal(blueprint, ideal) is True:
+                                    tuple(sorted(members)))
+            if ideal.is_proper() and is_prime_ideal(blueprint, ideal):
                 points.append(SpecPoint(ideal))
     points.sort(key=lambda p: (len(p.ideal.minimal), p.generator_names()))
     return SpecSpace(blueprint, points,
@@ -140,12 +140,13 @@ def _monomial_primes(blueprint, irrelevant=0):
     are closed. A nonzero term lies in (S) iff one of its non-inverted
     variables is in S, so each term is read as the bitmask of those. (S) is
     closed iff no relation has exactly one term outside it, counting the
-    terms of both sides with multiplicity: that term is what
-    `additive_closure` adds with the multiplier 1, and every other
-    multiplier it tries has a unit coefficient, so it either lies in (S)
-    and forces nothing or acts on membership in (S) as 1 does. Lattice
-    vectors touch only inverted variables, so the complement of a closed
-    (S) is multiplicative. No budget is read.
+    terms of both sides with multiplicity. In `additive_closure`, a colon
+    ideal (S : c*s) is the whole monoid when s lies in (S) and is (S)
+    otherwise. So the multipliers J of a term t are the whole monoid when t
+    is that one term outside, which forces t, and lie in (S) in every other
+    case, which forces nothing new. Lattice vectors touch only inverted
+    variables, so the complement of a closed (S) is multiplicative. No
+    budget is read.
     """
     backend = blueprint.backend
     free = [i for i, n in enumerate(backend.gens) if n not in backend.inverted]
@@ -167,7 +168,7 @@ def _monomial_primes(blueprint, irrelevant=0):
     points, varsets = [], []
     for _, names, sub in found:
         gens = tuple(sorted((elems[i] for i in sub), key=backend.sort_key))
-        points.append(SpecPoint(IdealDescriptor(blueprint, gens, gens, "exact")))
+        points.append(SpecPoint(IdealDescriptor(blueprint, gens, gens)))
         varsets.append(frozenset(names))
     return points, varsets
 
