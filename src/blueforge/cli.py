@@ -260,9 +260,6 @@ def _cmd_cspec(args):
     if not isinstance(bp, Blueprint) or bp.backend.kind != "finite":
         raise BlueprintError("cspec expects a finite-table blueprint")
     space = congruence.cspec(bp, args.budget)
-    if not space.complete:
-        print("notice: budget exhausted; partitions left undecided are not "
-              "listed", file=sys.stderr)
     parts = [repr(c) for c in space.points]
     opens = {(f, g): sorted(space.basis_open(f, g))
              for f in bp.backend.symbols for g in bp.backend.symbols if f < g}

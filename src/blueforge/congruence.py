@@ -3,10 +3,11 @@ spectrum with its basis topology, absorbing ideals, and residue fields.
 
 A partition ~ of the carrier is a congruence when it is multiplicative and
 meets the chain axiom. The chain axiom holds exactly when the quotient B/~
-is proper, so it is checked by building B/~ (`core._collapse`) and running
-the properness search of `core._improper_search` on it, on the one rewrite
-kernel `core._explore`. On a semiring table ~ must also respect the
-addition, and B/~ is the semiring with the pushed addition.
+is proper, so it is decided by building B/~ (`core._collapse`) and reading
+the normal forms of the completion of its pre-addition
+(`core._improper_pair`), which reads no budget. On a semiring table ~ must
+also respect the addition, and B/~ is the semiring with the pushed
+addition.
 
 The congruence spectrum is built from primes and subgroups (Deitmar,
 "Congruence schemes", Int. J. Math. 24, 2013). The zero class of a prime
@@ -20,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
-                   BlueprintError, IdealDescriptor, TooLarge, _collapse,
-                   _idempotent_power, _improper_search, _symbol_key,
-                   localize)
+from .core import (PROVED, REFUTED, ZERO, Blueprint, BlueprintError,
+                   IdealDescriptor, TooLarge, _collapse, _idempotent_power,
+                   _improper_pair, _scaled_pairs, _symbol_key, localize)
 from .spectra import spec
 
 
@@ -63,22 +63,13 @@ class Congruence:
 
 
 def _check_table(blueprint):
-    """Refuse tables that are not finite, and carriers beyond the cap."""
-    backend = blueprint.backend
-    if backend.kind != "finite":
+    if blueprint.backend.kind != "finite":
         raise TooLarge("congruences are implemented for finite tables")
-    # The candidates would run on larger carriers, but the chain axiom
-    # would not be decided there: a properness search stopped by the term
-    # bound counts as exhausted. Without the cap, f1n(10) gives 4 points at
-    # Budget(6, 3, 100000) and 3 at the default budget, and both say
-    # complete; the total collapse of its units needs a five-term sum to
-    # reach 1 = 0.
-    if len(backend.symbols) > 7:
-        raise TooLarge("carrier larger than 7")
 
 
-def _verdict(blueprint, cong, budget):
-    """Proved / Refuted / Unknown for the partition `cong` of the carrier."""
+def _verdict(blueprint, cong):
+    """Proved / Refuted for the partition `cong` of the carrier; TooLarge
+    when the completion of B/~ outgrows `core._COMPLETION_CAP`."""
     backend = blueprint.backend
     carrier = backend.symbols
     block_id = {x: i for i, block in enumerate(cong.partition)
@@ -95,35 +86,34 @@ def _verdict(blueprint, cong, budget):
                     for t in tables:
                         if block_id[t[(a, c)]] != block_id[t[(b, c)]]:
                             return REFUTED
-    quotient = quotient_by_congruence(blueprint, cong, budget)
+    quotient = quotient_by_congruence(blueprint, cong)
     nonzero = [s for s in quotient.backend.symbols if s != ZERO]
-    pair, cut = _improper_search(quotient, nonzero, budget)
-    if pair is not None:
-        return REFUTED
-    return UNKNOWN if cut else PROVED
+    pairs = _scaled_pairs(quotient.relations, nonzero, quotient.backend.mul,
+                          ZERO)
+    return PROVED if _improper_pair(nonzero, pairs, ZERO) is None \
+        else REFUTED
 
 
 def is_congruence(blueprint, partition, budget=None):
-    """Proved / Refuted / Unknown for the two congruence axioms; raises
-    NotACongruence unless the blocks are nonempty, disjoint and cover the
-    carrier.
+    """Proved / Refuted for the two congruence axioms; raises NotACongruence
+    unless the blocks are nonempty, disjoint and cover the carrier, and
+    TooLarge past `core._COMPLETION_CAP` completion rules. The budget is not
+    read.
 
     Multiplicativity, and on a semiring table additivity, are exhausted.
     The chain axiom holds iff the quotient B/~ is proper: no derivation
-    identifies a nonzero class with another class or with 0. That is the
-    properness search of `core._improper_search` on B/~; a search cut by
-    the budget gives Unknown unless another one finds an identification.
-    A semiring table without relations, such as the catalog's, gives a
-    quotient without relations, where that search ends at once.
+    identifies a nonzero class with another class or with 0, that is no two
+    of them share a normal form under the completion of B/~ and none has
+    the empty one. A semiring table without relations, such as the
+    catalog's, gives a quotient without relations and so without rules.
     """
-    budget = budget or blueprint.budget
     _check_table(blueprint)
     cong = Congruence(blueprint, partition)
     members = sorted(x for block in cong.partition for x in block)
     if () in cong.partition or members != sorted(blueprint.backend.symbols):
         raise NotACongruence("blocks must be nonempty, disjoint and cover"
                              " the carrier")
-    return _verdict(blueprint, cong, budget)
+    return _verdict(blueprint, cong)
 
 
 def is_prime_congruence(blueprint, cong: Congruence):
@@ -156,7 +146,7 @@ def is_prime_congruence(blueprint, cong: Congruence):
 class CSpecSpace:
     blueprint: Blueprint
     points: tuple            # prime Congruence objects, canonical order
-    complete: bool
+    complete: bool           # every candidate is decided: always True
 
     def __len__(self):
         return len(self.points)
@@ -211,19 +201,13 @@ def _candidates(blueprint, primes):
             yield Congruence(blueprint, [ideal, *cosets.values()])
 
 
-def _cspec(blueprint, budget, primes):
+def _cspec(blueprint, primes):
     """The prime congruences among the candidates built on the points of
     `primes`, the spectrum of `blueprint`."""
-    points = []
-    complete = True
-    for cong in _candidates(blueprint, primes):
-        verdict = _verdict(blueprint, cong, budget)
-        if verdict == UNKNOWN:
-            complete = False
-        elif verdict == PROVED:
-            points.append(cong)
+    points = [cong for cong in _candidates(blueprint, primes)
+              if _verdict(blueprint, cong) == PROVED]
     points.sort(key=lambda c: c.partition)
-    return CSpecSpace(blueprint, tuple(points), complete)
+    return CSpecSpace(blueprint, tuple(points), True)
 
 
 def cspec(blueprint, budget=None):
@@ -232,12 +216,12 @@ def cspec(blueprint, budget=None):
     Every prime congruence has a prime p of `spec(B)` as its zero class and
     is, on M = B∖p, the kernel of M -> G/H for G the group completion of M
     and H a subgroup of G. Only these candidates are checked, by the
-    congruence verdict of `is_congruence`; `complete` is False when the
-    budget leaves one of them undecided. `spec` of a finite table reads no
-    budget."""
-    budget = budget or blueprint.budget
+    congruence verdict of `is_congruence`, which decides each one, so
+    `complete` is always True. Neither that verdict nor `spec` of a finite
+    table reads the budget; past `core._COMPLETION_CAP` completion rules on
+    some B/~ this raises TooLarge."""
     _check_table(blueprint)
-    return _cspec(blueprint, budget, spec(blueprint, budget))
+    return _cspec(blueprint, spec(blueprint))
 
 
 def absorbing_ideal(cong: Congruence) -> IdealDescriptor:
@@ -249,11 +233,10 @@ def absorbing_ideal(cong: Congruence) -> IdealDescriptor:
 
 def cspec_to_spec(blueprint, budget=None):
     """The map CSpec -> Spec sending a prime congruence to its absorbing
-    ideal; returns (cspec, spec, index map)."""
-    budget = budget or blueprint.budget
+    ideal; returns (cspec, spec, index map). The budget is not read."""
     _check_table(blueprint)
-    X = spec(blueprint, budget)
-    C = _cspec(blueprint, budget, X)
+    X = spec(blueprint)
+    C = _cspec(blueprint, X)
     index = {frozenset(p.ideal.minimal): j for j, p in enumerate(X.points)}
     mapping = {i: index[frozenset(absorbing_ideal(cong).minimal)]
                for i, cong in enumerate(C.points)}

@@ -642,34 +642,42 @@ def _per_blueprint(build):
 _COMPLETION_CAP = 64
 
 
+def _scaled_pairs(relations, multipliers, mul, zero):
+    """The pairs (m*L, m*R), m in `multipliers` and L = R in `relations`,
+    products by `mul`, with the products equal to `zero` dropped: a finite
+    table's or a module's relations."""
+    def scale(m, terms):
+        return [x for t in terms if (x := mul(m, t)) != zero]
+    return [(scale(m, L), scale(m, R)) for L, R in relations
+            for m in multipliers]
+
+
 class _Completion:
     """The reduced Gröbner basis, read as rewrite rules, of the binomial
-    ideal of a finite table's pre-addition.
+    ideal of a finite pre-addition.
 
-    A sum of nonzero symbols is an exponent vector over them, and the
-    pre-addition is the monoid congruence on these vectors generated by the
-    pairs (m*L, m*R), m a nonzero symbol and L = R a relation, with zero
-    products dropped. u ~ v iff x^u - x^v lies in the ideal of those
-    binomials (Eisenbud-Sturmfels, Duke Math. J. 84, 1996), so u ~ v iff
-    u and v have the same normal form under the completed rules
+    A sum of `symbols`, the nonzero elements, is an exponent vector over
+    them, and the pre-addition is the monoid congruence on these vectors
+    generated by `pairs` of sums: for a finite table or a module, the pairs
+    (m*L, m*R) of `_scaled_pairs`, m a nonzero symbol and L = R a relation.
+    u ~ v iff x^u - x^v lies in the ideal of those binomials
+    (Eisenbud-Sturmfels, Duke Math. J. 84, 1996), so u ~ v iff u and v
+    have the same normal form under the completed rules
     (Ballantyne-Lankford, Comp. Math. Appl. 7, 1981). Buchberger's
     algorithm in graded reverse lex order: the pair with the least lcm
     first, pairs with coprime leading terms skipped, the basis kept reduced
     on each insert. More than `_COMPLETION_CAP` rules raise TooLarge.
     """
 
-    def __init__(self, bp):
-        self.symbols = [s for s in bp.backend.symbols if s != ZERO]
+    def __init__(self, symbols, pairs):
+        self.symbols = list(symbols)
         self.index = {s: i for i, s in enumerate(self.symbols)}
         self.rules = {}   # id -> (lhs, rhs), lhs > rhs
         self._steps = {}  # id -> (bitmask of lhs, lhs entries, rhs - lhs)
         self._pairs = []  # heap of (key(lcm), id, id, lcm)
         self._ids = itertools.count()
-        pending = sorted(
-            (self._key(u), u, v)
-            for L, R in bp.relations for m in self.symbols
-            if (u := self.vector(_scale(bp, m, L)))
-            != (v := self.vector(_scale(bp, m, R))))
+        pending = sorted((self._key(u), u, v) for L, R in pairs
+                         if (u := self.vector(L)) != (v := self.vector(R)))
         self._pending = [(u, v) for _, u, v in reversed(pending)]
         while True:
             while self._pending:
@@ -748,12 +756,35 @@ class _Completion:
         return tuple(s for s, e in zip(self.symbols, u) for _ in range(e))
 
 
+def _improper_pair(symbols, pairs, zero):
+    """The pair that an uncut `_improper_search` over `symbols` returns, read
+    off the normal forms of the completion of `pairs`: (zero, m) for the
+    first m whose normal form is empty, else (m, b) for the first m that
+    shares its normal form with another symbol, b the least such; None
+    when the sums are proper. Past `_COMPLETION_CAP` rules, TooLarge. When
+    every pair has two terms or more a side, no rewrite applies to the
+    empty sum or to a single term, and no completion is needed."""
+    if all(len(L) > 1 and len(R) > 1 for L, R in pairs):
+        return None
+    done = _Completion(symbols, pairs)
+    forms = {s: done.normal_form((s,)) for s in symbols}
+    for m in symbols:
+        if not forms[m]:
+            return zero, m
+        same = [b for b in symbols if b != m and forms[b] == forms[m]]
+        if same:
+            return m, min(same)
+    return None
+
+
 @_per_blueprint
 def _completion(bp):
     """The completion of a finite table's pre-addition, or None past its
     cap."""
+    symbols = [s for s in bp.backend.symbols if s != ZERO]
     try:
-        return _Completion(bp)
+        return _Completion(symbols, _scaled_pairs(bp.relations, symbols,
+                                                  bp.backend.mul, ZERO))
     except TooLarge:
         return None
 
@@ -1088,9 +1119,8 @@ def _ideal_rules(bp):
     say that members are closed under sums and that x + c = y, x and y
     members, forces c."""
     backend = bp.backend
-    rels = [(_scale(bp, m, L), _scale(bp, m, R))
-            for L, R in bp.oriented_relations()
-            for m in backend.multipliers(0)]
+    rels = _scaled_pairs(bp.oriented_relations(), backend.multipliers(0),
+                         backend.mul, ZERO)
     if bp.is_semiring:
         for (a, b), c in backend.add_table.items():
             rels += [((c,), (a, b)), ((a, b), (c,))]

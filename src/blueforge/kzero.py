@@ -1,6 +1,8 @@
 """Blue modules over finite blueprints: kernels and cokernels, normal
 morphisms, projectivity, and K0 from the normal-exact-sequence presentation
-via Smith normal form. Derivations in a module run on `core._explore`, and
+via Smith normal form. Derivations in a module are decided by the normal
+forms of the completion of its pre-addition (`core._Completion`), which
+reads no budget and raises TooLarge past `core._COMPLETION_CAP` rules, and
 isomorphisms of modules are the one search for finite structures,
 `core._isomorphism` on `core._structure`.
 
@@ -15,16 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .budget import Budget
 from .core import (ONE, ZERO, Blueprint, BlueprintError, TooLarge, _bits,
                    _close, _close_under_action, _closed, _closure_rules,
-                   _explore, _improper_search, _isomorphism, _members,
-                   _structure, _UnionFind)
+                   _Completion, _improper_pair, _isomorphism, _members,
+                   _per_blueprint, _scaled_pairs, _structure, _UnionFind)
 from .snf import smith_normal_form
 
 BASE = "*"
-# The bounds of every search in a module; running out raises TooLarge.
-MODULE_BUDGET = Budget(2, 8, 4000)
 
 
 class NotMono(BlueprintError):
@@ -86,7 +85,6 @@ class BlueModule:
         self.relations = tuple(sorted(rels))
         self._oriented = tuple(side for l, r in self.relations
                                for side in ((l, r), (r, l)))
-        self.backend = _ActionBackend(self.action, syms)
 
     def act(self, b, m):
         return self.action[(b, m)]
@@ -135,34 +133,6 @@ class BlueModule:
                      for l, r in self.relations]
             self._invariant = (s.shape, tuple(sorted(sides)))
         return self._invariant
-
-
-class _ActionBackend:
-    """The action as the rewrite kernel reads a blueprint backend: elements
-    are the terms, the base point is zero and b multiplies m to b·m."""
-
-    def __init__(self, action, symbols):
-        self._action = action
-        self._nonzero = [b for b in symbols if b != ZERO]
-
-    def mul(self, b, m):
-        return self._action[(b, m)]
-
-    def is_zero(self, m):
-        return m == BASE
-
-    def zero(self):
-        return BASE
-
-    def degree(self, b):
-        return 0
-
-    def divide(self, t, m):
-        """The nonzero symbols b with b·m = t."""
-        return [b for b in self._nonzero if self._action[(b, m)] == t]
-
-    def multipliers(self, max_degree):
-        return self._nonzero
 
 
 def free_module(blueprint, k, name=None):
@@ -246,21 +216,29 @@ class ModuleMorphism:
         return f"ModuleMorphism({bits})"
 
 
-def _out_of_budget(module):
-    return TooLarge(f"a search in {module!r} ran out of the module budget"
-                    f" MODULE_BUDGET = {MODULE_BUDGET}")
+def _module_pairs(module):
+    """The module's relations scaled by every nonzero symbol, with the base
+    point dropped."""
+    nonzero = [b for b in module.blueprint.backend.symbols if b != ZERO]
+    return _scaled_pairs(module.relations, nonzero, module.act, BASE)
+
+
+@_per_blueprint
+def _module_completion(module):
+    """The completion of the module's pre-addition over its nonbase
+    elements, kept on the module, which is not mutated."""
+    return _Completion(module.nonbase(), _module_pairs(module))
 
 
 def module_derive(module, lhs, rhs):
-    """Whether lhs = rhs lies in the module's pre-addition, by one search
-    from lhs; TooLarge when MODULE_BUDGET stops it before it reaches rhs."""
+    """Whether lhs = rhs lies in the module's pre-addition, decided by the
+    normal forms of `_module_completion`; TooLarge past
+    `core._COMPLETION_CAP` rules. Equal sums need no completion."""
     l, r = module._norm_sum(lhs), module._norm_sum(rhs)
     if l == r:
         return True
-    hit, _, truncated = _explore(module, l, MODULE_BUDGET, targets={r})
-    if truncated:
-        raise _out_of_budget(module)
-    return hit
+    done = _module_completion(module)
+    return done.normal_form(l) == done.normal_form(r)
 
 
 def is_module_morphism(f: ModuleMorphism):
@@ -369,13 +347,10 @@ def cokernel(f: ModuleMorphism):
 
 def _improper_module_pair(module: BlueModule):
     """The first element, in carrier order, with a derivable identification:
-    (*, m) when it is one with the base point, else (m, b) for the least b
-    (`core._improper_search` under MODULE_BUDGET). TooLarge when no pair is
-    found and MODULE_BUDGET cut a search short."""
-    pair, cut = _improper_search(module, module.nonbase(), MODULE_BUDGET)
-    if pair is None and cut:
-        raise _out_of_budget(module)
-    return pair
+    (*, m) when it is one with the base point, else (m, b) for the least b,
+    read off the normal forms of a completion (`core._improper_pair`);
+    TooLarge past `core._COMPLETION_CAP` rules."""
+    return _improper_pair(module.nonbase(), _module_pairs(module), BASE)
 
 
 def is_normal_mono(f: ModuleMorphism):

@@ -18,7 +18,7 @@ def run(capsys, *argv):
 
 
 # the points of cspec(F1^4) that a budget of 6,3,5 still decides
-CUT_F1N4_POINTS = ["0/1z1z2z3", "0/1z2/z1z3"]
+F1N4_POINTS = ["0/1/z1/z2/z3", "0/1z1z2z3", "0/1z2/z1z3"]
 
 
 class TestBasicVerbs:
@@ -95,16 +95,14 @@ class TestBasicVerbs:
         assert code == 0
         assert "-11/0" in out
 
-    def test_cspec_truncation_notice(self, capsys):
-        # five steps per search leave the identity partition undecided
+    def test_cspec_needs_no_budget(self, capsys):
+        # five steps per search used to leave the identity partition
+        # undecided; the completion of each quotient reads no budget
         argv = ("cspec", "catalog:f1n:4", "--json")
         code, out, err = run(capsys, *argv, "--budget", "6,3,5")
-        assert code == 0
-        assert json.loads(out)["points"] == CUT_F1N4_POINTS
-        assert len(err.strip().splitlines()) == 1 and "budget" in err
-        code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
-        assert json.loads(out)["points"] == ["0/1/z1/z2/z3"] + CUT_F1N4_POINTS
+        assert json.loads(out)["points"] == F1N4_POINTS
+        assert run(capsys, *argv) == (0, out, "")
 
     def test_cspec_semiring_needs_no_budget(self, capsys):
         # F2 x F3 is decided by its addition table: five steps per search
@@ -130,14 +128,13 @@ class TestBasicVerbs:
 
         def budgeted():
             code, out, err = run(capsys, *argv, "--budget", "6,3,5")
-            assert code == 0
-            assert json.loads(out)["points"] == CUT_F1N4_POINTS
-            assert len(err.strip().splitlines()) == 1 and "budget" in err
+            assert code == 0 and err == ""
+            assert json.loads(out)["points"] == F1N4_POINTS
 
         def default():
             code, out, err = run(capsys, *argv)
             assert code == 0 and err == ""
-            assert len(json.loads(out)["points"]) == 3
+            assert json.loads(out)["points"] == F1N4_POINTS
             return out
 
         if budget_first:

@@ -1,7 +1,8 @@
 """The completion that decides `derive` on finite tables
 (`core._Completion`) against `sympy.groebner`: its rules are the reduced
 Gröbner basis of the binomial ideal of the pairs (m*L, m*R) in grevlex
-order, which is unique, and u ~ v iff x^u - x^v lies in that ideal."""
+order, which is unique, and u ~ v iff x^u - x^v lies in that ideal. The
+oracles here also serve the congruence and module tests."""
 
 import random
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from blueforge import catalog
 from blueforge.budget import Budget
 from blueforge.core import (PROVED, REFUTED, ZERO, Blueprint, _completion,
-                            _derive3, _rewrites, _scale, derive)
+                            _derive3, _improper_pair, _rewrites, _scale,
+                            _scaled_pairs, derive)
 
 TABLES = {
     "b1": catalog.b1, "f1_squared": catalog.f1_squared,
@@ -26,19 +28,51 @@ SMALL = ["b1", "f1_squared", "f1n3", "f1n4", "roots_sums3", "roots_sums4",
 WALK = Budget(2, 8, 100)
 
 
-def sympy_ideal(bp):
-    """The reduced grevlex basis of sympy, with the generators x0 > x1 > ...
-    in the order of the completion's symbols, and a monomial builder."""
+def sympy_basis(elements, pairs):
+    """The reduced grevlex basis of sympy of the binomials x^L - x^R, (L, R)
+    in `pairs`, with the generators x0 > x1 > ... in the order of
+    `elements`, and a monomial builder."""
     sympy = pytest.importorskip("sympy")
-    syms = [s for s in bp.backend.symbols if s != ZERO]
-    xs = sympy.symbols(f"x0:{len(syms)}")
+    elements = list(elements)
+    xs = sympy.symbols(f"x0:{len(elements)}")
 
     def mono(terms):
-        return sympy.Mul(*(xs[syms.index(t)] for t in terms))
+        return sympy.Mul(*(xs[elements.index(t)] for t in terms))
 
-    gens = [mono(_scale(bp, m, L)) - mono(_scale(bp, m, R))
-            for L, R in bp.relations for m in syms]
+    gens = [mono(L) - mono(R) for L, R in pairs]
     return sympy.groebner(gens, *xs, order="grevlex"), mono
+
+
+def sympy_ideal(bp):
+    """`sympy_basis` of the pairs (m*L, m*R) of a finite table, over its
+    nonzero symbols."""
+    syms = [s for s in bp.backend.symbols if s != ZERO]
+    return sympy_basis(syms, [(_scale(bp, m, L), _scale(bp, m, R))
+                              for L, R in bp.relations for m in syms])
+
+
+def sympy_improper_pair(G, mono, elements, zero):
+    """The pair of `core._improper_pair`, by sympy's membership test:
+    (zero, a) for the first a with x_a - 1 in the ideal, else (a, b) for the
+    first a with some x_a - x_b in it, b the least such element."""
+    for a in elements:
+        if G.contains(mono([a]) - 1):
+            return zero, a
+        same = [b for b in elements
+                if b != a and G.contains(mono([a]) - mono([b]))]
+        if same:
+            return a, min(same)
+    return None
+
+
+def assert_rules_as_sympy(done, G, mono):
+    """The rules of the completion `done` are sympy's basis `G`."""
+    rules = {mono(done.symbols[k] for k, e in enumerate(lhs)
+                  for _ in range(e))
+             - mono(done.symbols[k] for k, e in enumerate(rhs)
+                    for _ in range(e))
+             for lhs, rhs in done.rules.values()}
+    assert rules == set(G.exprs) - {0}
 
 
 def pairs_of(bp, rng, count):
@@ -60,12 +94,10 @@ def assert_as_sympy(bp, rng, count=30):
     done = _completion(bp)
     assert done is not None
     G, mono = sympy_ideal(bp)
-    rules = {mono(done.symbols[k] for k, e in enumerate(lhs)
-                  for _ in range(e))
-             - mono(done.symbols[k] for k, e in enumerate(rhs)
-                    for _ in range(e))
-             for lhs, rhs in done.rules.values()}
-    assert rules == set(G.exprs) - {0}
+    assert_rules_as_sympy(done, G, mono)
+    pairs = _scaled_pairs(bp.relations, done.symbols, bp.backend.mul, ZERO)
+    assert _improper_pair(done.symbols, pairs, ZERO) == \
+        sympy_improper_pair(G, mono, done.symbols, ZERO)
     for l, r in pairs_of(bp, rng, count):
         verdict, forms = _derive3(bp, l, r, WALK)
         assert verdict == (PROVED if G.contains(mono(l) - mono(r))
@@ -101,6 +133,23 @@ def tables_with_relations(draw):
 def test_random_tables_as_sympy(bp, rng):
     if _completion(bp) is not None:
         assert_as_sympy(bp, rng, count=10)
+
+
+@given(st.integers(2, 5), st.data())
+@settings(max_examples=30, deadline=None)
+def test_sides_of_two_terms_or_more_need_no_completion(k, data):
+    # units never multiply a term to 0, so every scaled side keeps its
+    # terms, and no rewrite reaches the empty sum or a single term
+    backend = catalog.f1n(k).backend
+    syms = [s for s in backend.symbols if s != ZERO]
+    side = st.lists(st.sampled_from(syms), min_size=2, max_size=4)
+    bp = Blueprint(backend, data.draw(st.lists(st.tuples(side, side),
+                                               min_size=1, max_size=2)),
+                   check_proper=False)
+    pairs = _scaled_pairs(bp.relations, syms, backend.mul, ZERO)
+    assert _improper_pair(syms, pairs, ZERO) is None
+    G, mono = sympy_ideal(bp)
+    assert sympy_improper_pair(G, mono, syms, ZERO) is None
 
 
 def test_built_on_first_use_only():

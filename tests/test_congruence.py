@@ -14,6 +14,7 @@ from blueforge.core import (PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
                             _idempotent_power, _improper_search, _scale,
                             _symbol_key)
 from blueforge.spectra import spec
+from test_completion import sympy_basis, sympy_improper_pair
 
 
 def _set_partitions(items):
@@ -307,10 +308,10 @@ def reference_is_congruence(blueprint, partition, budget=None):
 
 
 def assert_cspec_matches_partitions(bp, budget):
-    """cspec's points and completeness follow the verdicts of
-    `is_congruence` on every partition of the carrier: the points are the
-    Proved prime ones, and cspec is complete iff no verdict is Unknown.
-    Returns the partitions and their verdicts."""
+    """cspec's points follow the verdicts of `is_congruence` on every
+    partition of the carrier: the points are the Proved prime ones. Every
+    verdict is Proved or Refuted, and cspec is complete. Returns the
+    partitions and their verdicts."""
     partitions = list(_set_partitions(sorted(bp.backend.symbols)))
     congs = [cg.Congruence(bp, blocks) for blocks in partitions]
     got = [cg.is_congruence(bp, blocks, budget) for blocks in partitions]
@@ -318,29 +319,51 @@ def assert_cspec_matches_partitions(bp, budget):
     assert [c.partition for c in C.points] == sorted(
         c.partition for c, verdict in zip(congs, got)
         if verdict == PROVED and cg.is_prime_congruence(bp, c))
-    assert C.complete == (UNKNOWN not in got)
+    assert set(got) <= {PROVED, REFUTED} and C.complete
     return partitions, got
+
+
+def sympy_verdict(bp, partition):
+    """Proved / Refuted by an oracle apart from the library, for a table
+    without addition: multiplicativity by brute force, and the chain axiom
+    by sympy's membership test on the binomial ideal of B/~. Its variables
+    are the classes other than that of 0, and each relation L = R scaled by
+    each nonzero symbol m gives x^[mL] - x^[mR], the class of 0 dropped; B/~
+    is proper iff no x_a - 1 and no x_a - x_b, a ≠ b, lies in the ideal."""
+    assert bp.backend.add_table is None
+    cong = cg.Congruence(bp, partition)
+    carrier = bp.backend.symbols
+    mul = bp.backend.mul
+    if any(cong.related(a, b) and not cong.related(mul(a, c), mul(b, c))
+           for a in carrier for b in carrier for c in carrier):
+        return REFUTED
+    zero = cong.block(ZERO)
+    classes = [block for block in cong.partition if block != zero]
+    if not classes:
+        return PROVED
+
+    def side(m, terms):
+        return [cong.block(x) for x in (mul(m, t) for t in terms)
+                if not cong.related(x, ZERO)]
+
+    G, mono = sympy_basis(classes, [(side(m, L), side(m, R))
+                                    for L, R in bp.relations
+                                    for m in carrier if m != ZERO])
+    return PROVED if sympy_improper_pair(G, mono, classes, ZERO) is None \
+        else REFUTED
 
 
 def assert_matches_reference(bp, budget):
     """cspec against the partition loop (`assert_cspec_matches_partitions`).
-    Where the reference decides every partition at `budget`, each verdict
-    equals the reference's. Where its step bound cuts it, no verdict is
-    Proved where the reference says Refuted or the other way round, and
-    each decided verdict equals the reference's at the same degree and term
-    bounds with 10**6 steps."""
+    Each verdict is the sympy oracle's (`sympy_verdict`). The bounded
+    reference is sound one way only: a sum past its term bound can hide a
+    derivation, so it may say Proved where the verdict is Refuted, but each
+    partition it refutes is refuted."""
     partitions, got = assert_cspec_matches_partitions(bp, budget)
-    expected = [reference_is_congruence(bp, blocks, budget)
-                for blocks in partitions]
-    if UNKNOWN not in expected:
-        assert got == expected
-        return
-    wide = Budget(budget.max_degree, budget.max_terms, 10 ** 6)
-    for blocks, verdict, want in zip(partitions, got, expected):
-        assert {verdict, want} != {PROVED, REFUTED}, blocks
-        if verdict != UNKNOWN:
-            assert verdict == reference_is_congruence(bp, blocks, wide), \
-                blocks
+    for blocks, verdict in zip(partitions, got):
+        assert verdict == sympy_verdict(bp, blocks), blocks
+        if reference_is_congruence(bp, blocks, budget) == REFUTED:
+            assert verdict == REFUTED, blocks
 
 
 DIFFERENTIAL_BLUEPRINTS = (
@@ -377,21 +400,19 @@ class TestChainClosureDifferential:
         for budget in (Budget(6, 3, 100000), Budget(6, 3, 40)):
             assert_matches_reference(bp, budget)
 
-
-class TestDefaultBudget:
-    """A relation with six terms fits the default budget's eight-term sums,
-    so these spectra are complete at the default budget."""
-
-    @pytest.mark.parametrize("bp,count", [
-        (catalog.f1n(6), 3), (catalog.roots_of_unity_sums(6), 4)],
-        ids=lambda x: x.name if isinstance(x, Blueprint) else str(x))
-    def test_complete_and_equal_to_three_terms(self, bp, count):
-        C = cg.cspec(bp)
-        assert C.complete and len(C) == count
-        narrow = cg.cspec(bp, Budget(6, 3, 100000))
-        assert narrow.complete
-        assert [c.partition for c in C.points] == \
-            [c.partition for c in narrow.points]
+    def test_three_terms_miss_a_refutation(self):
+        # 0 = 1 + 1 + (-1) and, scaled by -1, 0 = (-1) + (-1) + 1, so
+        # 1 = 1 + ((-1) + (-1) + 1) = (1 + 1 + (-1)) + (-1) = -1 through a
+        # four-term sum: the reference at three terms does not see it
+        bp = Blueprint(catalog.f1n(2).backend, [([], ["1", "1", "-1"])],
+                       check_proper=False)
+        identity = [["0"], ["1"], ["-1"]]
+        assert reference_is_congruence(bp, identity,
+                                       Budget(6, 3, 100000)) == PROVED
+        assert reference_is_congruence(bp, identity,
+                                       Budget(6, 8, 100000)) == REFUTED
+        assert cg.is_congruence(bp, identity) == REFUTED
+        assert sympy_verdict(bp, identity) == REFUTED
 
 
 def reference_saturate(blueprint, budget):
@@ -552,9 +573,9 @@ class TestCandidates:
         calls = []
         verdict = cg._verdict
 
-        def counted(blueprint, cong, budget):
+        def counted(blueprint, cong):
             calls.append(cong.partition)
-            return verdict(blueprint, cong, budget)
+            return verdict(blueprint, cong)
 
         monkeypatch.setattr(cg, "_verdict", counted)
         return cg.cspec(bp, budget), calls
@@ -575,17 +596,40 @@ class TestCandidates:
         assert len(calls) == sum(n % d == 0 for d in range(1, n + 1))
 
 
-class TestKnownDefects:
-    @pytest.mark.xfail(strict=True, reason="a properness search stopped by "
-                       "the term bound counts as exhausted (ROADMAP items 1 "
-                       "and 2)")
+class TestLiftedCarrierCap:
+    """The chain axiom is decided by the completion of B/~, so cspec reads
+    no budget and runs on carriers of more than seven symbols."""
+
     def test_term_bound_is_not_exhaustion(self):
         # collapsing all units of f1n(6) gives 1 + 1 = 0 and 1 + 1 + 1 = 0,
-        # so 1 = 1 + 1 + 1 = 0 with a three-term sum; two terms do not see
-        # it, yet the search reads as exhausted
-        C = cg.cspec(catalog.f1n(6), Budget(6, 2, 100000))
-        assert not C.complete or \
-            "0/1z1z2z3z4z5" not in [repr(c) for c in C.points]
+        # so 1 = 1 + 1 + 1 = 0 with a three-term sum; a search bounded to
+        # two terms did not see it, yet read as exhausted
+        bp = catalog.f1n(6)
+        C = cg.cspec(bp, Budget(6, 2, 100000))
+        assert C.complete
+        assert "0/1z1z2z3z4z5" not in [repr(c) for c in C.points]
+        assert [c.partition for c in C.points] == \
+            [c.partition for c in cg.cspec(bp).points]
+
+    @pytest.mark.parametrize("bp,count", [
+        (catalog.f1n(6), 3), (catalog.roots_of_unity_sums(6), 4),
+        (catalog.f1n(8), 4), (catalog.f1n(10), 3), (catalog.f1n(12), 4),
+        (catalog.roots_of_unity_sums(8), 4),
+        (catalog.roots_of_unity_sums(10), 4),
+        (catalog.roots_of_unity_sums(12), 6),
+        (catalog.two_fields(3, 5), 10)],
+        ids=lambda x: x.name if isinstance(x, Blueprint) else str(x))
+    def test_points_at_every_budget(self, bp, count):
+        C = cg.cspec(bp)
+        assert C.complete and len(C) == count
+        for budget in (Budget(6, 3, 100000), Budget(6, 2, 100000)):
+            other = cg.cspec(bp, budget)
+            assert other.complete
+            assert [c.partition for c in other.points] == \
+                [c.partition for c in C.points]
+        for cong in cg._candidates(bp, spec(bp)):
+            assert cg._verdict(bp, cong) == \
+                sympy_verdict(bp, cong.partition), cong
 
 
 class TestAbsorbingIdeals:

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blueforge import catalog, core
+from blueforge import congruence as cg
 from blueforge import kzero as kz
 from blueforge.budget import Budget
 from blueforge.cli import main
 from blueforge.core import ONE, ZERO, Blueprint, FiniteTable, TooLarge
 from blueforge.kzero import BASE
 from blueforge.snf import smith_normal_form
+from test_completion import (assert_rules_as_sympy, sympy_basis,
+                             sympy_improper_pair)
 
 
 @pytest.fixture(scope="module")
@@ -266,55 +269,57 @@ class TestK0:
         assert captured.err == "error: k0 expects a finite-table blueprint\n"
 
 
-class TestModuleBudget:
-    """A search that runs out of `MODULE_BUDGET` raises TooLarge; it used to
-    read as "not derivable"."""
+class TestCompletionCap:
+    """Module derivations and the properness of cokernels are decided by
+    completions; no search budget is read, and past `core._COMPLETION_CAP`
+    rules they raise TooLarge."""
 
-    def test_k0_raises(self, monkeypatch):
-        monkeypatch.setattr(kz, "MODULE_BUDGET", Budget(0, 8, 1))
-        with pytest.raises(TooLarge, match="module budget"):
-            kz.k0(catalog.f1n(2), 3)
+    def test_module_derive_and_k0_read_no_budget(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a budgeted search ran")
 
-    def test_cli_exits_1(self, monkeypatch, capsys):
-        monkeypatch.setattr(kz, "MODULE_BUDGET", Budget(0, 8, 1))
+        assert not hasattr(kz, "MODULE_BUDGET")
+        f12 = catalog.f1n(2)
+        monkeypatch.setattr(core, "_explore", forbidden)
+        monkeypatch.setattr(core, "_improper_search", forbidden)
+        free = kz.free_module(f12, 1)
+        assert not kz.module_derive(free, ["1@0"], ["-1@0"])
+        assert kz.module_derive(free, ["1@0", "-1@0"], [])
+        # equal sums need no completion
+        assert kz.module_derive(free, ["1@0"], ["1@0", kz.BASE])
+        killed = kz.BlueModule(free.blueprint, free.carrier, free.action,
+                               [(["1@0"], [])])
+        assert kz._improper_module_pair(killed) == (BASE, "-1@0")
+        assert kz._improper_module_pair(free) is None
+        assert kz.k0(f12, 3).is_infinite_cyclic()
+
+    def test_cspec_and_k0_raise_past_the_cap(self, monkeypatch, capsys):
+        # a fresh blueprint keeps no completion built under the patched cap
+        f12 = catalog.f1n(2)
+        f12 = Blueprint(f12.backend, f12.relations)
+        monkeypatch.setattr(core, "_COMPLETION_CAP", 0)
+        with pytest.raises(TooLarge, match="completion past 0 rules"):
+            cg.cspec(f12)
+        with pytest.raises(TooLarge, match="completion past 0 rules"):
+            kz.k0(f12, 3)
+        with pytest.raises(TooLarge, match="completion past 0 rules"):
+            kz.module_derive(kz.free_module(f12, 1), ["1@0"], ["-1@0"])
         assert main(["k0", "catalog:f1n:2", "--bound", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert "module budget" in captured.err
+        assert captured.err == "error: completion past 0 rules\n"
 
-    def test_module_derive(self, monkeypatch):
-        free = kz.free_module(catalog.f1n(2), 1)
-        assert not kz.module_derive(free, ["1@0"], ["-1@0"])
-        assert kz.module_derive(free, ["1@0", "-1@0"], [])
-        monkeypatch.setattr(kz, "MODULE_BUDGET", Budget(0, 8, 1))
-        with pytest.raises(TooLarge, match="module budget"):
-            kz.module_derive(free, ["1@0"], ["-1@0"])
-        # equal sums need no search
-        assert kz.module_derive(free, ["1@0"], ["1@0", kz.BASE])
-
-    def test_cut_search_hides_no_later_pair(self, monkeypatch):
-        # 1@1 = 0 is found although the search from 1@0, which comes first,
-        # is cut; with no pair found at all, the cut search raises.
-        f1 = catalog.f1()
-        free = kz.free_module(f1, 2)
-        killed = kz.BlueModule(f1, free.carrier, free.action, [(["1@1"], [])])
-        original = core._explore
-
-        def cut_at_1_0(module, start, *args, **kwargs):
-            if start == ("1@0",):
-                return False, set(), True
-            return original(module, start, *args, **kwargs)
-
-        # the properness search of `core` looks `_explore` up in `core`
-        monkeypatch.setattr(core, "_explore", cut_at_1_0)
-        assert kz._improper_module_pair(killed) == (BASE, "1@1")
-        proper = kz.BlueModule(f1, free.carrier, free.action,
-                               [(["1@0"], ["1@0", "1@1"])])
-        with pytest.raises(TooLarge, match="module budget"):
-            kz._improper_module_pair(proper)
-        monkeypatch.setattr(core, "_explore", original)
-        assert kz._improper_module_pair(proper) is None
+    def test_relations_of_two_terms_or_more_need_no_completion(self):
+        # the completion of roots_sums(7) outgrows the cap, but its one
+        # relation has seven terms a side, so B·1 and the quotients of B
+        # are proper without it
+        bp = catalog.roots_of_unity_sums(7)
+        assert core._completion(bp) is None
+        got = kz.k0(bp, 8)
+        assert got.generators == ("P0(size 1)", "P1(size 8)")
+        assert got.is_infinite_cyclic()
+        assert [repr(c) for c in cg.cspec(bp).points] == \
+            ["0/1/z1/z2/z3/z4/z5/z6", "0/1z1z2z3z4z5z6"]
 
 
 # ---------------------------------------------------------------------------
@@ -700,19 +705,16 @@ def reference_improper_module_pair(module):
 
 def assert_searches_as_reference(module, exhaustive=True):
     """Every element against the empty sum, every pair of elements and the
-    improper pair, on the core kernel and on the old search. Where a search
-    runs out of steps there is no answer to compare: the old one reads as
-    None, the new one raises TooLarge. With `exhaustive` none may run out."""
+    improper pair, decided by the module's completion, against the old
+    search. Where the old search runs out of steps it reads as None and
+    there is nothing to compare; with `exhaustive` it may not run out."""
     singles = [(m,) for m in module.nonbase()]
     cut = False
     for lhs, rhs in [(s, ()) for s in singles] + \
             list(itertools.combinations(singles, 2)):
         expected = reference_module_derive(module, lhs, rhs)
-        try:
-            got = kz.module_derive(module, lhs, rhs)
-        except TooLarge:
-            got = None
-        if expected is None or got is None:
+        got = kz.module_derive(module, lhs, rhs)
+        if expected is None:
             assert not exhaustive, (module, lhs, rhs)
             cut = True
         else:
@@ -721,6 +723,34 @@ def assert_searches_as_reference(module, exhaustive=True):
         # the old pair loop read a search that ran out as "no"
         assert kz._improper_module_pair(module) == \
             reference_improper_module_pair(module)
+
+
+def assert_completion_as_sympy(module):
+    """The completion kept on the module against sympy: its rules are the
+    reduced grevlex basis of the binomials of the relations scaled by every
+    nonzero symbol, `module_derive` of an element against the base point
+    and against another element is sympy's membership test of x_a - 1 and
+    x_a - x_b, and `_improper_module_pair` is the pair read off those."""
+    elements = module.nonbase()
+    if not elements:
+        return
+    nonzero = [b for b in module.blueprint.backend.symbols if b != ZERO]
+
+    def scaled(b, side):
+        return [x for x in (module.act(b, t) for t in side) if x != BASE]
+
+    G, mono = sympy_basis(elements, [(scaled(b, l), scaled(b, r))
+                                     for l, r in module.relations
+                                     for b in nonzero])
+    assert_rules_as_sympy(kz._module_completion(module), G, mono)
+    for i, a in enumerate(elements):
+        assert kz.module_derive(module, [a], []) == \
+            G.contains(mono([a]) - 1), (module, a)
+        for b in elements[i + 1:]:
+            assert kz.module_derive(module, [a], [b]) == \
+                G.contains(mono([a]) - mono([b])), (module, a, b)
+    assert kz._improper_module_pair(module) == \
+        sympy_improper_pair(G, mono, elements, BASE)
 
 
 def module_key(module):
@@ -1257,13 +1287,31 @@ class TestModuleSearchAgainstReference:
 
         monkeypatch.setattr(kz, "_improper_module_pair", checked)
         kz.k0(bp, bound)
+        # the sympy check calls `_improper_module_pair` itself
+        monkeypatch.undo()
         assert quotients
+        for q in quotients:
+            assert_completion_as_sympy(q)
 
     @given(wedges())
     @settings(max_examples=50, deadline=None)
     def test_random_wedges(self, module):
         # extra relations can make a class too large for the step bound
         assert_searches_as_reference(module, exhaustive=False)
+
+
+class TestCompletionAgainstSympy:
+    """The completion kept per module against `sympy.groebner`."""
+
+    def test_universe(self, case):
+        _, _, universe = case
+        for m in universe:
+            assert_completion_as_sympy(m)
+
+    @given(wedges())
+    @settings(max_examples=50, deadline=None)
+    def test_random_wedges(self, module):
+        assert_completion_as_sympy(module)
 
 
 def cyclic_monoid(n, m):
@@ -1382,16 +1430,7 @@ class TestK0FromIdempotents:
         assert len(calls) == 2
 
 
-# The finite catalog tables except two_fields(3,5), whose B·e of size 5
-# runs out of the module budget from bound 5 on on both sides.
-K0_GRID = sorted(set(CATALOG_TABLES) - {"two_fields35"})
-
-
-# `MODULE_BUDGET` with 100 times the steps; scaling its term bound as well
-# lets the searches wander off and run out even so
-HUNDREDFOLD_STEPS = Budget(kz.MODULE_BUDGET.max_degree,
-                           kz.MODULE_BUDGET.max_terms,
-                           100 * kz.MODULE_BUDGET.max_steps)
+K0_GRID = sorted(CATALOG_TABLES)
 
 
 def k0_facts(k0, bp, bound):
@@ -1424,12 +1463,9 @@ class TestK0ByShapes:
                 k0_facts(reference_k0_by_wedges, bp, bound), bound
 
     @pytest.mark.parametrize("name", sorted(CATALOG_TABLES))
-    def test_cokernel_of_a_wedge_is_the_wedge_of_cokernels(
-            self, name, monkeypatch):
+    def test_cokernel_of_a_wedge_is_the_wedge_of_cokernels(self, name):
         # Every wedge of two B·e that fits the size cap of 8, and every pair
-        # of action-closed subsets; the budget is raised so that the wedge
-        # cokernels of two_fields(3,5) answer too.
-        monkeypatch.setattr(kz, "MODULE_BUDGET", HUNDREDFOLD_STEPS)
+        # of action-closed subsets.
         bp = CATALOG_TABLES[name]()
         pairs = 0
         for (e, be), (f, bf) in itertools.combinations_with_replacement(
@@ -1452,21 +1488,18 @@ class TestK0ByShapes:
         assert pairs or min(len(be) for _, be in
                             kz._principal_modules(bp)) > 4
 
-    def test_two_fields_23_at_8_answers(self, monkeypatch):
-        # the wedge cokernels ran out of MODULE_BUDGET here; the cokernels of
-        # single B·e do not
+    def test_two_fields_23_at_8_answers(self):
+        # the wedge cokernels of the reference ran out of a search budget
+        # here; their completions decide them
         bp = catalog.two_fields(2, 3)
         got = kz.k0(bp, 8)
         assert repr(got) == "K0(Z^3)"
-        with pytest.raises(TooLarge, match="module budget"):
-            reference_k0_by_wedges(bp, 8)
-        monkeypatch.setattr(kz, "MODULE_BUDGET", HUNDREDFOLD_STEPS)
         assert reference_k0_by_wedges(bp, 8) == got
 
-    def test_two_fields_35_at_5_still_runs_out(self):
-        # the size-5 B·e of two_fields(3,5) runs out of the budget on its own
-        with pytest.raises(TooLarge, match="module budget"):
-            kz.k0(catalog.two_fields(3, 5), 5)
+    def test_two_fields_35_at_5(self):
+        # the size-5 B·e of two_fields(3,5) ran out of a search budget on
+        # its own
+        assert repr(kz.k0(catalog.two_fields(3, 5), 5)) == "K0(Z^2)"
 
     def test_no_wedge_is_built(self, monkeypatch):
         def forbidden(*args, **kwargs):
