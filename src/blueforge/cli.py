@@ -17,6 +17,7 @@ from functools import lru_cache
 from . import arithcurve, catalog, complexes, congruence, counting, jsonio, kzero
 from .budget import Budget
 from .core import Blueprint, BlueprintError
+from .order import _bits
 from .schemes import BlueScheme, GradedBlueprint, proj
 from .spectra import spec
 
@@ -93,17 +94,18 @@ def _cmd_proj(args):
 
 
 def _space_output(args, space):
-    labels = space.labels()
     if getattr(args, "dot", False):
         print(_dot_of_space(space))
-        return 0
-    data = {"points": [{"generators": list(space.points[i].generator_names())}
-                       for i in range(len(labels))],
-            "specialization": sorted([i, j] for i in range(len(labels))
-                                     for j in range(len(labels))
-                                     if space.lt(i, j))}
-    text = "\n".join(f"{i}: {lbl}" for i, lbl in enumerate(labels))
-    return _emit(args, data, f"{len(labels)} points\n{text}")
+    elif getattr(args, "json", False):
+        print(jsonio.dumps({
+            "points": [{"generators": list(p.generator_names())}
+                       for p in space.points],
+            "specialization": [[i, j] for i, m in enumerate(space._up)
+                               for j in _bits(m & ~(1 << i))]}))
+    else:
+        print(f"{len(space)} points\n" + "\n".join(
+            f"{i}: {lbl}" for i, lbl in enumerate(space.labels())))
+    return 0
 
 
 def _cmd_hasse(args):

@@ -106,20 +106,17 @@ def specialization_poset(space):
     """The strict specialization order of a spectrum-like object, with closed
     points minimal (they are the most special)."""
     labels = space.labels()
-    pairs = []
-    for i in range(len(labels)):
-        for j in range(len(labels)):
-            if space.leq(i, j):
-                pairs.append((labels[j], labels[i]))
-    return FinitePoset(labels, pairs)
+    return FinitePoset(labels, [(labels[j], labels[i])
+                                for i, m in enumerate(space._up)
+                                for j in _bits(m)])
 
 
 def poset_of_space(space):
     """The same order as the space itself: generic points at the bottom."""
     labels = space.labels()
-    pairs = [(labels[i], labels[j]) for i in range(len(labels))
-             for j in range(len(labels)) if space.leq(i, j)]
-    return FinitePoset(labels, pairs)
+    return FinitePoset(labels, [(labels[i], labels[j])
+                                for i, m in enumerate(space._up)
+                                for j in _bits(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +166,14 @@ class TypedComplex:
 
     def panel_chamber_counts(self):
         """For each panel (codimension-1 face of a chamber), the number of
-        chambers containing it."""
-        chambers = self.chambers()
+        chambers containing it. Counting ch - {v} over chambers ch and their
+        vertices v is exact: all chambers have the top size, so a chamber
+        holds a panel iff the panel is that chamber minus one vertex."""
         panels = {}
-        for ch in chambers:
+        for ch in self.chambers():
             for v in ch:
-                panels.setdefault(ch - {v}, 0)
-        for panel in panels:
-            panels[panel] = sum(1 for ch in chambers if panel <= ch)
+                panel = ch - {v}
+                panels[panel] = panels.get(panel, 0) + 1
         return panels
 
     def is_thin(self):

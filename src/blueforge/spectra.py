@@ -60,15 +60,13 @@ class SpecSpace(UpSetOrder):
     covers = UpSetOrder.covers
 
     def closed_sets(self):
+        """The up-sets: the masks s with up[i] & ~s == 0 for each i in s."""
         n = len(self.points)
         if n > 12:
             raise BlueprintError("too many points to enumerate closed sets")
-        out = set()
-        for bits in itertools.product((0, 1), repeat=n):
-            s = frozenset(i for i in range(n) if bits[i])
-            if s == self.up_set(s):
-                out.add(s)
-        return out
+        members = [[i for i in range(n) if s >> i & 1] for s in range(1 << n)]
+        return {frozenset(members[s]) for s in range(1 << n)
+                if not any(self._up[i] & ~s for i in members[s])}
 
     # closure / rank machinery ---------------------------------------------
     def ambient_blueprint(self):
@@ -146,30 +144,33 @@ def _monomial_primes(blueprint, irrelevant=0):
     is that one term outside, which forces t, and lie in (S) in every other
     case, which forces nothing new. Lattice vectors touch only inverted
     variables, so the complement of a closed (S) is multiplicative. No
-    budget is read.
+    budget is read. Combinations of the name-sorted variables come in this
+    order unsorted; one `backend.sort_key` rank orders each point's gens.
     """
     backend = blueprint.backend
-    free = [i for i, n in enumerate(backend.gens) if n not in backend.inverted]
+    gens = backend.gens
+    free = sorted((i for i, n in enumerate(gens) if n not in backend.inverted),
+                  key=gens.__getitem__)
     relations = [[sum(1 << i for i in free if t[1][i]) for t in l + r]
                  for l, r in blueprint.relations]
 
     def forces(s):
         return any(sum(not m & s for m in masks) == 1 for masks in relations)
 
-    found = []
+    bit = [1 << i for i in range(len(gens))]
+    elems = {i: backend.gen_element(gens[i]) for i in free}
+    rank = {i: k for k, i in enumerate(
+        sorted(free, key=lambda i: backend.sort_key(elems[i])))}
+    points, varsets = [], []
     for r in range(len(free) + 1):
         for sub in itertools.combinations(free, r):
-            s = sum(1 << i for i in sub)
-            if (irrelevant and not irrelevant & ~s) or forces(s):
+            s = sum(map(bit.__getitem__, sub))
+            if irrelevant and not irrelevant & ~s or relations and forces(s):
                 continue
-            found.append((r, sorted(backend.gens[i] for i in sub), sub))
-    found.sort()
-    elems = {i: backend.gen_element(backend.gens[i]) for i in free}
-    points, varsets = [], []
-    for _, names, sub in found:
-        gens = tuple(sorted((elems[i] for i in sub), key=backend.sort_key))
-        points.append(SpecPoint(IdealDescriptor(blueprint, gens, gens)))
-        varsets.append(frozenset(names))
+            ideal = tuple(map(elems.__getitem__,
+                              sorted(sub, key=rank.__getitem__)))
+            points.append(SpecPoint(IdealDescriptor(blueprint, ideal, ideal)))
+            varsets.append(frozenset(map(gens.__getitem__, sub)))
     return points, varsets
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from blueforge import catalog, jsonio
 from blueforge.budget import Budget, default_budget
-from blueforge.cli import build_parser, main
+from blueforge.cli import _space_of, build_parser, main
 
 
 def run(capsys, *argv):
@@ -578,3 +578,180 @@ class TestCoxeterAndOrbitPinned:
         assert code == 1
         assert out == ""
         assert err.startswith("error: no Coxeter group")
+
+
+# sha256 of stdout of the spectra verbs, computed while `_monomial_primes`
+# still sorted its candidates and the writers scanned all n^2 index pairs.
+SPECTRA_SHA256 = [
+    ('spec A0 --json',
+     '71c61777770077a08e880c63b24b84cbd8725c5104d433924da7b939ade12e49'),
+    ('spec A0 --dot',
+     '9861331f793406d629bdb24f69eb2a419d3de7eb8ffe31f1161b77e54656c5d2'),
+    ('spec A0',
+     '98eb9719dcdf51d6d5445f5e160ea30ff18ae843fcfddae93ef49a141ceecf2d'),
+    ('hasse A0',
+     '9861331f793406d629bdb24f69eb2a419d3de7eb8ffe31f1161b77e54656c5d2'),
+    ('spec A1 --json',
+     'd9572b23c23242acb6563c983fe4e9b0226dc4188d372fbca22ea67367280203'),
+    ('spec A1 --dot',
+     'd973d1525ec645862b9434626e125f18b5967b4013dba844e7efdb4c6d79bbd8'),
+    ('spec A1',
+     '04f1f580ebb06c133d309ac4f93c0f27231ff0c24e8533c01cb8de5df6b303ab'),
+    ('hasse A1',
+     'd973d1525ec645862b9434626e125f18b5967b4013dba844e7efdb4c6d79bbd8'),
+    ('spec A2 --json',
+     'b8d829647ba5d010349f37c9abeb9454e70f2f25db8ac5b2db0a4206c8bb3c99'),
+    ('spec A2 --dot',
+     '08562149c90e5b2eeb03b9641ff9faf6326d28eaebccce36c71e9df9b75effdb'),
+    ('spec A2',
+     '8c4ec485e3728b35a9c23a68c5cf4e1b19712edd934296172a093d53385038bf'),
+    ('hasse A2',
+     '08562149c90e5b2eeb03b9641ff9faf6326d28eaebccce36c71e9df9b75effdb'),
+    ('spec A3 --json',
+     'b594f12d14f200b8c667cc3b683522e1c7ede6bb121a73c8383118a9cb6196da'),
+    ('spec A3 --dot',
+     '89fa8ce07f37ce2f680f877fc0b7f0cde339f7f6a1eed06b9e2b4cc9145b5a2d'),
+    ('spec A3',
+     'b7643c1df63c1a480a11398b5f2730440195874a039ce8eedec7120e7ca78c7a'),
+    ('hasse A3',
+     '89fa8ce07f37ce2f680f877fc0b7f0cde339f7f6a1eed06b9e2b4cc9145b5a2d'),
+    ('spec A4 --json',
+     '44d20bc8d8341aa5c43ac28db306b31bd37ccf79d20060223bc56a186e676ef6'),
+    ('spec A4 --dot',
+     '28e9e9b7c5c490f18c2b2ba7ba75ca9814345ff9aa686ce2ed62a6490609f3e7'),
+    ('spec A4',
+     '7e5dcac3dcf833830f00780393020034ef12e479982c91715d5c9db3597f662e'),
+    ('hasse A4',
+     '28e9e9b7c5c490f18c2b2ba7ba75ca9814345ff9aa686ce2ed62a6490609f3e7'),
+    ('spec A5 --json',
+     '52c468676650fe6077f1befc81229ed4bba2af6bf23885967bc858a919c3383c'),
+    ('spec A5 --dot',
+     'fbe74ee036fcda326e7f7b3129d15b062c2e4c884ee41c7bc7c97653aa91ebf4'),
+    ('spec A5',
+     'a23a31e14a3d38b179c2205011dc83070c1795f128ab5e1ba95ec33b3fa953c9'),
+    ('hasse A5',
+     'fbe74ee036fcda326e7f7b3129d15b062c2e4c884ee41c7bc7c97653aa91ebf4'),
+    ('spec A6 --json',
+     'd4329a01c53ad452691ae665c68fb27f35daf651b36532a75099e6234d5a49d6'),
+    ('spec A6 --dot',
+     'b9f0980babf8a94ad76ff393d67587484ed00225a743a43426d6ad39bd3157b1'),
+    ('spec A6',
+     'bce2b82319b54a9740d8856470a116b6c1ee577e9430e1edaaac0554bb720000'),
+    ('hasse A6',
+     'b9f0980babf8a94ad76ff393d67587484ed00225a743a43426d6ad39bd3157b1'),
+    ('spec A7 --json',
+     'f6b6ab595d9f5d0c07b8a821c88a9268281f0546b2eaf77526e788122e824767'),
+    ('spec A7 --dot',
+     'a0798100f715b199aa67f920b5c7a09e204a6110d5e809947ddd31a32ae3220d'),
+    ('spec A7',
+     '6d2273ea0e74fd669f6b979239877e411bafbdbeead6b9af8bff7e3c7413536b'),
+    ('hasse A7',
+     'a0798100f715b199aa67f920b5c7a09e204a6110d5e809947ddd31a32ae3220d'),
+    ('spec A8 --json',
+     '78bdaeb5b67a6ab11810142f2fa1733c812ebad17e285757eb5a18453c34a42c'),
+    ('spec A8 --dot',
+     '1223c537b304d5a5a4b7aba7722e16725a8c3a16afa8dbe10fac9c4666d50699'),
+    ('spec A8',
+     'd09884ab214d9e02571b3e021f6737f47e98f900a0306018e0bb7de42fcb5ffc'),
+    ('hasse A8',
+     '1223c537b304d5a5a4b7aba7722e16725a8c3a16afa8dbe10fac9c4666d50699'),
+    ('spec A9 --json',
+     'e80cd40ab0026a94ca1b2501f78ed93fe1bc66c5cc8c9bb4da80b211ec31eddc'),
+    ('spec A9 --dot',
+     'a2c920ef0e8210d98c829c06a502e2c22b7fe946d1511a2a1f304db23c5f6e2b'),
+    ('spec A9',
+     'd923b6662eb9eb8de2ec28a06a8b60d066be54db38634aa4a7a90bfe2efdd1f9'),
+    ('hasse A9',
+     'a2c920ef0e8210d98c829c06a502e2c22b7fe946d1511a2a1f304db23c5f6e2b'),
+    ('proj P1 --json',
+     '8cf0b6579ffe46343bc4718419a2992f5428c676d0b6f1a3ba79e8506143482f'),
+    ('proj P1 --dot',
+     '003b323216c8dc18374e58bc3a90a755f5341d532dec933be45933753d8a662c'),
+    ('proj P1',
+     '828cb44a8083bb3115f45c384116ee90d44fcbc90a0543c2f8d5b48cdc47adfb'),
+    ('hasse P1',
+     '003b323216c8dc18374e58bc3a90a755f5341d532dec933be45933753d8a662c'),
+    ('proj P2 --json',
+     '392547f025fb688f42e90809128c5402d5abdb5a2346937b5fcfabb5419d852d'),
+    ('proj P2 --dot',
+     'e39ee41bbbbb0e0ea3f5a65eb17a11f85721df7b6ea4e27003e1e7e81b6b33fc'),
+    ('proj P2',
+     '2e6e6723be1a8df0075d02e5aeb20890a5bc8248fcd0f2266a4336c6e70c7069'),
+    ('hasse P2',
+     'e39ee41bbbbb0e0ea3f5a65eb17a11f85721df7b6ea4e27003e1e7e81b6b33fc'),
+    ('proj P3 --json',
+     '87cdf8134a4beee8f56682940a0d16a099bedc637795cbaf385e853105c41d27'),
+    ('proj P3 --dot',
+     '78741653d2960d0912da58d31650e215473b79add5bd0320e8c9788a716d1378'),
+    ('proj P3',
+     '6ab5e3708c7fefd02e15c7d3cadae7a288fb4e586536cb35c7e8f3a9a1aa5bf7'),
+    ('hasse P3',
+     '78741653d2960d0912da58d31650e215473b79add5bd0320e8c9788a716d1378'),
+    ('proj P4 --json',
+     '4c236b3649988fbb93ca8b91da4394cf4d5a90e61041a1c97494cb6861cc437c'),
+    ('proj P4 --dot',
+     '910310a402bf47c3c8e33edc52142bff16e9464edf21a5a6f5398afa6906a182'),
+    ('proj P4',
+     '2a4bca5e1af456089d2e165929e4e05bc660dc24ec465a6a2c6f25e6fc23176d'),
+    ('hasse P4',
+     '910310a402bf47c3c8e33edc52142bff16e9464edf21a5a6f5398afa6906a182'),
+    ('proj P5 --json',
+     'f46a48677d872de4813bbde647a66bbf98ccd147ddbc427c8b527ff56cd95a32'),
+    ('proj P5 --dot',
+     '88b75759f09f3482b8ee9b28cb40bac76f02f269342c1970b234be882ad16f13'),
+    ('proj P5',
+     '3f168be2334f64be314098e8472c0b03b79237c67638268aee324373be6aec03'),
+    ('hasse P5',
+     '88b75759f09f3482b8ee9b28cb40bac76f02f269342c1970b234be882ad16f13'),
+    ('proj gr:2,4 --json',
+     '8b499e0c6232637422008be7723adb3f9fd96077fc368a0ec28f3ea34b0584b4'),
+    ('proj gr:2,4 --dot',
+     '8044398b67d46cd14750f7ccf2f504340f8b491d58804ca3b8e1094fa6d2ac29'),
+    ('hasse gr:2,4',
+     '8044398b67d46cd14750f7ccf2f504340f8b491d58804ca3b8e1094fa6d2ac29'),
+    ('spec sl2 --json',
+     '7ba362775263b3cc27f87f24092d8e6864e91efe09555bc56af805e618f70d60'),
+    ('spec sl2 --dot',
+     'c77875cdb47ffcf2e045a625187f961978dce2b0218c22d7ef4dd3ac2183cf53'),
+    ('spec sl2',
+     'd3826abdf0191ac889191963a186b0ece804a6e68bd189da90b5f0200796bd44'),
+    ('hasse sl2',
+     'c77875cdb47ffcf2e045a625187f961978dce2b0218c22d7ef4dd3ac2183cf53'),
+    ('spec two_fields:2,3 --json',
+     '569945d876655cee6d767e9948101d996eafa2b4aa51260c0d8ea15c4eac753e'),
+    ('spec two_fields:2,3 --dot',
+     'b5f953e33bc20e9f948a2adeaa2d21f0d3e1e2d9be680c9ecd9055cb88817c07'),
+    ('spec two_fields:2,3',
+     '2c77d895f5ba9a2938728c0ca54cdafbb1066ece2b7a24a6840a9041b4cecf16'),
+    ('hasse two_fields:2,3',
+     'b5f953e33bc20e9f948a2adeaa2d21f0d3e1e2d9be680c9ecd9055cb88817c07'),
+    ('complex A2 --json',
+     '4acc46bc1699fcd38c290eae2c55c05a63ca56f00fbb155752eeedc2ced09b98'),
+    ('complex A3 --json',
+     '24bfee5575964bd1b678ec7528a132e05a4722dccb7fb2e9187b6ef4dcdb52ee'),
+    ('complex P2 --json',
+     '93ac927b6fd3e77db31935c698dce27a39b0bf81ecc05e47cb4bdb55e0564789'),
+    ('complex P3 --json',
+     '2173a2fe95c0275485e3ff2688ce544401ddd485290daf460ecd355a4d646aaa'),
+    ('complex sl2 --json',
+     'dd4951db56113d7976c036803c0d066f522ed38d297e7547c7bff565e2ebbfbe'),
+]
+
+
+def reference_specialization(space):
+    """The n^2 scan of `space.lt`, kept as the oracle for the mask read."""
+    n = len(space)
+    return sorted([i, j] for i in range(n) for j in range(n) if space.lt(i, j))
+
+
+class TestSpectraVerbsPinned:
+    @pytest.mark.parametrize("argv,digest", SPECTRA_SHA256)
+    def test_bytes(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        verb, ref, *flags = argv.split()
+        if verb in ("spec", "proj") and flags == ["--json"]:
+            space = _space_of(catalog.build(ref))
+            assert json.loads(out)["specialization"] == \
+                reference_specialization(space)

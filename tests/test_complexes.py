@@ -542,3 +542,75 @@ class TestCoxeterComplexAgainstReference:
             cx.coxeter_complex(family, n)
         with pytest.raises(ValueError):
             cx.weyl_orbit_complex(family, n)
+
+
+def reference_panel_chamber_counts(complex_):
+    """The quadratic loop that tests every panel against every chamber, kept
+    as the oracle for the count by vertex removal."""
+    chambers = complex_.chambers()
+    panels = {}
+    for ch in chambers:
+        for v in ch:
+            panels.setdefault(ch - {v}, 0)
+    for panel in panels:
+        panels[panel] = sum(1 for ch in chambers if panel <= ch)
+    return panels
+
+
+def non_pure_complex():
+    types = {"a": 0, "b": 1, "c": 2, "d": 0, "e": 1, "f": 2}
+    return cx.TypedComplex(types, types, [
+        frozenset("abc"), frozenset("abf"), frozenset("cd"), frozenset("e")])
+
+
+class TestPanelChamberCountsAgainstReference:
+    @pytest.mark.parametrize("family,n", [
+        ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+        ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4)])
+    def test_coxeter_complexes(self, family, n):
+        c, _ = cx.coxeter_complex(family, n)
+        got = c.panel_chamber_counts()
+        want = reference_panel_chamber_counts(c)
+        assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2), (2, 3)])
+    def test_buildings(self, n, q):
+        b = cx.building_type_a(n, q)
+        got = b.panel_chamber_counts()
+        assert list(got.items()) == \
+            list(reference_panel_chamber_counts(b).items())
+
+    def test_non_thin_orbit_complex(self):
+        plain = [frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3})]
+        bad, _ = cx.weyl_orbit_complex("D", 3, plain)
+        got = bad.panel_chamber_counts()
+        assert list(got.items()) == \
+            list(reference_panel_chamber_counts(bad).items())
+        assert min(got.values()) == 1
+
+    def test_non_pure_complex(self):
+        c = non_pure_complex()
+        assert not c.is_pure()
+        got = c.panel_chamber_counts()
+        assert list(got.items()) == \
+            list(reference_panel_chamber_counts(c).items())
+        assert got[frozenset("ab")] == 2 and len(got) == 5
+
+
+@pytest.mark.parametrize("space", [
+    *(spec(catalog.affine_space(n)) for n in range(6)),
+    *(proj(catalog.proj_cone(n)) for n in range(1, 5)),
+    spec(catalog.sl2_f1()), spec(catalog.two_fields(2, 3))],
+    ids=lambda space: space.blueprint.name)
+def test_space_posets_match_leq_pairs(space):
+    labels = space.labels()
+    leq = [(i, j) for i in range(len(labels))
+           for j in range(len(labels)) if space.leq(i, j)]
+    for po, pairs in (
+            (cx.poset_of_space(space), [(labels[i], labels[j])
+                                        for i, j in leq]),
+            (cx.specialization_poset(space), [(labels[j], labels[i])
+                                              for i, j in leq])):
+        ref = cx.FinitePoset(labels, pairs)
+        assert po.elements == ref.elements
+        assert po._up == ref._up

@@ -245,7 +245,8 @@ class TestMonomialPrimes:
     loop."""
 
     def monomial_catalog(self):
-        affine = [catalog.affine_space(n) for n in range(6)]
+        # In A^11, T10 sorts before T2: name order differs from index order.
+        affine = [catalog.affine_space(n) for n in (0, 1, 2, 3, 4, 5, 11)]
         tori = [catalog.torus(n) for n in (1, 2, 3)]
         sl2 = catalog.sl2_f1()
         b = sl2.backend
@@ -255,7 +256,7 @@ class TestMonomialPrimes:
         return affine + tori + [sl2, catalog.sl2_minors()] + local + charts
 
     def graded_catalog(self):
-        return [catalog.proj_cone(n) for n in (1, 2, 3)] + \
+        return [catalog.proj_cone(n) for n in (1, 2, 3, 10)] + \
             [catalog.grassmannian_f1(1, 3), catalog.grassmannian_f1(2, 4)]
 
     def test_catalog_entries(self):
@@ -297,6 +298,11 @@ class TestMonomialPrimes:
         points, varsets = _monomial_primes(bp, mask)
         assert varsets == [variable_set(p.ideal) for p in points]
         assert len(set(varsets)) == len(varsets)
+        order = [(len(v), sorted(v)) for v in varsets]
+        assert order == sorted(order)
+        assert all(list(p.ideal.minimal) == sorted(p.ideal.minimal,
+                                                   key=backend.sort_key)
+                   for p in points)
         ref = reference_monomial_primes(
             bp, bp.budget, irrelevant_keep(bp, positive) if positive else None)
         assert set(varsets) == {variable_set(i) for i in ref}

@@ -1,14 +1,17 @@
 """Spectra, stalks, residue fields, globalization, ranks, Weyl extensions."""
 
+import itertools
 import math
 import random
 import time
 
+import pytest
+
 from blueforge import catalog
 from blueforge.budget import Budget
 from blueforge.core import (PROVED, REFUTED, UNKNOWN, Blueprint,
-                            MonomialBackend, _derive3, derive, is_blue_field,
-                            BlueprintMorphism, is_morphism,
+                            BlueprintError, MonomialBackend, _derive3, derive,
+                            is_blue_field, BlueprintMorphism, is_morphism,
                             field_blueprint, quotient_by_ideal)
 from blueforge.schemes import proj
 from blueforge.spectra import (globalize, rank_of_point, residue_field, spec,
@@ -371,6 +374,20 @@ class TestOrderAgainstBruteForce:
 
         assert len(glued) == 7
         check_order(glued, lambda a, b: vanishing(a) <= vanishing(b))
+
+    def test_closed_sets(self, sl2_space):
+        for X in (spec(catalog.affine_space(3)), sl2_space,
+                  spec(catalog.two_fields(2, 3))):
+            n, leq = len(X), ideal_leq(X)
+            want = {frozenset(sub) for r in range(n + 1)
+                    for sub in itertools.combinations(range(n), r)
+                    if all(j in sub for i in sub for j in range(n)
+                           if leq(i, j))}
+            assert X.closed_sets() == want
+
+    def test_closed_sets_refuses_past_12_points(self):
+        with pytest.raises(BlueprintError, match="too many points"):
+            spec(catalog.affine_space(4)).closed_sets()
 
     def test_affine_hasse_edge_count(self):
         for n in range(1, 11):
