@@ -1,8 +1,9 @@
 """Counting polynomials, Euler characteristics via N(1), and zeta functions.
 
-N(q) interpolates the F_q point counts exactly (held-out samples verify the
-fit); the factored zeta function reads the q-basis coefficients off as
-exponents of (s - i).
+N(q) is proved by elimination, for every q, on a monomial blueprint, and
+sampled as fallback on the rest: the F_q point counts are interpolated and
+held-out samples verify the fit. The factored zeta function reads the q-basis
+coefficients off as exponents of (s - i).
 """
 
 from blueforge import catalog, counting_polynomial, fq_points, soule_zeta

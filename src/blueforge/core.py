@@ -860,6 +860,7 @@ def _certified_proper(bp):
     """True when `bp` is certified proper: a monomial blueprint over a
     coefficient table without relations, whose relations all read
     0 = a + b with units a and b, all ratios b/a being one u with u*u = 1.
+    Without relations nothing is identified, so it is proper.
 
     Proof. Write M' for the nonzero monomials. A rewrite step inserts or
     removes a chunk c*a + c*b with c in M' (c*a and c*b are in M', as a and
@@ -879,6 +880,8 @@ def _certified_proper(bp):
         if l or len(r) != 2 or not all(map(backend.is_unit, r)):
             return False
         ratios.add(backend.mul(r[1], backend.power(r[0], -1)))
+    if not ratios:
+        return True
     u = ratios.pop()
     return not ratios and backend.mul(u, u) == backend.one()
 

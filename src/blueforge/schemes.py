@@ -81,11 +81,13 @@ class ProjSpace(SpecSpace):
         raise BlueprintError("projective closures are counted on the ambient"
                              " model; no affine closure blueprint")
 
-    def _closure_count(self, i):
+    def _closure_polynomial(self, i):
         if len(self.blueprint.backend.gens) > 8:
             raise BlueprintError("ambient too large for counting")
         dead = self.closure_vanishing(i)
-        return lambda q: counting.projective_fq_points(self.blueprint, q, dead)
+        return counting.fit_polynomial(
+            [(q, counting.projective_fq_points(self.blueprint, q, dead))
+             for q in counting.SAMPLE_Q])
 
     def torus_certificate_at(self, i):
         """The projective closure is a point (rank-0 torus) iff one variable

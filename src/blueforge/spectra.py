@@ -82,20 +82,28 @@ class SpecSpace(UpSetOrder):
         return torus_certificate(self.closure_blueprint(i))
 
     def counting_rank(self, i):
-        count = self._closure_count(i)
-        poly = counting.fit_polynomial([(q, count(q))
-                                        for q in counting.SAMPLE_Q])
+        """The degree of N(q) of the closure of point i: proved by
+        elimination, sampled as fallback (`_closure_polynomial`)."""
+        poly = self._closure_polynomial(i)
         if poly is None:
             raise RankUndetermined("closure counts are not polynomial in q")
         return poly.degree
 
-    def _closure_count(self, i):
-        """q -> the number of F_q-points of the closure of point i; raises
-        BlueprintError when the closure is too large to count."""
+    def _closure_polynomial(self, i):
+        """N(q) of the closure of point i: proved by `counting._eliminate`,
+        else the lowest-degree fit through the counts at the seven sample q,
+        or None.
+        The closure has at most 6 generators, so no fit of lower degree than
+        the proved N exists. Raises BlueprintError when the closure is too
+        large to count."""
         closure = self.closure_blueprint(i)
         if closure.backend.kind == "monomial" and len(closure.backend.gens) > 6:
             raise BlueprintError("closure too large for counting")
-        return lambda q: counting.fq_points(closure, q)
+        poly = counting._eliminate(closure)
+        if poly is None:
+            poly = counting.fit_polynomial([(q, counting.fq_points(closure, q))
+                                            for q in counting.SAMPLE_Q])
+        return poly
 
 
 def spec(blueprint, budget=None):

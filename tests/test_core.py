@@ -37,6 +37,10 @@ class TestMkBlueprint:
         assert bp.relations == ()
         assert bp.render(bp.backend.gen_element("T")) == "T"
 
+    def test_no_relations_are_certified_proper(self, f1):
+        # used to raise KeyError: 'pop from an empty set'
+        assert _certified_proper(Blueprint(MonomialBackend(f1, ("X",)), []))
+
     def test_b1_accepted(self, b1):
         assert len(b1.relations) == 1
 

@@ -3,22 +3,26 @@ and nonnegative-semifield points."""
 
 import itertools
 import random
+import timeit
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blueforge import catalog
-from blueforge.core import (ONE, ZERO, Blueprint, BlueprintMorphism,
+from blueforge import catalog, cli
+from blueforge.core import (ONE, ZERO, Blueprint, BlueprintError,
+                            BlueprintMorphism,
                             MonomialBackend, _coefficient_images,
                             _count_solutions, _free_domains,
                             _solutions, enumerate_morphisms, field_blueprint,
                             refutation_targets)
-from blueforge.counting import (CountingPolynomial, counting_polynomial,
+from blueforge.counting import (SAMPLE_Q, CountingPolynomial, TooLarge,
+                                _eliminate, counting_polynomial,
                                 euler_characteristic, fit_polynomial,
                                 fq_points, projective_fq_points, soule_zeta,
                                 verify_point_over_ordered_semifield)
 from blueforge.fields import SUPPORTED_Q, gf
+from blueforge.spectra import spec
 from test_properties import divides_backends
 
 
@@ -412,3 +416,239 @@ class TestCheapCounts:
             # representatives over each point of Gr(2,4), a [4 choose 2]_q.
             grass = (q ** 4 - 1) * (q ** 3 - 1) // ((q ** 2 - 1) * (q - 1))
             assert poly(q) == 1 + (q - 1) * grass
+
+
+# ---------------------------------------------------------------------------
+# Counting polynomials by elimination, against the direct counter
+
+
+def monomial_catalog():
+    """Every monomial catalog blueprint with at most 6 generators: A^n and
+    tori, sl2 and its minors model, and the cones of P^n and of the
+    Grassmannians."""
+    out = {}
+    for n in range(1, 7):
+        out[f"affine:{n}"] = lambda n=n: catalog.affine_space(n)
+        out[f"torus:{n}"] = lambda n=n: catalog.torus(n)
+    out["sl2"] = catalog.sl2_f1
+    out["sl2_minors"] = catalog.sl2_minors
+    for n in range(6):
+        out[f"proj_cone:{n}"] = lambda n=n: catalog.proj_cone(n).blueprint
+    for e, d in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5),
+                 (4, 5), (1, 6), (5, 6)]:
+        out[f"gr:{e},{d}.cone"] = \
+            lambda e=e, d=d: catalog.grassmannian_f1(e, d).blueprint
+    return out
+
+
+# name: (N(q) at SAMPLE_Q, natural bound b = deg N, counting_polynomial at
+# b - 1 and at b (coefficients, None or the exception), euler_characteristic),
+# as the seven-q sampling gave them.
+PINNED_COUNTS = {
+    "affine:1": ((2, 3, 4, 5, 7, 8, 9), 1, None, (0, 1), 1),
+    "torus:1": ((1, 2, 3, 4, 6, 7, 8), 1, None, (-1, 1), 0),
+    "affine:2": ((4, 9, 16, 25, 49, 64, 81), 2, None, (0, 0, 1), 1),
+    "torus:2": ((1, 4, 9, 16, 36, 49, 64), 2, None, (1, -2, 1), 0),
+    "affine:3": ((8, 27, 64, 125, 343, 512, 729), 3, None, (0, 0, 0, 1), 1),
+    "torus:3": ((1, 8, 27, 64, 216, 343, 512), 3, None, (-1, 3, -3, 1), 0),
+    "affine:4": ((16, 81, 256, 625, 2401, 4096, 6561), 4, None,
+                 (0, 0, 0, 0, 1), 1),
+    "torus:4": ((1, 16, 81, 256, 1296, 2401, 4096), 4, None,
+                (1, -4, 6, -4, 1), 0),
+    "affine:5": ((32, 243, 1024, 3125, 16807, 32768, 59049), 5, None,
+                 (0, 0, 0, 0, 0, 1), 1),
+    "torus:5": ((1, 32, 243, 1024, 7776, 16807, 32768), 5, None,
+                (-1, 5, -10, 10, -5, 1), 0),
+    "affine:6": ((64, 729, 4096, 15625, 117649, 262144, 531441), 6, None,
+                 TooLarge, BlueprintError),
+    "torus:6": ((1, 64, 729, 4096, 46656, 117649, 262144), 6, None,
+                TooLarge, BlueprintError),
+    "sl2": ((6, 24, 60, 120, 336, 504, 720), 3, None, (0, -1, 0, 1), 0),
+    "sl2_minors": ((6, 24, 60, 120, 336, 504, 720), 3, None, (0, -1, 0, 1),
+                   0),
+    "proj_cone:0": ((2, 3, 4, 5, 7, 8, 9), 1, None, (0, 1), 1),
+    "proj_cone:1": ((4, 9, 16, 25, 49, 64, 81), 2, None, (0, 0, 1), 1),
+    "proj_cone:2": ((8, 27, 64, 125, 343, 512, 729), 3, None, (0, 0, 0, 1),
+                    1),
+    "proj_cone:3": ((16, 81, 256, 625, 2401, 4096, 6561), 4, None,
+                    (0, 0, 0, 0, 1), 1),
+    "proj_cone:4": ((32, 243, 1024, 3125, 16807, 32768, 59049), 5, None,
+                    (0, 0, 0, 0, 0, 1), 1),
+    "proj_cone:5": ((64, 729, 4096, 15625, 117649, 262144, 531441), 6,
+                    None, TooLarge, BlueprintError),
+    "gr:1,2.cone": ((4, 9, 16, 25, 49, 64, 81), 2, None, (0, 0, 1), 1),
+    "gr:1,3.cone": ((8, 27, 64, 125, 343, 512, 729), 3, None, (0, 0, 0, 1),
+                    1),
+    "gr:2,3.cone": ((8, 27, 64, 125, 343, 512, 729), 3, None, (0, 0, 0, 1),
+                    1),
+    "gr:1,4.cone": ((16, 81, 256, 625, 2401, 4096, 6561), 4, None,
+                    (0, 0, 0, 0, 1), 1),
+    "gr:2,4.cone": ((36, 261, 1072, 3225, 17101, 33216, 59697), 5, None,
+                    (0, 0, -1, 1, 0, 1), 1),
+    "gr:3,4.cone": ((16, 81, 256, 625, 2401, 4096, 6561), 4, None,
+                    (0, 0, 0, 0, 1), 1),
+    "gr:1,5.cone": ((32, 243, 1024, 3125, 16807, 32768, 59049), 5, None,
+                    (0, 0, 0, 0, 0, 1), 1),
+    "gr:4,5.cone": ((32, 243, 1024, 3125, 16807, 32768, 59049), 5, None,
+                    (0, 0, 0, 0, 0, 1), 1),
+    "gr:1,6.cone": ((64, 729, 4096, 15625, 117649, 262144, 531441), 6,
+                    None, TooLarge, BlueprintError),
+    "gr:5,6.cone": ((64, 729, 4096, 15625, 117649, 262144, 531441), 6,
+                    None, TooLarge, BlueprintError),
+}
+
+# Canonical --json output of CLI verbs that count, byte for byte.
+PINNED_CLI = {
+    ("polyfit", "sl2", "--deg", "3", "--json"):
+        '{\n "coefficients": [\n  0,\n  -1,\n  0,\n  1\n ],\n'
+        ' "rendered": "q^3 - q"\n}\n',
+    ("zeta", "catalog:A1", "--json"):
+        '{\n "factors": [\n  [\n   1,\n   1\n  ]\n ],\n'
+        ' "rendered": "s - 1"\n}\n',
+    ("zeta", "catalog:A2", "--json"):
+        '{\n "factors": [\n  [\n   2,\n   1\n  ]\n ],\n'
+        ' "rendered": "s - 2"\n}\n',
+    ("zeta", "catalog:A3", "--json"):
+        '{\n "factors": [\n  [\n   3,\n   1\n  ]\n ],\n'
+        ' "rendered": "s - 3"\n}\n',
+    ("count", "P1", "--json"):
+        '{\n "counts": {\n  "2": 3,\n  "3": 4,\n  "5": 6\n }\n}\n',
+    ("count", "P2", "--json"):
+        '{\n "counts": {\n  "2": 7,\n  "3": 13,\n  "5": 31\n }\n}\n',
+    ("count", "P3", "--json"):
+        '{\n "counts": {\n  "2": 15,\n  "3": 40,\n  "5": 156\n }\n}\n',
+    ("count", "P4", "--json"):
+        '{\n "counts": {\n  "2": 31,\n  "3": 121,\n  "5": 781\n }\n}\n',
+}
+
+
+class TestPinnedCounts:
+    def test_pins_cover_the_catalog(self):
+        assert set(PINNED_COUNTS) == set(monomial_catalog())
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_counting_polynomial(self, name):
+        bp = monomial_catalog()[name]()
+        counts, natural, below, at, _ = PINNED_COUNTS[name]
+        pairs = tuple(zip(SAMPLE_Q, counts))
+        for bound, want in ((natural - 1, below), (natural, at)):
+            if isinstance(want, type):
+                with pytest.raises(want):
+                    counting_polynomial(bp, bound)
+                continue
+            poly = counting_polynomial(bp, bound)
+            if want is None:
+                assert poly is None, bound
+                continue
+            assert poly.coeffs == want
+            assert poly.sample_witness == pairs[:bound + 1]
+            assert poly.held_out_witness == pairs[bound + 1:]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_euler_characteristic(self, name):
+        bp = monomial_catalog()[name]()
+        want = PINNED_COUNTS[name][-1]
+        if isinstance(want, type):
+            with pytest.raises(want):
+                euler_characteristic(bp)
+        else:
+            assert euler_characteristic(bp) == want
+
+    @pytest.mark.parametrize("argv", sorted(PINNED_CLI))
+    def test_cli_output(self, argv, capsys):
+        assert cli.main(list(argv)) == 0
+        assert capsys.readouterr().out == PINNED_CLI[argv]
+
+
+def x_plus_x_is_one():
+    backend = MonomialBackend(catalog.f1(), ("x",))
+    x = backend.gen_element("x")
+    return Blueprint(backend, [([x, x], [backend.one()])], check_proper=False)
+
+
+class TestElimination:
+    """`_eliminate` proves N(q) for every q; `fq_points` is its oracle."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_catalog(self, name):
+        bp = monomial_catalog()[name]()
+        poly = _eliminate(bp)
+        assert poly is not None
+        assert tuple(map(poly, SAMPLE_Q)) == PINNED_COUNTS[name][0]
+
+    @pytest.mark.parametrize("name", ["sl2", "sl2_minors", "gr:2,4.cone"])
+    def test_every_closure_of_a_point(self, name):
+        space = spec(monomial_catalog()[name]())
+        answered = 0
+        for i in range(len(space)):
+            try:
+                closure = space.closure_blueprint(i)
+            except BlueprintError:
+                continue      # the cone's quotients the backend cannot hold
+            poly = _eliminate(closure)
+            assert poly is not None, space.points[i].label()
+            assert [poly(q) for q in SAMPLE_Q] == \
+                [fq_points(closure, q) for q in SAMPLE_Q]
+            answered += 1
+        assert answered >= 7
+
+    def test_x_plus_x_is_one_gives_up(self):
+        # 2x = 1 has no point in characteristic 2 and one elsewhere
+        bp = x_plus_x_is_one()
+        assert _eliminate(bp) is None
+        assert [fq_points(bp, q) for q in SAMPLE_Q] == [0, 1, 0, 1, 1, 0, 1]
+        assert counting_polynomial(bp, 5) is None
+
+    def test_gr24_cone(self, gr24):
+        cone = gr24.blueprint
+        assert counting_polynomial(cone, 5).render() == "q^5 + q^3 - q^2"
+        assert counting_polynomial(cone, 4) is None
+        best = min(timeit.repeat(lambda: counting_polynomial(cone, 5),
+                                 number=1, repeat=20))
+        assert best < 1e-3
+
+    def test_mu3_coefficients_give_up(self):
+        bp = Blueprint(MonomialBackend(catalog.f1n(3), ("X",)))
+        assert _eliminate(bp) is None
+
+    def test_lattice_rows(self):
+        # X = -Y on units over F1^2: one point per unit Y
+        backend = MonomialBackend(catalog.f1_squared(), ("X", "Y"),
+                                  lattice=[((1, -1), "-1")])
+        bp = Blueprint(backend)
+        assert _eliminate(bp).coeffs == (-1, 1)
+        assert [fq_points(bp, q) for q in SAMPLE_Q] == [q - 1 for q in SAMPLE_Q]
+
+    def test_too_many_generators_stay_too_large(self):
+        bp = catalog.affine_space(9)
+        assert _eliminate(bp) is None
+        with pytest.raises(TooLarge):
+            counting_polynomial(bp, 3)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_monomial_blueprints(self, data):
+        n = data.draw(st.integers(2, 5))
+        gens = tuple(f"x{i}" for i in range(n))
+        coeff = data.draw(st.sampled_from([catalog.f1(), catalog.f1_squared()]))
+        inverted = tuple(g for g in gens if data.draw(st.booleans()))
+        backend = MonomialBackend(coeff, gens, inverted)
+        nonzero = [c for c in coeff.backend.symbols if c != ZERO]
+
+        def term():
+            c = data.draw(st.sampled_from(nonzero))
+            exps = tuple(data.draw(st.integers(-1 if g in inverted else 0, 2))
+                         for g in gens)
+            return backend.normalize((c, exps))
+
+        rels = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(2, 4))
+            split = data.draw(st.integers(0, k))
+            terms = [term() for _ in range(k)]
+            rels.append((terms[:split], terms[split:]))
+        bp = Blueprint(backend, rels, check_proper=False)
+        poly = _eliminate(bp)
+        if poly is not None:
+            assert [poly(q) for q in SAMPLE_Q] == \
+                [fq_points(bp, q) for q in SAMPLE_Q]
