@@ -9,7 +9,7 @@ The catalog module holds named constructors for all worked examples; the
 demos/ directory of the repository walks through each capability.
 """
 
-from .budget import Budget, default_budget
+from .budget import Budget
 from .core import (Blueprint, BlueprintMorphism, FiniteTable, IdealDescriptor,
                    MonomialBackend, additive_closure, derive, is_blue_field,
                    is_cancellative, is_frobenius, is_morphism, is_prime_ideal,
@@ -29,7 +29,7 @@ from .spectra import (RankSpace, SpecPoint, SpecSpace, globalize,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Budget", "default_budget",
+    "Budget",
     "Blueprint", "BlueprintMorphism", "FiniteTable", "MonomialBackend",
     "IdealDescriptor", "mk_blueprint", "derive", "is_morphism",
     "additive_closure", "is_prime_ideal", "quotient_by_ideal", "localize",

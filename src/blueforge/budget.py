@@ -8,11 +8,7 @@ produces a wrong Proved.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import lru_cache, wraps
-
-_ENV_VAR = "BLUEFORGE_BUDGET"
 
 
 @dataclass(frozen=True)
@@ -35,30 +31,3 @@ class Budget:
     def scaled(self, factor: int) -> "Budget":
         return Budget(self.max_degree * factor, self.max_terms * factor,
                       self.max_steps * factor)
-
-
-def default_budget() -> Budget:
-    """The package default, overridable via BLUEFORGE_BUDGET="deg,terms,steps"."""
-    raw = os.environ.get(_ENV_VAR)
-    if not raw:
-        return Budget()
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"{_ENV_VAR} must be 'deg,terms,steps', got {raw!r}")
-    deg, terms, steps = (int(p) for p in parts)
-    return Budget(deg, terms, steps)
-
-
-def cached_per_budget(builder):
-    """Memoize a Blueprint builder on its arguments and on `default_budget()`,
-    which the Blueprints it builds capture: a build under a temporary budget
-    (the CLI's --budget) neither reuses nor replaces the default objects."""
-    cache = lru_cache(maxsize=None)(
-        lambda budget, *args, **kwargs: builder(*args, **kwargs))
-
-    @wraps(builder)
-    def cached(*args, **kwargs):
-        return cache(default_budget(), *args, **kwargs)
-
-    cached.cache_clear = cache.cache_clear
-    return cached

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 
-from .budget import cached_per_budget
 from .core import (ONE, ZERO, Blueprint, FiniteTable, MonomialBackend,
                    TooLarge)
 from .fields import gf
@@ -20,7 +20,7 @@ from .schemes import BlueScheme, GradedBlueprint, projective_space
 # Small coefficient blueprints
 
 
-@cached_per_budget
+@cache
 def f1():
     """The field with one element: the monoid {0, 1}, no relations."""
     table = FiniteTable((ZERO, ONE), {(ZERO, ZERO): ZERO, (ZERO, ONE): ZERO,
@@ -28,7 +28,7 @@ def f1():
     return Blueprint(table, (), name="F1")
 
 
-@cached_per_budget
+@cache
 def b1():
     """The idempotent two-element semiring as a blueprint: 1 + 1 = 1."""
     table = FiniteTable((ZERO, ONE), {(ZERO, ZERO): ZERO, (ZERO, ONE): ZERO,
@@ -54,7 +54,7 @@ def _mu_names(n):
     return (ONE,) + tuple(f"z{k}" for k in range(1, n))
 
 
-@cached_per_budget
+@cache
 def f1n(n):
     """The cyclotomic extension: mu_n with zero, and for every proper divisor
     d of n the sum over the subgroup generated by zeta^d is zero. The
@@ -70,13 +70,13 @@ def f1n(n):
     return Blueprint(table, rels, name=f"F1^{n}" if n > 1 else "F1")
 
 
-@cached_per_budget
+@cache
 def f1_squared():
     """{0, 1, -1} with 1 + (-1) = 0."""
     return f1n(2)
 
 
-@cached_per_budget
+@cache
 def roots_of_unity_sums(n):
     """mu_n with zero where each subgroup sums to the matching number of ones
     (the Witt-vector flavoured Frobenius example)."""
@@ -209,7 +209,7 @@ def grassmannian_f1(e, d, budget=None) -> GradedBlueprint:
 # Small worked examples
 
 
-@cached_per_budget
+@cache
 def idempotent_example():
     """The monoid {0, e, 1} with e^2 = e."""
     table = FiniteTable((ZERO, ONE, "e"),
@@ -227,7 +227,7 @@ def _pair_sym(a, b):
     return f"({a},{b})"
 
 
-@cached_per_budget
+@cache
 def product_ring(q1=2, q2=3):
     """F_{q1} x F_{q2} as a semiring-table blueprint (the globalization the
     two-field example aims at)."""
@@ -247,7 +247,7 @@ def product_ring(q1=2, q2=3):
                      name=f"F{q1}xF{q2}", check_proper=False)
 
 
-@cached_per_budget
+@cache
 def two_fields(q1=2, q2=3):
     """The two-field blueprint: carrier k1* x k2* with the pre-addition
     generated componentwise from each field's addition.

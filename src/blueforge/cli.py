@@ -22,23 +22,22 @@ from .schemes import BlueScheme, GradedBlueprint, proj
 from .spectra import spec
 
 
-def _load_ref(ref):
+def _load_ref(ref, budget):
     """A catalog reference (catalog:name[:params] or a known name) or a
-    blueprint JSON file path."""
+    blueprint JSON file path. A file's blueprints get `budget`, the one
+    place a --budget is read; catalog objects keep the default."""
     if os.path.exists(ref):
         with open(ref) as fh:
-            return jsonio.blueprint_from_json(json.load(fh))
+            return jsonio.blueprint_from_json(json.load(fh), budget)
     return catalog.build(ref)
 
 
-def _space_of(obj, budget=None):
-    if isinstance(obj, BlueScheme):
-        if obj.graded_model is not None:
-            return proj(obj.graded_model, budget)
-        return obj.point_space(budget)
-    if isinstance(obj, GradedBlueprint):
-        return proj(obj, budget)
-    return spec(obj, budget)
+def _space_of(obj):
+    if isinstance(obj, BlueScheme) and obj.graded_model is None:
+        return obj.point_space()
+    if isinstance(obj, (BlueScheme, GradedBlueprint)):
+        return proj(obj)
+    return spec(obj)
 
 
 def _dot_of_space(space):
@@ -76,21 +75,14 @@ def _cmd_catalog(args):
 
 
 def _cmd_spec(args):
-    obj = _load_ref(args.ref)
+    obj = _load_ref(args.ref, args.budget)
     if isinstance(obj, (BlueScheme, GradedBlueprint)):
         raise BlueprintError("spec expects an affine blueprint; use proj")
-    space = spec(obj, args.budget)
-    return _space_output(args, space)
+    return _space_output(args, spec(obj))
 
 
 def _cmd_proj(args):
-    obj = _load_ref(args.ref)
-    if isinstance(obj, BlueScheme):
-        obj = obj.graded_model
-    if not isinstance(obj, GradedBlueprint):
-        raise BlueprintError("proj expects a graded blueprint")
-    space = proj(obj, args.budget)
-    return _space_output(args, space)
+    return _space_output(args, proj(_load_ref(args.ref, args.budget)))
 
 
 def _space_output(args, space):
@@ -109,14 +101,13 @@ def _space_output(args, space):
 
 
 def _cmd_hasse(args):
-    obj = _load_ref(args.ref)
-    space = _space_of(obj, args.budget)
+    space = _space_of(_load_ref(args.ref, args.budget))
     print(_dot_of_space(space))
     return 0
 
 
 def _cmd_count(args):
-    obj = _load_ref(args.ref)
+    obj = _load_ref(args.ref, args.budget)
     qs = [int(x) for x in args.q.split(",")] if args.q else [2, 3, 5]
     counts = {q: counting.fq_points(obj, q) for q in qs}
     text = "\n".join(f"q={q}: {counts[q]}" for q in qs)
@@ -124,7 +115,7 @@ def _cmd_count(args):
 
 
 def _fit(args):
-    obj = _load_ref(args.ref)
+    obj = _load_ref(args.ref, args.budget)
     poly = counting.counting_polynomial(obj, args.deg)
     if poly is None:
         raise BlueprintError("point counts are not polynomial in q")
@@ -145,8 +136,7 @@ def _cmd_zeta(args):
 
 
 def _cmd_complex(args):
-    obj = _load_ref(args.ref)
-    space = _space_of(obj, args.budget)
+    space = _space_of(_load_ref(args.ref, args.budget))
     po = complexes.poset_of_space(space)
     keep = po.elements
     if args.drop_generic:
@@ -258,10 +248,10 @@ def _cmd_arith(args):
 
 
 def _cmd_cspec(args):
-    bp = _load_ref(args.ref)
+    bp = _load_ref(args.ref, args.budget)
     if not isinstance(bp, Blueprint) or bp.backend.kind != "finite":
         raise BlueprintError("cspec expects a finite-table blueprint")
-    space = congruence.cspec(bp, args.budget)
+    space = congruence.cspec(bp)
     parts = [repr(c) for c in space.points]
     opens = {(f, g): sorted(space.basis_open(f, g))
              for f in bp.backend.symbols for g in bp.backend.symbols if f < g}
@@ -272,7 +262,7 @@ def _cmd_cspec(args):
 
 
 def _cmd_k0(args):
-    bp = _load_ref(args.ref)
+    bp = _load_ref(args.ref, args.budget)
     result = kzero.k0(bp, args.bound)
     data = {"rank": result.rank, "torsion": list(result.torsion),
             "generators": list(result.generators)}
@@ -311,7 +301,7 @@ def build_parser():
     p = sub.add_parser("catalog", help="list or build catalog objects")
     p.add_argument("action", choices=["list", "build"])
     p.add_argument("name", nargs="?", help="catalog name, e.g. sl2 or gr:2,4")
-    _add_common(p)
+    _add_common(p, budget=False)
     p.set_defaults(func=_cmd_catalog)
 
     for verb, fn, doc in (("spec", _cmd_spec, "prime spectrum"),
@@ -400,23 +390,12 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    saved = os.environ.get("BLUEFORGE_BUDGET")
-    budget = args.budget = getattr(args, "budget", None)
-    if budget is not None:
-        os.environ["BLUEFORGE_BUDGET"] = \
-            f"{budget.max_degree},{budget.max_terms},{budget.max_steps}"
     try:
         return args.func(args)
     except (BlueprintError, ValueError, KeyError, OSError,
             ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        # The budget holds for this call only, not for later Blueprints.
-        if saved is None:
-            os.environ.pop("BLUEFORGE_BUDGET", None)
-        else:
-            os.environ["BLUEFORGE_BUDGET"] = saved
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ import random
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
-from .budget import Budget, cached_per_budget, default_budget
+from .budget import Budget
 from .fields import gf, prime_powers_upto
 from .snf import (hnf_with_transform, in_lattice, lattice_rank,
                   quotient_group_invariants)
@@ -399,7 +399,7 @@ class Blueprint:
         properness guard: the blueprint is certified or searched proper
         (`improper_pair` at `_guard_budget`), else ImproperRelations."""
         self.backend = backend
-        self.budget = budget or default_budget()
+        self.budget = budget or Budget()
         self.name = name
         rels = []
         for lhs, rhs in relations:
@@ -1855,7 +1855,7 @@ def presentation_normalizes_to_integers(pres):
 # Semiring targets and morphism enumeration
 
 
-@cached_per_budget
+@cache
 def field_blueprint(q):
     """F_q as a finite-table semiring blueprint (symbols '0'..'q-1')."""
     f = gf(q)
@@ -1866,7 +1866,7 @@ def field_blueprint(q):
                      check_proper=False)
 
 
-@cached_per_budget
+@cache
 def boolean_semiring_blueprint():
     """B1 with its idempotent addition table attached."""
     mul = {(a, b): (ONE if a == b == ONE else ZERO)
@@ -2179,12 +2179,12 @@ def _free_domains(bp, tb):
             for name in backend.gens]
 
 
-def enumerate_morphisms(bp, target, budget=None):
+def enumerate_morphisms(bp, target):
     """All blueprint morphisms into a finite semiring-table target."""
-    return list(iter_morphisms(bp, target, budget))
+    return list(iter_morphisms(bp, target))
 
 
-def iter_morphisms(bp, target, budget=None):
+def iter_morphisms(bp, target):
     """The morphisms of `enumerate_morphisms`, in its order, one at a time."""
     if not target.is_semiring:
         raise BlueprintError("morphism enumeration needs a semiring target")
@@ -2211,11 +2211,11 @@ def refutation_targets():
         [field_blueprint(q) for q in prime_powers_upto(5)]
 
 
-def _refuting_target(bp, lhs, rhs, budget):
+def _refuting_target(bp, lhs, rhs):
     """The first of `refutation_targets()` with a morphism that sends the
     sums lhs and rhs to different values, or None."""
     for target in refutation_targets():
-        for f in iter_morphisms(bp, target, budget):
+        for f in iter_morphisms(bp, target):
             if target.backend.eval_sum(f.apply_sum(lhs)) != \
                     target.backend.eval_sum(f.apply_sum(rhs)):
                 return target
@@ -2246,25 +2246,25 @@ def is_cancellative(bp, budget=None):
         if verdict == PROVED:
             continue
         witness = {"cancelled": tuple(common.elements()), "lhs": l2, "rhs": r2}
-        target = _refuting_target(bp, l2, r2, budget)
+        target = _refuting_target(bp, l2, r2)
         if target is not None:
             return ("no", {**witness, "target": target.name})
         if verdict == REFUTED and refuted is None:
             refuted = {**witness, "normal_forms": forms}
     if refuted is not None:
         return ("no", refuted)
-    cert = _injectivity_certificate(bp, budget)
+    cert = _injectivity_certificate(bp)
     if cert is not None:
         return ("yes", cert)
     return ("unknown", None)
 
 
-def _injectivity_certificate(bp, budget):
+def _injectivity_certificate(bp):
     backend = bp.backend
     if backend.kind == "finite":
         for q in prime_powers_upto(9):
             target = field_blueprint(q)
-            for f in iter_morphisms(bp, target, budget):
+            for f in iter_morphisms(bp, target):
                 imgs = [f.apply(s) for s in backend.symbols]
                 if len(set(imgs)) == len(imgs):
                     return {"kind": "separating-hom", "target": target.name}
@@ -2394,7 +2394,7 @@ def is_frobenius(bp, p, budget=None):
         verdict, _ = _derive3(bp, lp, rp, budget)
         if verdict == PROVED:
             continue
-        target = _refuting_target(bp, lp, rp, budget)
+        target = _refuting_target(bp, lp, rp)
         if target is not None:
             return ("Counterexample", {"relation": (l, r),
                                        "target": target.name})

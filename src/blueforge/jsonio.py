@@ -123,7 +123,7 @@ def _coeff_to_json(bp):
     return out
 
 
-def _coeff_from_json(data):
+def _coeff_from_json(data, budget):
     if isinstance(data, str):
         if data == "F1":
             return catalog.f1()
@@ -140,7 +140,7 @@ def _coeff_from_json(data):
     add = symmetric(data["add"]) if "add" in data else None
     table = FiniteTable(tuple(data["carrier"]), symmetric(data["mul"]), add)
     rels = [(l, r) for l, r in data.get("relations", [])]
-    return Blueprint(table, rels)
+    return Blueprint(table, rels, budget)
 
 
 def blueprint_to_json(bp) -> dict:
@@ -162,11 +162,14 @@ def blueprint_to_json(bp) -> dict:
     return out
 
 
-def blueprint_from_json(data) -> Blueprint:
+def blueprint_from_json(data, budget=None) -> Blueprint:
+    """The blueprint of a JSON object. A coefficient table given in full and
+    the blueprint over it carry `budget` (default `Budget()`), which bounds
+    their properness guards; a named coefficient is the catalog's."""
     _BLUEPRINT_FIELDS(data, "blueprint")
     if not isinstance(data["coefficients"], str):
         _TABLE_FIELDS(data["coefficients"], "blueprint.coefficients")
-    coeff = _coeff_from_json(data["coefficients"])
+    coeff = _coeff_from_json(data["coefficients"], budget)
     gens = tuple(data.get("generators", ()))
     if not gens:
         return coeff
@@ -179,7 +182,7 @@ def blueprint_from_json(data) -> Blueprint:
     for l, r in data.get("relations", ()):
         rels.append(([parse_element(stub, t) for t in l],
                      [parse_element(stub, t) for t in r]))
-    return Blueprint(backend, rels)
+    return Blueprint(backend, rels, budget)
 
 
 def dumps(obj) -> str:

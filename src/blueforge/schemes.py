@@ -118,8 +118,13 @@ class ProjSpace(SpecSpace):
 def proj(graded, budget=None):
     """Homogeneous primes not containing all positive-degree generators.
 
-    The primes are decided exactly by `_monomial_primes`, so `budget` is
-    not read and the result is always complete."""
+    `graded` is a GradedBlueprint or a BlueScheme with a graded model. The
+    primes are decided exactly by `_monomial_primes`, so `budget` is not
+    read and the result is always complete."""
+    if isinstance(graded, BlueScheme):
+        graded = graded.graded_model
+    if not isinstance(graded, GradedBlueprint):
+        raise BlueprintError("proj expects a graded blueprint")
     positive = graded.positive_generators()
     if not positive:
         raise EmptyIrrelevantComplement("no positive-degree generators")
@@ -180,9 +185,9 @@ class BlueScheme:
                                               if g.i == i and g.j < i})
             for i, chart in enumerate(self.charts))
 
-    def point_space(self, budget=None):
+    def point_space(self):
         if self._points is None:
-            self._points = _glue_points(self, budget)
+            self._points = _glue_points(self)
         return self._points
 
     def __repr__(self):
@@ -220,8 +225,8 @@ def _gluing_morphism(scheme, g):
     return BlueprintMorphism(src, loc, images), loc
 
 
-def _glue_points(scheme, budget=None):
-    spaces = [spec(c, budget) for c in scheme.charts]
+def _glue_points(scheme):
+    spaces = [spec(c) for c in scheme.charts]
     scheme._chart_spaces = spaces
     nodes = [(ci, pi) for ci, sp in enumerate(spaces)
              for pi in range(len(sp.points))]
@@ -277,7 +282,7 @@ def _point_with_vars(space, varnames):
     return None
 
 
-def check_triple_overlaps(scheme, budget=None):
+def check_triple_overlaps(scheme):
     """Composite gluing maps agree with direct ones on generators, inside the
     doubly localized charts."""
     by_pair = {(g.i, g.j): g for g in scheme.gluings}

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from blueforge import catalog, jsonio
-from blueforge.budget import Budget, default_budget
+from blueforge.budget import Budget
 from blueforge.cli import _space_of, build_parser, main
 
 
@@ -115,12 +115,10 @@ class TestBasicVerbs:
         assert run(capsys, *argv) == (0, out, "")
 
     @pytest.mark.parametrize("budget_first", [True, False])
-    def test_budget_leaves_catalog_cache_alone(self, capsys, monkeypatch,
-                                               budget_first):
+    def test_budget_leaves_catalog_cache_alone(self, capsys, budget_first):
         # The catalog builders are memoized and their Blueprints capture the
         # default budget: a --budget call must neither fill the cache for
         # later default calls nor replace what is already there.
-        monkeypatch.delenv("BLUEFORGE_BUDGET", raising=False)
         for builder in vars(catalog).values():
             if hasattr(builder, "cache_clear"):
                 builder.cache_clear()
@@ -146,7 +144,7 @@ class TestBasicVerbs:
             budgeted()
             assert default() == first
             assert catalog.f1n(4) is before
-        assert catalog.f1n(4).budget == default_budget()
+        assert catalog.f1n(4).budget == Budget()
 
     def test_k0(self, capsys):
         code, out, _ = run(capsys, "k0", "f1", "--bound", "4")
@@ -425,37 +423,40 @@ class TestContracts:
         assert code == 0
         assert out.startswith("graph")
 
-    def test_budget_flag_does_not_leak(self, capsys, monkeypatch):
-        monkeypatch.delenv("BLUEFORGE_BUDGET", raising=False)
-        env, default = dict(os.environ), default_budget()
+    def test_budget_flag_does_not_leak(self, capsys):
+        env = dict(os.environ)
         code, _, _ = run(capsys, "spec", "catalog:A2", "--budget", "1,2,3")
         assert code == 0
         assert dict(os.environ) == env
-        assert default_budget() == default
+        assert catalog.affine_space(2).budget == Budget()
 
-    def test_budget_flag_restores_the_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("BLUEFORGE_BUDGET", "5,6,7")
-        code, _, _ = run(capsys, "spec", "catalog:A2", "--budget", "1,2,3")
+    def test_budget_environment_variable_is_ignored(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # BLUEFORGE_BUDGET once set every default budget; 0,0,0 would let
+        # the guard pass T1 = T2
+        monkeypatch.setenv("BLUEFORGE_BUDGET", "0,0,0")
+        assert catalog.affine_space(2).budget == Budget()
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(_json_blueprint([["T1"], ["T2"]])))
+        assert run(capsys, "spec", str(path)) == \
+            (1, "", "error: relations identify T1 and T2\n")
+        code, _, _ = run(capsys, "spec", str(path), "--budget", "0,0,0")
         assert code == 0
-        assert os.environ["BLUEFORGE_BUDGET"] == "5,6,7"
-        assert default_budget() == Budget(5, 6, 7)
+        assert os.environ["BLUEFORGE_BUDGET"] == "0,0,0"
 
     @pytest.mark.parametrize("value", ["1,2", "a,b,c", "1,2,3,4", "",
                                        "-1,2,3"])
     @pytest.mark.parametrize("verb", ["spec", "hasse", "count", "polyfit",
                                       "cspec", "k0"])
-    def test_malformed_budget_is_a_usage_error(self, capsys, monkeypatch,
-                                               verb, value):
+    def test_malformed_budget_is_a_usage_error(self, capsys, verb, value):
         # the value was split before the error handling: a ValueError
         # traceback on every verb with the flag
-        monkeypatch.delenv("BLUEFORGE_BUDGET", raising=False)
         with pytest.raises(SystemExit) as exc:
             main([verb, "catalog:f1", f"--budget={value}"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --budget: expected 'deg,terms,steps'" in captured.err
-        assert "BLUEFORGE_BUDGET" not in os.environ
 
     @pytest.mark.parametrize("argv, message", [
         (("building", "0", "2", "--json"),
@@ -488,6 +489,54 @@ class TestContracts:
         args.budget = None
         assert args.func(args) == code
         assert capsys.readouterr() == (out, err)
+
+
+def _json_blueprint(relation, gens=("T1", "T2")):
+    """F1[gens] with one relation, as a blueprint JSON object."""
+    return {"coefficients": "F1", "generators": list(gens), "inverted": [],
+            "relations": [relation]}
+
+
+class TestBudgetReach:
+    """--budget reaches only the properness guards of the blueprints read
+    from a JSON file; catalog objects keep the default budget."""
+
+    @pytest.mark.parametrize("relation, gens, budget, points", [
+        ([["T1"], ["T2"]], ("T1", "T2"), None, None),
+        ([["T1"], ["T2"]], ("T1", "T2"), "1,1,1", None),
+        ([["T1"], ["T2"]], ("T1", "T2"), "6,20,100000", None),
+        ([["T1"], ["T2"]], ("T1", "T2"), "0,0,0",
+         "2 points\n0: (0)\n1: (T1, T2)\n"),
+        ([["0"], ["1", "T1"]], ("T1",), None, None),
+        ([["0"], ["1", "T1"]], ("T1",), "6,20,100000", None),
+        ([["0"], ["1", "T1"]], ("T1",), "0,0,0", "1 points\n0: (0)\n"),
+        ([["0"], ["1", "T1"]], ("T1",), "1,1,1", "1 points\n0: (0)\n"),
+    ])
+    def test_budget_sets_the_guard_of_a_file(self, capsys, tmp_path,
+                                             relation, gens, budget, points):
+        # None: the guard finds the improper pair within the budget
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(_json_blueprint(relation, gens)))
+        flags = ("--budget", budget) if budget else ()
+        code, out, err = run(capsys, "spec", str(path), *flags)
+        if points is None:
+            assert code == 1 and out == ""
+            assert err.startswith("error: relations identify ")
+        else:
+            assert (code, out, err) == (0, points, "")
+
+    @pytest.mark.parametrize("verb", ["spec", "count", "polyfit", "cspec",
+                                      "k0"])
+    @pytest.mark.parametrize("ref", ["sl2", "f1n:4", "two_fields:2,3"])
+    def test_budget_does_not_reach_catalog_objects(self, capsys, verb, ref):
+        assert run(capsys, verb, ref, "--budget", "0,0,0") == \
+            run(capsys, verb, ref)
+
+    def test_catalog_verb_takes_no_budget(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", "build", "sl2", "--budget", "1,2,3"])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
 
 
 # sha256 of stdout for every family and rank <= 4 (D from rank 2), computed

@@ -167,3 +167,18 @@ def test_no_module_imports_numpy():
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_no_module_reads_the_environment():
+    # Budgets and every other setting are passed as arguments: the library
+    # reads no environment variable.
+    import blueforge
+    pkg = os.path.dirname(blueforge.__file__)
+    readers = ("environ", "getenv")
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                found += [f"{name}:{i}" for i, line in enumerate(fh, 1)
+                          if any(r in line for r in readers)]
+    assert found == []

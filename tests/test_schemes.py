@@ -40,6 +40,21 @@ class TestProj:
         P = proj(catalog.proj_cone(2))
         assert len(P) == 7
 
+    def test_scheme_uses_its_graded_model(self):
+        # proj of a BlueScheme raised AttributeError (positive_generators)
+        scheme = catalog.proj_space(2)
+        P = proj(scheme)
+        assert P.labels() == proj(scheme.graded_model).labels()
+        assert len(P) == 7
+
+    @pytest.mark.parametrize("obj", [
+        lambda: BlueScheme(catalog.proj_space(1).charts,
+                           catalog.proj_space(1).gluings),
+        lambda: catalog.affine_space(2)])
+    def test_without_a_graded_model_is_an_error(self, obj):
+        with pytest.raises(BlueprintError, match="graded blueprint"):
+            proj(obj())
+
     def test_pn_point_counts_and_subset_order(self):
         for n in range(0, 7):
             P = proj(catalog.proj_cone(n))
