@@ -3,11 +3,13 @@ spectrum with its basis topology, absorbing ideals, and residue fields.
 
 A partition ~ of the carrier is a congruence when it is multiplicative and
 meets the chain axiom. The chain axiom holds exactly when the quotient B/~
-is proper, so it is decided by building B/~ (`core._collapse`) and reading
-the normal forms of the completion of its pre-addition
-(`core._improper_pair`), which reads no budget. On a semiring table ~ must
-also respect the addition, and B/~ is the semiring with the pushed
-addition.
+is proper, so it is decided by the normal forms of the completion of the
+pre-addition of B/~ (`core._improper_pair`), which reads no budget. That
+pre-addition is read off B directly: its symbols are the class
+representatives, multiplied as rep(a)·rep(b) = rep(ab), and its relations
+are the pushed relations of B; no quotient table is built
+(`quotient_by_congruence` builds one). On a semiring table ~ must also
+respect the addition, and B/~ is the semiring with the pushed addition.
 
 The congruence spectrum is built from primes and subgroups (Deitmar,
 "Congruence schemes", Int. J. Math. 24, 2013). The zero class of a prime
@@ -69,7 +71,13 @@ def _check_table(blueprint):
 
 def _verdict(blueprint, cong):
     """Proved / Refuted for the partition `cong` of the carrier; TooLarge
-    when the completion of B/~ outgrows `core._COMPLETION_CAP`."""
+    when the completion of B/~ outgrows `core._COMPLETION_CAP`.
+
+    Once ~ is multiplicative (and additive), B/~ is a table whose symbols
+    are the class representatives (`_symbol_key`-least members, 0 for the
+    class of 0) with rep(a)·rep(b) = rep(ab). The chain axiom is read off
+    the pushed relations of B/~, normalized as `Blueprint` normalizes them,
+    scaled by the nonzero representatives; no quotient table is built."""
     backend = blueprint.backend
     carrier = backend.symbols
     block_id = {x: i for i, block in enumerate(cong.partition)
@@ -86,12 +94,30 @@ def _verdict(blueprint, cong):
                     for t in tables:
                         if block_id[t[(a, c)]] != block_id[t[(b, c)]]:
                             return REFUTED
-    quotient = quotient_by_congruence(blueprint, cong)
-    nonzero = [s for s in quotient.backend.symbols if s != ZERO]
-    pairs = _scaled_pairs(quotient.relations, nonzero, quotient.backend.mul,
-                          ZERO)
+    rep = _representatives(cong)
+    mul = backend.mul_table
+
+    def side(terms):
+        return tuple(sorted(t for t in map(rep.__getitem__, terms)
+                            if t != ZERO))
+
+    relations = set()
+    for l, r in blueprint.relations:
+        nl, nr = side(l), side(r)
+        if nl != nr:
+            relations.add((nl, nr) if nl <= nr else (nr, nl))
+    nonzero = [s for s in sorted(set(rep.values()), key=_symbol_key)
+               if s != ZERO]
+    pairs = _scaled_pairs(sorted(relations), nonzero,
+                          lambda a, b: rep[mul[(a, b)]], ZERO)
     return PROVED if _improper_pair(nonzero, pairs, ZERO) is None \
         else REFUTED
+
+
+def _representatives(cong):
+    """Each symbol's class representative: its `_symbol_key`-least member."""
+    return {x: min(block, key=_symbol_key)
+            for block in cong.partition for x in block}
 
 
 def is_congruence(blueprint, partition, budget=None):
@@ -247,10 +273,8 @@ def quotient_by_congruence(blueprint, cong: Congruence, budget=None):
     """B/~ : blocks as symbols, with the pushed pre-addition, and on a
     semiring table the pushed addition (BlueprintError when ~ does not
     respect it)."""
-    rep = {x: min(block, key=_symbol_key)
-           for block in cong.partition for x in block}
-    return _collapse(blueprint, rep, f"{blueprint.name or 'B'}/~",
-                     budget or blueprint.budget,
+    return _collapse(blueprint, _representatives(cong),
+                     f"{blueprint.name or 'B'}/~", budget or blueprint.budget,
                      add=blueprint.backend.add_table)
 
 

@@ -1,6 +1,13 @@
 """Blue modules over finite blueprints: kernels and cokernels, normal
 morphisms, projectivity, and K0 from the normal-exact-sequence presentation
-via Smith normal form. Derivations in a module are decided by the normal
+via Smith normal form.
+
+A module holds its action as index rows, one tuple per symbol b of the
+blueprint: `rows[b][i]` is the index of b·carrier[i] in the carrier. The
+constructor checks an action dict once, in one pass over the rows, with
+associativity as row[a·b] = row[a]∘row[b]; principal wedges, wedges,
+submodules and cokernels map their source's rows through index maps and
+are not checked again. Derivations in a module are decided by the normal
 forms of the completion of its pre-addition (`core._Completion`), which
 reads no budget and raises TooLarge past `core._COMPLETION_CAP` rules, and
 isomorphisms of modules are the one search for finite structures,
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (ONE, ZERO, Blueprint, BlueprintError, TooLarge, _bits,
                    _close, _close_under_action, _closed, _closure_rules,
@@ -24,6 +32,7 @@ from .core import (ONE, ZERO, Blueprint, BlueprintError, TooLarge, _bits,
 from .snf import smith_normal_form
 
 BASE = "*"
+_MISSING = object()
 
 
 class NotMono(BlueprintError):
@@ -37,46 +46,92 @@ class NotEpi(BlueprintError):
 class BlueModule:
     """A finite pointed set with a blueprint action and a generated
     pre-addition; the relations induced by the blueprint's own pre-addition
-    are always included. Modules are not mutated after construction."""
+    are always included. Modules are not mutated after construction.
+
+    The carrier is the base point followed by the other elements in sorted
+    order, and the action is one row per symbol b of the blueprint:
+    `rows[b][i]` is the index of b·carrier[i]. `act` and `action` are views
+    of the rows."""
 
     def __init__(self, blueprint, carrier, action, relations=(), name=None):
+        """Check `action`, a dict (b, m) -> b·m in which 0·m = * and 1·m = m
+        may be left out, and read it into rows: every b·m is given and lies
+        in the carrier, 0 sends every element to the base point, the unit
+        acts as the identity, and row[a·b] = row[a]∘row[b] (associativity,
+        one composition per pair of symbols)."""
+        carrier = (BASE,) + tuple(sorted(x for x in carrier if x != BASE))
+        index = {m: i for i, m in enumerate(carrier)}
+        syms = blueprint.backend.symbols
+        get = action.get
+        rows = {}
+        for b in syms:
+            row = [0]
+            for m in carrier[1:]:
+                v = get((b, m), BASE if b == ZERO else m if b == ONE
+                        else _MISSING)
+                if v is _MISSING:
+                    raise BlueprintError(f"action of {b} on {m} missing")
+                try:
+                    row.append(index[v])
+                except (KeyError, TypeError):
+                    raise BlueprintError("action leaves the carrier") from None
+            rows[b] = tuple(row)
+        if any(rows[ZERO]):
+            raise BlueprintError("0 does not send every element to the base"
+                                 " point")
+        if rows[blueprint.backend.one()] != tuple(range(len(carrier))):
+            raise BlueprintError("the unit does not act as the identity")
+        mul = blueprint.backend.mul
+        for a in syms:
+            ra = rows[a].__getitem__
+            for b in syms:
+                if rows[mul(a, b)] != tuple(map(ra, rows[b])):
+                    raise BlueprintError("action is not associative")
+        self._derive(blueprint, carrier, index, rows, relations, name)
+
+    @classmethod
+    def _of_rows(cls, blueprint, carrier, rows, relations=(), name=None):
+        """The module on a carrier already in the constructor's order with
+        the given rows, unchecked: for the modules built from modules
+        (principal wedges, wedges, submodules, cokernels), which meet the
+        constructor's checks by construction."""
+        self = cls.__new__(cls)
+        self._derive(blueprint, carrier,
+                     {m: i for i, m in enumerate(carrier)}, rows, relations,
+                     name)
+        return self
+
+    def _derive(self, blueprint, carrier, index, rows, relations, name):
+        """Keep the rows and derive the relations: those induced by the
+        blueprint's relations l = r, l·m = r·m at each element m (read off
+        the columns of the rows of l and r), and the given ones."""
         self.blueprint = blueprint
+        self.carrier = carrier
+        self._index = index
+        self.rows = rows
+        self.name = name
         self._invariant = None
         self._struct = None
-        if BASE not in carrier:
-            carrier = (BASE,) + tuple(carrier)
-        self.carrier = (BASE,) + tuple(sorted(x for x in carrier if x != BASE))
-        self.name = name
-        syms = blueprint.backend.symbols
-        self.action = {}
-        for m in self.carrier:
-            self.action[(ZERO, m)] = BASE
-            self.action[(ONE, m)] = m
-        for (b, m), v in action.items():
-            self.action[(b, m)] = v
-        for b in syms:
-            self.action[(b, BASE)] = BASE
-            for m in self.carrier:
-                if (b, m) not in self.action:
-                    raise BlueprintError(f"action of {b} on {m} missing")
-                if self.action[(b, m)] not in self.carrier:
-                    raise BlueprintError("action leaves the carrier")
-        one = blueprint.backend.one()
-        if any(self.action[(one, m)] != m for m in self.carrier):
-            raise BlueprintError("the unit does not act as the identity")
-        act = self.action
-        for a in syms:
-            for b in syms:
-                ab = blueprint.backend.mul(a, b)
-                for m in self.carrier:
-                    if act[(ab, m)] != act[(a, act[(b, m)])]:
-                        raise BlueprintError("action is not associative")
-        # the relations l·m = r·m for each relation l = r of the blueprint
-        # and each m other than the base point
-        self._induced = {self._norm_rel([act[(t, m)] for t in l],
-                                        [act[(t, m)] for t in r])
-                         for l, r in blueprint.relations
-                         for m in self.nonbase()} - {None}
+        n = len(carrier)
+
+        def columns(side):
+            """Per element m, the sorted indices of t·m, t in `side`."""
+            return map(sorted, zip(*(rows[t] for t in side))) if side \
+                else [[]] * n
+
+        # index order is name order on the nonbase elements, so sorting and
+        # orienting by indices sorts and orients by names; the base point,
+        # index 0, sorts first and is dropped
+        induced = set()
+        for l, r in blueprint.relations:
+            for cl, cr in zip(columns(l), columns(r)):
+                if cl != cr:
+                    nl, nr = tuple(cl[cl.count(0):]), tuple(cr[cr.count(0):])
+                    if nl != nr:
+                        induced.add((nl, nr) if nl <= nr else (nr, nl))
+        name_of = carrier.__getitem__
+        self._induced = {(tuple(map(name_of, l)), tuple(map(name_of, r)))
+                         for l, r in induced}
         rels = set(self._induced)
         for l, r in relations:
             pair = self._norm_rel(l, r)
@@ -87,7 +142,15 @@ class BlueModule:
                                for side in ((l, r), (r, l)))
 
     def act(self, b, m):
-        return self.action[(b, m)]
+        return self.carrier[self.rows[b][self._index[m]]]
+
+    @cached_property
+    def action(self):
+        """The action as a dict (b, m) -> b·m, built from the rows on first
+        use."""
+        carrier = self.carrier
+        return {(b, m): carrier[j] for b, row in self.rows.items()
+                for m, j in zip(carrier, row)}
 
     def _norm_sum(self, terms):
         return tuple(sorted(t for t in terms if t != BASE))
@@ -109,14 +172,16 @@ class BlueModule:
 
     def structure(self):
         """The carrier as a `core._structure`: the base point coloured apart
-        and one pair relation m -> b·m (m ≠ *) per symbol b; 0 and 1, which
-        act alike on every module, are left out. Computed on the first call
-        and kept."""
+        and one pair relation m -> b·m (m ≠ *) per symbol b, read off its
+        row; 0 and 1, which act alike on every module, are left out.
+        Computed on the first call and kept."""
         if self._struct is None:
+            carrier = self.carrier
             fixed = (ZERO, self.blueprint.backend.one())
             self._struct = _structure(
-                self.carrier, [m == BASE for m in self.carrier],
-                [[(m, self.act(b, m)) for m in self.nonbase()]
+                carrier, [m == BASE for m in carrier],
+                [list(zip(carrier[1:], map(carrier.__getitem__,
+                                           self.rows[b][1:])))
                  for b in self.blueprint.backend.symbols if b not in fixed])
         return self._struct
 
@@ -127,9 +192,12 @@ class BlueModule:
         kept."""
         if self._invariant is None:
             s = self.structure()
-            color = dict(zip(s.elements, s.colours)).__getitem__
-            sides = [tuple(sorted((tuple(sorted(map(color, l))),
-                                   tuple(sorted(map(color, r))))))
+            colours, at = s.colours, self._index
+
+            def side(terms):
+                return tuple(sorted(colours[at[t]] for t in terms))
+
+            sides = [tuple(sorted((side(l), side(r))))
                      for l, r in self.relations]
             self._invariant = (s.shape, tuple(sorted(sides)))
         return self._invariant
@@ -146,15 +214,30 @@ def _principal_wedge(blueprint, idempotents, name=None):
     a·(x@i) = (a·x)@i, with the induced pre-addition."""
     syms = blueprint.backend.symbols
     mul = blueprint.backend.mul
-    carrier = [BASE]
-    action = {}
+    names, elements, at = [BASE], [None], []
     for i, e in enumerate(idempotents):
+        at.append({ZERO: 0})
         for x in {mul(b, e) for b in syms if b != ZERO} - {ZERO}:
-            carrier.append(f"{x}@{i}")
-            for a in syms:
-                ax = mul(a, x)
-                action[(a, f"{x}@{i}")] = BASE if ax == ZERO else f"{ax}@{i}"
-    return BlueModule(blueprint, tuple(carrier), action, name=name)
+            at[i][x] = len(names)
+            names.append(f"{x}@{i}")
+            elements.append((i, x))
+    rows = {a: (0,) + tuple(at[i][mul(a, x)] for i, x in elements[1:])
+            for a in syms}
+    return _sorted_module(blueprint, names, rows, name=name)
+
+
+def _sorted_module(blueprint, names, rows, relations=(), name=None):
+    """The module on `names` (the base point first) whose rows index into
+    `names`, with the carrier put in the constructor's order and the rows
+    renumbered to match."""
+    pick = [0] + sorted(range(1, len(names)), key=names.__getitem__)
+    to = [0] * len(names)
+    for k, i in enumerate(pick):
+        to[i] = k
+    return BlueModule._of_rows(
+        blueprint, tuple(map(names.__getitem__, pick)),
+        {b: tuple(to[row[i]] for i in pick) for b, row in rows.items()},
+        relations, name)
 
 
 def zero_module(blueprint):
@@ -163,23 +246,17 @@ def zero_module(blueprint):
 
 def wedge(m1: BlueModule, m2: BlueModule):
     """The coproduct: disjoint union glued at the base points."""
-    carrier = [BASE] + [f"L.{x}" for x in m1.nonbase()] + \
+    names = [BASE] + [f"L.{x}" for x in m1.nonbase()] + \
         [f"R.{x}" for x in m2.nonbase()]
-    action = {}
-    syms = m1.blueprint.backend.symbols
-    for b in syms:
-        for x in m1.nonbase():
-            v = m1.act(b, x)
-            action[(b, f"L.{x}")] = BASE if v == BASE else f"L.{v}"
-        for x in m2.nonbase():
-            v = m2.act(b, x)
-            action[(b, f"R.{x}")] = BASE if v == BASE else f"R.{v}"
+    shift = len(m1) - 1
+    rows = {b: row + tuple(j and j + shift for j in m2.rows[b][1:])
+            for b, row in m1.rows.items()}
     rels = [([f"L.{t}" for t in l], [f"L.{t}" for t in r])
             for l, r in m1.relations]
     rels += [([f"R.{t}" for t in l], [f"R.{t}" for t in r])
              for l, r in m2.relations]
-    out = BlueModule(m1.blueprint, tuple(carrier), action, rels,
-                     name=f"{m1.name or 'M'}+{m2.name or 'N'}")
+    out = _sorted_module(m1.blueprint, names, rows, rels,
+                         name=f"{m1.name or 'M'}+{m2.name or 'N'}")
     inc1 = ModuleMorphism(m1, out, {x: f"L.{x}" for x in m1.nonbase()})
     inc2 = ModuleMorphism(m2, out, {x: f"R.{x}" for x in m2.nonbase()})
     return out, inc1, inc2
@@ -330,12 +407,18 @@ def cokernel(f: ModuleMorphism):
         base = uf.find(BASE)
         merged = {m: BASE if (r := uf.find(m)) == base else r
                   for m in tgt.carrier}
-        action = {(b, merged[m]): merged[tgt.act(b, m)]
-                  for b in syms for m in tgt.carrier if merged[m] != BASE}
+        # the classes, named by members, in carrier order, and each
+        # element's class; every merge is closed under the action
+        keep = sorted({tgt._index[r] for r in merged.values()})
+        new = {i: k for k, i in enumerate(keep)}
+        to = [new[tgt._index[merged[m]]] for m in tgt.carrier]
         rels = [([merged[t] for t in l], [merged[t] for t in r])
                 for l, r in tgt.relations]
-        q = BlueModule(tgt.blueprint, tuple(set(merged.values())), action,
-                       rels, name=f"coker({f.source.name or 'M'})")
+        q = BlueModule._of_rows(
+            tgt.blueprint, tuple(map(tgt.carrier.__getitem__, keep)),
+            {b: tuple(to[row[i]] for i in keep)
+             for b, row in tgt.rows.items()},
+            rels, name=f"coker({f.source.name or 'M'})")
         pair = _improper_module_pair(q)
         if pair is None:
             q.projection = merged
@@ -397,13 +480,13 @@ def is_free(module: BlueModule):
     the action is associative; that isomorphism carries the free module's
     relations onto the relations induced at every element, so the module
     is free iff it has no other relations."""
-    nonzero = [a for a in module.blueprint.backend.symbols if a != ZERO]
-    covered = {BASE}
-    for x in module.nonbase():
+    rows = [row for a, row in module.rows.items() if a != ZERO]
+    covered = {0}
+    for x in range(1, len(module)):
         if x in covered:
             continue
-        orbit = {module.act(a, x) for a in nonzero}
-        if len(orbit) == len(nonzero) and not orbit & covered:
+        orbit = {row[x] for row in rows}
+        if len(orbit) == len(rows) and not orbit & covered:
             covered |= orbit
     return len(covered) == len(module.carrier) and \
         len(module.relations) == len(module._induced)
@@ -414,11 +497,10 @@ def wedge_components(module: BlueModule):
     valid as a wedge decomposition when no relation couples components."""
     nb = list(module.nonbase())
     uf = _UnionFind(nb)
-    for b in module.blueprint.backend.symbols:
-        for m in nb:
-            v = module.act(b, m)
-            if v != BASE:
-                uf.union(m, v)
+    for row in module.rows.values():
+        for m, j in zip(nb, row[1:]):
+            if j:
+                uf.union(m, module.carrier[j])
     groups = {}
     for m in nb:
         groups.setdefault(uf.find(m), []).append(m)
@@ -652,13 +734,18 @@ def _submodule(module, subset, name=None):
     """The action-closed `subset` with the relations inside it, and its
     inclusion."""
     subset = set(subset) | {BASE}
-    action = {(b, m): module.act(b, m)
-              for b in module.blueprint.backend.symbols
-              for m in subset if m != BASE}
+    keep = sorted(map(module._index.__getitem__, subset))
+    new = {i: k for k, i in enumerate(keep)}
+    try:
+        rows = {b: tuple(new[row[i]] for i in keep)
+                for b, row in module.rows.items()}
+    except KeyError:
+        raise BlueprintError("action leaves the carrier") from None
     rels = [(l, r) for l, r in module.relations
             if all(t in subset for t in l + r)]
-    sub = BlueModule(module.blueprint, tuple(sorted(subset)), action, rels,
-                     name=name)
+    sub = BlueModule._of_rows(module.blueprint,
+                              tuple(map(module.carrier.__getitem__, keep)),
+                              rows, rels, name=name)
     inc = ModuleMorphism(sub, module, {m: m for m in subset if m != BASE})
     return sub, inc
 

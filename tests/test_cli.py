@@ -804,3 +804,84 @@ class TestSpectraVerbsPinned:
             space = _space_of(catalog.build(ref))
             assert json.loads(out)["specialization"] == \
                 reference_specialization(space)
+
+
+# sha256 of stdout of the congruence spectrum and K0 verbs, computed while
+# each congruence verdict built the quotient B/~ as a `Blueprint` and blue
+# modules held their action as a dict (b, m) -> b·m.
+CSPEC_K0_SHA256 = [
+    ('cspec f1 --json',
+     '2a77192028991f54864317ab4210c860e18b7eb350438525e40a6797145b2b36'),
+    ('cspec f12 --json',
+     '91af753c5186ddadce599090346a988334bae07e78030af3da435ffdf9412173'),
+    ('cspec b1 --json',
+     '2a77192028991f54864317ab4210c860e18b7eb350438525e40a6797145b2b36'),
+    ('cspec idempotent --json',
+     '659fd94e92daf378f7f1f5b2212a14a96309fe7481542dc340046fcc56118855'),
+    ('cspec catalog:f1n:2 --json',
+     '91af753c5186ddadce599090346a988334bae07e78030af3da435ffdf9412173'),
+    ('cspec catalog:f1n:3 --json',
+     'b6aae5d2d21f1e8c0d9834ed4da7b8ab9f4bc13711f027d68c0284d50b4ecc47'),
+    ('cspec catalog:f1n:4 --json',
+     'd49e121925f6ed26f6111820f6065154f5f3f4a3759cc2e9a844714cf12045e2'),
+    ('cspec catalog:f1n:5 --json',
+     '20b9504518dc154dde0108439b76b48db041817aef728aed3ced0c1f38636c50'),
+    ('cspec catalog:roots_sums:4 --json',
+     'd49e121925f6ed26f6111820f6065154f5f3f4a3759cc2e9a844714cf12045e2'),
+    ('cspec catalog:two_fields:2,3 --json',
+     '877b2c343e2f592428ae1b53d796d7261484e99b076927313c0c0d270310e38c'),
+    ('cspec catalog:product_ring:2,3 --json',
+     '47730ba9e466d4e476690978fb4a73254481641e5ff9528b84c57beb15fc100a'),
+    ('k0 f1 --bound 5 --json',
+     '9ab215b0aba00c437ea99cc94b19afab1477f4a41ce7d6d357261ee07fe76dbe'),
+    ('k0 f1 --bound 6 --json',
+     '1f0e83ec77ffee2c4434a9d7d3f2242cce28ce0e2ca058dca9267f8dbd0b2365'),
+    ('k0 f12 --bound 5 --json',
+     'e8a6e4ccd918a4732b7aa7d1833cc80a8352356042bc20d1505a8f977670ffb6'),
+    ('k0 f12 --bound 6 --json',
+     'e8a6e4ccd918a4732b7aa7d1833cc80a8352356042bc20d1505a8f977670ffb6'),
+    ('k0 b1 --bound 5 --json',
+     '9ab215b0aba00c437ea99cc94b19afab1477f4a41ce7d6d357261ee07fe76dbe'),
+    ('k0 b1 --bound 6 --json',
+     '1f0e83ec77ffee2c4434a9d7d3f2242cce28ce0e2ca058dca9267f8dbd0b2365'),
+    ('k0 idempotent --bound 5 --json',
+     'f6c167c68bdb3e3897551f4e74a7267e7a466bb4c349c4e234300ac9bf96f848'),
+    ('k0 idempotent --bound 6 --json',
+     'e189f781deda8a4b78fc9b20bd506585bdd32b4d1cc1a9ea3ce77eeb16181fcb'),
+    ('k0 catalog:f1n:2 --bound 5 --json',
+     'e8a6e4ccd918a4732b7aa7d1833cc80a8352356042bc20d1505a8f977670ffb6'),
+    ('k0 catalog:f1n:2 --bound 6 --json',
+     'e8a6e4ccd918a4732b7aa7d1833cc80a8352356042bc20d1505a8f977670ffb6'),
+    ('k0 catalog:f1n:3 --bound 5 --json',
+     '194f1a43cfdfba32a5ee5ad2ba1a9bb4c0d45cbe221889b5ee973e23380bb0ee'),
+    ('k0 catalog:f1n:3 --bound 6 --json',
+     '194f1a43cfdfba32a5ee5ad2ba1a9bb4c0d45cbe221889b5ee973e23380bb0ee'),
+    ('k0 catalog:f1n:4 --bound 5 --json',
+     'a38db49487db52d7959f11e6afcdffe5b749a02d72522e4c3d4a72fa21ead976'),
+    ('k0 catalog:f1n:4 --bound 6 --json',
+     'a38db49487db52d7959f11e6afcdffe5b749a02d72522e4c3d4a72fa21ead976'),
+    ('k0 catalog:f1n:5 --bound 5 --json',
+     'a057098933c839c6c9ac43f4f27522a8a8f019f1a3bb69f7f996f775df84dcea'),
+    ('k0 catalog:f1n:5 --bound 6 --json',
+     '4e724e30e80b88dd09f14c8f26c50f891b4cf268660817761ffc651317cf561d'),
+    ('k0 catalog:roots_sums:4 --bound 5 --json',
+     'a38db49487db52d7959f11e6afcdffe5b749a02d72522e4c3d4a72fa21ead976'),
+    ('k0 catalog:roots_sums:4 --bound 6 --json',
+     'a38db49487db52d7959f11e6afcdffe5b749a02d72522e4c3d4a72fa21ead976'),
+    ('k0 catalog:two_fields:2,3 --bound 5 --json',
+     'f6c167c68bdb3e3897551f4e74a7267e7a466bb4c349c4e234300ac9bf96f848'),
+    ('k0 catalog:two_fields:2,3 --bound 6 --json',
+     '67429cd905c67096105af197b1ea5ffe6c312f25cd60cf5a7196cbce36f997ce'),
+    ('k0 catalog:product_ring:2,3 --bound 5 --json',
+     'f6c167c68bdb3e3897551f4e74a7267e7a466bb4c349c4e234300ac9bf96f848'),
+    ('k0 catalog:product_ring:2,3 --bound 6 --json',
+     '67429cd905c67096105af197b1ea5ffe6c312f25cd60cf5a7196cbce36f997ce'),
+]
+
+
+class TestCongruenceAndK0VerbsPinned:
+    @pytest.mark.parametrize("argv,digest", CSPEC_K0_SHA256)
+    def test_json_bytes(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,7 +11,8 @@ from blueforge.core import (PROVED, REFUTED, UNKNOWN, ZERO, Blueprint,
                             BlueprintMorphism, boolean_semiring_blueprint,
                             field_blueprint, enumerate_morphisms,
                             is_blue_field, is_prime_ideal, derive, _collapse,
-                            _idempotent_power, _improper_search, _scale,
+                            _idempotent_power, _improper_pair,
+                            _improper_search, _scale, _scaled_pairs,
                             _symbol_key)
 from blueforge.spectra import spec
 from test_completion import sympy_basis, sympy_improper_pair
@@ -696,3 +697,93 @@ class TestResidueFields:
         assert is_blue_field(rf)
         assert len(rf.carrier()) == 2
         assert rf.relations == ()
+
+
+# ---------------------------------------------------------------------------
+# The verdict on the pushed pairs against the verdict that built B/~
+
+
+def reference_verdict(blueprint, cong):
+    """`cg._verdict` as it was: the same multiplicativity and additivity
+    checks, then B/~ built as a `Blueprint` on a checked `FiniteTable`
+    (`quotient_by_congruence`), and the chain axiom read off its relations
+    scaled by its nonzero symbols."""
+    backend = blueprint.backend
+    carrier = backend.symbols
+    block_id = {x: i for i, block in enumerate(cong.partition)
+                for x in block}
+    tables = [t for t in (backend.mul_table, backend.add_table)
+              if t is not None]
+    for a in carrier:
+        for b in carrier:
+            if a < b and block_id[a] == block_id[b]:
+                for c in carrier:
+                    for t in tables:
+                        if block_id[t[(a, c)]] != block_id[t[(b, c)]]:
+                            return REFUTED
+    quotient = cg.quotient_by_congruence(blueprint, cong)
+    nonzero = [s for s in quotient.backend.symbols if s != ZERO]
+    pairs = _scaled_pairs(quotient.relations, nonzero, quotient.backend.mul,
+                          ZERO)
+    return PROVED if _improper_pair(nonzero, pairs, ZERO) is None \
+        else REFUTED
+
+
+# (blueprint, the number of its partitions that respect the operations and
+# that the chain axiom refutes); the last two give the chain axiom work
+VERDICT_BLUEPRINTS = [
+    (catalog.f1n(2), 0), (catalog.f1n(3), 0), (catalog.f1n(4), 0),
+    (catalog.b1(), 0), (catalog.idempotent_example(), 0),
+    (catalog.roots_of_unity_sums(4), 0), (catalog.product_ring(2, 3), 0),
+    (catalog.two_fields(2, 3), 5), (catalog.f1n(6), 1)]
+
+
+FINITE_CATALOG = {
+    "f1": catalog.f1, "b1": catalog.b1, "f1_squared": catalog.f1_squared,
+    "idempotent": catalog.idempotent_example,
+    **{f"f1n{n}": (lambda n=n: catalog.f1n(n)) for n in range(1, 9)},
+    **{f"roots_sums{n}": (lambda n=n: catalog.roots_of_unity_sums(n))
+       for n in range(1, 9)},
+    **{f"two_fields{a}{b}": (lambda a=a, b=b: catalog.two_fields(a, b))
+       for a, b in ((2, 2), (2, 3), (3, 5))},
+    **{f"product_ring{a}{b}": (lambda a=a, b=b: catalog.product_ring(a, b))
+       for a, b in ((2, 2), (2, 3), (3, 3))},
+}
+
+
+class TestVerdictAgainstQuotient:
+    @pytest.mark.parametrize("bp, chain_refuted", VERDICT_BLUEPRINTS,
+                             ids=[bp.name for bp, _ in VERDICT_BLUEPRINTS])
+    def test_every_partition(self, bp, chain_refuted):
+        backend = bp.backend
+        tables = [t for t in (backend.mul_table, backend.add_table)
+                  if t is not None]
+        verdicts = Counter()
+        for blocks in _set_partitions(sorted(backend.symbols)):
+            cong = cg.Congruence(bp, blocks)
+            verdict = cg._verdict(bp, cong)
+            assert verdict == reference_verdict(bp, cong), blocks
+            respects = all(cong.related(t[(a, c)], t[(b, c)])
+                           for t in tables for block in cong.partition
+                           for a in block for b in block
+                           for c in backend.symbols)
+            verdicts[verdict, respects] += 1
+        assert verdicts[REFUTED, True] == chain_refuted
+        assert verdicts[PROVED, True] and not verdicts[PROVED, False]
+
+    @pytest.mark.parametrize("name", sorted(FINITE_CATALOG))
+    def test_cspec(self, name, monkeypatch):
+        bp = FINITE_CATALOG[name]()
+        got = cg.cspec(bp)
+        got_c, got_x, got_map = cg.cspec_to_spec(bp)
+        monkeypatch.setattr(cg, "_verdict", reference_verdict)
+        want = cg.cspec(bp)
+        want_c, want_x, want_map = cg.cspec_to_spec(bp)
+        assert [c.partition for c in got.points] == \
+            [c.partition for c in want.points]
+        assert got.complete and want.complete
+        assert [c.partition for c in got_c.points] == \
+            [c.partition for c in want_c.points]
+        assert [p.ideal.minimal for p in got_x.points] == \
+            [p.ideal.minimal for p in want_x.points]
+        assert got_map == want_map

@@ -1,8 +1,10 @@
 """Blue modules, normal morphisms, projectivity, and K0."""
 
+import functools
 import itertools
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1602,3 +1604,217 @@ class TestClosureAgainstReference:
     @settings(max_examples=60, deadline=None)
     def test_random_wedges(self, module):
         assert_closures_as_reference(module)
+
+
+# ---------------------------------------------------------------------------
+# The constructor on index rows against the dict-based one it replaced
+
+
+def reference_blue_module(blueprint, carrier, action, relations=()):
+    """The dict-based constructor that the rows replaced, with one check
+    added where the row constructor makes it (0 sends every element to the
+    base point): the action held as a dict (b, m) -> b·m, checked entry by
+    entry, associativity by |B|²·|M| lookups, and the induced relations,
+    `structure()` and `invariant()` read off the dict. A namespace of the
+    carrier, the action on it, the relations, the induced relations, the
+    structure and the invariant; BlueprintError as the constructor raises."""
+    if BASE not in carrier:
+        carrier = (BASE,) + tuple(carrier)
+    carrier = (BASE,) + tuple(sorted(x for x in carrier if x != BASE))
+    syms = blueprint.backend.symbols
+    act = {}
+    for m in carrier:
+        act[(ZERO, m)] = BASE
+        act[(ONE, m)] = m
+    for (b, m), v in action.items():
+        act[(b, m)] = v
+    for b in syms:
+        act[(b, BASE)] = BASE
+        for m in carrier:
+            if (b, m) not in act:
+                raise kz.BlueprintError(f"action of {b} on {m} missing")
+            if act[(b, m)] not in carrier:
+                raise kz.BlueprintError("action leaves the carrier")
+    if any(act[(ZERO, m)] != BASE for m in carrier):
+        raise kz.BlueprintError("0 does not send every element to the base"
+                                " point")
+    one = blueprint.backend.one()
+    if any(act[(one, m)] != m for m in carrier):
+        raise kz.BlueprintError("the unit does not act as the identity")
+    for a in syms:
+        for b in syms:
+            ab = blueprint.backend.mul(a, b)
+            for m in carrier:
+                if act[(ab, m)] != act[(a, act[(b, m)])]:
+                    raise kz.BlueprintError("action is not associative")
+
+    def norm_rel(l, r):
+        nl = tuple(sorted(t for t in l if t != BASE))
+        nr = tuple(sorted(t for t in r if t != BASE))
+        if nl == nr:
+            return None
+        return (nl, nr) if nl <= nr else (nr, nl)
+
+    induced = {norm_rel([act[(t, m)] for t in l], [act[(t, m)] for t in r])
+               for l, r in blueprint.relations for m in carrier[1:]} - {None}
+    rels = induced | {norm_rel(l, r) for l, r in relations} - {None}
+    structure = core._structure(
+        carrier, [m == BASE for m in carrier],
+        [[(m, act[(b, m)]) for m in carrier[1:]]
+         for b in syms if b not in (ZERO, one)])
+    color = dict(zip(structure.elements, structure.colours)).__getitem__
+    sides = [tuple(sorted((tuple(sorted(map(color, l))),
+                           tuple(sorted(map(color, r))))))
+             for l, r in rels]
+    return SimpleNamespace(
+        carrier=carrier, action={(b, m): act[(b, m)]
+                                 for b in syms for m in carrier},
+        relations=tuple(sorted(rels)), induced=induced,
+        structure=structure, invariant=(structure.shape,
+                                        tuple(sorted(sides))))
+
+
+def built_or_error(build, *args):
+    """(what `build(*args)` returns, None), or (None, the message of the
+    BlueprintError it raises)."""
+    try:
+        return build(*args), None
+    except kz.BlueprintError as err:
+        return None, str(err)
+
+
+def assert_module_as_reference(module, reference):
+    assert module.carrier == reference.carrier
+    assert module.action == reference.action
+    assert module.relations == reference.relations
+    assert module._induced == reference.induced
+    assert module.structure() == reference.structure
+    assert module.invariant() == reference.invariant
+
+
+def assert_built_as_reference(bp, carrier, action, relations=()):
+    """The constructor and the reference accept or refuse alike, with the
+    same message, and agree on what they build."""
+    got, err = built_or_error(kz.BlueModule, bp, carrier, action, relations)
+    ref, ref_err = built_or_error(reference_blue_module, bp, carrier, action,
+                                  relations)
+    assert err == ref_err, (carrier, action, relations)
+    if got is not None:
+        assert_module_as_reference(got, ref)
+    return err
+
+
+def assert_derived_as_reference(module):
+    """A module built from rows (`BlueModule._of_rows`) is the module the
+    checked constructor builds from its action and relations."""
+    assert_module_as_reference(module, reference_blue_module(
+        module.blueprint, module.carrier, module.action, module.relations))
+
+
+CONSTRUCTOR_BLUEPRINTS = {
+    "f1": catalog.f1, "f1n2": lambda: catalog.f1n(2),
+    "f1n3": lambda: catalog.f1n(3), "f1n4": lambda: catalog.f1n(4),
+    "b1": catalog.b1, "idempotent": catalog.idempotent_example,
+    "two_fields23": lambda: catalog.two_fields(2, 3),
+}
+
+
+@functools.cache
+def small_modules(name):
+    return kz.enumerate_modules(CONSTRUCTOR_BLUEPRINTS[name](), 3)
+
+
+NAMES = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def module_inputs(draw):
+    """A blueprint and constructor inputs over it: a relabelled small or
+    free module on up to six names, or a random map on up to four, with up
+    to two entries dropped, sent out of the carrier or redrawn, and up to
+    two extra relations."""
+    name = draw(st.sampled_from(sorted(CONSTRUCTOR_BLUEPRINTS)))
+    bp = CONSTRUCTOR_BLUEPRINTS[name]()
+    syms = bp.backend.symbols
+    kind = draw(st.sampled_from(["small", "free", "random"]))
+    if kind == "random":
+        carrier = draw(st.lists(st.sampled_from(NAMES[:4]), unique=True,
+                                max_size=4))
+        action = {(b, m): draw(st.sampled_from([BASE, *carrier]))
+                  for b in syms for m in carrier}
+    else:
+        module = draw(st.sampled_from(small_modules(name))) \
+            if kind == "small" else kz.free_module(bp, 1)
+        if len(module) > len(NAMES) + 1:
+            module = kz.zero_module(bp)
+        new = {BASE: BASE, **dict(zip(module.nonbase(),
+                                      draw(st.permutations(NAMES))))}
+        carrier = [new[m] for m in module.nonbase()]
+        action = {(b, new[m]): new[v] for (b, m), v in module.action.items()}
+    for _ in range(draw(st.integers(0, 2)) if carrier else 0):
+        key = (draw(st.sampled_from(syms)), draw(st.sampled_from(carrier)))
+        how = draw(st.sampled_from(["drop", "outside", "redraw"]))
+        if how == "drop":
+            action.pop(key, None)
+        elif how == "outside":
+            action[key] = "outside"
+        else:
+            action[key] = draw(st.sampled_from([BASE, *carrier]))
+    side = st.lists(st.sampled_from([BASE, *carrier]), max_size=2)
+    relations = draw(st.lists(st.tuples(side, side), max_size=2))
+    return bp, tuple(carrier), action, relations
+
+
+class TestConstructorAgainstReference:
+    def test_zero_must_send_every_element_to_the_base_point(self, f1):
+        # 0·x = x was accepted, and the module then read as free
+        with pytest.raises(kz.BlueprintError, match="0 does not send"):
+            kz.BlueModule(f1, ("x",), {(ZERO, "x"): "x", (ONE, "x"): "x"})
+        assert kz.is_free(kz.BlueModule(f1, ("x",), {(ONE, "x"): "x"}))
+
+    @pytest.mark.parametrize("action, message", [
+        ({("z1", "x"): "x"}, "action of z2 on x missing"),
+        ({("z1", "x"): "y", ("z2", "x"): "x"}, "action leaves the carrier"),
+        ({("z1", "x"): "x", ("z2", "x"): "x", (ZERO, "x"): "x"},
+         "0 does not send"),
+        ({("z1", "x"): "x", ("z2", "x"): "x", (ONE, "x"): BASE},
+         "the unit does not act"),
+        ({("z1", "x"): BASE, ("z2", "x"): BASE}, "action is not associative"),
+    ])
+    def test_each_refusal(self, f13, action, message):
+        err = assert_built_as_reference(f13, ("x",), action)
+        assert err.startswith(message)
+
+    def test_universe(self, case):
+        bp, _, universe = case
+        for m in universe:
+            assert_built_as_reference(bp, m.carrier, m.action, m.relations)
+            assert_derived_as_reference(m)
+
+    def test_derived_modules(self, case):
+        # principal wedges, wedges, submodules and cokernels are built
+        # from rows, unchecked
+        bp, _, universe = case
+        principal = kz._principal_modules(bp)
+        for _, be in principal:
+            assert_derived_as_reference(be)
+        assert_derived_as_reference(kz._principal_wedge(
+            bp, [e for e, _ in principal] * 2))
+        for m in universe[:6]:
+            assert_derived_as_reference(kz.wedge(m, universe[-1])[0])
+            for sub in kz._action_closed_subsets(m):
+                part, inc = kz._submodule(m, sub)
+                assert_derived_as_reference(part)
+                assert_derived_as_reference(kz.cokernel(inc)[0])
+
+    def test_submodule_must_be_closed(self, idem):
+        free = kz.free_module(idem, 1)
+        assert kz._submodule(free, ["e@0"])[0].carrier == (BASE, "e@0")
+        with pytest.raises(kz.BlueprintError,
+                           match="action leaves the carrier"):
+            kz._submodule(free, ["1@0"])
+
+    @given(module_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_random_inputs(self, inputs):
+        assert_built_as_reference(*inputs)
