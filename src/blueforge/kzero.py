@@ -57,8 +57,14 @@ class BlueModule:
         """Check `action`, a dict (b, m) -> b·m in which 0·m = * and 1·m = m
         may be left out, and read it into rows: every b·m is given and lies
         in the carrier, 0 sends every element to the base point, the unit
-        acts as the identity, and row[a·b] = row[a]∘row[b] (associativity,
-        one composition per pair of symbols)."""
+        acts as the identity, and row[a·b] = row[a]∘row[b] (associativity).
+
+        Associativity is checked for b among the monoid generators
+        (`_monoid_generators`) only, one composition per pair (a, g). That
+        gives every pair: each b ≠ 0 is 1 or a word b'·g in the generators,
+        and by induction on its length row[a·b'·g] = row[a·b']∘row[g] =
+        row[a]∘row[b']∘row[g]; 0 acts by the zero row, and row[a] keeps
+        the base point, so row[a]∘row[0] = row[0] = row[a·0]."""
         carrier = (BASE,) + tuple(sorted(x for x in carrier if x != BASE))
         index = {m: i for i, m in enumerate(carrier)}
         syms = blueprint.backend.symbols
@@ -82,10 +88,10 @@ class BlueModule:
         if rows[blueprint.backend.one()] != tuple(range(len(carrier))):
             raise BlueprintError("the unit does not act as the identity")
         mul = blueprint.backend.mul
-        for a in syms:
-            ra = rows[a].__getitem__
-            for b in syms:
-                if rows[mul(a, b)] != tuple(map(ra, rows[b])):
+        for g in _monoid_generators(blueprint):
+            rg = rows[g]
+            for a in syms:
+                if rows[mul(a, g)] != tuple(map(rows[a].__getitem__, rg)):
                     raise BlueprintError("action is not associative")
         self._derive(blueprint, carrier, index, rows, relations, name)
 
@@ -295,9 +301,11 @@ class ModuleMorphism:
 
 def _module_pairs(module):
     """The module's relations scaled by every nonzero symbol, with the base
-    point dropped."""
-    nonzero = [b for b in module.blueprint.backend.symbols if b != ZERO]
-    return _scaled_pairs(module.relations, nonzero, module.act, BASE)
+    point dropped, read off the rows."""
+    carrier, at = module.carrier, module._index
+    rows = [row for b, row in module.rows.items() if b != ZERO]
+    return _scaled_pairs(module.relations, rows,
+                         lambda row, t: carrier[row[at[t]]], BASE)
 
 
 @_per_blueprint
@@ -547,8 +555,10 @@ def _wedge_shape(module, principal):
 # Module enumeration and K0
 
 
+@_per_blueprint
 def _monoid_generators(blueprint):
-    """A minimal generating subset of the multiplicative monoid besides 0,1."""
+    """A minimal generating subset of the multiplicative monoid besides 0,1,
+    kept on the blueprint."""
     syms = [s for s in blueprint.backend.symbols if s not in (ZERO, ONE)]
     for r in range(len(syms) + 1):
         for sub in itertools.combinations(syms, r):
@@ -563,8 +573,8 @@ def _monoid_generators(blueprint):
                         generated.add(z)
                         frontier.append(z)
             if generated == set(blueprint.backend.symbols):
-                return list(sub)
-    return syms
+                return sub
+    return tuple(syms)
 
 
 def enumerate_modules(blueprint, size_bound):
