@@ -48,10 +48,10 @@ class BlueModule:
     pre-addition; the relations induced by the blueprint's own pre-addition
     are always included. Modules are not mutated after construction.
 
-    The carrier is the base point followed by the other elements in sorted
-    order, and the action is one row per symbol b of the blueprint:
-    `rows[b][i]` is the index of b·carrier[i]. `act` and `action` are views
-    of the rows."""
+    The carrier is the base point followed by the other elements, each
+    once, in sorted order, and the action is one row per symbol b of the
+    blueprint: `rows[b][i]` is the index of b·carrier[i]. `act` and
+    `action` are views of the rows."""
 
     def __init__(self, blueprint, carrier, action, relations=(), name=None):
         """Check `action`, a dict (b, m) -> b·m in which 0·m = * and 1·m = m
@@ -65,7 +65,7 @@ class BlueModule:
         and by induction on its length row[a·b'·g] = row[a·b']∘row[g] =
         row[a]∘row[b']∘row[g]; 0 acts by the zero row, and row[a] keeps
         the base point, so row[a]∘row[0] = row[0] = row[a·0]."""
-        carrier = (BASE,) + tuple(sorted(x for x in carrier if x != BASE))
+        carrier = (BASE,) + tuple(sorted(set(carrier) - {BASE}))
         index = {m: i for i, m in enumerate(carrier)}
         syms = blueprint.backend.symbols
         get = action.get
@@ -96,15 +96,22 @@ class BlueModule:
         self._derive(blueprint, carrier, index, rows, relations, name)
 
     @classmethod
-    def _of_rows(cls, blueprint, carrier, rows, relations=(), name=None):
-        """The module on a carrier already in the constructor's order with
-        the given rows, unchecked: for the modules built from modules
-        (principal wedges, wedges, submodules, cokernels), which meet the
-        constructor's checks by construction."""
+    def _of_rows(cls, blueprint, names, rows, relations=(), name=None):
+        """The module on the distinct `names`, the base point first, whose
+        rows index into `names`, unchecked: for the modules built from
+        modules (principal wedges, wedges, submodules, cokernels), which
+        meet the constructor's checks by construction. The carrier is put
+        in the constructor's order and the rows renumbered to match."""
+        pick = [0] + sorted(range(1, len(names)), key=names.__getitem__)
+        to = [0] * len(names)
+        for k, i in enumerate(pick):
+            to[i] = k
+        carrier = tuple(map(names.__getitem__, pick))
         self = cls.__new__(cls)
         self._derive(blueprint, carrier,
-                     {m: i for i, m in enumerate(carrier)}, rows, relations,
-                     name)
+                     {m: i for i, m in enumerate(carrier)},
+                     {b: tuple(to[row[i]] for i in pick)
+                      for b, row in rows.items()}, relations, name)
         return self
 
     def _derive(self, blueprint, carrier, index, rows, relations, name):
@@ -229,21 +236,7 @@ def _principal_wedge(blueprint, idempotents, name=None):
             elements.append((i, x))
     rows = {a: (0,) + tuple(at[i][mul(a, x)] for i, x in elements[1:])
             for a in syms}
-    return _sorted_module(blueprint, names, rows, name=name)
-
-
-def _sorted_module(blueprint, names, rows, relations=(), name=None):
-    """The module on `names` (the base point first) whose rows index into
-    `names`, with the carrier put in the constructor's order and the rows
-    renumbered to match."""
-    pick = [0] + sorted(range(1, len(names)), key=names.__getitem__)
-    to = [0] * len(names)
-    for k, i in enumerate(pick):
-        to[i] = k
-    return BlueModule._of_rows(
-        blueprint, tuple(map(names.__getitem__, pick)),
-        {b: tuple(to[row[i]] for i in pick) for b, row in rows.items()},
-        relations, name)
+    return BlueModule._of_rows(blueprint, names, rows, name=name)
 
 
 def zero_module(blueprint):
@@ -261,8 +254,8 @@ def wedge(m1: BlueModule, m2: BlueModule):
             for l, r in m1.relations]
     rels += [([f"R.{t}" for t in l], [f"R.{t}" for t in r])
              for l, r in m2.relations]
-    out = _sorted_module(m1.blueprint, names, rows, rels,
-                         name=f"{m1.name or 'M'}+{m2.name or 'N'}")
+    out = BlueModule._of_rows(m1.blueprint, names, rows, rels,
+                              name=f"{m1.name or 'M'}+{m2.name or 'N'}")
     inc1 = ModuleMorphism(m1, out, {x: f"L.{x}" for x in m1.nonbase()})
     inc2 = ModuleMorphism(m2, out, {x: f"R.{x}" for x in m2.nonbase()})
     return out, inc1, inc2

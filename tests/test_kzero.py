@@ -1772,6 +1772,11 @@ class TestConstructorAgainstReference:
             kz.BlueModule(f1, ("x",), {(ZERO, "x"): "x", (ONE, "x"): "x"})
         assert kz.is_free(kz.BlueModule(f1, ("x",), {(ONE, "x"): "x"}))
 
+    def test_carrier_is_a_set(self, f1):
+        # a repeated name is one element, as the base point always was
+        assert kz.BlueModule(f1, ("x", BASE, "x", BASE), {}).carrier == \
+            (BASE, "x")
+
     @pytest.mark.parametrize("action, message", [
         ({("z1", "x"): "x"}, "action of z2 on x missing"),
         ({("z1", "x"): "y", ("z2", "x"): "x"}, "action leaves the carrier"),
