@@ -1,7 +1,8 @@
 """Order complexes, Coxeter complexes as Weyl orbits of the standard flag,
 Weyl-group orbit complexes on projective coordinate posets, the oriflamme
 construction, and type-A buildings over F_q. Typed isomorphism is the one
-search for finite structures, `core._isomorphism` on `core._structure`."""
+search for finite structures, `predicates._isomorphism` on
+`predicates._structure`."""
 
 from __future__ import annotations
 
@@ -567,8 +568,8 @@ def coordinate_apartment(building_cx, n, q):
 
 def is_isomorphic_typed(c1, c2):
     """A type-preserving simplicial bijection (up to a bijection of the type
-    alphabets) as {"vertex_map", "type_map"}, or None: `core._isomorphism`
-    on the `_typed_structure`s."""
+    alphabets) as {"vertex_map", "type_map"}, or None:
+    `predicates._isomorphism` on the `_typed_structure`s."""
     if len(c1.vertices) > 200 or len(c2.vertices) > 200:
         raise TooLarge("too many vertices")
     found = _isomorphism(_typed_structure(c1), _typed_structure(c2))
@@ -580,7 +581,7 @@ def is_isomorphic_typed(c1, c2):
 
 
 def _typed_structure(cx):
-    """Types, vertices and facets as one `core._structure`, related by
+    """Types, vertices and facets as one `predicates._structure`, related by
     typing, incidence and vertex adjacency. The types come first, then the
     facets one by one, each after its vertices not placed before."""
     order = [("t", t) for t in sorted(set(cx.types[v] for v in cx.vertices))]

@@ -4,7 +4,7 @@ spectrum with its basis topology, absorbing ideals, and residue fields.
 A partition ~ of the carrier is a congruence when it is multiplicative and
 meets the chain axiom. The chain axiom holds exactly when the quotient B/~
 is proper, so it is decided by the normal forms of the completion of the
-pre-addition of B/~ (`core._improper_pair`), which reads no budget. That
+pre-addition of B/~ (`derivation._improper_pair`), which reads no budget. That
 pre-addition is read off B directly: its symbols are the class
 representatives, multiplied as rep(a)·rep(b) = rep(ab), and its relations
 are the pushed relations of B; no quotient table is built
@@ -69,9 +69,11 @@ def _check_table(blueprint):
         raise TooLarge("congruences are implemented for finite tables")
 
 
-def _verdict(blueprint, cong):
+def _verdict(blueprint, cong, multiplicative=False):
     """Proved / Refuted for the partition `cong` of the carrier; TooLarge
-    when the completion of B/~ outgrows `core._COMPLETION_CAP`.
+    when the completion of B/~ outgrows `derivation._COMPLETION_CAP`. With
+    `multiplicative`, the caller vouches that ~ is multiplicative, as
+    `_candidates` builds it, and only the addition table is checked.
 
     Once ~ is multiplicative (and additive), B/~ is a table whose symbols
     are the class representatives (`_symbol_key`-least members, 0 for the
@@ -85,13 +87,13 @@ def _verdict(blueprint, cong):
     # a ~ b forces ac ~ bc, and a + c ~ b + c on a semiring table (both
     # operations are commutative, and ~ is transitive, so this gives
     # ac ~ bd and a + c ~ b + d whenever c ~ d)
-    tables = [t for t in (backend.mul_table, backend.add_table)
-              if t is not None]
-    for a in carrier:
-        for b in carrier:
-            if a < b and block_id[a] == block_id[b]:
-                for c in carrier:
-                    for t in tables:
+    tables = [t for t in (None if multiplicative else backend.mul_table,
+                          backend.add_table) if t is not None]
+    for t in tables:
+        for a in carrier:
+            for b in carrier:
+                if a < b and block_id[a] == block_id[b]:
+                    for c in carrier:
                         if block_id[t[(a, c)]] != block_id[t[(b, c)]]:
                             return REFUTED
     rep = _representatives(cong)
@@ -123,8 +125,8 @@ def _representatives(cong):
 def is_congruence(blueprint, partition, budget=None):
     """Proved / Refuted for the two congruence axioms; raises NotACongruence
     unless the blocks are nonempty, disjoint and cover the carrier, and
-    TooLarge past `core._COMPLETION_CAP` completion rules. The budget is not
-    read.
+    TooLarge past `derivation._COMPLETION_CAP` completion rules. The budget
+    is not read.
 
     Multiplicativity, and on a semiring table additivity, are exhausted.
     The chain axiom holds iff the quotient B/~ is proper: no derivation
@@ -229,9 +231,10 @@ def _candidates(blueprint, primes):
 
 def _cspec(blueprint, primes):
     """The prime congruences among the candidates built on the points of
-    `primes`, the spectrum of `blueprint`."""
+    `primes`, the spectrum of `blueprint`; each candidate is multiplicative
+    by construction, so its verdict skips that check."""
     points = [cong for cong in _candidates(blueprint, primes)
-              if _verdict(blueprint, cong) == PROVED]
+              if _verdict(blueprint, cong, multiplicative=True) == PROVED]
     points.sort(key=lambda c: c.partition)
     return CSpecSpace(blueprint, tuple(points), True)
 
@@ -244,8 +247,8 @@ def cspec(blueprint, budget=None):
     and H a subgroup of G. Only these candidates are checked, by the
     congruence verdict of `is_congruence`, which decides each one, so
     `complete` is always True. Neither that verdict nor `spec` of a finite
-    table reads the budget; past `core._COMPLETION_CAP` completion rules on
-    some B/~ this raises TooLarge."""
+    table reads the budget; past `derivation._COMPLETION_CAP` completion
+    rules on some B/~ this raises TooLarge."""
     _check_table(blueprint)
     return _cspec(blueprint, spec(blueprint))
 

@@ -23,7 +23,7 @@ def fq_points(obj, q):
     """Number of F_q-rational points of a blueprint or scheme-like object.
 
     A blueprint's points are its morphisms to F_q. They are counted by
-    `core._count_solutions`, once per coefficient image of a monomial
+    `morphisms._count_solutions`, once per coefficient image of a monomial
     source, and never listed.
     """
     if hasattr(obj, "fq_points"):
@@ -64,7 +64,7 @@ def projective_fq_points(blueprint, q, vanishing=()):
 
     `vanishing` names generators forced to zero (counting a closed subset).
     Per choice of the first nonzero coordinate, the vectors are counted by
-    `core._count_solutions` and never listed.
+    `morphisms._count_solutions` and never listed.
     """
     if q not in SUPPORTED_Q:
         raise TooLarge(f"no field table for q={q}")

@@ -8,10 +8,11 @@ constructor checks an action dict once, in one pass over the rows, with
 associativity as row[a·b] = row[a]∘row[b]; principal wedges, wedges,
 submodules and cokernels map their source's rows through index maps and
 are not checked again. Derivations in a module are decided by the normal
-forms of the completion of its pre-addition (`core._Completion`), which
-reads no budget and raises TooLarge past `core._COMPLETION_CAP` rules, and
-isomorphisms of modules are the one search for finite structures,
-`core._isomorphism` on `core._structure`.
+forms of the completion of its pre-addition (`derivation._Completion`),
+which reads no budget and raises TooLarge past
+`derivation._COMPLETION_CAP` rules, and isomorphisms of modules are the one
+search for finite structures, `predicates._isomorphism` on
+`predicates._structure`.
 
 Over a monoid the projective modules are the wedges of the principal
 modules B·e, e ≠ 0 idempotent (Chu–Lorscheid–Santhanam, Adv. Math. 229,
@@ -58,6 +59,7 @@ class BlueModule:
         may be left out, and read it into rows: every b·m is given and lies
         in the carrier, 0 sends every element to the base point, the unit
         acts as the identity, and row[a·b] = row[a]∘row[b] (associativity).
+        Every term of `relations` must lie in the carrier.
 
         Associativity is checked for b among the monoid generators
         (`_monoid_generators`) only, one composition per pair (a, g). That
@@ -93,6 +95,9 @@ class BlueModule:
             for a in syms:
                 if rows[mul(a, g)] != tuple(map(rows[a].__getitem__, rg)):
                     raise BlueprintError("action is not associative")
+        for t in (t for l, r in relations for t in (*l, *r)):
+            if t not in index:
+                raise BlueprintError(f"relation term {t} not in the carrier")
         self._derive(blueprint, carrier, index, rows, relations, name)
 
     @classmethod
@@ -184,9 +189,9 @@ class BlueModule:
         return f"BlueModule({self.name or ','.join(self.carrier)})"
 
     def structure(self):
-        """The carrier as a `core._structure`: the base point coloured apart
-        and one pair relation m -> b·m (m ≠ *) per symbol b, read off its
-        row; 0 and 1, which act alike on every module, are left out.
+        """The carrier as a `predicates._structure`: the base point coloured
+        apart and one pair relation m -> b·m (m ≠ *) per symbol b, read off
+        its row; 0 and 1, which act alike on every module, are left out.
         Computed on the first call and kept."""
         if self._struct is None:
             carrier = self.carrier
@@ -311,7 +316,7 @@ def _module_completion(module):
 def module_derive(module, lhs, rhs):
     """Whether lhs = rhs lies in the module's pre-addition, decided by the
     normal forms of `_module_completion`; TooLarge past
-    `core._COMPLETION_CAP` rules. Equal sums need no completion."""
+    `derivation._COMPLETION_CAP` rules. Equal sums need no completion."""
     l, r = module._norm_sum(lhs), module._norm_sum(rhs)
     if l == r:
         return True
@@ -338,10 +343,10 @@ def is_module_morphism(f: ModuleMorphism):
 
 def modules_isomorphic(m1: BlueModule, m2: BlueModule):
     """The least carrier bijection preserving action and relations, or None:
-    `core._isomorphism` on the `structure`s, which keep the action, with the
-    relations compared at each leaf. Least: the elements of m1 in carrier
-    order, each given the first element of m2 that works; the keys are in
-    m1's carrier order."""
+    `predicates._isomorphism` on the `structure`s, which keep the action,
+    with the relations compared at each leaf. Least: the elements of m1 in
+    carrier order, each given the first element of m2 that works; the keys
+    are in m1's carrier order."""
     if m1.invariant() != m2.invariant():
         return None
     rels2 = set(m2.relations)
@@ -387,7 +392,7 @@ def kernel(f: ModuleMorphism):
 
 
 def submodule_closure(module: BlueModule, subset):
-    """Closure under the action and the additive rule (`core._close`)."""
+    """Closure under the action and the additive rule (`ideals._close`)."""
     rules = _closure_rules(module.carrier, module.blueprint.backend.symbols,
                            module.act, module._oriented)
     members = _close(rules, _bits(module.carrier, {BASE, *subset}))
@@ -432,8 +437,8 @@ def cokernel(f: ModuleMorphism):
 def _improper_module_pair(module: BlueModule):
     """The first element, in carrier order, with a derivable identification:
     (*, m) when it is one with the base point, else (m, b) for the least b,
-    read off the normal forms of a completion (`core._improper_pair`);
-    TooLarge past `core._COMPLETION_CAP` rules."""
+    read off the normal forms of a completion (`derivation._improper_pair`);
+    TooLarge past `derivation._COMPLETION_CAP` rules."""
     return _improper_pair(module.nonbase(), _module_pairs(module), BASE)
 
 
@@ -519,18 +524,16 @@ def is_projective(module: BlueModule):
 
     Free modules are found by `is_free`, without a search. Otherwise a
     relation that couples two action-connected components leaves no wedge
-    decomposition, and the module is projective iff `ModuleClassifier`
-    finds every component among the classes of B·e
-    (`_principal_modules`). Lifting against normal epis alone is strictly
-    weaker (it cannot refute fixed-point modules over blue fields) and is
-    exercised as a necessary condition in the tests.
+    decomposition, and the module is projective iff every component is
+    found among the classes of B·e (`_principal_classifier`). Lifting
+    against normal epis alone is strictly weaker (it cannot refute
+    fixed-point modules over blue fields) and is exercised as a necessary
+    condition in the tests.
     """
     if is_free(module):
         return True
-    classifier = ModuleClassifier()
-    for _, be in _principal_modules(module.blueprint):
-        classifier.classify(be)
-    return _wedge_shape(module, classifier) is not None
+    return _wedge_shape(module, _principal_classifier(module.blueprint)) \
+        is not None
 
 
 def _wedge_shape(module, principal):
@@ -753,9 +756,10 @@ def _submodule(module, subset, name=None):
     return sub, inc
 
 
+@_per_blueprint
 def _principal_modules(blueprint):
     """The pairs (e, B·e), one for each isomorphism class of B·e with e ≠ 0
-    idempotent, in symbol order."""
+    idempotent, in symbol order; kept on the blueprint."""
     mul = blueprint.backend.mul
     classifier = ModuleClassifier()
     out = []
@@ -767,16 +771,25 @@ def _principal_modules(blueprint):
     return out
 
 
-def _principal_records(principal, size_bound):
-    """Per class of B·e in `principal`, the pairs (shape of S, shape of
-    B·e/S) for the action-closed subsets S of B·e with S → B·e a normal mono
-    and S, B·e/S projective; a shape counts the copies of each class. A B·e
-    larger than `size_bound` is not touched: no wedge that holds it fits."""
+@_per_blueprint
+def _principal_classifier(blueprint):
+    """The `ModuleClassifier` of the classes of `_principal_modules`, kept
+    on the blueprint; its classes are indexed as they are listed."""
     classifier = ModuleClassifier()
-    for _, be in principal:
+    for _, be in _principal_modules(blueprint):
         classifier.classify(be)
+    return classifier
+
+
+def _principal_records(blueprint, size_bound):
+    """Per class of B·e (`_principal_modules`), the pairs (shape of S, shape
+    of B·e/S) for the action-closed subsets S of B·e with S → B·e a normal
+    mono and S, B·e/S projective; a shape counts the copies of each class.
+    A B·e larger than `size_bound` is not touched: no wedge that holds it
+    fits."""
+    classifier = _principal_classifier(blueprint)
     records = []
-    for _, be in principal:
+    for _, be in _principal_modules(blueprint):
         pairs = []
         for s in _action_closed_subsets(be) if len(be) <= size_bound else ():
             sub, inc = _submodule(be, s)
@@ -826,7 +839,7 @@ def k0(blueprint, size_bound=6):
                   if carrier_size(sh + (c,)) <= size_bound]
     shapes.sort(key=carrier_size)
     index = {sh: i for i, sh in enumerate(shapes)}
-    records = _principal_records(principal, size_bound)
+    records = _principal_records(blueprint, size_bound)
     zero = (0,) * len(principal)
     rows = set()
     for im, sh in enumerate(shapes):

@@ -114,7 +114,7 @@ def spec(blueprint, budget=None):
     `_monomial_primes`); this is decided exactly, without the budget, and
     the result is always complete. Finite tables read no budget either: a
     symbol set S is a prime when {0} + S is closed under the ideal rules
-    (`core._ideal_rules`), proper and prime.
+    (`ideals._ideal_rules`), proper and prime.
     """
     backend = blueprint.backend
     if backend.kind == "monomial":

@@ -1,5 +1,5 @@
 """Ideal closures against the budgeted loops they replaced: finite ideal
-closures and finite spectra by one rule closure (`core._closure_rules`),
+closures and finite spectra by one rule closure (`ideals._closure_rules`),
 monomial ideals by colon ideals."""
 
 import itertools

@@ -1,5 +1,5 @@
 """The completion that decides `derive` on finite tables
-(`core._Completion`) against `sympy.groebner`: its rules are the reduced
+(`derivation._Completion`) against `sympy.groebner`: its rules are the reduced
 Gröbner basis of the binomial ideal of the pairs (m*L, m*R) in grevlex
 order, which is unique, and u ~ v iff x^u - x^v lies in that ideal. The
 oracles here also serve the congruence and module tests."""
@@ -52,7 +52,7 @@ def sympy_ideal(bp):
 
 
 def sympy_improper_pair(G, mono, elements, zero):
-    """The pair of `core._improper_pair`, by sympy's membership test:
+    """The pair of `derivation._improper_pair`, by sympy's membership test:
     (zero, a) for the first a with x_a - 1 in the ideal, else (a, b) for the
     first a with some x_a - x_b in it, b the least such element."""
     for a in elements:

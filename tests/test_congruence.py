@@ -562,6 +562,24 @@ class TestCandidates:
 
     @pytest.mark.parametrize("bp", SATURATE_BLUEPRINTS,
                              ids=lambda bp: bp.name)
+    def test_candidates_are_multiplicative(self, bp):
+        # `_cspec` skips the multiplicativity check on every candidate:
+        # checked here by brute force, and the verdict that skips it against
+        # the full one
+        syms, mul = bp.backend.symbols, bp.backend.mul
+        candidates = list(cg._candidates(bp, spec(bp)))
+        assert candidates
+        for cong in candidates:
+            for block in cong.partition:
+                for a in block:
+                    for b in block:
+                        assert all(cong.related(mul(a, c), mul(b, c))
+                                   for c in syms), (cong, a, b)
+            assert cg._verdict(bp, cong, multiplicative=True) == \
+                cg._verdict(bp, cong)
+
+    @pytest.mark.parametrize("bp", SATURATE_BLUEPRINTS,
+                             ids=lambda bp: bp.name)
     def test_points_are_prime(self, bp):
         for budget in (None, Budget(6, 3, 100000), Budget(6, 3, 5)):
             for c in cg.cspec(bp, budget).points:
@@ -574,9 +592,9 @@ class TestCandidates:
         calls = []
         verdict = cg._verdict
 
-        def counted(blueprint, cong):
+        def counted(blueprint, cong, **kwargs):
             calls.append(cong.partition)
-            return verdict(blueprint, cong)
+            return verdict(blueprint, cong, **kwargs)
 
         monkeypatch.setattr(cg, "_verdict", counted)
         return cg.cspec(bp, budget), calls
@@ -703,11 +721,11 @@ class TestResidueFields:
 # The verdict on the pushed pairs against the verdict that built B/~
 
 
-def reference_verdict(blueprint, cong):
+def reference_verdict(blueprint, cong, multiplicative=False):
     """`cg._verdict` as it was: the same multiplicativity and additivity
-    checks, then B/~ built as a `Blueprint` on a checked `FiniteTable`
-    (`quotient_by_congruence`), and the chain axiom read off its relations
-    scaled by its nonzero symbols."""
+    checks, whatever `multiplicative` says, then B/~ built as a `Blueprint`
+    on a checked `FiniteTable` (`quotient_by_congruence`), and the chain
+    axiom read off its relations scaled by its nonzero symbols."""
     backend = blueprint.backend
     carrier = backend.symbols
     block_id = {x: i for i, block in enumerate(cong.partition)

@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blueforge import catalog, core
+from blueforge import catalog, derivation
 from blueforge.budget import Budget
 from blueforge.core import (ONE, PROVED, UNKNOWN, ZERO, Blueprint,
                             BlueprintError, BlueprintMorphism, FiniteTable,
@@ -298,11 +298,17 @@ class TestVariablePrimeQuotients:
     @pytest.mark.parametrize("name", ["sl2", "sl2_minors"])
     def test_sl2_quotients_are_certified_without_search(self, name,
                                                         monkeypatch):
-        # 0 = 1 + T2*T3 with (T2*T3)^2 = 1: one ratio, of order two
-        explored, explore = [], core._explore
-        monkeypatch.setattr(core, "_explore", lambda *a, **k:
+        # 0 = 1 + T2*T3 with (T2*T3)^2 = 1: one ratio, of order two. The
+        # spy sits where the guard's search looks `_explore` up.
+        explored, explore = [], derivation._explore
+        monkeypatch.setattr(derivation, "_explore", lambda *a, **k:
                             explored.append(a) or explore(*a, **k))
         build, _ = PINNED[name]
+        # positive control: the uncertified blueprint is searched, and the
+        # spy sees it
+        assert not _certified_proper(build())
+        assert improper_pair(build(), _guard_budget(PIN_BUDGET)) is None
+        assert explored
         certified = 0
         for _, _, killed, Q in variable_prime_quotients(build()):
             if Q is None or not Q.relations or not killed:
@@ -409,7 +415,7 @@ FINITE_TABLES = {
 
 
 def reference_localize(bp, elems):
-    """The pair-table localization that `core._finite_localize` replaced,
+    """The pair-table localization that `ideals._finite_localize` replaced,
     with its closure of S taken under all products (it left out s*s)."""
     backend = bp.backend
     sset = {ONE}
@@ -495,7 +501,7 @@ def assert_localizes_as_reference(bp, elems):
 
 
 def reference_finite_quotient(bp, ideal):
-    """The merge loop that `core._finite_quotient` replaced: close under
+    """The merge loop that `ideals._finite_quotient` replaced: close under
     multiplication by rescanning the whole table, at most 40 rounds."""
     backend = bp.backend
     budget = bp.budget

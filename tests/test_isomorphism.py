@@ -1,8 +1,8 @@
-"""The one isomorphism search for finite structures, `core._structure` and
-`core._isomorphism`, as modules, typed complexes and finite tables use it:
-metamorphic tests under relabelling, the permutation-order search it
-replaced for finite tables, and inputs on which the earlier searches did
-not finish."""
+"""The one isomorphism search for finite structures,
+`predicates._structure` and `predicates._isomorphism`, as modules, typed
+complexes and finite tables use it: metamorphic tests under relabelling,
+the permutation-order search it replaced for finite tables, and inputs on
+which the earlier searches did not finish."""
 
 import itertools
 import random

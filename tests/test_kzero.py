@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blueforge import catalog, core
+from blueforge import catalog, core, derivation
 from blueforge import congruence as cg
 from blueforge import kzero as kz
 from blueforge.budget import Budget
@@ -273,8 +273,8 @@ class TestK0:
 
 class TestCompletionCap:
     """Module derivations and the properness of cokernels are decided by
-    completions; no search budget is read, and past `core._COMPLETION_CAP`
-    rules they raise TooLarge."""
+    completions; no search budget is read, and past
+    `derivation._COMPLETION_CAP` rules they raise TooLarge."""
 
     def test_module_derive_and_k0_read_no_budget(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -282,8 +282,10 @@ class TestCompletionCap:
 
         assert not hasattr(kz, "MODULE_BUDGET")
         f12 = catalog.f1n(2)
-        monkeypatch.setattr(core, "_explore", forbidden)
-        monkeypatch.setattr(core, "_improper_search", forbidden)
+        sl2 = catalog.sl2_f1()
+        # both patched where the derivation engine looks them up
+        monkeypatch.setattr(derivation, "_explore", forbidden)
+        monkeypatch.setattr(derivation, "_improper_search", forbidden)
         free = kz.free_module(f12, 1)
         assert not kz.module_derive(free, ["1@0"], ["-1@0"])
         assert kz.module_derive(free, ["1@0", "-1@0"], [])
@@ -294,12 +296,20 @@ class TestCompletionCap:
         assert kz._improper_module_pair(killed) == (BASE, "-1@0")
         assert kz._improper_module_pair(free) is None
         assert kz.k0(f12, 3).is_infinite_cyclic()
+        # positive controls: a monomial blueprint's derivation and its
+        # properness guard do search, and reach the patched names
+        with pytest.raises(AssertionError, match="a budgeted search ran"):
+            core.derive(sl2, [sl2.one()], [sl2.backend.zero()])
+        with pytest.raises(AssertionError, match="a budgeted search ran"):
+            Blueprint(sl2.backend, sl2.relations)
 
     def test_cspec_and_k0_raise_past_the_cap(self, monkeypatch, capsys):
         # a fresh blueprint keeps no completion built under the patched cap
         f12 = catalog.f1n(2)
         f12 = Blueprint(f12.backend, f12.relations)
-        monkeypatch.setattr(core, "_COMPLETION_CAP", 0)
+        # patched where `_Completion` reads it; the messages below show
+        # that the patched cap is the one read
+        monkeypatch.setattr(derivation, "_COMPLETION_CAP", 0)
         with pytest.raises(TooLarge, match="completion past 0 rules"):
             cg.cspec(f12)
         with pytest.raises(TooLarge, match="completion past 0 rules"):
@@ -632,9 +642,9 @@ def reference_k0_by_wedges(blueprint, size_bound):
     return kz.K0Result(names, tuple(rows), rank, torsion)
 
 
-# The module derivation search before it ran on `core._explore`: its own BFS
-# rescaling every relation by every nonzero symbol per sum expanded, and
-# the improper-pair loop with one search per element and one per pair.
+# The module derivation search before it ran on `derivation._explore`: its
+# own BFS rescaling every relation by every nonzero symbol per sum expanded,
+# and the improper-pair loop with one search per element and one per pair.
 
 
 def reference_module_rewrites(module, u, budget):
@@ -963,10 +973,10 @@ def assert_free_as_reference(module):
 
 
 class TestIsomorphismAgainstReference:
-    """The structure search (`core._isomorphism`) on single-module colours
-    and the orbit-cover freeness test, against the jointly coloured search,
-    a brute-force search over permutations and the isomorphism to a free
-    module."""
+    """The structure search (`predicates._isomorphism`) on single-module
+    colours and the orbit-cover freeness test, against the jointly coloured
+    search, a brute-force search over permutations and the isomorphism to a
+    free module."""
 
     def test_universe_pairs(self, case):
         _, _, universe = case
@@ -1507,11 +1517,17 @@ class TestK0ByShapes:
         def forbidden(*args, **kwargs):
             raise AssertionError("wedge built on the K0 path")
 
+        # a fresh blueprint keeps no principal modules yet; the patch hands
+        # k0 those of another, and the positive control shows it read them
         bp = catalog.idempotent_example()
         principal = kz._principal_modules(bp)
-        monkeypatch.setattr(kz, "_principal_modules", lambda _: principal)
+        bp = Blueprint(bp.backend, bp.relations)
+        read = []
+        monkeypatch.setattr(kz, "_principal_modules",
+                            lambda b: read.append(b) or principal)
         monkeypatch.setattr(kz, "_principal_wedge", forbidden)
         assert kz.k0(bp, 6).rank == 2
+        assert read and all(b is bp for b in read)
 
     def test_extra_relations_are_not_free(self, f1, f12):
         for bp, rel in ((f1, (["1@0"], ["1@1"])),
@@ -1647,6 +1663,9 @@ def reference_blue_module(blueprint, carrier, action, relations=()):
             for m in carrier:
                 if act[(ab, m)] != act[(a, act[(b, m)])]:
                     raise kz.BlueprintError("action is not associative")
+    for t in (t for l, r in relations for t in (*l, *r)):
+        if t not in carrier:
+            raise kz.BlueprintError(f"relation term {t} not in the carrier")
 
     def norm_rel(l, r):
         nl = tuple(sorted(t for t in l if t != BASE))
@@ -1789,6 +1808,15 @@ class TestConstructorAgainstReference:
     def test_each_refusal(self, f13, action, message):
         err = assert_built_as_reference(f13, ("x",), action)
         assert err.startswith(message)
+
+    @pytest.mark.parametrize("relations", [
+        [(["y"], [])], [([], ["x", "y"])], [(["x"], [BASE]), ([BASE], ["y"])]])
+    def test_relation_terms_must_lie_in_the_carrier(self, f1, relations):
+        # such a module was built, and its invariant() and module_derive
+        # then raised KeyError: 'y'
+        err = assert_built_as_reference(f1, ("x",), {(ONE, "x"): "x"},
+                                        relations)
+        assert err == "relation term y not in the carrier"
 
     def test_universe(self, case):
         bp, _, universe = case
