@@ -35,15 +35,25 @@ class FinitePoset:
     element (in the order of `elements`)."""
 
     def __init__(self, elements, leq_pairs):
-        self.elements = tuple(elements)
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        self._up = _closure(len(self.elements),
-                            [(self.index[a], self.index[b])
-                             for a, b in leq_pairs])
-        for i, m in enumerate(self._up):
-            if any(self._up[j] >> i & 1 for j in _bits(m & ~(1 << i))):
+        elements = tuple(elements)
+        index = {x: i for i, x in enumerate(elements)}
+        self._order(elements, _closure(len(elements), [(index[a], index[b])
+                                                       for a, b in leq_pairs]))
+
+    @classmethod
+    def _from_up(cls, elements, up):
+        """From up-set masks that are already closed: none is reclosed."""
+        self = cls.__new__(cls)
+        self._order(tuple(elements), list(up))
+        return self
+
+    def _order(self, elements, up):
+        self.elements, self._up = elements, up
+        self.index = {x: i for i, x in enumerate(elements)}
+        for i, m in enumerate(up):
+            if any(up[j] >> i & 1 for j in _bits(m & ~(1 << i))):
                 raise ValueError("not antisymmetric")
-        self._height = _heights(self._up)
+        self._height = _heights(up)
 
     def __len__(self):
         return len(self.elements)
@@ -88,11 +98,13 @@ class FinitePoset:
 
     def restricted(self, keep):
         keep = set(keep)
-        kept = [x for x in self.elements if x in keep]
-        mask = sum(1 << self.index[x] for x in kept)
-        pairs = [(x, self.elements[j]) for x in kept
-                 for j in _bits(self._up[self.index[x]] & mask)]
-        return FinitePoset(kept, pairs)
+        kept = [i for i, x in enumerate(self.elements) if x in keep]
+        mask = sum(1 << i for i in kept)
+        new = {i: k for k, i in enumerate(kept)}
+        return FinitePoset._from_up(
+            [self.elements[i] for i in kept],
+            [sum(1 << new[j] for j in _bits(self._up[i] & mask))
+             for i in kept])
 
     def maximal(self):
         return [x for i, (x, m) in enumerate(zip(self.elements, self._up))
@@ -106,18 +118,16 @@ class FinitePoset:
 def specialization_poset(space):
     """The strict specialization order of a spectrum-like object, with closed
     points minimal (they are the most special)."""
-    labels = space.labels()
-    return FinitePoset(labels, [(labels[j], labels[i])
-                                for i, m in enumerate(space._up)
-                                for j in _bits(m)])
+    down = [0] * len(space._up)
+    for i, m in enumerate(space._up):
+        for j in _bits(m):
+            down[j] |= 1 << i
+    return FinitePoset._from_up(space.labels(), down)
 
 
 def poset_of_space(space):
     """The same order as the space itself: generic points at the bottom."""
-    labels = space.labels()
-    return FinitePoset(labels, [(labels[i], labels[j])
-                                for i, m in enumerate(space._up)
-                                for j in _bits(m)])
+    return FinitePoset._from_up(space.labels(), space._up)
 
 
 # ---------------------------------------------------------------------------

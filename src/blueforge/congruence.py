@@ -4,7 +4,8 @@ spectrum with its basis topology, absorbing ideals, and residue fields.
 A partition ~ of the carrier is a congruence when it is multiplicative and
 meets the chain axiom. The chain axiom holds exactly when the quotient B/~
 is proper, so it is decided by the normal forms of the completion of the
-pre-addition of B/~ (`derivation._improper_pair`), which reads no budget. That
+pre-addition of B/~ (`derivation._quotient_improper_pair`, which also
+decides the properness guard of finite tables); no budget is read. That
 pre-addition is read off B directly: its symbols are the class
 representatives, multiplied as rep(a)·rep(b) = rep(ab), and its relations
 are the pushed relations of B; no quotient table is built
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .core import (PROVED, REFUTED, ZERO, Blueprint, BlueprintError,
                    IdealDescriptor, TooLarge, _collapse, _idempotent_power,
-                   _improper_pair, _scaled_pairs, _symbol_key, localize)
+                   _quotient_improper_pair, _symbol_key, localize)
 from .spectra import spec
 
 
@@ -77,9 +78,8 @@ def _verdict(blueprint, cong, multiplicative=False):
 
     Once ~ is multiplicative (and additive), B/~ is a table whose symbols
     are the class representatives (`_symbol_key`-least members, 0 for the
-    class of 0) with rep(a)·rep(b) = rep(ab). The chain axiom is read off
-    the pushed relations of B/~, normalized as `Blueprint` normalizes them,
-    scaled by the nonzero representatives; no quotient table is built."""
+    class of 0) with rep(a)·rep(b) = rep(ab), and the chain axiom is its
+    properness, read off B by `derivation._quotient_improper_pair`."""
     backend = blueprint.backend
     carrier = backend.symbols
     block_id = {x: i for i, block in enumerate(cong.partition)
@@ -96,24 +96,8 @@ def _verdict(blueprint, cong, multiplicative=False):
                     for c in carrier:
                         if block_id[t[(a, c)]] != block_id[t[(b, c)]]:
                             return REFUTED
-    rep = _representatives(cong)
-    mul = backend.mul_table
-
-    def side(terms):
-        return tuple(sorted(t for t in map(rep.__getitem__, terms)
-                            if t != ZERO))
-
-    relations = set()
-    for l, r in blueprint.relations:
-        nl, nr = side(l), side(r)
-        if nl != nr:
-            relations.add((nl, nr) if nl <= nr else (nr, nl))
-    nonzero = [s for s in sorted(set(rep.values()), key=_symbol_key)
-               if s != ZERO]
-    pairs = _scaled_pairs(sorted(relations), nonzero,
-                          lambda a, b: rep[mul[(a, b)]], ZERO)
-    return PROVED if _improper_pair(nonzero, pairs, ZERO) is None \
-        else REFUTED
+    return PROVED if _quotient_improper_pair(
+        blueprint, _representatives(cong)) is None else REFUTED
 
 
 def _representatives(cong):
@@ -146,28 +130,13 @@ def is_congruence(blueprint, partition, budget=None):
 
 def is_prime_congruence(blueprint, cong: Congruence):
     """Proper, and ab ~ ac forces b ~ c or a ~ 0 (the quotient is integral)."""
-    if cong.primality is not None:
-        return cong.primality
-    backend = blueprint.backend
-    if not cong.is_proper():
-        cong.primality = False
-        return False
-    ok = True
-    for a in backend.symbols:
-        if cong.related(a, ZERO):
-            continue
-        for b in backend.symbols:
-            for c in backend.symbols:
-                if cong.related(backend.mul(a, b), backend.mul(a, c)) \
-                        and not cong.related(b, c):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    cong.primality = ok
-    return ok
+    if cong.primality is None:
+        syms, mul = blueprint.backend.symbols, blueprint.backend.mul
+        cong.primality = cong.is_proper() and not any(
+            cong.related(mul(a, b), mul(a, c)) and not cong.related(b, c)
+            for a in syms if not cong.related(a, ZERO)
+            for b in syms for c in syms)
+    return cong.primality
 
 
 @dataclass

@@ -387,8 +387,8 @@ class Blueprint:
     def __init__(self, backend, relations=(), budget=None, name=None,
                  check_proper=True):
         """Normalize the relations and, with `check_proper`, run the
-        properness guard: the blueprint is certified or searched proper
-        (`improper_pair` at `_guard_budget`), else ImproperRelations."""
+        properness guard (`improper_pair` at `_guard_budget`): the blueprint
+        is decided, certified or searched proper, else ImproperRelations."""
         self.backend = backend
         self.budget = budget or Budget()
         self.name = name

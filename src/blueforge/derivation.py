@@ -278,6 +278,21 @@ def _improper_pair(symbols, pairs, zero):
     return None
 
 
+def _quotient_improper_pair(bp, rep):
+    """`_improper_pair` of B/~ for the multiplicative equivalence ~ on the
+    finite table `bp` whose classes `rep` maps to their representatives (the
+    identity for `bp` itself): the relations pushed to them, zero dropped,
+    scaled by the nonzero ones as rep(a)·rep(b) = rep(ab). No quotient table
+    is built. TooLarge past `_COMPLETION_CAP` rules."""
+    mul = bp.backend.mul_table
+    nonzero = [s for s in bp.backend.symbols if s != ZERO and rep[s] == s]
+    pushed = {tuple(tuple(sorted(rep[t] for t in side if rep[t] != ZERO))
+                    for side in relation) for relation in bp.relations}
+    pairs = _scaled_pairs(sorted((l, r) for l, r in pushed if l != r),
+                          nonzero, lambda a, b: rep[mul[a, b]], ZERO)
+    return _improper_pair(nonzero, pairs, ZERO)
+
+
 @_per_blueprint
 def _completion(bp):
     """The completion of a finite table's pre-addition, or None past its
@@ -389,11 +404,17 @@ def _certified_proper(bp):
 
 def improper_pair(bp, budget):
     """The first derivable identification of a probe element with 0, as
-    (0, p), or with another element, or None: certified (see
-    `_certified_proper`) or searched, where a search cut by the budget
-    finds nothing."""
+    (0, p), or with another element, or None: decided on finite tables
+    below the completion cap, else certified (see `_certified_proper`) or
+    searched, where a search cut by the budget finds nothing."""
     if not bp.relations or _certified_proper(bp):
         return None
+    if bp.backend.kind == "finite":
+        try:
+            return _quotient_improper_pair(
+                bp, {s: s for s in bp.backend.symbols})
+        except TooLarge:
+            pass
     return _improper_search(bp, _probe_elements(bp), budget)[0]
 
 

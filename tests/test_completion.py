@@ -11,9 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from blueforge import catalog
 from blueforge.budget import Budget
-from blueforge.core import (PROVED, REFUTED, ZERO, Blueprint, _completion,
-                            _derive3, _improper_pair, _rewrites, _scale,
-                            _scaled_pairs, derive)
+from blueforge.core import (PROVED, REFUTED, ZERO, Blueprint, TooLarge,
+                            _close_under_action, _collapse, _completion,
+                            _derive3, _guard_budget, _improper_pair,
+                            _improper_search, _probe_elements,
+                            _quotient_improper_pair, _rewrites, _scale,
+                            _scaled_pairs, _UnionFind, derive, improper_pair)
 
 TABLES = {
     "b1": catalog.b1, "f1_squared": catalog.f1_squared,
@@ -97,7 +100,8 @@ def assert_as_sympy(bp, rng, count=30):
     assert_rules_as_sympy(done, G, mono)
     pairs = _scaled_pairs(bp.relations, done.symbols, bp.backend.mul, ZERO)
     assert _improper_pair(done.symbols, pairs, ZERO) == \
-        sympy_improper_pair(G, mono, done.symbols, ZERO)
+        sympy_improper_pair(G, mono, done.symbols, ZERO) == \
+        improper_pair(bp, Budget(0, 0, 0))
     for l, r in pairs_of(bp, rng, count):
         verdict, forms = _derive3(bp, l, r, WALK)
         assert verdict == (PROVED if G.contains(mono(l) - mono(r))
@@ -133,6 +137,59 @@ def tables_with_relations(draw):
 def test_random_tables_as_sympy(bp, rng):
     if _completion(bp) is not None:
         assert_as_sympy(bp, rng, count=10)
+
+
+def assert_guard_reads_no_budget(bp):
+    """The properness guard of a finite table below the completion cap
+    answers at the budget that stops every search as at the guard's own,
+    and as the search does wherever that search is not cut."""
+    guard = _guard_budget(bp.budget)
+    got = improper_pair(bp, Budget(0, 0, 0))
+    assert got == improper_pair(bp, guard)
+    searched, cut = _improper_search(bp, _probe_elements(bp), guard)
+    if not cut:
+        assert got == searched, bp.relations
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_catalog_guards_read_no_budget(name):
+    bp = TABLES[name]()
+    assert improper_pair(bp, Budget(0, 0, 0)) is None
+    assert_guard_reads_no_budget(bp)
+
+
+@given(tables_with_relations())
+@settings(max_examples=40, deadline=None)
+def test_random_guards_read_no_budget(bp):
+    if _completion(bp) is not None:
+        assert_guard_reads_no_budget(bp)
+
+
+@given(tables_with_relations(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_random_quotients_as_sympy(bp, data):
+    # a multiplicative equivalence: up to two pairs joined, then closed
+    syms = bp.backend.symbols
+    uf = _UnionFind(syms)
+    for a, b in data.draw(st.lists(st.tuples(st.sampled_from(syms),
+                                             st.sampled_from(syms)),
+                                   max_size=2)):
+        uf.union(a, b)
+    _close_under_action(uf, syms, syms, bp.backend.mul)
+    rep = {s: uf.find(s) for s in syms}
+    try:
+        got = _quotient_improper_pair(bp, rep)
+    except TooLarge:
+        return
+    reps = [s for s in syms if s != ZERO and rep[s] == s]
+    if not reps:
+        assert got is None
+        return
+    # sympy on the quotient table itself, over the representatives
+    q = _collapse(bp, rep, "B/~", bp.budget)
+    G, mono = sympy_basis(reps, [(_scale(q, m, L), _scale(q, m, R))
+                                 for L, R in q.relations for m in reps])
+    assert got == sympy_improper_pair(G, mono, reps, ZERO), rep
 
 
 @given(st.integers(2, 5), st.data())

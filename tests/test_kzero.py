@@ -303,6 +303,40 @@ class TestCompletionCap:
         with pytest.raises(AssertionError, match="a budgeted search ran"):
             Blueprint(sl2.backend, sl2.relations)
 
+    def test_finite_guards_and_quotients_run_no_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a budgeted search ran")
+
+        k23 = catalog.two_fields(2, 3)
+        # (0,2) = (1,0) + (1,2) reads (0,2) = (1,2) once (1,0) is 0, so the
+        # quotient below merges classes before it is proper
+        bp = Blueprint(k23.backend,
+                       [*k23.relations, (["(0,2)"], ["(1,0)", "(1,2)"])])
+        ideal = core.additive_closure(bp, ["(1,0)"])
+        monkeypatch.setattr(derivation, "_explore", forbidden)
+        monkeypatch.setattr(derivation, "_improper_search", forbidden)
+        # fresh copies, as the catalog keeps the tables it has built
+        for build, args in ((catalog.f1n, (2,)), (catalog.two_fields, (2, 3)),
+                            (catalog.roots_of_unity_sums, (4,))):
+            assert build.__wrapped__(*args).relations
+        assert core.quotient_by_ideal(bp, ideal).backend.symbols == \
+            ("0", "1", "(0,2)")
+
+    def test_past_the_cap_the_guard_searches(self, monkeypatch):
+        # f1n(30) is the catalog table whose completion outgrows the cap,
+        # so its guard falls back to the search at the guard budget
+        searched = []
+        original = derivation._improper_search
+
+        def spy(bp, elements, budget):
+            searched.append(budget)
+            return original(bp, elements, budget)
+
+        monkeypatch.setattr(derivation, "_improper_search", spy)
+        bp = catalog.f1n.__wrapped__(30)
+        assert searched == [core._guard_budget(bp.budget)]
+        assert derivation._completion(bp) is None
+
     def test_cspec_and_k0_raise_past_the_cap(self, monkeypatch, capsys):
         # a fresh blueprint keeps no completion built under the patched cap
         f12 = catalog.f1n(2)
@@ -642,54 +676,56 @@ def reference_k0_by_wedges(blueprint, size_bound):
     return kz.K0Result(names, tuple(rows), rank, torsion)
 
 
-# The module derivation search before it ran on `derivation._explore`: its
-# own BFS rescaling every relation by every nonzero symbol per sum expanded,
-# and the improper-pair loop with one search per element and one per pair.
+# A bounded module derivation search that shares no code with the
+# completion: its own BFS over every relation rescaled by every nonzero
+# symbol, and the improper-pair loop with one search per element and one
+# per pair.
 
 
-def reference_module_rewrites(module, u, budget):
-    syms = module.blueprint.backend.symbols
-    u_counter = Counter(u)
-    rels = []
+def reference_scaled_relations(module):
+    """The rewrites b·L -> b·R as pairs of Counters, for L = R a relation
+    read both ways round and b a nonzero symbol, the base point dropped. A
+    b·L that is all base point is the empty sum, so b·R is inserted, as
+    `derivation._scaled_pairs` reads the relation."""
+    def scaled(b, side):
+        return Counter(x for x in (module.act(b, t) for t in side)
+                       if x != BASE)
+
+    rules = []
     for l, r in module.relations:
-        rels.append((l, r))
-        rels.append((r, l))
-    for L, R in rels:
-        for b in syms:
-            if b == ZERO:
-                continue
-            bL = Counter(x for x in (module.act(b, t) for t in L)
-                         if x != BASE)
-            if L and not bL:
-                continue
-            if not all(u_counter[t] >= k for t, k in bL.items()):
-                continue
-            if not L and not R:
-                continue
-            v = u_counter - bL
-            for x in (module.act(b, t) for t in R):
-                if x != BASE:
-                    v[x] += 1
-            flat = tuple(sorted(v.elements()))
+        for L, R in ((l, r), (r, l)):
+            for b in module.blueprint.backend.symbols:
+                if b != ZERO and scaled(b, L) != scaled(b, R):
+                    rules.append((scaled(b, L), scaled(b, R)))
+    return rules
+
+
+def reference_module_rewrites(rules, u, budget):
+    """The sums one step from u by `reference_scaled_relations`."""
+    u_counter = Counter(u)
+    for bL, bR in rules:
+        if all(u_counter[t] >= k for t, k in bL.items()):
+            flat = tuple(sorted((u_counter - bL + bR).elements()))
             if len(flat) <= budget.max_terms:
                 yield flat
 
 
 def reference_module_derive(module, lhs, rhs):
-    """True or False as the old search answered; None where it ran out of
-    steps and answered False."""
+    """True when the breadth-first search from lhs reaches rhs, False when
+    it runs out of sums first, None where it runs out of steps."""
     budget = Budget(2, 8, 4000)
     l = module._norm_sum(lhs)
     r = module._norm_sum(rhs)
     if l == r:
         return True
+    rules = reference_scaled_relations(module)
     seen = {l}
     frontier = [l]
     steps = 0
     while frontier:
         nxt = []
         for u in frontier:
-            for v in reference_module_rewrites(module, u, budget):
+            for v in reference_module_rewrites(rules, u, budget):
                 steps += 1
                 if steps > budget.max_steps:
                     return None
@@ -1310,6 +1346,22 @@ class TestModuleSearchAgainstReference:
     def test_random_wedges(self, module):
         # extra relations can make a class too large for the step bound
         assert_searches_as_reference(module, exhaustive=False)
+
+    def test_a_side_scaled_to_the_base_point_inserts_the_other(self):
+        # over split_idempotents, r3 = 1@0 with r1 = e·r3 and r2 = f·r3, and
+        # r1 = r2 beside r1 + r2 = r3: f·(r1 = r2) reads 0 = r2, so r1 = 0,
+        # r2 = 0 and r1 = r3. A search that only removes b·R there reaches
+        # 0 from r1 and from r3 but never r3 from r1.
+        free = kz.free_module(split_idempotents(), 1)
+        names = {kz.BASE: kz.BASE, "e@0": "r1", "f@0": "r2", "1@0": "r3"}
+        module = kz.BlueModule(
+            free.blueprint, tuple(names[x] for x in free.carrier),
+            {(b, names[x]): names[y] for (b, x), y in free.action.items()},
+            [(["r1"], ["r2"]), (["r1", "r2"], ["r3"])])
+        assert_completion_as_sympy(module)
+        assert kz.module_derive(module, ["r1"], ["r3"])
+        assert reference_module_derive(module, ("r1",), ("r3",))
+        assert_searches_as_reference(module)
 
 
 class TestCompletionAgainstSympy:
