@@ -2,8 +2,11 @@
 and factored zeta functions.
 
 A counting polynomial is proved by elimination (`_eliminate`) on a monomial
-blueprint over F1 or F1^2, and sampled as fallback: fit on the F_q counts at
-the supported prime powers and verified on held-out ones."""
+blueprint over F1 or F1^2, and kept on the blueprint (`_proved`), so that
+every affine count of that blueprint is read from it. Where the elimination
+gives up, the points are counted by the solver and the polynomial is sampled:
+fit on the F_q counts at the supported prime powers and verified on held-out
+ones."""
 
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from functools import lru_cache
 
 from .core import (ONE, ZERO, Blueprint, BlueprintError, TooLarge,
                    _coefficient_images, _count_solutions, _free_domains,
-                   enumerate_morphisms, field_blueprint)
+                   _per_blueprint, enumerate_morphisms, field_blueprint)
 from .fields import SUPPORTED_Q
 
 SAMPLE_Q = SUPPORTED_Q
@@ -22,9 +25,10 @@ SAMPLE_Q = SUPPORTED_Q
 def fq_points(obj, q):
     """Number of F_q-rational points of a blueprint or scheme-like object.
 
-    A blueprint's points are its morphisms to F_q. They are counted by
-    `morphisms._count_solutions`, once per coefficient image of a monomial
-    source, and never listed.
+    A blueprint's points are its morphisms to F_q. Where the elimination
+    proves N(q) (`_proved`), the count is N(q) read at q. Otherwise they are
+    counted by `morphisms._count_solutions`, once per coefficient image of a
+    monomial source, and never listed (`_count_points`).
     """
     if hasattr(obj, "fq_points"):
         return obj.fq_points(q)
@@ -35,7 +39,8 @@ def fq_points(obj, q):
     backend = obj.backend
     if backend.kind == "monomial" and len(backend.gens) > 8:
         raise TooLarge("more than 8 generators")
-    return _count_points(obj, q)
+    proved = _proved(obj)
+    return proved(q) if proved is not None else _count_points(obj, q)
 
 
 def _count_points(bp, q, zero=()):
@@ -361,9 +366,9 @@ def _eliminate(bp):
     """N(q) of a monomial blueprint for every q, proved by the rules of
     `_branch`, or None when they give up. The relations and lattice rows
     are read as polynomial equations with coefficients ±1, which needs the
-    coefficient table F1 or F1^2 (`_coefficient_values`). `fq_points` is
-    its oracle. More than 8 generators gives None, as `fq_points` refuses
-    them."""
+    coefficient table F1 or F1^2 (`_coefficient_values`). The solver
+    (`_count_points`) is its oracle. More than 8 generators gives None, as
+    `fq_points` refuses them."""
     backend = bp.backend
     if backend.kind != "monomial" or len(backend.gens) > 8:
         return None
@@ -385,9 +390,16 @@ def _eliminate(bp):
     return CountingPolynomial(tuple(coeffs) or (0,))
 
 
+@_per_blueprint
+def _proved(bp):
+    """`_eliminate(bp)`, kept on the blueprint; a give-up (None) is kept
+    too, so the sampled fallback never runs the elimination again."""
+    return _eliminate(bp)
+
+
 def counting_polynomial(obj, degree_bound):
     """N(q) of degree at most `degree_bound`: proved by elimination
-    (`_eliminate`) on a monomial blueprint, sampled as fallback, where it is
+    (`_proved`) on a monomial blueprint, sampled as fallback, where it is
     fit on degree_bound+1 sample prime powers and verified on the held-out
     ones. Either way the witnesses are the pairs (q, N(q)) at those q.
 
@@ -401,7 +413,7 @@ def counting_polynomial(obj, degree_bound):
         raise TooLarge(
             f"degree bound {degree_bound} needs {degree_bound + 2} sample "
             f"prime powers, have {len(SAMPLE_Q)}")
-    proved = _eliminate(obj) if isinstance(obj, Blueprint) else None
+    proved = _proved(obj) if isinstance(obj, Blueprint) else None
     count = proved if proved is not None else (lambda q: fq_points(obj, q))
     counts = [(q, count(q)) for q in SAMPLE_Q]
     fit_pts, held = counts[:degree_bound + 1], counts[degree_bound + 1:]

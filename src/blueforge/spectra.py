@@ -90,7 +90,7 @@ class SpecSpace(UpSetOrder):
         return poly.degree
 
     def _closure_polynomial(self, i):
-        """N(q) of the closure of point i: proved by `counting._eliminate`,
+        """N(q) of the closure of point i: proved by `counting._proved`,
         else the lowest-degree fit through the counts at the seven sample q,
         or None.
         The closure has at most 6 generators, so no fit of lower degree than
@@ -99,7 +99,7 @@ class SpecSpace(UpSetOrder):
         closure = self.closure_blueprint(i)
         if closure.backend.kind == "monomial" and len(closure.backend.gens) > 6:
             raise BlueprintError("closure too large for counting")
-        poly = counting._eliminate(closure)
+        poly = counting._proved(closure)
         if poly is None:
             poly = counting.fit_polynomial([(q, counting.fq_points(closure, q))
                                             for q in counting.SAMPLE_Q])

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blueforge import catalog, cli
+from blueforge import catalog, cli, counting
 from blueforge.core import (ONE, ZERO, Blueprint, BlueprintError,
                             BlueprintMorphism,
                             MonomialBackend, _coefficient_images,
@@ -17,7 +17,8 @@ from blueforge.core import (ONE, ZERO, Blueprint, BlueprintError,
                             _solutions, enumerate_morphisms, field_blueprint,
                             refutation_targets)
 from blueforge.counting import (SAMPLE_Q, CountingPolynomial, TooLarge,
-                                _eliminate, counting_polynomial,
+                                _count_points, _eliminate, _proved,
+                                counting_polynomial,
                                 euler_characteristic, fit_polynomial,
                                 fq_points, projective_fq_points, soule_zeta,
                                 verify_point_over_ordered_semifield)
@@ -365,7 +366,7 @@ class TestSolverAgainstReference:
             target = field_blueprint(q)
             expected = reference_enumerate(bp, target)
             assert solver_images(bp, target) == expected
-            assert fq_points(bp, q) == len(expected)
+            assert fq_points(bp, q) == _count_points(bp, q) == len(expected)
 
     @pytest.mark.parametrize("name", sorted(ENUMERATION_SOURCES))
     def test_counts_match_reference(self, name):
@@ -375,7 +376,8 @@ class TestSolverAgainstReference:
             target = field_blueprint(q)
             if search_space(bp, target) > 10 ** 5:
                 continue
-            assert fq_points(bp, q) == len(reference_enumerate(bp, target)), q
+            assert fq_points(bp, q) == _count_points(bp, q) == \
+                len(reference_enumerate(bp, target)), q
             checked += 1
         assert checked >= 3
 
@@ -519,6 +521,21 @@ PINNED_CLI = {
         '{\n "counts": {\n  "2": 15,\n  "3": 40,\n  "5": 156\n }\n}\n',
     ("count", "P4", "--json"):
         '{\n "counts": {\n  "2": 31,\n  "3": 121,\n  "5": 781\n }\n}\n',
+    ("count", "sl2", "--q", "2,3,4,5,7,8,9", "--json"):
+        '{\n "counts": {\n  "2": 6,\n  "3": 24,\n  "4": 60,\n  "5": 120,\n'
+        '  "7": 336,\n  "8": 504,\n  "9": 720\n }\n}\n',
+    ("count", "sl2_minors", "--q", "2,3,4,5,7,8,9", "--json"):
+        '{\n "counts": {\n  "2": 6,\n  "3": 24,\n  "4": 60,\n  "5": 120,\n'
+        '  "7": 336,\n  "8": 504,\n  "9": 720\n }\n}\n',
+    ("count", "catalog:A3", "--q", "2,3,4,5,7,8,9", "--json"):
+        '{\n "counts": {\n  "2": 8,\n  "3": 27,\n  "4": 64,\n  "5": 125,\n'
+        '  "7": 343,\n  "8": 512,\n  "9": 729\n }\n}\n',
+    ("count", "catalog:Gm2", "--q", "2,3,4,5,7,8,9", "--json"):
+        '{\n "counts": {\n  "2": 1,\n  "3": 4,\n  "4": 9,\n  "5": 16,\n'
+        '  "7": 36,\n  "8": 49,\n  "9": 64\n }\n}\n',
+    ("polyfit", "sl2_minors", "--deg", "3", "--json"):
+        '{\n "coefficients": [\n  0,\n  -1,\n  0,\n  1\n ],\n'
+        ' "rendered": "q^3 - q"\n}\n',
 }
 
 
@@ -566,8 +583,48 @@ def x_plus_x_is_one():
     return Blueprint(backend, [([x, x], [backend.one()])], check_proper=False)
 
 
+def random_monomial_blueprint(data):
+    """2-5 generators over F1 or F1^2, some inverted, at most one lattice
+    row, and 1-3 relations of 2-4 terms."""
+    n = data.draw(st.integers(2, 5))
+    gens = tuple(f"x{i}" for i in range(n))
+    coeff = data.draw(st.sampled_from([catalog.f1(), catalog.f1_squared()]))
+    units = [c for c in coeff.backend.symbols if coeff.is_unit(c)]
+    inverted = tuple(g for g in gens if data.draw(st.booleans()))
+    lattice = []
+    if data.draw(st.booleans()):
+        vec = tuple(data.draw(st.integers(-2, 2)) for _ in gens)
+        if any(vec):
+            lattice.append((vec, data.draw(st.sampled_from(units))))
+    backend = MonomialBackend(coeff, gens, inverted, lattice=lattice)
+    nonzero = [c for c in coeff.backend.symbols if c != ZERO]
+
+    def term():
+        c = data.draw(st.sampled_from(nonzero))
+        exps = tuple(data.draw(st.integers(
+            -1 if g in backend.inverted else 0, 2)) for g in gens)
+        return backend.normalize((c, exps))
+
+    rels = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(2, 4))
+        split = data.draw(st.integers(0, k))
+        terms = [term() for _ in range(k)]
+        rels.append((terms[:split], terms[split:]))
+    return Blueprint(backend, rels, check_proper=False)
+
+
+def count_eliminations(monkeypatch):
+    """The blueprints `_eliminate` is called on from here on, in order."""
+    calls = []
+    monkeypatch.setattr(counting, "_eliminate",
+                        lambda bp: calls.append(bp) or _eliminate(bp))
+    return calls
+
+
 class TestElimination:
-    """`_eliminate` proves N(q) for every q; `fq_points` is its oracle."""
+    """`_eliminate` proves N(q) for every q; the solver (`_count_points`)
+    is its oracle, since `fq_points` reads the proof."""
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
     def test_catalog(self, name):
@@ -588,16 +645,18 @@ class TestElimination:
             poly = _eliminate(closure)
             assert poly is not None, space.points[i].label()
             assert [poly(q) for q in SAMPLE_Q] == \
-                [fq_points(closure, q) for q in SAMPLE_Q]
+                [_count_points(closure, q) for q in SAMPLE_Q]
             answered += 1
         assert answered >= 7
 
-    def test_x_plus_x_is_one_gives_up(self):
+    def test_x_plus_x_is_one_gives_up(self, monkeypatch):
         # 2x = 1 has no point in characteristic 2 and one elsewhere
+        calls = count_eliminations(monkeypatch)
         bp = x_plus_x_is_one()
         assert _eliminate(bp) is None
         assert [fq_points(bp, q) for q in SAMPLE_Q] == [0, 1, 0, 1, 1, 0, 1]
         assert counting_polynomial(bp, 5) is None
+        assert _proved(bp) is None and calls == [bp]
 
     def test_gr24_cone(self, gr24):
         cone = gr24.blueprint
@@ -607,9 +666,12 @@ class TestElimination:
                                  number=1, repeat=20))
         assert best < 1e-3
 
-    def test_mu3_coefficients_give_up(self):
+    def test_mu3_coefficients_give_up(self, monkeypatch):
+        calls = count_eliminations(monkeypatch)
         bp = Blueprint(MonomialBackend(catalog.f1n(3), ("X",)))
         assert _eliminate(bp) is None
+        assert [fq_points(bp, q) for q in SAMPLE_Q] == [0, 3, 8, 0, 14, 0, 9]
+        assert _proved(bp) is None and calls == [bp]
 
     def test_lattice_rows(self):
         # X = -Y on units over F1^2: one point per unit Y
@@ -617,38 +679,60 @@ class TestElimination:
                                   lattice=[((1, -1), "-1")])
         bp = Blueprint(backend)
         assert _eliminate(bp).coeffs == (-1, 1)
-        assert [fq_points(bp, q) for q in SAMPLE_Q] == [q - 1 for q in SAMPLE_Q]
+        assert [_count_points(bp, q) for q in SAMPLE_Q] == \
+            [q - 1 for q in SAMPLE_Q]
 
     def test_too_many_generators_stay_too_large(self):
         bp = catalog.affine_space(9)
         assert _eliminate(bp) is None
         with pytest.raises(TooLarge):
             counting_polynomial(bp, 3)
+        with pytest.raises(TooLarge, match="more than 8 generators"):
+            fq_points(bp, 3)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_random_monomial_blueprints(self, data):
-        n = data.draw(st.integers(2, 5))
-        gens = tuple(f"x{i}" for i in range(n))
-        coeff = data.draw(st.sampled_from([catalog.f1(), catalog.f1_squared()]))
-        inverted = tuple(g for g in gens if data.draw(st.booleans()))
-        backend = MonomialBackend(coeff, gens, inverted)
-        nonzero = [c for c in coeff.backend.symbols if c != ZERO]
-
-        def term():
-            c = data.draw(st.sampled_from(nonzero))
-            exps = tuple(data.draw(st.integers(-1 if g in inverted else 0, 2))
-                         for g in gens)
-            return backend.normalize((c, exps))
-
-        rels = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            k = data.draw(st.integers(2, 4))
-            split = data.draw(st.integers(0, k))
-            terms = [term() for _ in range(k)]
-            rels.append((terms[:split], terms[split:]))
-        bp = Blueprint(backend, rels, check_proper=False)
+        bp = random_monomial_blueprint(data)
         poly = _eliminate(bp)
         if poly is not None:
             assert [poly(q) for q in SAMPLE_Q] == \
-                [fq_points(bp, q) for q in SAMPLE_Q]
+                [_count_points(bp, q) for q in SAMPLE_Q]
+
+
+class TestKeptProof:
+    """`fq_points` and `counting_polynomial` read the elimination's verdict
+    kept on the blueprint (`_proved`); the solver answers where it gives
+    up."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fq_points_matches_the_solver(self, data):
+        # all seven q, so q = 2, 4 and 8, where -1 = 1, are included
+        bp = random_monomial_blueprint(data)
+        assert [fq_points(bp, q) for q in SUPPORTED_Q] == \
+            [_count_points(bp, q) for q in SUPPORTED_Q]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_catalog_counts(self, name):
+        bp = monomial_catalog()[name]()
+        assert tuple(fq_points(bp, q) for q in SUPPORTED_Q) == \
+            PINNED_COUNTS[name][0]
+
+    def test_checks_stay_after_a_kept_proof(self, sl2):
+        assert counting_polynomial(sl2, 3).coeffs == (0, -1, 0, 1)
+        with pytest.raises(TooLarge, match="no field table for q=6"):
+            fq_points(sl2, 6)
+        with pytest.raises(TypeError):
+            fq_points("sl2", 3)
+
+    def test_one_elimination_per_blueprint(self, monkeypatch):
+        calls = count_eliminations(monkeypatch)
+        bp = catalog.sl2_minors()
+        for _ in range(3):
+            assert [fq_points(bp, q) for q in SAMPLE_Q] == \
+                list(PINNED_COUNTS["sl2_minors"][0])
+            assert counting_polynomial(bp, 3).coeffs == (0, -1, 0, 1)
+            assert counting_polynomial(bp, 2) is None
+            assert euler_characteristic(bp) == 0
+        assert calls == [bp]

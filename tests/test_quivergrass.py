@@ -350,6 +350,18 @@ class TestChi:
         rep = rep_1to2([[1, 0], [0, 1]])
         assert qg.chi_via_interpolation(rep, (0, 0)) == 1
 
+    @pytest.mark.xfail(strict=True, raises=qg.NotPolynomial,
+                       reason="good_sample_q keeps q = 2, 4, 8, where the "
+                       "eigenvalues -1 and 3 meet (CHANGES.md FOUND on "
+                       "quivergrass.good_sample_q)")
+    def test_loop_with_eigenvalues_meeting_at_two(self):
+        # two eigenlines over C, one over F_q where -1 = 3 (q = 2, 4, 8)
+        rep = qg.IntegralRep(qg.Quiver(1, ((0, 0),)), (2,), [[[-1, 1], [0, 3]]])
+        assert [qg.subrep_count_fq(rep, (1,), q) for q in SAMPLE_Q] == \
+            [1, 2, 1, 2, 2, 1, 2]
+        assert qg.good_sample_q(rep) == [2, 4, 5, 7, 8]
+        assert qg.chi_via_interpolation(rep, (1,)) == 2
+
 
 class TestWeylCount:
     def test_diag_23(self):

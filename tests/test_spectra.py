@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from blueforge import catalog
+from blueforge import catalog, counting
 from blueforge.budget import Budget
 from blueforge.core import (PROVED, REFUTED, UNKNOWN, Blueprint,
                             BlueprintError, MonomialBackend, _derive3, derive,
@@ -208,6 +208,28 @@ class TestRanks:
     def test_sl2_ranks(self, sl2_space):
         ranks = [rank_of_point(sl2_space, i) for i in range(len(sl2_space))]
         assert sorted(ranks) == [1, 1, 2, 2, 2, 2, 3]
+
+    @pytest.mark.parametrize("build, want", [
+        (lambda: catalog.affine_space(3),
+         {"(0)": 3, "(T1)": 2, "(T2)": 2, "(T3)": 2, "(T1, T2)": 1,
+          "(T1, T3)": 1, "(T2, T3)": 1, "(T1, T2, T3)": 0}),
+        (lambda: catalog.torus(2), {"(0)": 2}),
+    ], ids=["A3", "Gm2"])
+    def test_affine_and_torus_ranks(self, build, want):
+        X = spec(build())
+        assert {X.points[i].label(): rank_of_point(X, i)
+                for i in range(len(X))} == want
+
+    def test_closures_are_eliminated_once(self, monkeypatch):
+        calls = []
+        real = counting._eliminate
+        monkeypatch.setattr(counting, "_eliminate",
+                            lambda bp: calls.append(id(bp)) or real(bp))
+        X = spec(catalog.sl2_minors())
+        ranks = [rank_of_point(X, i) for i in range(len(X))]
+        assert [X.counting_rank(i) for i in range(len(X))] == ranks
+        assert sorted(ranks) == [1, 1, 2, 2, 2, 2, 3]
+        assert calls and len(calls) == len(set(calls))
 
     def test_rank_monotone_on_integral_catalog(self, sl2_space):
         for X in (spec(catalog.affine_space(2)), sl2_space,
