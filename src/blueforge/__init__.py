@@ -13,9 +13,8 @@ from .budget import Budget
 from .core import (Blueprint, BlueprintMorphism, FiniteTable, IdealDescriptor,
                    MonomialBackend, additive_closure, derive, is_blue_field,
                    is_cancellative, is_frobenius, is_morphism, is_prime_ideal,
-                   localize, mk_blueprint, quotient_by_ideal,
-                   ring_presentation, semiring_presentation, torus_certificate,
-                   unit_field)
+                   localize, quotient_by_ideal, ring_presentation,
+                   semiring_presentation, torus_certificate, unit_field)
 from .counting import (CountingPolynomial, ZetaFactored, counting_polynomial,
                        euler_characteristic, fq_points, soule_zeta,
                        verify_point_over_ordered_semifield)
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Budget",
     "Blueprint", "BlueprintMorphism", "FiniteTable", "MonomialBackend",
-    "IdealDescriptor", "mk_blueprint", "derive", "is_morphism",
+    "IdealDescriptor", "derive", "is_morphism",
     "additive_closure", "is_prime_ideal", "quotient_by_ideal", "localize",
     "unit_field", "is_blue_field", "is_cancellative", "is_frobenius",
     "semiring_presentation", "ring_presentation", "torus_certificate",

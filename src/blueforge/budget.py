@@ -4,6 +4,14 @@ Membership in a generated pre-addition is decided on finite tables and only
 semi-decided over monomials; every search in this package is bounded by a
 budget and reports Unknown instead of looping. Exhausting a bound never
 produces a wrong Proved.
+
+A budget bounds two searches: `derive`'s (`derivation._derive3`, also run
+by `is_morphism`, `is_cancellative` and `is_frobenius`) and the guard's
+`derivation._improper_search`, at `core._guard_budget`'s caps of degree 3
+and 4,000 steps. Both run on monomial blueprints and on finite tables past
+`derivation._COMPLETION_CAP`. A blueprint derived from another (a stalk, a
+localization, a residue field, Gamma, a quotient, a closed subscheme)
+keeps its source's budget.
 """
 
 from __future__ import annotations

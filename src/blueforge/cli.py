@@ -280,9 +280,8 @@ def _budget_arg(text):
             f"{text!r}") from None
 
 
-def _add_common(p, budget=True, js=True, dot=False):
-    if js:
-        p.add_argument("--json", action="store_true", help="machine output")
+def _add_common(p, budget=True, dot=False):
+    p.add_argument("--json", action="store_true", help="machine output")
     if dot:
         p.add_argument("--dot", action="store_true", help="DOT output")
     if budget:

@@ -106,11 +106,10 @@ def _representatives(cong):
             for block in cong.partition for x in block}
 
 
-def is_congruence(blueprint, partition, budget=None):
+def is_congruence(blueprint, partition):
     """Proved / Refuted for the two congruence axioms; raises NotACongruence
     unless the blocks are nonempty, disjoint and cover the carrier, and
-    TooLarge past `derivation._COMPLETION_CAP` completion rules. The budget
-    is not read.
+    TooLarge past `derivation._COMPLETION_CAP` completion rules.
 
     Multiplicativity, and on a semiring table additivity, are exhausted.
     The chain axiom holds iff the quotient B/~ is proper: no derivation
@@ -241,12 +240,12 @@ def cspec_to_spec(blueprint, budget=None):
     return C, X, mapping
 
 
-def quotient_by_congruence(blueprint, cong: Congruence, budget=None):
+def quotient_by_congruence(blueprint, cong: Congruence):
     """B/~ : blocks as symbols, with the pushed pre-addition, and on a
     semiring table the pushed addition (BlueprintError when ~ does not
     respect it)."""
     return _collapse(blueprint, _representatives(cong),
-                     f"{blueprint.name or 'B'}/~", budget or blueprint.budget,
+                     f"{blueprint.name or 'B'}/~", blueprint.budget,
                      add=blueprint.backend.add_table)
 
 
@@ -261,10 +260,9 @@ def kernel_congruence(morphism):
     return Congruence(src, blocks.values())
 
 
-def residue_field_of_congruence(blueprint, cong: Congruence, budget=None):
+def residue_field_of_congruence(blueprint, cong: Congruence):
     """Localize at the absorbing prime and quotient by the pushed congruence;
     the result is a blue field."""
-    budget = budget or blueprint.budget
-    quotient = quotient_by_congruence(blueprint, cong, budget)
+    quotient = quotient_by_congruence(blueprint, cong)
     nonzero = [s for s in quotient.backend.symbols if s != ZERO]
-    return localize(quotient, nonzero, budget)
+    return localize(quotient, nonzero)

@@ -476,11 +476,6 @@ def _guard_budget(budget):
                   min(budget.max_steps, 4000))
 
 
-def mk_blueprint(backend, relations=(), budget=None, name=None):
-    """Validate and build a blueprint; runs the properness guard."""
-    return Blueprint(backend, relations, budget=budget, name=name)
-
-
 def _per_blueprint(build):
     """`build(bp)`, built on first use and then kept on the blueprint, which
     is not mutated after construction."""

@@ -259,20 +259,27 @@ class _Completion:
 
 def _improper_pair(symbols, pairs, zero):
     """The pair that an uncut `_improper_search` over `symbols` returns, read
-    off the normal forms of the completion of `pairs`: (zero, m) for the
-    first m whose normal form is empty, else (m, b) for the first m that
-    shares its normal form with another symbol, b the least such; None
-    when the sums are proper. Past `_COMPLETION_CAP` rules, TooLarge. When
-    every pair has two terms or more a side, no rewrite applies to the
+    off the normal forms of the completion of `pairs` by `_first_identified`;
+    None when the sums are proper. Past `_COMPLETION_CAP` rules, TooLarge.
+    When every pair has two terms or more a side, no rewrite applies to the
     empty sum or to a single term, and no completion is needed."""
-    if all(len(L) > 1 and len(R) > 1 for L, R in pairs):
+    if _long_sides(pairs):
         return None
-    done = _Completion(symbols, pairs)
-    forms = {s: done.normal_form((s,)) for s in symbols}
-    for m in symbols:
+    return _first_identified(_Completion(symbols, pairs), zero)
+
+
+def _long_sides(pairs):
+    return all(len(L) > 1 and len(R) > 1 for L, R in pairs)
+
+
+def _first_identified(done, zero):
+    """(zero, m) for the first symbol m of `done` with an empty normal form,
+    else (m, b) for the first m that shares it with b, b least; or None."""
+    forms = {s: done.normal_form((s,)) for s in done.symbols}
+    for m in done.symbols:
         if not forms[m]:
             return zero, m
-        same = [b for b in symbols if b != m and forms[b] == forms[m]]
+        same = [b for b in done.symbols if b != m and forms[b] == forms[m]]
         if same:
             return m, min(same)
     return None
@@ -280,10 +287,10 @@ def _improper_pair(symbols, pairs, zero):
 
 def _quotient_improper_pair(bp, rep):
     """`_improper_pair` of B/~ for the multiplicative equivalence ~ on the
-    finite table `bp` whose classes `rep` maps to their representatives (the
-    identity for `bp` itself): the relations pushed to them, zero dropped,
-    scaled by the nonzero ones as rep(a)·rep(b) = rep(ab). No quotient table
-    is built. TooLarge past `_COMPLETION_CAP` rules."""
+    finite table `bp` whose classes `rep` maps to their representatives:
+    the relations pushed to them, zero dropped, scaled by the nonzero ones
+    as rep(a)·rep(b) = rep(ab). No quotient table is built. TooLarge past
+    `_COMPLETION_CAP` rules."""
     mul = bp.backend.mul_table
     nonzero = [s for s in bp.backend.symbols if s != ZERO and rep[s] == s]
     pushed = {tuple(tuple(sorted(rep[t] for t in side if rep[t] != ZERO))
@@ -296,7 +303,7 @@ def _quotient_improper_pair(bp, rep):
 @_per_blueprint
 def _completion(bp):
     """The completion of a finite table's pre-addition, or None past its
-    cap."""
+    cap: built by the guard of `Blueprint`, then read by `derive`."""
     symbols = [s for s in bp.backend.symbols if s != ZERO]
     try:
         return _Completion(symbols, _scaled_pairs(bp.relations, symbols,
@@ -405,16 +412,17 @@ def _certified_proper(bp):
 def improper_pair(bp, budget):
     """The first derivable identification of a probe element with 0, as
     (0, p), or with another element, or None: decided on finite tables
-    below the completion cap, else certified (see `_certified_proper`) or
-    searched, where a search cut by the budget finds nothing."""
+    below the completion cap by `_completion` (none is needed with sides of
+    two terms or more, see `_improper_pair`), else certified or searched,
+    where a search cut by the budget finds nothing."""
     if not bp.relations or _certified_proper(bp):
         return None
     if bp.backend.kind == "finite":
-        try:
-            return _quotient_improper_pair(
-                bp, {s: s for s in bp.backend.symbols})
-        except TooLarge:
-            pass
+        if _long_sides(_scaled_pairs(bp.relations, bp.backend.multipliers(0),
+                                     bp.backend.mul, ZERO)):
+            return None
+        if (done := _completion(bp)) is not None:
+            return _first_identified(done, ZERO)
     return _improper_search(bp, _probe_elements(bp), budget)[0]
 
 

@@ -402,9 +402,8 @@ def _finite_quotient(bp, ideal, budget):
         uf.union(*pair)
 
 
-def quotient_universal_factoring(bp, ideal, quotient, morphism, budget=None):
+def quotient_universal_factoring(bp, ideal, quotient, morphism):
     """The unique morphism B/I -> C with g(f(x)) = h(x), or None."""
-    budget = budget or bp.budget
     if bp.backend.kind != "finite":
         raise BlueprintError("universal-property checks run on finite tables")
     images = {}
@@ -415,7 +414,7 @@ def quotient_universal_factoring(bp, ideal, quotient, morphism, budget=None):
             return None
         images[q] = tgt
     g = BlueprintMorphism(quotient, morphism.target, images)
-    verdict, _ = is_morphism(g, budget)
+    verdict, _ = is_morphism(g, bp.budget)
     return g if verdict == PROVED else None
 
 
@@ -423,17 +422,16 @@ def quotient_universal_factoring(bp, ideal, quotient, morphism, budget=None):
 # Localization and unit fields
 
 
-def localize(bp, elems, budget=None):
+def localize(bp, elems):
     """Invert a finitely generated multiplicative set.
 
     Inverting 0 yields the zero blueprint, flagged via `zero_inverted`.
     """
-    budget = budget or bp.budget
     backend = bp.backend
     elems = [backend.normalize(e) for e in elems]
     if any(backend.is_zero(e) for e in elems):
         zero_table = FiniteTable((ZERO,), {(ZERO, ZERO): ZERO})
-        out = Blueprint(zero_table, (), budget=budget, name="0",
+        out = Blueprint(zero_table, (), budget=bp.budget, name="0",
                         check_proper=False)
         out.zero_inverted = True
         return out
@@ -446,11 +444,11 @@ def localize(bp, elems, budget=None):
         nb = MonomialBackend(backend.coeff, backend.gens,
                              backend.inverted | newly, backend.lattice)
         out = Blueprint(nb, [(list(l), list(r)) for l, r in bp.relations],
-                        budget=budget, name=f"{bp.name or 'B'}_loc",
+                        budget=bp.budget, name=f"{bp.name or 'B'}_loc",
                         check_proper=False)
         out.zero_inverted = False
         return out
-    return _finite_localize(bp, elems, budget)
+    return _finite_localize(bp, elems)
 
 
 def _idempotent_power(backend, elems):
@@ -467,7 +465,7 @@ def _idempotent_power(backend, elems):
     return e
 
 
-def _finite_localize(bp, elems, budget):
+def _finite_localize(bp, elems):
     """B[S^-1] for S generated by `elems`, as the image eB, with e the
     idempotent power of the product of `elems` (`_idempotent_power`): every
     s in S divides e, e = st. So a/1 = b/1 iff ea = eb, and a/s = at/e =
@@ -480,7 +478,7 @@ def _finite_localize(bp, elems, budget):
         blocks.setdefault(backend.mul(e, a), []).append(a)
     rep = {a: min(block, key=_symbol_key)
            for block in blocks.values() for a in block}
-    out = _collapse(bp, rep, f"{bp.name or 'B'}_loc", budget,
+    out = _collapse(bp, rep, f"{bp.name or 'B'}_loc", bp.budget,
                     add=backend.add_table)
     out.zero_inverted = False
     out.localization_map = out.projection

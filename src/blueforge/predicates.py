@@ -176,14 +176,13 @@ def frobenius_power_sum(bp, terms, p):
     return bp.normalize_sum([bp.backend.power(t, p) for t in terms])
 
 
-def is_frobenius(bp, p, budget=None):
+def is_frobenius(bp, p):
     """('Proved', None) / ('Counterexample', data) / ('Unknown', None)."""
-    budget = budget or bp.budget
     any_unknown = False
     for l, r in bp.relations:
         lp = frobenius_power_sum(bp, l, p)
         rp = frobenius_power_sum(bp, r, p)
-        verdict, _ = _derive3(bp, lp, rp, budget)
+        verdict, _ = _derive3(bp, lp, rp, bp.budget)
         if verdict == PROVED:
             continue
         target = _refuting_target(bp, lp, rp)
@@ -380,18 +379,17 @@ def _table_structure(table):
                       [[(x, y, table.mul(x, y)) for x in s for y in s]])
 
 
-def finite_blueprints_isomorphic(b1, b2, budget=None):
+def finite_blueprints_isomorphic(b1, b2):
     """The least bijection of the symbols, in symbol order, that fixes 0 and
     1, keeps the products and is a morphism both ways (`is_morphism`
     Proved), or None: `_isomorphism` on the `_table_structure`s."""
-    budget = budget or b1.budget
     t1, t2 = b1.backend, b2.backend
     if t1.kind != "finite" or t2.kind != "finite":
         raise BlueprintError("finite tables only")
 
     def accept(f):
         back = BlueprintMorphism(b2, b1, {v: k for k, v in f.items()})
-        return is_morphism(BlueprintMorphism(b1, b2, f), budget)[0] == \
-            PROVED and is_morphism(back, budget)[0] == PROVED
+        return is_morphism(BlueprintMorphism(b1, b2, f), b1.budget)[0] == \
+            PROVED and is_morphism(back, b1.budget)[0] == PROVED
 
     return _isomorphism(_table_structure(t1), _table_structure(t2), accept)

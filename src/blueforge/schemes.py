@@ -134,19 +134,13 @@ def proj(graded, budget=None):
     return ProjSpace(graded, points, varsets)
 
 
-def closed_subscheme_from_integer_relations(ambient, relations, budget=None):
+def closed_subscheme_from_integer_relations(ambient, relations):
     """Strengthen the pre-addition by relations valid in the integral model."""
     if isinstance(ambient, GradedBlueprint):
-        base = ambient.blueprint
-        new = Blueprint(base.backend, list(base.relations) + list(relations),
-                        budget=budget or base.budget,
-                        name=f"{base.name or 'B'}+rels")
-        return GradedBlueprint(new, ambient.degrees)
-    new = Blueprint(ambient.backend,
-                    list(ambient.relations) + list(relations),
-                    budget=budget or ambient.budget,
-                    name=f"{ambient.name or 'B'}+rels")
-    return new
+        return GradedBlueprint(closed_subscheme_from_integer_relations(
+            ambient.blueprint, relations), ambient.degrees)
+    return Blueprint(ambient.backend, [*ambient.relations, *relations],
+                     budget=ambient.budget, name=f"{ambient.name or 'B'}+rels")
 
 
 # ---------------------------------------------------------------------------
@@ -402,17 +396,17 @@ class ProductSpace(UpSetOrder):
         return True
 
 
-def _residue_is_monoidal(space, i, budget=None):
+def _residue_is_monoidal(space, i):
     cache = getattr(space, "_residue_monoidal", None)
     if cache is None:
         cache = space._residue_monoidal = {}
     if i not in cache:
-        kappa = residue_field(space.blueprint, space.points[i], budget)
+        kappa = residue_field(space.blueprint, space.points[i])
         cache[i] = not kappa.relations
     return cache[i]
 
 
-def product(left, right, compatibility=None, budget=None):
+def product(left, right, compatibility=None):
     """Topological fibre product over F1.
 
     Pairs of monoidal (relation-free) residue fields embed into fields of any
@@ -423,8 +417,8 @@ def product(left, right, compatibility=None, budget=None):
     excluded = []
     for i in range(len(left.points)):
         for j in range(len(right.points)):
-            li = _residue_is_monoidal(left, i, budget)
-            rj = _residue_is_monoidal(right, j, budget)
+            li = _residue_is_monoidal(left, i)
+            rj = _residue_is_monoidal(right, j)
             if li and rj:
                 pts.append((i, j))
             elif compatibility is not None:

@@ -113,8 +113,8 @@ def spec(blueprint, budget=None):
     non-inverted variables that no relation forces to grow (see
     `_monomial_primes`); this is decided exactly, without the budget, and
     the result is always complete. Finite tables read no budget either: a
-    symbol set S is a prime when {0} + S is closed under the ideal rules
-    (`ideals._ideal_rules`), proper and prime.
+    set S of non-units (an ideal with a unit holds 1) is a prime when
+    {0} + S is closed under the ideal rules (`ideals._ideal_rules`) and prime.
     """
     backend = blueprint.backend
     if backend.kind == "monomial":
@@ -122,7 +122,8 @@ def spec(blueprint, budget=None):
         return SpecSpace(blueprint, points, varsets)
     rules = _ideal_rules(blueprint)
     points = []
-    syms = [s for s in backend.symbols if s != ZERO]
+    syms = [s for s in backend.symbols
+            if s != ZERO and not backend.is_unit(s)]
     for r in range(len(syms) + 1):
         for sub in itertools.combinations(syms, r):
             members = {ZERO, *sub}
@@ -130,7 +131,7 @@ def spec(blueprint, budget=None):
                 continue
             ideal = IdealDescriptor(blueprint, blueprint.normalize_sum(sub),
                                     tuple(sorted(members)))
-            if ideal.is_proper() and is_prime_ideal(blueprint, ideal):
+            if is_prime_ideal(blueprint, ideal):
                 points.append(SpecPoint(ideal))
     points.sort(key=lambda p: (len(p.ideal.minimal), p.generator_names()))
     return SpecSpace(blueprint, points,
@@ -182,7 +183,7 @@ def _monomial_primes(blueprint, irrelevant=0):
     return points, varsets
 
 
-def stalk(blueprint, point, budget=None):
+def stalk(blueprint, point):
     """Localization at the complement of a prime: the local blueprint there."""
     backend = blueprint.backend
     if backend.kind == "monomial":
@@ -193,37 +194,37 @@ def stalk(blueprint, point, budget=None):
                     varset.add(name)
         invert = [backend.gen_element(n) for n in backend.gens
                   if n not in varset]
-        return localize(blueprint, invert, budget)
+        return localize(blueprint, invert)
     comp = [s for s in backend.symbols if not point.ideal.contains(s)]
-    return localize(blueprint, comp, budget)
+    return localize(blueprint, comp)
 
 
-def maximal_ideal_of_local(blueprint, budget=None):
+def maximal_ideal_of_local(blueprint):
     """The non-units of a local blueprint, as an ideal."""
     backend = blueprint.backend
     if backend.kind == "finite":
         nonunits = [s for s in backend.symbols
                     if s != ZERO and not backend.is_unit(s)]
-        return additive_closure(blueprint, nonunits, budget)
+        return additive_closure(blueprint, nonunits)
     gens = [backend.gen_element(n) for n in backend.gens
             if n not in backend.inverted]
-    return additive_closure(blueprint, gens, budget)
+    return additive_closure(blueprint, gens)
 
 
-def residue_field(blueprint, point, budget=None):
+def residue_field(blueprint, point):
     """Stalk modulo its maximal ideal; always a blue field."""
-    local = stalk(blueprint, point, budget)
-    m = maximal_ideal_of_local(local, budget)
+    local = stalk(blueprint, point)
+    m = maximal_ideal_of_local(local)
     if not m.minimal or set(m.minimal) == {ZERO}:
         return local
-    return quotient_by_ideal(local, m, budget)
+    return quotient_by_ideal(local, m)
 
 
 # ---------------------------------------------------------------------------
 # Globalization
 
 
-def globalize(blueprint, budget=None):
+def globalize(blueprint):
     """Global sections of Spec B.
 
     With a maximum point the top stalk is everything, so Gamma B = B; this
@@ -236,8 +237,7 @@ def globalize(blueprint, budget=None):
     coincides with B's and the generated pre-addition is kept; by the
     globalization theorem the spectrum is unchanged either way.
     """
-    budget = budget or blueprint.budget
-    X = spec(blueprint, budget)
+    X = spec(blueprint)
     n = len(X.points)
     if n == 0:
         return blueprint
@@ -246,7 +246,7 @@ def globalize(blueprint, budget=None):
         return blueprint
     if blueprint.backend.kind != "finite":
         return blueprint
-    stalks = [stalk(blueprint, X.points[i], budget) for i in range(n)]
+    stalks = [stalk(blueprint, X.points[i]) for i in range(n)]
     restrictions = {}
     for i in range(n):
         for j in range(n):
@@ -274,7 +274,7 @@ def globalize(blueprint, budget=None):
             prod = tuple(stalks[i].mul(a[i], b[i]) for i in range(n))
             mul[(renames[a], renames[b])] = renames[prod]
     add = None
-    sums = _stalk_sum_tables(stalks, budget)
+    sums = _stalk_sum_tables(stalks)
     if sums is not None:
         add = {}
         for a in families:
@@ -287,7 +287,7 @@ def globalize(blueprint, budget=None):
             if add is None:
                 break
     syms = sorted(renames.values(), key=lambda s: (s != ZERO, s != ONE, s))
-    return Blueprint(FiniteTable(syms, mul, add), (), budget=budget,
+    return Blueprint(FiniteTable(syms, mul, add), (), budget=blueprint.budget,
                      name=f"Gamma({blueprint.name or 'B'})", check_proper=False)
 
 
@@ -321,7 +321,7 @@ def _restriction_map(blueprint, stalk_special, stalk_general):
     return out
 
 
-def _stalk_sum_tables(stalks, budget):
+def _stalk_sum_tables(stalks):
     """Per-stalk binary sum tables via derivability; None when some pair has
     no single-element sum."""
     tables = []
@@ -336,7 +336,7 @@ def _stalk_sum_tables(stalks, budget):
                 val = None
                 for c in syms:
                     rhs = [c] if c != ZERO else []
-                    if derive(s, [a, b], rhs, budget) == "Proved":
+                    if derive(s, [a, b], rhs) == "Proved":
                         val = c
                         break
                 if val is None:
@@ -410,16 +410,16 @@ def weyl_extension(space, budget=None):
 # Functoriality helpers
 
 
-def preimage_ideal(morphism, ideal, budget=None):
+def preimage_ideal(morphism, ideal):
     """f^{-1}(I), as an ideal of the source."""
     src = morphism.source
     if src.backend.kind == "finite":
         members = [s for s in src.backend.symbols
                    if ideal.contains(morphism.apply(s))]
-        return additive_closure(src, members, budget)
+        return additive_closure(src, members)
     gens = [src.backend.gen_element(n) for n in src.backend.gens
             if ideal.contains(morphism.apply(src.backend.gen_element(n)))]
-    closure = additive_closure(src, gens, budget)
+    closure = additive_closure(src, gens)
     for n in src.backend.gens:
         g = src.backend.gen_element(n)
         if ideal.contains(morphism.apply(g)) != closure.contains(g):
@@ -427,13 +427,13 @@ def preimage_ideal(morphism, ideal, budget=None):
     return closure
 
 
-def spec_map(morphism, budget=None):
+def spec_map(morphism):
     """The induced map spec(target) -> spec(source), as index pairs."""
-    X = spec(morphism.target, budget)
-    Y = spec(morphism.source, budget)
+    X = spec(morphism.target)
+    Y = spec(morphism.source)
     out = {}
     for i, p in enumerate(X.points):
-        pre = preimage_ideal(morphism, p.ideal, budget)
+        pre = preimage_ideal(morphism, p.ideal)
         js = [j for j, q in enumerate(Y.points)
               if q.ideal.minimal == pre.minimal]
         if len(js) != 1:

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from blueforge import catalog
 from blueforge.budget import Budget
 from blueforge.core import (ONE, ZERO, Blueprint, FiniteTable,
-                            IdealDescriptor, MonomialBackend,
-                            _monomial_divides, _scale, additive_closure,
-                            is_prime_ideal)
+                            IdealDescriptor, MonomialBackend, _bits, _closed,
+                            _ideal_rules, _monomial_divides, _scale,
+                            additive_closure, is_prime_ideal)
 from blueforge.spectra import spec
 
 
@@ -180,6 +180,59 @@ def test_two_fields_35():
                           "((0,1), (0,2), (0,3), (0,4), (1,0), (2,0))"]
     assert X.complete
     assert time.perf_counter() - start < 5
+
+
+def all_subsets_spec(bp):
+    """The minimal sets of the primes of a finite table in `spec`'s order,
+    found as `spec` found them before it skipped the units: every set of
+    nonzero symbols is tried, and kept when it is closed under the ideal
+    rules, proper and prime."""
+    backend = bp.backend
+    rules = _ideal_rules(bp)
+    syms = [s for s in backend.symbols if s != ZERO]
+    found = []
+    for r in range(len(syms) + 1):
+        for sub in itertools.combinations(syms, r):
+            members = {ZERO, *sub}
+            if not _closed(rules, _bits(backend.symbols, members)):
+                continue
+            ideal = IdealDescriptor(bp, bp.normalize_sum(sub),
+                                    tuple(sorted(members)))
+            if ideal.is_proper() and is_prime_ideal(bp, ideal):
+                found.append(ideal)
+    found.sort(key=lambda i: (len(i.minimal), i.generator_names()))
+    return [i.minimal for i in found]
+
+
+def catalog_tables_up_to_15_symbols():
+    fields = ((2, 2), (2, 3), (2, 5), (2, 7), (3, 3), (3, 5))
+    return ([catalog.f1(), catalog.b1(), catalog.idempotent_example()]
+            + [catalog.f1n(n) for n in range(1, 15)]
+            + [catalog.roots_of_unity_sums(n) for n in range(1, 15)]
+            + [catalog.two_fields(a, b) for a, b in fields]
+            + [catalog.product_ring(a, b) for a, b in fields])
+
+
+def test_spectra_of_non_units_as_all_subsets():
+    tables = catalog_tables_up_to_15_symbols() + [absorbing_sums()]
+    assert max(len(bp.backend.symbols) for bp in tables) == 15
+    for bp in tables:
+        assert [p.ideal.minimal for p in spec(bp).points] == \
+            all_subsets_spec(bp), bp.name
+
+
+@given(tables_with_relations())
+@settings(max_examples=60, deadline=None)
+def test_random_spectra_of_non_units_as_all_subsets(bp):
+    assert [p.ideal.minimal for p in spec(bp).points] == all_subsets_spec(bp)
+
+
+def test_a_field_of_24_roots_has_one_point():
+    # every nonzero symbol is a unit, so only {0} is tried; trying every
+    # subset took 73 s here
+    X = spec(catalog.f1n(24))
+    assert X.labels() == ["(0)"]
+    assert [p.ideal.minimal for p in X.points] == [(ZERO,)]
 
 
 # ---------------------------------------------------------------------------

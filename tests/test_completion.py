@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blueforge import catalog
+from blueforge import catalog, derivation
 from blueforge.budget import Budget
 from blueforge.core import (PROVED, REFUTED, ZERO, Blueprint, TooLarge,
                             _close_under_action, _collapse, _completion,
@@ -209,12 +209,50 @@ def test_sides_of_two_terms_or_more_need_no_completion(k, data):
     assert sympy_improper_pair(G, mono, syms, ZERO) is None
 
 
-def test_built_on_first_use_only():
-    f14 = catalog.f1n(4)
-    bp = Blueprint(f14.backend, f14.relations)
-    assert "_cached_completion" not in bp.__dict__
+def count_completions(monkeypatch):
+    """Count the `_Completion`s that the derivation layer builds, failed
+    ones included, and record what each guard search returns."""
+    built, searched = [], []
+
+    class Counted(derivation._Completion):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    def search(*args):
+        searched.append(_improper_search(*args))
+        return searched[-1]
+
+    monkeypatch.setattr(derivation, "_Completion", Counted)
+    monkeypatch.setattr(derivation, "_improper_search", search)
+    return built, searched
+
+
+def fresh(table):
+    """A new blueprint on a catalog table's carrier and relations, built
+    with the guard and holding nothing the catalog's copy keeps."""
+    return Blueprint(table.backend, table.relations)
+
+
+def test_built_on_first_use_only(monkeypatch):
+    # the first use is the guard of `Blueprint`; `derive` reads what it kept
+    tables = catalog.f1n(4), catalog.roots_of_unity_sums(6), catalog.f1n(14)
+    built, searched = count_completions(monkeypatch)
+    bp = fresh(tables[0])
+    assert built == [bp.__dict__["_cached_completion"]]
     assert derive(bp, ["z1", "z3"], []) == PROVED
-    assert bp.__dict__["_cached_completion"] is _completion(bp)
+    assert built == [_completion(bp)] and not searched
+    # sides of two terms or more: the guard builds none
+    del built[:]
+    bp = fresh(tables[1])
+    assert not built and "_cached_completion" not in bp.__dict__
+    # past the cap: one failed completion, an uncut guard search that finds
+    # nothing, and a derive that reads the kept None
+    bp = fresh(tables[2])
+    assert len(built) == 1 and bp.__dict__["_cached_completion"] is None
+    assert searched == [(None, False)]
+    derive(bp, ["z1", "z3"], ["z2"], WALK)
+    assert len(built) == 1
     # a semiring evaluates its sums, and no relation relates nothing
     for bp in (catalog.product_ring(2, 3), catalog.idempotent_example()):
         assert _derive3(bp, ("1", "1"), ("1",), WALK)[0] == REFUTED

@@ -210,7 +210,7 @@ class TestSemiringAgainstSumsAsRelations:
         for blocks in _set_partitions(sorted(bp.backend.symbols)):
             want = reference_semiring_verdict(bp, blocks, budget)
             assert want != UNKNOWN
-            assert cg.is_congruence(bp, blocks, budget) == want, blocks
+            assert cg.is_congruence(bp, blocks) == want, blocks
         assert_cspec_matches_partitions(bp, budget)
 
 
@@ -315,7 +315,7 @@ def assert_cspec_matches_partitions(bp, budget):
     partitions and their verdicts."""
     partitions = list(_set_partitions(sorted(bp.backend.symbols)))
     congs = [cg.Congruence(bp, blocks) for blocks in partitions]
-    got = [cg.is_congruence(bp, blocks, budget) for blocks in partitions]
+    got = [cg.is_congruence(bp, blocks) for blocks in partitions]
     C = cg.cspec(bp, budget)
     assert [c.partition for c in C.points] == sorted(
         c.partition for c, verdict in zip(congs, got)
