@@ -301,13 +301,17 @@ def _quotient_improper_pair(bp, rep):
 
 
 @_per_blueprint
+def _scaled_relations(bp):
+    return _scaled_pairs(bp.relations, bp.backend.multipliers(0),
+                         bp.backend.mul, ZERO)
+
+
+@_per_blueprint
 def _completion(bp):
-    """The completion of a finite table's pre-addition, or None past its
-    cap: built by the guard of `Blueprint`, then read by `derive`."""
-    symbols = [s for s in bp.backend.symbols if s != ZERO]
+    """The completion of a finite table's `_scaled_relations`, or None past
+    its cap: built by the guard of `Blueprint`, then read by `derive`."""
     try:
-        return _Completion(symbols, _scaled_pairs(bp.relations, symbols,
-                                                  bp.backend.mul, ZERO))
+        return _Completion(bp.backend.multipliers(0), _scaled_relations(bp))
     except TooLarge:
         return None
 
@@ -411,15 +415,13 @@ def _certified_proper(bp):
 
 def improper_pair(bp, budget):
     """The first derivable identification of a probe element with 0, as
-    (0, p), or with another element, or None: decided on finite tables
-    below the completion cap by `_completion` (none is needed with sides of
-    two terms or more, see `_improper_pair`), else certified or searched,
-    where a search cut by the budget finds nothing."""
+    (0, p), or with another element, or None: read off `_completion` on
+    finite tables below its cap (none is built when `_long_sides`), else
+    certified or searched, where a search cut by the budget finds nothing."""
     if not bp.relations or _certified_proper(bp):
         return None
     if bp.backend.kind == "finite":
-        if _long_sides(_scaled_pairs(bp.relations, bp.backend.multipliers(0),
-                                     bp.backend.mul, ZERO)):
+        if _long_sides(_scaled_relations(bp)):
             return None
         if (done := _completion(bp)) is not None:
             return _first_identified(done, ZERO)

@@ -113,8 +113,8 @@ def spec(blueprint, budget=None):
     non-inverted variables that no relation forces to grow (see
     `_monomial_primes`); this is decided exactly, without the budget, and
     the result is always complete. Finite tables read no budget either: a
-    set S of non-units (an ideal with a unit holds 1) is a prime when
-    {0} + S is closed under the ideal rules (`ideals._ideal_rules`) and prime.
+    set S of non-units (a proper ideal holds none) is a prime when {0} + S
+    is closed under the ideal rules (`ideals._ideal_rules`), proper and prime.
     """
     backend = blueprint.backend
     if backend.kind == "monomial":
@@ -131,7 +131,7 @@ def spec(blueprint, budget=None):
                 continue
             ideal = IdealDescriptor(blueprint, blueprint.normalize_sum(sub),
                                     tuple(sorted(members)))
-            if is_prime_ideal(blueprint, ideal):
+            if ideal.is_proper() and is_prime_ideal(blueprint, ideal):
                 points.append(SpecPoint(ideal))
     points.sort(key=lambda p: (len(p.ideal.minimal), p.generator_names()))
     return SpecSpace(blueprint, points,

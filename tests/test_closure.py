@@ -12,7 +12,7 @@ from blueforge.budget import Budget
 from blueforge.core import (ONE, ZERO, Blueprint, FiniteTable,
                             IdealDescriptor, MonomialBackend, _bits, _closed,
                             _ideal_rules, _monomial_divides, _scale,
-                            additive_closure, is_prime_ideal)
+                            additive_closure, is_prime_ideal, localize)
 from blueforge.spectra import spec
 
 
@@ -214,7 +214,10 @@ def catalog_tables_up_to_15_symbols():
 
 
 def test_spectra_of_non_units_as_all_subsets():
-    tables = catalog_tables_up_to_15_symbols() + [absorbing_sums()]
+    # the zero table, where 1 = 0, has no point: {0} is not proper there
+    zero = localize(catalog.f1(), ["0"])
+    assert all_subsets_spec(zero) == []
+    tables = catalog_tables_up_to_15_symbols() + [absorbing_sums(), zero]
     assert max(len(bp.backend.symbols) for bp in tables) == 15
     for bp in tables:
         assert [p.ideal.minimal for p in spec(bp).points] == \
