@@ -64,6 +64,8 @@ def _cmd_catalog(args):
         for name in catalog.names():
             print(f"{name:<12} {catalog.CATALOG[name].doc}")
         return 0
+    if args.name is None:
+        raise BlueprintError("catalog build needs a name")
     obj = catalog.build(args.name)
     if isinstance(obj, GradedBlueprint):
         obj = obj.blueprint
@@ -212,8 +214,6 @@ def _cmd_qgrass(args):
                  for q in (int(x) for x in args.q.split(","))}
         return _emit(args, {"counts": {str(k): v for k, v in value.items()}},
                      "\n".join(f"q={k}: {v}" for k, v in value.items()))
-    else:
-        raise BlueprintError(f"unknown qgrass action {args.action}")
     return _emit(args, {args.action: value}, str(value))
 
 
@@ -239,12 +239,10 @@ def _cmd_arith(args):
         ideal = arithcurve.arch_ideal_classify(gens)
         data = {"radius": str(ideal.radius), "boundary": ideal.boundary}
         return _emit(args, data, f"{ideal.boundary} ball of radius {ideal.radius}")
-    if args.action == "surface-dim":
-        dim, chain = arithcurve.surface_dimension(args.primes)
-        text = f"dimension {dim} via " + " < ".join("(%s,%s)" % p for p in chain)
-        return _emit(args, {"dimension": dim, "chain": [list(p) for p in chain]},
-                     text)
-    raise BlueprintError(f"unknown arith action {args.action}")
+    dim, chain = arithcurve.surface_dimension(args.primes)
+    text = f"dimension {dim} via " + " < ".join("(%s,%s)" % p for p in chain)
+    return _emit(args, {"dimension": dim, "chain": [list(p) for p in chain]},
+                 text)
 
 
 def _cmd_cspec(args):

@@ -4,12 +4,14 @@ and factored zeta functions.
 A counting polynomial is proved by elimination (`_eliminate`) on a monomial
 blueprint over F1 or F1^2, and kept on the blueprint (`_proved`), so that
 every affine count of that blueprint is read from it. Where the elimination
-gives up, the points are counted by the solver and the polynomial is sampled:
-fit on the F_q counts at the supported prime powers and verified on held-out
-ones."""
+gives up, the points are counted by the solver and the polynomial is sampled
+by the one fitter, `fit_polynomial`, which every sampled count (closure ranks
+and quiver-Grassmannian chi too) goes through: fit on the F_q counts at the
+first degree_bound+1 supported prime powers and verified on held-out ones."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -139,46 +141,50 @@ class CountingPolynomial:
 
 
 def _interpolate(points):
-    """Exact polynomial through the points, coefficients low to high."""
+    """Exact polynomial through integer points, coefficients low to high.
+
+    Lagrange's formula over the common denominator of its basis: each basis
+    numerator is prod (x - x_j) divided by (x - x_i), in integers, so only
+    the final coefficients are fractions."""
     n = len(points)
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    # Newton divided differences.
-    coef = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    # Expand to the monomial basis.
-    poly = [Fraction(0)] * n
-    basis = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    for j in range(n):
-        for i in range(n):
-            poly[i] += coef[j] * basis[i]
-        if j + 1 < n:
-            new = [Fraction(0)] * n
-            for i in range(n - 1):
-                new[i + 1] += basis[i]
-                new[i] -= xs[j] * basis[i]
-            basis = new
+    full = [1]
+    for xj, _ in points:
+        full = [(full[k - 1] if k else 0) - xj * (full[k] if k < len(full) else 0)
+                for k in range(len(full) + 1)]
+    rows = []
+    for xi, yi in points:
+        quot, acc = [0] * n, 0
+        for k in range(n, 0, -1):
+            acc = full[k] + xi * acc
+            quot[k - 1] = acc
+        rows.append((yi, quot, sum(c * xi ** k for k, c in enumerate(quot))))
+    den = math.lcm(*(d for _, _, d in rows))
+    poly = [Fraction(sum(y * quot[k] * (den // d) for y, quot, d in rows), den)
+            for k in range(n)]
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
     return poly
 
 
-def fit_polynomial(pairs):
-    """Lowest-degree integer polynomial through all (q, count) pairs, or None."""
-    pairs = sorted(pairs)
-    for d in range(len(pairs)):
-        poly = _interpolate(pairs[:d + 1])
-        if len(poly) - 1 > d:
-            continue
-        if any(c.denominator != 1 for c in poly):
-            continue
-        cand = CountingPolynomial(tuple(int(c) for c in poly),
-                                  tuple(pairs[:d + 1]), tuple(pairs[d + 1:]))
-        if all(cand(q) == c for q, c in pairs):
-            return cand
-    return None
+def fit_polynomial(counts, degree_bound):
+    """The integer polynomial of degree at most `degree_bound` through the
+    (q, count) pairs, interpolated on the first degree_bound+1 in q order and
+    verified on the held-out rest, which are its witnesses; else None.
+    Raises ValueError when no count is held out: such a fit verifies
+    nothing."""
+    counts = sorted(counts)
+    if not 0 <= degree_bound <= len(counts) - 2:
+        raise ValueError(f"degree bound {degree_bound} must be at least 0 "
+                         f"and hold out one of {len(counts)} counts")
+    fit_pts, held = counts[:degree_bound + 1], counts[degree_bound + 1:]
+    poly = _interpolate(fit_pts)
+    if any(c.denominator != 1 for c in poly):
+        return None
+    cand = CountingPolynomial(tuple(int(c) for c in poly), tuple(fit_pts),
+                              tuple(held))
+    if not all(cand(q) == c for q, c in held):
+        return None
+    return cand
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +404,10 @@ def _proved(bp):
 
 
 def counting_polynomial(obj, degree_bound):
-    """N(q) of degree at most `degree_bound`: proved by elimination
-    (`_proved`) on a monomial blueprint, sampled as fallback, where it is
-    fit on degree_bound+1 sample prime powers and verified on the held-out
-    ones. Either way the witnesses are the pairs (q, N(q)) at those q.
-
-    Returns a CountingPolynomial, or None when the counts are not polynomial
-    of at most that degree (any held-out mismatch or non-integer
-    coefficients).
-    """
+    """N(q) of degree at most `degree_bound`, or None: proved by elimination
+    (`_proved`) on a monomial blueprint, else `fit_polynomial` of the counts
+    at the sample prime powers. Either way the witnesses are the pairs
+    (q, N(q)), the first degree_bound+1 fitted and the rest held out."""
     if degree_bound < 0:
         raise ValueError(f"degree bound {degree_bound} is negative")
     if degree_bound + 2 > len(SAMPLE_Q):
@@ -416,26 +417,20 @@ def counting_polynomial(obj, degree_bound):
     proved = _proved(obj) if isinstance(obj, Blueprint) else None
     count = proved if proved is not None else (lambda q: fq_points(obj, q))
     counts = [(q, count(q)) for q in SAMPLE_Q]
-    fit_pts, held = counts[:degree_bound + 1], counts[degree_bound + 1:]
     if proved is not None and proved.degree < len(SAMPLE_Q):
         # No other polynomial of degree below len(SAMPLE_Q) takes these
         # values, so the fit finds `proved` within the bound and nothing
         # above it.
         if proved.degree > degree_bound:
             return None
-        return CountingPolynomial(proved.coeffs, tuple(fit_pts), tuple(held))
-    poly = _interpolate(fit_pts)
-    if any(c.denominator != 1 for c in poly):
-        return None
-    cand = CountingPolynomial(tuple(int(c) for c in poly), tuple(fit_pts),
-                              tuple(held))
-    if not all(cand(q) == c for q, c in held):
-        return None
-    return cand
+        return CountingPolynomial(proved.coeffs, tuple(counts[:degree_bound + 1]),
+                                  tuple(counts[degree_bound + 1:]))
+    return fit_polynomial(counts, degree_bound)
 
 
 def euler_characteristic(obj, degree_bound=None):
-    """chi = N(1) of the counting polynomial."""
+    """chi = N(1) of the counting polynomial of degree at most `degree_bound`,
+    by default len(SAMPLE_Q) - 2, the largest that holds a count out."""
     if degree_bound is None:
         degree_bound = len(SAMPLE_Q) - 2
     poly = counting_polynomial(obj, degree_bound)

@@ -16,6 +16,7 @@ from .morphisms import (BlueprintMorphism, _refuting_target, field_blueprint,
 from .snf import in_lattice, lattice_rank, quotient_group_invariants
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+_CERTIFICATE_TRIES = 500
 
 
 def is_cancellative(bp, budget=None):
@@ -78,7 +79,7 @@ def _small_factor(n):
     return out
 
 
-def _multiplicative_independence_certificate(bp, tries=500):
+def _multiplicative_independence_certificate(bp):
     """A rational point of the relations with multiplicatively independent
     coordinates separates all monomials, certifying B -> B_Z^+ injective."""
     backend = bp.backend
@@ -100,7 +101,7 @@ def _multiplicative_independence_certificate(bp, tries=500):
                 v *= values[gens[j]] ** e
         return v
 
-    for _ in range(tries):
+    for _ in range(_CERTIFICATE_TRIES):
         values: dict = {}
         ok = True
         for l, r in bp.relations:

@@ -381,9 +381,9 @@ def chi_via_interpolation(rep: IntegralRep, e):
     chi(Gr_e(M)) = chi of the fixed locus (Bialynicki-Birula), which is
     their number `_coordinate_subrep_count`. Where the F_q counts are
     polynomial this equals N(1) (Katz). Otherwise chi is N(1) of the
-    counting polynomial fitted from subrepresentation counts at good primes,
-    with held-out verification (`_interpolated_chi`). An entry e_i > d_i
-    gives 0: there is no such subrepresentation."""
+    `counting.fit_polynomial` of degree at most dim Gr_e on subrepresentation
+    counts at good q, one held out at least (`_interpolated_chi`). An entry
+    e_i > d_i gives 0: there is no such subrepresentation."""
     e = _dimension_vector(rep, e)
     if any(ei > di for ei, di in zip(e, rep.dims)):
         return 0
@@ -393,22 +393,19 @@ def chi_via_interpolation(rep: IntegralRep, e):
 
 
 def _interpolated_chi(rep: IntegralRep, e):
-    """N(1) of the counting polynomial fitted from subrepresentation counts
-    at good primes, with held-out verification, for a checked dimension
-    vector e with e_i <= d_i."""
+    """N(1) of `counting.fit_polynomial` at degree at most dim Gr_e on the
+    subrepresentation counts at every good sample prime power, for a checked
+    dimension vector e with e_i <= d_i. Raises TooLarge before counting when
+    no good q would be held out, and NotPolynomial when the fit fails."""
     bound = sum(ei * (di - ei) for ei, di in zip(e, rep.dims))
     qs = good_sample_q(rep)
     if bound + 2 > len(qs):
         raise TooLarge(
             f"degree bound {bound} needs {bound + 2} good sample prime powers,"
             f" have {len(qs)}")
-    counts = [(q, subrep_count_fq(rep, e, q)) for q in qs[:bound + 2]]
-    poly = fit_polynomial(counts)
-    if poly is None or poly.degree > bound:
+    poly = fit_polynomial([(q, subrep_count_fq(rep, e, q)) for q in qs], bound)
+    if poly is None:
         raise NotPolynomial("subrepresentation counts are not polynomial")
-    extra = [(q, subrep_count_fq(rep, e, q)) for q in qs[bound + 2:]]
-    if not all(poly(q) == c for q, c in extra):
-        raise NotPolynomial("held-out sample mismatch")
     return poly(1)
 
 

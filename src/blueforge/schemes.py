@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass
 
 from .core import (ONE, ZERO, Blueprint, BlueprintError, BlueprintMorphism,
-                   MonomialBackend, _UnionFind, localize)
+                   MonomialBackend, TooLarge, _UnionFind, localize)
 from .order import UpSetOrder, _bits
 from .spectra import SpecSpace, _monomial_primes, residue_field, spec
 from . import counting
@@ -82,12 +82,14 @@ class ProjSpace(SpecSpace):
                              " model; no affine closure blueprint")
 
     def _closure_polynomial(self, i):
+        """N(q) of the closure of point i on the ambient model, fit with one
+        sample count held out (degree at most len(SAMPLE_Q) - 2), or None."""
         if len(self.blueprint.backend.gens) > 8:
             raise BlueprintError("ambient too large for counting")
         dead = self.closure_vanishing(i)
         return counting.fit_polynomial(
             [(q, counting.projective_fq_points(self.blueprint, q, dead))
-             for q in counting.SAMPLE_Q])
+             for q in counting.SAMPLE_Q], len(counting.SAMPLE_Q) - 2)
 
     def torus_certificate_at(self, i):
         """The projective closure is a point (rank-0 torus) iff one variable
@@ -169,8 +171,13 @@ class BlueScheme:
         self._points = None
 
     def fq_points(self, q):
-        if self.graded_model is not None:
-            return self.graded_model.fq_points(q)
+        """On the graded model where `projective_fq_points` takes it (F1
+        coefficients), else on the charts."""
+        if q not in counting.SAMPLE_Q:
+            raise TooLarge(f"no field table for q={q}")
+        graded = self.graded_model
+        if graded and set(graded.blueprint.backend.coeff.backend.symbols) == {ZERO, ONE}:
+            return graded.fq_points(q)
         # Each point is counted on the first chart that contains it: chart i
         # counts the points where every generator it inverts on a gluing to
         # an earlier chart vanishes.

@@ -91,18 +91,18 @@ class SpecSpace(UpSetOrder):
 
     def _closure_polynomial(self, i):
         """N(q) of the closure of point i: proved by `counting._proved`,
-        else the lowest-degree fit through the counts at the seven sample q,
-        or None.
-        The closure has at most 6 generators, so no fit of lower degree than
-        the proved N exists. Raises BlueprintError when the closure is too
-        large to count."""
+        else `counting.fit_polynomial` of the counts at the sample q, of
+        degree at most len(SAMPLE_Q) - 2 so that one count is held out, or
+        None. Raises BlueprintError when the closure is too large to
+        count."""
         closure = self.closure_blueprint(i)
         if closure.backend.kind == "monomial" and len(closure.backend.gens) > 6:
             raise BlueprintError("closure too large for counting")
         poly = counting._proved(closure)
         if poly is None:
-            poly = counting.fit_polynomial([(q, counting.fq_points(closure, q))
-                                            for q in counting.SAMPLE_Q])
+            poly = counting.fit_polynomial(
+                [(q, counting.fq_points(closure, q)) for q in counting.SAMPLE_Q],
+                len(counting.SAMPLE_Q) - 2)
         return poly
 
 

@@ -76,6 +76,11 @@ class TestBasicVerbs:
         bp = jsonio.blueprint_loads(out)
         assert bp.backend.gens == ("T1", "T2", "T3", "T4")
 
+    def test_catalog_build_without_a_name_is_an_error(self, capsys):
+        code, out, err = run(capsys, "catalog", "build")
+        assert code == 1 and out == ""
+        assert err == "error: catalog build needs a name\n"
+
     def test_coxeter_facets(self, capsys):
         code, out, _ = run(capsys, "coxeter", "A", "2")
         assert code == 0

@@ -1,7 +1,10 @@
 """F_q points, counting polynomials, Euler characteristics, zeta functions,
 and nonnegative-semifield points."""
 
+import ast
 import itertools
+import math
+import pathlib
 import random
 import timeit
 from fractions import Fraction
@@ -80,11 +83,11 @@ class TestCountingPolynomial:
         for _ in range(5):
             shuffled = counts[:]
             rng.shuffle(shuffled)
-            assert fit_polynomial(shuffled).coeffs == (0, -1, 0, 1)
+            assert fit_polynomial(shuffled, 3).coeffs == (0, -1, 0, 1)
 
     def test_held_out_rejects_non_polynomial(self):
         pairs = [(2, 4), (3, 9), (4, 16), (5, 25), (7, 50)]
-        assert fit_polynomial(pairs) is None
+        assert fit_polynomial(pairs, 2) is None
 
     def test_too_large_degree(self, sl2):
         from blueforge.counting import TooLarge
@@ -736,3 +739,96 @@ class TestKeptProof:
             assert counting_polynomial(bp, 2) is None
             assert euler_characteristic(bp) == 0
         assert calls == [bp]
+
+
+def reference_fit(pairs, bound):
+    """The lowest-degree integer polynomial through every pair, tried at
+    degrees up to `bound` only, so that at least one pair is held out;
+    Lagrange interpolation on the first d+1 pairs in q order. Coefficients
+    low to high, or None."""
+    pairs = sorted(pairs)
+    for d in range(bound + 1):
+        pts = pairs[:d + 1]
+        coeffs = [Fraction(0)] * (d + 1)
+        for i, (xi, yi) in enumerate(pts):
+            basis, denom = [Fraction(1)], Fraction(1)
+            for j, (xj, _) in enumerate(pts):
+                if j != i:
+                    basis = [(basis[k - 1] if k else 0)
+                             - xj * (basis[k] if k < len(basis) else 0)
+                             for k in range(len(basis) + 1)]
+                    denom *= xi - xj
+            for k, c in enumerate(basis):
+                coeffs[k] += yi * c / denom
+        while len(coeffs) > 1 and not coeffs[-1]:
+            coeffs.pop()
+        if len(coeffs) - 1 > d or any(c.denominator != 1 for c in coeffs):
+            continue
+        ints = tuple(int(c) for c in coeffs)
+        if all(sum(c * q ** k for k, c in enumerate(ints)) == n
+               for q, n in pairs):
+            return ints
+    return None
+
+
+class TestOneFitter:
+    """`fit_polynomial` is the one fitter: interpolated once on the first
+    degree_bound+1 counts, verified on the rest, and never with nothing
+    held out."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_lowest_degree_reference(self, data):
+        qs = data.draw(st.lists(st.sampled_from(SAMPLE_Q), min_size=2,
+                                unique=True))
+        bound = data.draw(st.integers(0, len(qs) - 2))
+        # integer-valued in the binomial basis, so some coefficients in the
+        # monomial basis are not integers
+        binom = data.draw(st.lists(st.integers(-3, 3), max_size=7))
+        counts = [(q, sum(a * math.comb(q, k) for k, a in enumerate(binom)))
+                  for q in qs]
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(qs) - 1))
+            counts[i] = (counts[i][0],
+                         counts[i][1] + data.draw(st.integers(-2, 2)))
+        poly = fit_polynomial(counts, bound)
+        assert (poly and poly.coeffs) == reference_fit(counts, bound)
+        if poly is not None:
+            ordered = sorted(counts)
+            assert poly.sample_witness == tuple(ordered[:bound + 1])
+            assert poly.held_out_witness == tuple(ordered[bound + 1:])
+
+    def test_degree_six_with_nothing_held_out_is_refused(self):
+        # q^6 at q = 2..8 and 9^6 + 1680 at q = 9: the old lowest-degree
+        # loop fit an integral degree-6 interpolant that no count verified
+        counts = [(q, q ** 6) for q in SAMPLE_Q[:-1]] + [(9, 9 ** 6 + 1680)]
+        assert fit_polynomial(counts, len(SAMPLE_Q) - 2) is None
+        with pytest.raises(ValueError, match="hold out one"):
+            fit_polynomial(counts, len(SAMPLE_Q) - 1)
+
+    @pytest.mark.parametrize("bound", [-1, 6])
+    def test_bound_that_holds_out_nothing_is_refused(self, bound):
+        with pytest.raises(ValueError, match="hold out one"):
+            fit_polynomial([(q, q) for q in SAMPLE_Q], bound)
+
+    def test_witnesses_match_counting_polynomial(self, sl2):
+        counts = [(q, fq_points(sl2, q)) for q in SAMPLE_Q]
+        fit = fit_polynomial(counts, 4)
+        proved = counting_polynomial(sl2, 4)
+        assert fit == proved
+        assert fit.sample_witness == tuple(counts[:5])
+
+    def test_interpolate_has_one_caller(self):
+        src = pathlib.Path(counting.__file__).resolve().parent
+        callers = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and "_interpolate" in (
+                            getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None)):
+                        callers.append((path.name, fn.name))
+        assert callers == [("counting.py", "fit_polynomial")]

@@ -110,7 +110,7 @@ class TestCountingStability:
         base = [(2, 6), (3, 24), (4, 60), (5, 120), (7, 336), (8, 504),
                 (9, 720)]
         shuffled = [base[i] for i in perm]
-        poly = fit_polynomial(shuffled)
+        poly = fit_polynomial(shuffled, 3)
         assert poly is not None and poly.coeffs == (0, -1, 0, 1)
 
 

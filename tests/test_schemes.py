@@ -5,13 +5,16 @@ import itertools
 import pytest
 
 from blueforge import catalog, jsonio
-from blueforge.core import Blueprint, BlueprintError, MonomialBackend
-from blueforge.counting import fq_morphisms
+from blueforge.core import (Blueprint, BlueprintError, MonomialBackend,
+                            TooLarge)
+from blueforge.counting import fq_morphisms, fq_points
+from blueforge.fields import SUPPORTED_Q
 from blueforge.schemes import (BlueScheme, GradedBlueprint,
                                check_triple_overlaps,
                                closed_subscheme_from_integer_relations,
-                               fq_points_of_scheme, product, proj)
-from blueforge.spectra import spec
+                               fq_points_of_scheme, product, proj,
+                               projective_space)
+from blueforge.spectra import RankUndetermined, rank_of_point, spec
 
 
 def reference_chart_count(scheme, q):
@@ -83,6 +86,28 @@ class TestProj:
                         check_proper=False)
         with pytest.raises(BlueprintError):
             GradedBlueprint(bad, {"X": 1, "Y": 1})
+
+
+class TestClosureRanks:
+    """A Proj closure's rank is the degree of its counting polynomial,
+    fit with one of the seven sample counts held out, so degree 6 and up
+    is undetermined."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_pn_ranks(self, n):
+        X = proj(catalog.proj_cone(n))
+        for i in range(len(X)):
+            live = n + 1 - len(X.closure_vanishing(i))
+            assert rank_of_point(X, i) == live - 1
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_generic_point_of_p6_and_p7_is_undetermined(self, n):
+        X = proj(catalog.proj_cone(n))
+        generic = next(i for i in range(len(X))
+                       if not X.closure_vanishing(i))
+        assert X._closure_polynomial(generic) is None
+        with pytest.raises(RankUndetermined):
+            rank_of_point(X, generic)
 
 
 class TestProjectiveSpaceScheme:
@@ -226,6 +251,22 @@ class TestSchemePoints:
         scheme = BlueScheme([u0, inverted], ps.gluings, name="P1*")
         for q in (2, 3, 5):
             assert scheme.fq_points(q) == reference_chart_count(scheme, q) == q
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_projective_plane_over_f1_squared_counts_on_the_charts(self, q):
+        # the graded model has F1^2 coefficients, which the projective
+        # counter does not take
+        plane = projective_space(catalog.f1_squared(), 2)
+        assert fq_points(plane, q) == q ** 2 + q + 1
+
+    @pytest.mark.parametrize("graded", [True, False])
+    def test_unsupported_q_is_too_large(self, graded):
+        scheme = catalog.proj_space(2)
+        if not graded:
+            scheme = jsonio.scheme_from_json(jsonio.scheme_to_json(scheme))
+            assert scheme.graded_model is None
+        with pytest.raises(TooLarge, match="no field table for q=6"):
+            scheme.fq_points(6)
 
     def test_sl2_brute_force(self, sl2):
         assert fq_points_of_scheme(spec(sl2), 2) == 6
